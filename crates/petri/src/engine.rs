@@ -75,6 +75,7 @@ impl CompiledTransition {
 
     /// Returns `true` if the transition is enabled in `row`.
     #[must_use]
+    #[inline]
     pub fn is_enabled_row(&self, row: &[u64]) -> bool {
         entries(&self.pre).all(|(p, c)| row[p] >= c)
     }
@@ -100,6 +101,7 @@ impl CompiledTransition {
     /// # Panics
     ///
     /// Panics (in debug builds) if the transition is not enabled.
+    #[inline]
     pub fn fire(&self, config: &mut DenseConfig) {
         entries(&self.pre).for_each(|(p, c)| {
             debug_assert!(config.counts[p] >= c, "transition fired while disabled");
@@ -114,6 +116,7 @@ impl CompiledTransition {
 
     /// Returns `true` if the transition is enabled in `config`.
     #[must_use]
+    #[inline]
     pub fn is_enabled(&self, config: &DenseConfig) -> bool {
         self.is_enabled_row(&config.counts)
     }
@@ -122,6 +125,7 @@ impl CompiledTransition {
     /// transition in `config` (the product of binomial coefficients over
     /// its precondition), used by the instance-weighted scheduler.
     #[must_use]
+    #[inline]
     pub fn instances(&self, config: &DenseConfig) -> u128 {
         entries(&self.pre)
             .map(|(p, c)| binomial(config.counts[p], c))
@@ -449,8 +453,27 @@ impl<P: Clone + Ord> CompiledNet<P> {
 }
 
 /// Binomial coefficient `C(n, k)` saturating in `u128`.
+///
+/// `k ≤ 2`, every precondition count of a width-2 protocol, takes an exact
+/// closed form (`n·(n−1)` cannot overflow `u128`) instead of a `u128`
+/// division per factor.
 #[must_use]
+#[inline]
 pub fn binomial(n: u64, k: u64) -> u128 {
+    match k {
+        0 => 1,
+        1 => u128::from(n),
+        2 => {
+            let n = u128::from(n);
+            (n * n.saturating_sub(1)) >> 1
+        }
+        _ => binomial_product(n, k),
+    }
+}
+
+/// [`binomial`] for every `k`: the saturating product of the factors
+/// `(n − i) / (i + 1)`.
+fn binomial_product(n: u64, k: u64) -> u128 {
     if k > n {
         return 0;
     }
@@ -664,5 +687,23 @@ mod tests {
         assert_eq!(binomial(5, 0), 1);
         assert_eq!(binomial(3, 5), 0);
         assert_eq!(binomial(10, 10), 1);
+        assert_eq!(binomial(7, 3), 35);
+    }
+
+    #[test]
+    fn binomial_fast_paths_match_the_product_at_the_edges() {
+        for n in [0, 1, 2, 3, u64::MAX - 1, u64::MAX] {
+            for k in 0..=2 {
+                assert_eq!(binomial(n, k), binomial_product(n, k), "C({n}, {k})");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn binomial_fast_paths_match_the_product(n in proptest::prelude::any::<u64>(), small in 0u64..64, k in 0u64..=2) {
+            proptest::prop_assert_eq!(binomial(n, k), binomial_product(n, k));
+            proptest::prop_assert_eq!(binomial(small, k), binomial_product(small, k));
+        }
     }
 }

@@ -45,6 +45,9 @@ pub struct ConvergenceStats {
     pub converged: usize,
     /// Number of trials that exhausted the budget.
     pub exhausted: usize,
+    /// Number of trials that stopped right after an inconclusive stability
+    /// check (see [`RunOutcome::Inconclusive`]).
+    pub inconclusive: usize,
     /// Consensus value observed by the converged trials (if they agree).
     pub consensus: Option<Output>,
     /// Summary of the step counts of converged trials.
@@ -120,7 +123,7 @@ impl<'p> ConvergenceExperiment<'p> {
         let mut steps = Vec::new();
         let mut consensus: Option<Output> = None;
         let mut consistent = true;
-        let mut exhausted = 0usize;
+        let (mut exhausted, mut inconclusive) = (0usize, 0usize);
         for outcome in &outcomes {
             match outcome {
                 RunOutcome::Converged {
@@ -135,11 +138,13 @@ impl<'p> ConvergenceExperiment<'p> {
                     }
                 }
                 RunOutcome::Exhausted { .. } => exhausted += 1,
+                RunOutcome::Inconclusive { .. } => inconclusive += 1,
             }
         }
         ConvergenceStats {
             converged: steps.len(),
             exhausted,
+            inconclusive,
             consensus: if consistent { consensus } else { None },
             steps: Summary::of(&steps),
             agents: self.initial.total(),
@@ -232,6 +237,7 @@ mod tests {
             .run();
         assert_eq!(stats.converged, 0);
         assert_eq!(stats.exhausted, 3);
+        assert_eq!(stats.inconclusive, 0);
         assert!(stats.steps.is_none());
         assert_eq!(stats.consensus, None);
     }

@@ -1,6 +1,13 @@
 //! Schedulers: how the next interaction is chosen.
+//!
+//! [`SchedulerKind::choose`] decides from scratch on every call;
+//! [`SchedulerState`] is the incremental form a [`Simulation`] steps with.
+//! Both make the same random draw and pick the same transition, so a seed
+//! determines one trajectory whichever form runs it.
+//!
+//! [`Simulation`]: crate::Simulation
 
-use pp_petri::engine::{CompiledNet, DenseConfig};
+use pp_petri::engine::{CompiledNet, CompiledTransition, DenseConfig};
 use rand::Rng;
 
 /// The random scheduler driving a simulation.
@@ -24,6 +31,9 @@ pub enum SchedulerKind {
 impl SchedulerKind {
     /// Chooses the next transition to fire, or `None` if no transition is
     /// enabled (the configuration is silent).
+    ///
+    /// This decides from scratch, testing every transition; it is the
+    /// reference [`SchedulerState::choose`] is tested against.
     #[must_use]
     pub fn choose<P: Clone + Ord, R: Rng>(
         self,
@@ -44,27 +54,7 @@ impl SchedulerKind {
                 let weights: Vec<u128> = net
                     .transitions()
                     .iter()
-                    .map(|t| {
-                        let enabled = t.is_enabled(config);
-                        let instances = t.instances(config);
-                        // `instances` is a product of binomials over the
-                        // precondition, so it is positive exactly when every
-                        // required place holds enough agents — i.e. exactly
-                        // when the transition is enabled. A custom transition
-                        // breaking this would desynchronize the draw loop
-                        // below (its weight is gated on `enabled`, while the
-                        // draw walks `instances`), so pin it down here.
-                        debug_assert_eq!(
-                            enabled,
-                            instances > 0,
-                            "enabledness and instance count disagree"
-                        );
-                        if enabled {
-                            instances
-                        } else {
-                            0
-                        }
-                    })
+                    .map(|t| weight(t, config))
                     .collect();
                 let total: u128 = weights.iter().sum();
                 if total == 0 {
@@ -87,6 +77,193 @@ impl SchedulerKind {
                 // explicit fallback keeps the draw on an enabled transition
                 // instead of falling off the loop.
                 fallback
+            }
+        }
+    }
+}
+
+/// The instance-weighted scheduler's weight of `t` in `config`: its
+/// instance count, which is 0 exactly when it is disabled.
+fn weight(t: &CompiledTransition, config: &DenseConfig) -> u128 {
+    let instances = t.instances(config);
+    // `instances` is a product of binomials over the precondition, and a
+    // binomial `C(n, k)` is 0 exactly when `n < k`: the count is positive
+    // exactly when every required place holds enough agents. A custom
+    // transition breaking this would let the draw loops pick a disabled
+    // transition, so pin it down here.
+    debug_assert_eq!(
+        t.is_enabled(config),
+        instances > 0,
+        "enabledness and instance count disagree"
+    );
+    instances
+}
+
+/// The scheduler state of one simulation, built once and updated after
+/// every firing.
+///
+/// Firing `t` can only change the enabledness and the instance count of
+/// transitions whose precondition mentions a place whose count `t` changes.
+/// Those are `t`'s *dependents*, precomputed at build time; a catalyst
+/// place (as many agents consumed as produced) does not make a dependent.
+/// [`fired`](Self::fired) refreshes only them, and
+/// [`choose`](Self::choose) walks the cached flags or weights without
+/// allocating.
+///
+/// `choose` makes the same `gen_range` call and picks the same transition
+/// as [`SchedulerKind::choose`] on the current configuration, so every seed
+/// replays the same trajectory.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SchedulerState {
+    transitions: Vec<CompiledTransition>,
+    /// `dependents[dep_start[t]..dep_start[t + 1]]` are `t`'s dependents,
+    /// in index order.
+    dep_start: Vec<usize>,
+    dependents: Vec<u32>,
+    cache: Cache,
+}
+
+/// Per-transition scheduler data, kept current for the configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Cache {
+    /// [`SchedulerKind::UniformEnabledTransition`]: one enabled flag per
+    /// transition, and how many are set.
+    Uniform { enabled: Vec<bool>, count: usize },
+    /// [`SchedulerKind::InstanceWeighted`]: one weight per transition (see
+    /// [`weight`]), and their sum.
+    Weighted { weights: Vec<u128>, total: u128 },
+}
+
+impl SchedulerState {
+    /// Builds the state of a `kind` scheduler over `net` in `config`.
+    #[must_use]
+    pub fn new<P: Clone + Ord>(
+        kind: SchedulerKind,
+        net: &CompiledNet<P>,
+        config: &DenseConfig,
+    ) -> Self {
+        let transitions = net.transitions().to_vec();
+        let mut delta = vec![0i128; net.num_places()];
+        let mut dep_start = vec![0];
+        let mut dependents = Vec::new();
+        for t in &transitions {
+            t.pre()
+                .iter()
+                .for_each(|&(p, c)| delta[p as usize] -= i128::from(c));
+            t.post()
+                .iter()
+                .for_each(|&(p, c)| delta[p as usize] += i128::from(c));
+            dependents.extend(
+                (0u32..)
+                    .zip(&transitions)
+                    .filter(|(_, u)| u.pre().iter().any(|&(p, _)| delta[p as usize] != 0))
+                    .map(|(u, _)| u),
+            );
+            dep_start.push(dependents.len());
+            for &(p, _) in t.pre().iter().chain(t.post()) {
+                delta[p as usize] = 0;
+            }
+        }
+        let cache = match kind {
+            SchedulerKind::UniformEnabledTransition => {
+                let enabled: Vec<bool> = transitions.iter().map(|t| t.is_enabled(config)).collect();
+                let count = enabled.iter().filter(|&&on| on).count();
+                Cache::Uniform { enabled, count }
+            }
+            SchedulerKind::InstanceWeighted => {
+                let weights: Vec<u128> = transitions.iter().map(|t| weight(t, config)).collect();
+                let total = weights.iter().fold(0u128, |sum, &w| sum.wrapping_add(w));
+                Cache::Weighted { weights, total }
+            }
+        };
+        SchedulerState {
+            transitions,
+            dep_start,
+            dependents,
+            cache,
+        }
+    }
+
+    /// The transitions whose enabledness or instance count firing `t` can
+    /// change, in index order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a transition index of the net.
+    #[must_use]
+    pub fn dependents(&self, t: usize) -> &[u32] {
+        &self.dependents[self.dep_start[t]..self.dep_start[t + 1]]
+    }
+
+    /// Chooses the next transition to fire, or `None` if no transition is
+    /// enabled (the configuration is silent).
+    ///
+    /// Uniform: the k-th enabled transition in index order for a draw
+    /// `k ∈ 0..enabled`. Instance-weighted: the first transition whose
+    /// prefix sum of weights exceeds a draw in `0..total`.
+    #[must_use]
+    pub fn choose<R: Rng>(&self, rng: &mut R) -> Option<usize> {
+        match &self.cache {
+            Cache::Uniform { enabled, count } => {
+                if *count == 0 {
+                    return None;
+                }
+                let k = rng.gen_range(0..*count);
+                enabled
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &on)| on)
+                    .nth(k)
+                    .map(|(index, _)| index)
+            }
+            Cache::Weighted { weights, total } => {
+                if *total == 0 {
+                    return None;
+                }
+                let mut draw = rng.gen_range(0..*total);
+                for (index, &w) in weights.iter().enumerate() {
+                    if draw < w {
+                        return Some(index);
+                    }
+                    draw -= w;
+                }
+                // Unreachable while `total` is the sum of the weights; like
+                // the reference, stay on an enabled transition regardless.
+                weights.iter().rposition(|&w| w > 0)
+            }
+        }
+    }
+
+    /// Brings the state up to date after transition `t` fired, leaving
+    /// `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is not a transition index of the net.
+    pub fn fired(&mut self, t: usize, config: &DenseConfig) {
+        let dependents = &self.dependents[self.dep_start[t]..self.dep_start[t + 1]];
+        match &mut self.cache {
+            Cache::Uniform { enabled, count } => {
+                for &u in dependents {
+                    let u = u as usize;
+                    let now = self.transitions[u].is_enabled(config);
+                    if now != enabled[u] {
+                        enabled[u] = now;
+                        if now {
+                            *count += 1;
+                        } else {
+                            *count -= 1;
+                        }
+                    }
+                }
+            }
+            Cache::Weighted { weights, total } => {
+                for &u in dependents {
+                    let u = u as usize;
+                    let now = weight(&self.transitions[u], config);
+                    *total = total.wrapping_sub(weights[u]).wrapping_add(now);
+                    weights[u] = now;
+                }
             }
         }
     }

@@ -1,6 +1,6 @@
 //! A single protocol execution under a random scheduler.
 
-use crate::scheduler::SchedulerKind;
+use crate::scheduler::{SchedulerKind, SchedulerState};
 use crate::{compile_protocol, DenseConfig, DenseNet};
 use pp_multiset::Multiset;
 use pp_petri::ExplorationLimits;
@@ -35,6 +35,13 @@ pub enum RunOutcome {
         /// The step budget that was spent.
         steps: u64,
     },
+    /// The run stopped (budget spent, or silent) right after a stability
+    /// check that could not decide: the configuration has a consensus, but
+    /// the bounded exploration behind the check was truncated.
+    Inconclusive {
+        /// Number of scheduler steps taken.
+        steps: u64,
+    },
 }
 
 impl RunOutcome {
@@ -42,7 +49,9 @@ impl RunOutcome {
     #[must_use]
     pub fn steps(&self) -> u64 {
         match self {
-            RunOutcome::Converged { steps, .. } | RunOutcome::Exhausted { steps } => *steps,
+            RunOutcome::Converged { steps, .. }
+            | RunOutcome::Exhausted { steps }
+            | RunOutcome::Inconclusive { steps } => *steps,
         }
     }
 
@@ -51,7 +60,7 @@ impl RunOutcome {
     pub fn consensus(&self) -> Option<Output> {
         match self {
             RunOutcome::Converged { consensus, .. } => Some(*consensus),
-            RunOutcome::Exhausted { .. } => None,
+            RunOutcome::Exhausted { .. } | RunOutcome::Inconclusive { .. } => None,
         }
     }
 }
@@ -62,7 +71,8 @@ impl RunOutcome {
 /// an output consensus, the simulator asks the protocol's stability oracle
 /// whether the configuration is output-stable for that value (results are
 /// memoized per configuration). This removes the usual guesswork of
-/// "has it stopped changing?" heuristics.
+/// "has it stopped changing?" heuristics. A check the oracle cannot decide
+/// is remembered as undecided, never as "not stable".
 ///
 /// # Examples
 ///
@@ -80,11 +90,12 @@ pub struct Simulation<'p> {
     protocol: &'p Protocol,
     net: DenseNet,
     stability: ProtocolStability,
-    scheduler: SchedulerKind,
+    scheduler: SchedulerState,
     config: DenseConfig,
     rng: StdRng,
     steps: u64,
-    stability_cache: HashMap<Multiset<StateId>, bool>,
+    /// Stability answers per configuration; `None` when undecided.
+    stability_cache: HashMap<Multiset<StateId>, Option<bool>>,
 }
 
 impl<'p> Simulation<'p> {
@@ -93,11 +104,12 @@ impl<'p> Simulation<'p> {
     #[must_use]
     pub fn new(protocol: &'p Protocol, initial: &Multiset<StateId>, seed: u64) -> Self {
         let net = compile_protocol(protocol);
+        let config = net.dense_config(initial);
         Simulation {
-            config: net.dense_config(initial),
+            scheduler: SchedulerState::new(SchedulerKind::default(), &net, &config),
+            config,
             net,
             stability: ProtocolStability::new(protocol),
-            scheduler: SchedulerKind::default(),
             rng: StdRng::seed_from_u64(seed),
             steps: 0,
             stability_cache: HashMap::new(),
@@ -107,7 +119,7 @@ impl<'p> Simulation<'p> {
 
     /// Selects the scheduler (default: uniform over enabled transitions).
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
+        self.scheduler = SchedulerState::new(scheduler, &self.net, &self.config);
         self
     }
 
@@ -125,12 +137,10 @@ impl<'p> Simulation<'p> {
 
     /// Performs one scheduler step.
     pub fn step(&mut self) -> StepOutcome {
-        match self
-            .scheduler
-            .choose(&self.net, &self.config, &mut self.rng)
-        {
+        match self.scheduler.choose(&mut self.rng) {
             Some(t) => {
                 self.net.transitions()[t].fire(&mut self.config);
+                self.scheduler.fired(t, &self.config);
                 self.steps += 1;
                 StepOutcome::Fired(t)
             }
@@ -157,9 +167,20 @@ impl<'p> Simulation<'p> {
         Some(value.unwrap_or(Output::Zero))
     }
 
-    /// Returns `true` if the current configuration is output-stable for its
-    /// consensus value (memoized exact check).
+    /// The consensus of the current configuration if it is output-stable
+    /// for it (memoized exact check), `None` otherwise — including when the
+    /// check is inconclusive.
     pub fn is_converged(&mut self) -> Option<Output> {
+        match self.stability() {
+            Some((consensus, Some(true))) => Some(consensus),
+            _ => None,
+        }
+    }
+
+    /// The consensus of the current configuration, if it has a 0/1 one,
+    /// with the memoized answer to "is it output-stable for it?" (`None`
+    /// when the oracle's bounded exploration was truncated).
+    fn stability(&mut self) -> Option<(Output, Option<bool>)> {
         let consensus = self.consensus()?;
         let value = match consensus {
             Output::Zero => false,
@@ -170,15 +191,17 @@ impl<'p> Simulation<'p> {
         let stable = match self.stability_cache.get(&sparse) {
             Some(&cached) => cached,
             None => {
-                let result = self
-                    .stability
-                    .is_output_stable(self.protocol, &sparse, value, &ExplorationLimits::default())
-                    .unwrap_or(false);
+                let result = self.stability.is_output_stable(
+                    self.protocol,
+                    &sparse,
+                    value,
+                    &ExplorationLimits::default(),
+                );
                 self.stability_cache.insert(sparse, result);
                 result
             }
         };
-        stable.then_some(consensus)
+        Some((consensus, stable))
     }
 
     /// Runs until convergence or until `max_steps` scheduler steps.
@@ -186,18 +209,30 @@ impl<'p> Simulation<'p> {
     /// Convergence is checked whenever the configuration is silent and
     /// otherwise every `n` steps (with `n` the number of agents), so the
     /// reported step count overestimates the true convergence time by at most
-    /// one such window.
+    /// one such window. A run that stops right after an inconclusive check
+    /// reports [`RunOutcome::Inconclusive`] instead of
+    /// [`RunOutcome::Exhausted`].
     pub fn run(&mut self, max_steps: u64) -> RunOutcome {
         let window = self.config.total().max(1);
         loop {
-            if let Some(consensus) = self.is_converged() {
-                return RunOutcome::Converged {
-                    consensus,
-                    steps: self.steps,
-                };
-            }
+            let inconclusive = match self.stability() {
+                Some((consensus, Some(true))) => {
+                    return RunOutcome::Converged {
+                        consensus,
+                        steps: self.steps,
+                    }
+                }
+                checked => matches!(checked, Some((_, None))),
+            };
+            let stopped = |steps| {
+                if inconclusive {
+                    RunOutcome::Inconclusive { steps }
+                } else {
+                    RunOutcome::Exhausted { steps }
+                }
+            };
             if self.steps >= max_steps {
-                return RunOutcome::Exhausted { steps: self.steps };
+                return stopped(self.steps);
             }
             let mut fired_any = false;
             for _ in 0..window {
@@ -215,7 +250,7 @@ impl<'p> Simulation<'p> {
                 // Silent but not output-stable (e.g. a stuck mixed-output
                 // configuration of an ill-specified protocol): report the
                 // budget as exhausted rather than spinning forever.
-                return RunOutcome::Exhausted { steps: self.steps };
+                return stopped(self.steps);
             }
         }
     }
@@ -224,6 +259,8 @@ impl<'p> Simulation<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ConvergenceExperiment;
+    use pp_population::ProtocolBuilder;
     use pp_protocols::flock::flock_of_birds_unary;
     use pp_protocols::leaders_n::example_4_2;
     use pp_protocols::majority::majority;
@@ -238,7 +275,7 @@ mod tests {
                 assert_eq!(consensus, Output::One);
                 assert!(steps > 0);
             }
-            RunOutcome::Exhausted { .. } => panic!("simulation did not converge"),
+            other => panic!("simulation did not converge: {other:?}"),
         }
         // 1 < 2: must converge to consensus 0.
         let mut sim = Simulation::new(&protocol, &protocol.initial_config_with_count(1), 2);
@@ -282,6 +319,46 @@ mod tests {
         let mut sim =
             Simulation::new(&protocol, &initial, 6).with_scheduler(SchedulerKind::InstanceWeighted);
         assert_eq!(sim.run(1_000_000).consensus(), Some(Output::Zero));
+    }
+
+    /// An all-output-1 protocol whose transition `x → x + x` creates agents:
+    /// every configuration has consensus 1, but the non-conservative
+    /// 1-stability check explores an infinite chain and truncates.
+    fn doubling() -> Protocol {
+        let mut builder = ProtocolBuilder::new("doubling");
+        let x = builder.state("x", Output::One);
+        builder.initial(x);
+        builder.transition(&[(x, 1)], &[(x, 2)]);
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn inconclusive_checks_are_reported_and_not_cached_as_unstable() {
+        let protocol = doubling();
+        let initial = protocol.initial_config_with_count(1);
+        let mut sim = Simulation::new(&protocol, &initial, 4);
+        assert_eq!(sim.consensus(), Some(Output::One));
+        assert_eq!(sim.is_converged(), None);
+        assert_eq!(
+            sim.stability_cache.values().copied().collect::<Vec<_>>(),
+            [None]
+        );
+        assert_eq!(sim.run(0), RunOutcome::Inconclusive { steps: 0 });
+        assert_eq!(
+            sim.stability_cache.len(),
+            1,
+            "the memo answered the re-check"
+        );
+
+        let stats = ConvergenceExperiment::new(&protocol, &initial)
+            .trials(2)
+            .threads(2)
+            .max_steps(0)
+            .run();
+        assert_eq!(
+            (stats.converged, stats.exhausted, stats.inconclusive),
+            (0, 0, 2)
+        );
     }
 
     #[test]
