@@ -23,11 +23,11 @@
 
 use pp_bench::{fmt_f64, Table};
 use pp_petri::batch::{Batch, BatchJob};
+use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{ExplorationLimits, Parallelism};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
-use pp_serve::fingerprint::{hex, outcome_fingerprint};
 use pp_serve::json::Json;
 use pp_serve::server::{Server, ServerConfig, ServerHandle};
 use pp_serve::Client;

@@ -9,15 +9,14 @@
 //! the active layout.
 //!
 //! `--check` skips the timing and instead verifies the packed-row
-//! invariant end to end: for every instance, builds with packing enabled
-//! (sequential and parallel) and with packing disabled must be
-//! `identical_to` each other bit for bit. Any divergence exits nonzero.
+//! invariant end to end: for every instance, packed builds (sequential
+//! and parallel) and a `u64`-rows session build must be `identical_to`
+//! each other bit for bit. Any divergence exits nonzero.
 //! It also reports the packed-vs-unpacked compaction factor, failing if
 //! the catalog protocols do not compact at least 2x.
 
 use pp_bench::{fmt_f64, Table};
 use pp_petri::explore::sparse_reference_exploration;
-use pp_petri::packed::set_packed_enabled;
 use pp_petri::{Analysis, ExplorationLimits, Parallelism};
 use pp_protocols::{flock, leaders_n, threshold};
 use std::time::Instant;
@@ -64,8 +63,7 @@ fn instances() -> Instances {
 /// Packed-vs-unpacked bit-identity sweep. Builds every instance three
 /// ways — packed sequential, packed parallel, unpacked sequential — and
 /// demands the graphs be `identical_to` each other. Returns whether all
-/// checks passed. The gate flips are safe here: benches are their own
-/// process and `--check` runs instead of, never alongside, the timing.
+/// checks passed.
 fn run_check(limits: &ExplorationLimits) -> bool {
     let mut ok = true;
     for (family, protocol, agent_counts) in instances() {
@@ -73,7 +71,6 @@ fn run_check(limits: &ExplorationLimits) -> bool {
         for agents in agent_counts {
             let initial = protocol.initial_config_with_count(agents);
 
-            set_packed_enabled(true);
             let packed_seq = Analysis::new(net)
                 .reachability([initial.clone()])
                 .limits(*limits)
@@ -83,12 +80,11 @@ fn run_check(limits: &ExplorationLimits) -> bool {
                 .reachability([initial.clone()])
                 .limits(*limits)
                 .run();
-            set_packed_enabled(false);
             let unpacked = Analysis::new(net)
+                .u64_rows()
                 .reachability([initial.clone()])
                 .limits(*limits)
                 .run();
-            set_packed_enabled(true);
 
             if !packed_seq.identical_to(&packed_par) {
                 eprintln!("CHECK FAILED: {family} at {agents} agents: packed parallel build diverges from packed sequential");

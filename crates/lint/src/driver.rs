@@ -159,9 +159,6 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
     run(Rule::LockOrder, &mut findings, &mut |out| {
         rules::lock_order(&ws, out);
     });
-    run(Rule::DeprecatedInternal, &mut findings, &mut |out| {
-        rules::deprecated_internal(&ws, out);
-    });
     run(Rule::CompletionWildcard, &mut findings, &mut |out| {
         rules::completion_wildcard(&ws, out);
     });

@@ -1,12 +1,12 @@
 //! Workspace symbol table and conservative call graph.
 //!
-//! The interprocedural rules (`worker-panic-reach`, `lock-order`,
-//! `deprecated-internal`) need to answer "which functions can this
-//! closure reach?" without a compiler. This module builds the cheapest
-//! graph that is still *sound for those rules*: every function and
-//! closure item from every file becomes a node, and a call site is
-//! resolved **by name** to every workspace function that could match —
-//! no types, no trait dispatch, no `use` resolution. Over-approximation
+//! The interprocedural rules (`worker-panic-reach`, `lock-order`) need
+//! to answer "which functions can this closure reach?" without a
+//! compiler. This module builds the cheapest graph that is still *sound
+//! for those rules*: every function and closure item from every file
+//! becomes a node, and a call site is resolved **by name** to every
+//! workspace function that could match — no types, no trait dispatch,
+//! no `use` resolution. Over-approximation
 //! is the point: an edge too many costs a justified marker during
 //! burn-down; an edge too few silently exempts code from the rules.
 //!
@@ -110,8 +110,6 @@ pub struct FnNode {
     /// Test-only: `#[cfg(test)]`/`#[test]` on the item or an ancestor
     /// item, or the file lives under a `tests/` directory.
     pub is_test: bool,
-    /// `#[deprecated]` on the item or an ancestor item.
-    pub deprecated: bool,
 }
 
 /// What a call site names, before resolution.
@@ -247,10 +245,8 @@ impl Workspace {
             impl_type: Option<&str>,
             parent: Option<usize>,
             test: bool,
-            deprecated: bool,
         ) {
             let test = test || item.cfg_test;
-            let deprecated = deprecated || item.deprecated;
             let (next_impl, next_parent) = match item.kind {
                 ItemKind::Fn | ItemKind::Closure => {
                     let id = ctx.nodes.len();
@@ -270,7 +266,6 @@ impl Workspace {
                         child_spans,
                         parent,
                         is_test: test || ctx.path_is_test,
-                        deprecated,
                     });
                     (impl_type.map(str::to_string), Some(id))
                 }
@@ -278,14 +273,7 @@ impl Workspace {
                 ItemKind::Mod => (None, parent),
             };
             for child in &item.children {
-                walk(
-                    ctx,
-                    child,
-                    next_impl.as_deref(),
-                    next_parent,
-                    test,
-                    deprecated,
-                );
+                walk(ctx, child, next_impl.as_deref(), next_parent, test);
             }
         }
         let tree: &ItemTree = &file.tree;
@@ -299,7 +287,7 @@ impl Workspace {
             path_is_test,
         };
         for item in &items {
-            walk(&mut ctx, item, None, None, false, false);
+            walk(&mut ctx, item, None, None, false);
         }
     }
 

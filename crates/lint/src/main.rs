@@ -150,7 +150,6 @@ fn fixture_pair(rule: Rule) -> (&'static str, &'static str) {
         Rule::BadAllow => pair!("markers"),
         Rule::WorkerPanicReach => pair!("worker-panic-reach"),
         Rule::LockOrder => pair!("lock-order"),
-        Rule::DeprecatedInternal => pair!("deprecated-internal"),
         Rule::CompletionWildcard => pair!("completion-wildcard"),
         Rule::MarkerDrift => pair!("marker-drift"),
     }

@@ -16,7 +16,7 @@
 //! code, otherwise on the next code line. See `DESIGN.md`, chapter
 //! "Static analysis", for the catalog rationale and how to add a rule.
 
-use crate::graph::{Callee, ParsedFile, Workspace};
+use crate::graph::{ParsedFile, Workspace};
 use crate::lexer::{Token, TokenKind};
 use crate::syntax::ItemKind;
 use std::collections::{BTreeMap, BTreeSet};
@@ -54,10 +54,6 @@ pub enum Rule {
     /// arena spin-lock sequences, propagated over the call graph) must
     /// be acyclic — a cycle is a potential deadlock.
     LockOrder,
-    /// Workspace code must not call the deprecated pre-session shims
-    /// (`#[deprecated]` items): internal callers use the `Analysis`
-    /// session API; the shims exist for external users only.
-    DeprecatedInternal,
     /// A `match` on `Completion` in a determinism-critical module must
     /// not have a `_` arm: a new completion variant must break the
     /// build, not silently fall through.
@@ -79,7 +75,6 @@ impl Rule {
         Rule::BadAllow,
         Rule::WorkerPanicReach,
         Rule::LockOrder,
-        Rule::DeprecatedInternal,
         Rule::CompletionWildcard,
         Rule::MarkerDrift,
     ];
@@ -96,7 +91,6 @@ impl Rule {
             Rule::BadAllow => "bad-allow",
             Rule::WorkerPanicReach => "worker-panic-reach",
             Rule::LockOrder => "lock-order",
-            Rule::DeprecatedInternal => "deprecated-internal",
             Rule::CompletionWildcard => "completion-wildcard",
             Rule::MarkerDrift => "marker-drift",
         }
@@ -114,7 +108,6 @@ impl Rule {
             "exact-wrap" => Some(Rule::ExactWrap),
             "worker-panic-reach" => Some(Rule::WorkerPanicReach),
             "lock-order" => Some(Rule::LockOrder),
-            "deprecated-internal" => Some(Rule::DeprecatedInternal),
             "completion-wildcard" => Some(Rule::CompletionWildcard),
             _ => None,
         }
@@ -187,12 +180,6 @@ impl Rule {
                  the same locks in opposite orders and deadlock; the finding prints \
                  the witness cycle with one provenance site per edge. Fix the order, \
                  don't suppress the cycle."
-            }
-            Rule::DeprecatedInternal => {
-                "Workspace code (tests included) must not call #[deprecated] items: \
-                 the pre-session shims exist for external users only, and internal \
-                 call sites must use the Analysis session API. Deprecated items may \
-                 call each other (the shims forward to one another)."
             }
             Rule::CompletionWildcard => {
                 "A match on a Completion value in a determinism-critical module must \
@@ -1606,86 +1593,7 @@ fn report_lock_cycles(edges: &BTreeMap<(String, String), LockEdge>, findings: &m
 }
 
 // ---------------------------------------------------------------------
-// Rule 9: deprecated-internal (workspace-level)
-// ---------------------------------------------------------------------
-
-/// Flags workspace calls to `#[deprecated]` items.
-///
-/// Matching strength follows what the call site spells out: a
-/// qualified call (`Type::name`) matches the deprecated set exactly; a
-/// bare call matches deprecated free functions by name; a method call
-/// (`recv.name(…)`) matches only when *every* workspace fn of that
-/// name is deprecated (the receiver's type is unknown, so a shared
-/// name like `build` must not convict unrelated types). Deprecated
-/// items may call each other — the shims forward along the migration
-/// chain.
-pub(crate) fn deprecated_internal(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let mut dep_impl: BTreeSet<(String, String)> = BTreeSet::new();
-    let mut dep_free: BTreeSet<String> = BTreeSet::new();
-    let mut by_name: BTreeMap<&str, (usize, usize)> = BTreeMap::new(); // (deprecated, total)
-    for n in &ws.nodes {
-        if n.kind != ItemKind::Fn {
-            continue;
-        }
-        let slot = by_name.entry(n.name.as_str()).or_insert((0, 0));
-        slot.1 += 1;
-        if n.deprecated {
-            slot.0 += 1;
-            match &n.impl_type {
-                Some(t) => {
-                    dep_impl.insert((t.clone(), n.name.clone()));
-                }
-                None => {
-                    dep_free.insert(n.name.clone());
-                }
-            }
-        }
-    }
-    if dep_impl.is_empty() && dep_free.is_empty() {
-        return;
-    }
-    for n in &ws.nodes {
-        if n.deprecated {
-            continue;
-        }
-        let file = &ws.files[n.file];
-        for site in &ws.calls[n.id] {
-            let hit = match &site.callee {
-                Callee::Qualified(q, name) => {
-                    let q = if q == "Self" {
-                        n.impl_type.clone().unwrap_or_else(|| q.clone())
-                    } else {
-                        q.clone()
-                    };
-                    dep_impl
-                        .contains(&(q.clone(), name.clone()))
-                        .then(|| format!("{q}::{name}"))
-                }
-                Callee::Free(name) => dep_free.contains(name).then(|| name.clone()),
-                Callee::Method { name, .. } => by_name
-                    .get(name.as_str())
-                    .is_some_and(|&(dep, total)| dep > 0 && dep == total)
-                    .then(|| format!(".{name}")),
-                Callee::Closure(_) => None,
-            };
-            if let Some(what) = hit {
-                findings.push(Finding {
-                    file: file.path.clone(),
-                    line: site.line,
-                    rule: Rule::DeprecatedInternal,
-                    message: format!(
-                        "call to deprecated `{what}`: internal code (tests included) \
-                         must use the `Analysis` session API — the shim exists for \
-                         external callers only"
-                    ),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 10: completion-wildcard (workspace-level)
+// Rule 9: completion-wildcard (workspace-level)
 // ---------------------------------------------------------------------
 
 /// Flags `_` arms in `match`es over `Completion` values inside

@@ -65,8 +65,6 @@ pub struct Item {
     pub body: Range<usize>,
     /// Whether the item carries `#[cfg(test)]` or `#[test]` directly.
     pub cfg_test: bool,
-    /// Whether the item carries `#[deprecated]` / `#[deprecated(…)]`.
-    pub deprecated: bool,
     /// Items nested inside the body, in source order.
     pub children: Vec<Item>,
 }
@@ -157,7 +155,6 @@ pub fn parse_tokens(src: &[u8], tokens: &[Token]) -> ItemTree {
 #[derive(Default, Clone, Copy)]
 struct Attrs {
     cfg_test: bool,
-    deprecated: bool,
 }
 
 /// Keywords and punctuation that may legitimately sit between an
@@ -254,7 +251,6 @@ impl Parser<'_> {
                         span: self.raw_span(k, (close + 1).min(hi)),
                         body: self.raw_span(k + 3, close.min(hi)),
                         cfg_test: attrs.cfg_test,
-                        deprecated: attrs.deprecated,
                         children: self.parse_region(k + 3, close.min(hi), depth + 1),
                     });
                     attrs = Attrs::default();
@@ -271,7 +267,6 @@ impl Parser<'_> {
                                 span: self.raw_span(k, (close + 1).min(hi)),
                                 body: self.raw_span(open + 1, close.min(hi)),
                                 cfg_test: attrs.cfg_test,
-                                deprecated: attrs.deprecated,
                                 children: self.parse_region(open + 1, close.min(hi), depth + 1),
                             });
                             attrs = Attrs::default();
@@ -294,7 +289,6 @@ impl Parser<'_> {
                             span: self.raw_span(k, (close + 1).min(hi)),
                             body: self.raw_span(open + 1, close.min(hi)),
                             cfg_test: attrs.cfg_test,
-                            deprecated: attrs.deprecated,
                             children: self.parse_region(open + 1, close.min(hi), depth + 1),
                         });
                         attrs = Attrs::default();
@@ -342,10 +336,6 @@ impl Parser<'_> {
 
     /// Folds one `#[…]` attribute's interior into the pending flags.
     fn scan_attr(&self, lo: usize, hi: usize, attrs: &mut Attrs) {
-        let head = self.t(lo);
-        if head == "deprecated" {
-            attrs.deprecated = true;
-        }
         // `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, …))]`,
         // `#[cfg_attr(…, test)]`: any attribute whose tokens mention the
         // bare word `test` marks test-only code. A `#[cfg(feature =
@@ -520,7 +510,6 @@ impl Parser<'_> {
                 span: self.raw_span(start, end),
                 body,
                 cfg_test: false,
-                deprecated: false,
                 children: self.parse_region(child_lo, child_hi, depth + 1),
             },
             end,
@@ -614,11 +603,10 @@ mod tests {
     fn attributes_mark_items() {
         let t = tree(
             "#[cfg(test)]\nmod tests { #[test] fn t() {} }\n\
-             #[deprecated(note = \"x\")]\npub fn old() {}",
+             #[must_use]\npub fn old() {}",
         );
         assert!(t.items[0].cfg_test);
         assert!(t.items[0].children[0].cfg_test);
-        assert!(t.items[1].deprecated);
         assert!(!t.items[1].cfg_test);
     }
 

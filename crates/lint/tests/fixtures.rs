@@ -52,11 +52,6 @@ const CASES: &[(&str, &str, Rule)] = &[
     ),
     ("lock-order", "crates/petri/src/worker.rs", Rule::LockOrder),
     (
-        "deprecated-internal",
-        "crates/petri/src/shims.rs",
-        Rule::DeprecatedInternal,
-    ),
-    (
         "completion-wildcard",
         "crates/petri/src/batch.rs",
         Rule::CompletionWildcard,

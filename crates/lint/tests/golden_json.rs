@@ -27,7 +27,6 @@ const CORPUS: &[(&str, &str)] = &[
     ("markers", "crates/petri/src/session.rs"),
     ("worker-panic-reach", "crates/petri/src/worker_pool.rs"),
     ("lock-order", "crates/petri/src/arena.rs"),
-    ("deprecated-internal", "crates/petri/src/shims.rs"),
     ("completion-wildcard", "crates/petri/src/batch.rs"),
     ("marker-drift", "crates/petri/src/karp_miller.rs"),
 ];

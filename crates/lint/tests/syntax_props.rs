@@ -117,7 +117,7 @@ fn boundary_nested_items_and_closures() {
 #[test]
 fn boundary_test_and_deprecated_attributes() {
     let src = br#"
-        #[deprecated(note = "use the session API")]
+        #[must_use]
         pub fn old() {}
 
         #[cfg(test)]
@@ -129,13 +129,13 @@ fn boundary_test_and_deprecated_attributes() {
     assert_well_formed(src);
     let (_, tree) = parse(src);
     let mut attrs = Vec::new();
-    tree.walk(|item, _| attrs.push((item.name.clone(), item.cfg_test, item.deprecated)));
+    tree.walk(|item, _| attrs.push((item.name.clone(), item.cfg_test)));
     assert_eq!(
         attrs,
         vec![
-            ("old".to_string(), false, true),
-            ("tests".to_string(), true, false),
-            ("check".to_string(), true, false),
+            ("old".to_string(), false),
+            ("tests".to_string(), true),
+            ("check".to_string(), true),
         ]
     );
 }

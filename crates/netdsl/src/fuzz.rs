@@ -2,12 +2,13 @@
 //!
 //! For every generated case the harness runs three queries — budgeted
 //! reachability, backward coverability and a budgeted Karp–Miller tree —
-//! first under a fixed *baseline* engine configuration (sequential,
-//! unpacked rows, cold, direct [`Analysis`]), then once per differential
-//! *axis*:
+//! first under a fixed *baseline* engine configuration (sequential, packed
+//! rows as in production, cold, direct [`Analysis`]), then once per
+//! differential *axis*:
 //!
 //! * **parallel** — `Parallelism::Parallel(3)` instead of sequential;
-//! * **packed** — packed configuration rows force-enabled;
+//! * **packed** — the uncompressed `u64` reference rows
+//!   ([`Analysis::u64_rows`]) instead of packed ones;
 //! * **resume** — truncate at half the budget, then resume to the full
 //!   budget (reachability only: the other queries have no resume path);
 //! * **batch** — the same query as a single-job [`Batch`] run.
@@ -32,10 +33,7 @@ use crate::ast::NetDef;
 use crate::eval::{concretize, instantiate, EvalError, NetSpec};
 use crate::generate::{preset, random_def, random_target, NUM_PRESETS};
 use pp_petri::explore::fault_injection;
-use pp_petri::fingerprint::{
-    coverability_fingerprint, hex, karp_miller_fingerprint, reachability_fingerprint,
-};
-use pp_petri::packed;
+use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{Analysis, Batch, BatchJob, BatchOutcome, ExplorationLimits, Parallelism, PetriNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,7 +74,7 @@ impl QueryKind {
 pub enum Axis {
     /// Sequential vs `Parallel(3)` workers.
     Parallel,
-    /// Unpacked vs packed configuration rows.
+    /// Packed vs unpacked `u64` rows.
     Packed,
     /// Cold full-budget run vs truncate-then-resume.
     Resume,
@@ -214,29 +212,22 @@ impl RunMode {
     }
 }
 
-/// Restores the packed-row gate and the fault hook on scope exit, so a
-/// panicking engine cannot leak fuzzer state into later tests.
-struct EngineModeGuard {
-    saved_packed: bool,
-}
+/// Clears the fault hook on scope exit, so a panicking engine cannot leak
+/// fuzzer state into later tests.
+struct EngineModeGuard;
 
 impl EngineModeGuard {
     fn set(mode: RunMode) -> EngineModeGuard {
-        let guard = EngineModeGuard {
-            saved_packed: packed::packed_enabled(),
-        };
-        packed::set_packed_enabled(matches!(mode.axis, Some(Axis::Packed)));
         fault_injection::EXHAUST_SCRATCH_IDS.store(
             mode.inject_fault && matches!(mode.axis, Some(Axis::Parallel)),
             Ordering::SeqCst,
         );
-        guard
+        EngineModeGuard
     }
 }
 
 impl Drop for EngineModeGuard {
     fn drop(&mut self) {
-        packed::set_packed_enabled(self.saved_packed);
         fault_injection::EXHAUST_SCRATCH_IDS.store(false, Ordering::SeqCst);
     }
 }
@@ -255,18 +246,24 @@ fn place_order(net: &PetriNet<String>) -> Vec<String> {
     net.places().iter().cloned().collect()
 }
 
-/// Runs `query` over `spec` under `mode` and returns the result
-/// fingerprint, or `None` when the query does not apply (no initial
-/// configurations, or no target).
-fn run_query(spec: &NetSpec, query: QueryKind, mode: RunMode, budget: usize) -> Option<u64> {
-    let places = place_order(&spec.net);
+/// Runs `query` over `spec` under `mode`, or `None` when the query does
+/// not apply (no initial configurations, or no target).
+fn run_query(
+    spec: &NetSpec,
+    query: QueryKind,
+    mode: RunMode,
+    budget: usize,
+) -> Option<BatchOutcome<String>> {
     let limits = limits_for(spec, budget);
     let _guard = EngineModeGuard::set(mode);
     if matches!(mode.axis, Some(Axis::Batch)) {
-        return run_query_batch(spec, query, limits, &places);
+        return run_query_batch(spec, query, limits);
     }
     let mut analysis = Analysis::new(&spec.net).parallelism(mode.parallelism());
-    match query {
+    if matches!(mode.axis, Some(Axis::Packed)) {
+        analysis = analysis.u64_rows();
+    }
+    Some(match query {
         QueryKind::Reachability => {
             if spec.initials.is_empty() {
                 return None;
@@ -283,31 +280,31 @@ fn run_query(spec: &NetSpec, query: QueryKind, mode: RunMode, budget: usize) -> 
                     .limits(half)
                     .run();
             }
-            let graph = analysis
-                .reachability(spec.initials.clone())
-                .limits(limits)
-                .run();
-            Some(reachability_fingerprint(&graph))
+            BatchOutcome::Reachability(
+                analysis
+                    .reachability(spec.initials.clone())
+                    .limits(limits)
+                    .run(),
+            )
         }
         QueryKind::Coverability => {
-            let target = spec.target.clone()?;
-            let oracle = analysis.coverability(target).run();
-            Some(coverability_fingerprint(&oracle, &places))
+            BatchOutcome::Coverability(analysis.coverability(spec.target.clone()?).run())
         }
         QueryKind::KarpMiller => {
             let initial = spec.initials.first()?.clone();
-            let tree = analysis.karp_miller(initial).max_nodes(budget).run();
-            Some(karp_miller_fingerprint(&tree, &places))
+            BatchOutcome::KarpMiller(analysis.karp_miller(initial).max_nodes(budget).run())
         }
-    }
+    })
 }
 
+/// The same query as a single-job [`Batch`]. The batch layer uses
+/// `limits.max_configurations` as the Karp–Miller node budget, so the tree
+/// runs under the baseline's budget.
 fn run_query_batch(
     spec: &NetSpec,
     query: QueryKind,
     limits: ExplorationLimits,
-    places: &[String],
-) -> Option<u64> {
+) -> Option<BatchOutcome<String>> {
     let job = match query {
         QueryKind::Reachability => {
             if spec.initials.is_empty() {
@@ -326,15 +323,14 @@ fn run_query_batch(
         .parallelism(Parallelism::Sequential)
         .job(job.limits(limits))
         .run();
-    let job = report.jobs.first()?;
-    Some(match &job.outcome {
-        BatchOutcome::Reachability(graph) => reachability_fingerprint(graph),
-        BatchOutcome::Coverability(oracle) => coverability_fingerprint(oracle, places),
-        // The batch layer uses limits.max_configurations as the Karp–Miller
-        // node budget, so this tree ran under the baseline's budget.
-        BatchOutcome::KarpMiller(tree) => karp_miller_fingerprint(tree, places),
-        BatchOutcome::CoveringWord(_) => return None,
-    })
+    report.jobs.into_iter().next().map(|job| job.outcome)
+}
+
+/// The fingerprint of [`run_query`]'s result, with basis and marking
+/// counts read in the net's sorted place order.
+fn fingerprint(spec: &NetSpec, query: QueryKind, mode: RunMode, budget: usize) -> Option<u64> {
+    let outcome = run_query(spec, query, mode, budget)?;
+    Some(outcome_fingerprint(&outcome, &place_order(&spec.net)))
 }
 
 /// Compares one axis against the baseline; `Some((base, other))` when they
@@ -346,12 +342,12 @@ fn compare(
     budget: usize,
     inject_fault: bool,
 ) -> Option<(u64, u64)> {
-    let baseline = run_query(spec, query, RunMode::BASELINE, budget)?;
+    let baseline = fingerprint(spec, query, RunMode::BASELINE, budget)?;
     let mode = RunMode {
         axis: Some(axis),
         inject_fault,
     };
-    let other = run_query(spec, query, mode, budget)?;
+    let other = fingerprint(spec, query, mode, budget)?;
     (baseline != other).then_some((baseline, other))
 }
 
@@ -546,10 +542,11 @@ pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pp_petri::CellWidth;
     use std::sync::Mutex;
 
-    /// The packed gate and the fault hook are process-global; tests that
-    /// run the fuzzer must not interleave.
+    /// The fault hook is process-global; tests that run the fuzzer must
+    /// not interleave.
     static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
@@ -603,6 +600,39 @@ mod tests {
             ));
             let doc = divergence.repro_document(1);
             assert!(doc.contains("axis=parallel"));
+        }
+    }
+
+    /// The production default is what gets fuzzed: the baseline and the
+    /// parallel, resume and batch axes all store packed rows, and only
+    /// the packed axis runs on the `u64` reference rows.
+    #[test]
+    fn only_the_packed_axis_runs_on_u64_rows() {
+        let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let def = crate::parse::parse_str(
+            "place a b\ninit 4*a\ntrans 2*a -> a + b\ntrans a + b -> 2*b\n",
+        )
+        .unwrap();
+        let spec = instantiate(&def, &[]).unwrap();
+        let modes = [
+            (None, true),
+            (Some(Axis::Parallel), true),
+            (Some(Axis::Resume), true),
+            (Some(Axis::Batch), true),
+            (Some(Axis::Packed), false),
+        ];
+        for (axis, packed) in modes {
+            let mode = RunMode {
+                axis,
+                inject_fault: false,
+            };
+            let Some(BatchOutcome::Reachability(graph)) =
+                run_query(&spec, QueryKind::Reachability, mode, 300)
+            else {
+                panic!("{axis:?}: reachability applies to a net with an initial configuration");
+            };
+            let width = graph.row_layout().uniform_width();
+            assert_eq!(width != Some(CellWidth::U64), packed, "{axis:?}: {width:?}");
         }
     }
 

@@ -16,7 +16,7 @@
 //! into independent shards, each a [`ConfigArena`] behind its own lock, so
 //! worker threads interning different rows rarely contend. Sharded ids
 //! ([`ShardedConfigId`]) are scratch identifiers local to one build; the
-//! deterministic commit pass of [`ReachabilityGraph::build_with`] renumbers
+//! deterministic commit pass of the parallel reachability build renumbers
 //! them into dense BFS-ordered [`ConfigId`]s.
 //!
 //! To support the *pipelined* renumbering protocol (main thread commits
@@ -33,8 +33,6 @@
 //! compiled net's counts are provably small), and all hashing, equality
 //! probing and retirement operate directly on the packed words — the
 //! arena never unpacks a row to answer a membership query.
-//!
-//! [`ReachabilityGraph::build_with`]: crate::ReachabilityGraph::build_with
 
 use crate::packed::{CellWidth, RowLayout};
 use rustc_hash::FxHashMap;

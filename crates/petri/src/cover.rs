@@ -9,22 +9,23 @@
 //!   upward-closed sets. It is exact, requires no budget (termination follows
 //!   from Dickson's lemma) and is the workhorse of the
 //!   [`stabilized`](crate::stabilized) module.
-//! * [`covering_word`] / [`shortest_covering_word`] — a budgeted forward
-//!   breadth-first search that returns an explicit *shortest* covering word,
-//!   used by experiment E5 to compare actual covering-word lengths against
-//!   Rackoff's bound (Lemma 5.3). The [`CoveringWordOutcome`] distinguishes
-//!   an exhaustive negative answer from a truncated search, so the BFS
-//!   terminates meaningfully on uncoverable targets of unbounded nets.
+//! * [`Analysis::covering_word`] — a budgeted forward breadth-first search
+//!   that returns an explicit *shortest* covering word, used by experiment
+//!   E5 to compare actual covering-word lengths against Rackoff's bound
+//!   (Lemma 5.3). The [`CoveringWordOutcome`] distinguishes an exhaustive
+//!   negative answer from a truncated search, so the BFS terminates
+//!   meaningfully on uncoverable targets of unbounded nets.
 //!
-//! Both [`CoverabilityOracle::build_with`] and the exploration underlying
-//! the oracles accept a [`Parallelism`] knob; results are identical across
-//! modes.
+//! The oracle and the exploration underlying it accept a [`Parallelism`]
+//! knob; results are identical across modes.
+//!
+//! [`Analysis::covering_word`]: crate::session::Analysis::covering_word
 
 use crate::arena::ConfigArena;
 use crate::engine::CompiledNet;
-use crate::packed::{packed_enabled, row_le_words, CellWidth, PackedTransition, RowLayout};
+use crate::packed::{row_le_words, CellWidth, PackedTransition, RowLayout};
 use crate::parallel::Parallelism;
-use crate::{ExplorationLimits, PetriNet, ReachabilityGraph};
+use crate::{ExplorationLimits, PetriNet};
 use pp_multiset::Multiset;
 use rayon::prelude::*;
 use std::collections::VecDeque;
@@ -37,7 +38,7 @@ fn row_le(a: &[u64], b: &[u64]) -> bool {
 
 /// The packed backward-cover images of `rows` under every transition, in
 /// (row-major, transition-minor) order — the deterministic candidate order
-/// of one saturation round of [`CoverabilityOracle::build_with`]. A `None`
+/// of one saturation round of the backward algorithm. A `None`
 /// entry marks a candidate whose count overflowed the current cell width;
 /// one is enough to restart the whole saturation a width wider. Takes the
 /// packed transitions rather than the whole engine so worker threads need
@@ -159,60 +160,19 @@ pub struct CoverabilityOracle<P: Ord> {
 }
 
 impl<P: Clone + Ord> CoverabilityOracle<P> {
-    /// Runs the backward coverability algorithm for `target` over `net` on
-    /// the single-threaded engine.
-    ///
-    /// Equivalent to [`build_with`](Self::build_with) with
-    /// [`Parallelism::Sequential`].
-    ///
-    /// **Deprecated**: use the session API instead —
-    /// [`Analysis::new`](crate::session::Analysis::new)`(net).coverability(target).run()`.
-    #[deprecated(
-        note = "open an `Analysis` session instead: `Analysis::new(net).coverability(target).run()` compiles the net once and caches the oracle per target"
-    )]
-    #[must_use]
-    pub fn build(net: &PetriNet<P>, target: Multiset<P>) -> Self {
-        let engine = Arc::new(CompiledNet::compile_with_places(
-            net,
-            target.support().cloned(),
-        ));
-        Self::build_on(engine, target, Parallelism::Sequential)
-    }
-
-    /// Runs the backward coverability algorithm for `target` over `net`.
-    ///
-    /// The fixpoint runs on the dense engine: the net is compiled once and
-    /// the basis is grown as packed rows with SWAR word arithmetic
-    /// (lanes promoted to the next wider cell on overflow), saturating
-    /// round by round (every basis row discovered in round `k` has its
-    /// backward images considered in round `k + 1`). With
-    /// [`Parallelism::Parallel`] the candidate generation of each round —
-    /// the embarrassingly-parallel part — fans out over worker threads; the
-    /// minimality merge stays sequential and in a fixed order, so the basis
-    /// is identical across modes and worker counts (it is the unique
-    /// minimal basis of the backward-reachable upward-closed set, stored in
-    /// lexicographic row order).
-    ///
-    /// The returned oracle's [`basis`](Self::basis) is the set of minimal
-    /// configurations from which `target` is coverable.
-    ///
-    /// **Deprecated**: use the session API instead —
-    /// [`Analysis::new`](crate::session::Analysis::new)`(net).coverability(target).parallelism(p).run()`.
-    #[deprecated(
-        note = "open an `Analysis` session instead: `Analysis::new(net).coverability(target).parallelism(p).run()` compiles the net once and caches the oracle per target"
-    )]
-    #[must_use]
-    pub fn build_with(net: &PetriNet<P>, target: Multiset<P>, parallelism: Parallelism) -> Self {
-        let engine = Arc::new(CompiledNet::compile_with_places(
-            net,
-            target.support().cloned(),
-        ));
-        Self::build_on(engine, target, parallelism)
-    }
-
     /// Runs the backward saturation on an already-compiled engine — the
     /// session entry point ([`Analysis`](crate::session::Analysis) owns the
     /// shared engine). The target must fit the engine's place universe.
+    ///
+    /// The basis is grown as packed rows with SWAR word arithmetic (lanes
+    /// promoted to the next wider cell on overflow), saturating round by
+    /// round (every basis row discovered in round `k` has its backward
+    /// images considered in round `k + 1`). With [`Parallelism::Parallel`]
+    /// the candidate generation of each round fans out over worker
+    /// threads; the minimality merge stays sequential and in a fixed order,
+    /// so the basis is identical across modes and worker counts (it is the
+    /// unique minimal basis of the backward-reachable upward-closed set,
+    /// stored in lexicographic row order).
     pub(crate) fn build_on(
         engine: Arc<CompiledNet<P>>,
         target: Multiset<P>,
@@ -225,10 +185,10 @@ impl<P: Clone + Ord> CoverabilityOracle<P> {
         // Backward candidates are not bounded by any forward reachability
         // bound, so the saturation starts at the narrowest width fitting
         // the target and the transition constants and retries one width
-        // wider whenever a candidate overflows a lane. With the packing
-        // gate off it runs on u64 cells from the start — the layout
+        // wider whenever a candidate overflows a lane. An engine with
+        // packing off runs on u64 cells from the start — the layout
         // bit-identical to the historical dense rows.
-        let mut width = if packed_enabled() {
+        let mut width = if engine.packed {
             CellWidth::fitting(
                 dense_target
                     .iter()
@@ -312,10 +272,12 @@ pub fn is_coverable<P: Clone + Ord>(
 
 /// The result of a budgeted forward covering-word search.
 ///
-/// The forward BFS of [`covering_word`] must not loop forever on
+/// The forward BFS of [`Analysis::covering_word`] must not loop forever on
 /// *uncoverable* targets of unbounded nets, so the exploration budget is
 /// threaded through it — and the outcome says explicitly whether the
 /// negative answer is exact or an artifact of truncation.
+///
+/// [`Analysis::covering_word`]: crate::session::Analysis::covering_word
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CoveringWordOutcome {
     /// A shortest covering word (empty when `from` already covers the
@@ -339,82 +301,17 @@ impl CoveringWordOutcome {
     }
 }
 
-/// A shortest covering word, found by forward breadth-first search.
-///
-/// Returns the word `σ` (as transition indices) of minimal length such that
-/// `from --σ--> β ≥ target`, or `None` if no such word is found within
-/// `limits`. Lemma 5.3 (Rackoff) bounds the length of the returned word by
-/// `(‖target‖∞ + ‖T‖∞)^(|P|^|P|)`; experiment E5 compares the two.
-///
-/// This convenience wrapper conflates "not coverable" with "search
-/// truncated"; the session query reports the distinction.
-///
-/// **Deprecated**: use the session API instead —
-/// [`Analysis::new`](crate::session::Analysis::new)`(net).covering_word(from, target).limits(l).run().into_word()`.
-#[deprecated(
-    note = "open an `Analysis` session instead: `Analysis::new(net).covering_word(from, target).limits(l).run().into_word()` reuses one compile across queries and reports why a search was inconclusive"
-)]
-#[must_use]
-pub fn shortest_covering_word<P: Clone + Ord>(
-    net: &PetriNet<P>,
-    from: &Multiset<P>,
-    target: &Multiset<P>,
-    limits: &ExplorationLimits,
-) -> Option<Vec<usize>> {
-    one_shot_covering_word(net, from, target, limits).into_word()
-}
-
-/// A shortest covering word with an explicit outcome, found by forward
-/// breadth-first search.
-///
-/// The search is budgeted by `limits` at every step — configurations are
-/// only interned while the budget allows, so the BFS terminates on
-/// uncoverable targets of unbounded nets instead of expanding forever —
-/// and the outcome distinguishes an exhaustive negative
-/// ([`CoveringWordOutcome::NotCoverable`]) from a truncated one
-/// ([`CoveringWordOutcome::Truncated`]). An initial configuration that
-/// already covers the target yields the empty word.
-///
-/// Exploration prunes configurations already dominated by a visited one only
-/// in the exact sense (identical configurations); for the small nets of the
-/// experiments this is sufficient.
-///
-/// **Deprecated**: use the session API instead —
-/// [`Analysis::new`](crate::session::Analysis::new)`(net).covering_word(from, target).limits(l).run()`.
-#[deprecated(
-    note = "open an `Analysis` session instead: `Analysis::new(net).covering_word(from, target).limits(l).run()` reuses one compile across queries"
-)]
-#[must_use]
-pub fn covering_word<P: Clone + Ord>(
-    net: &PetriNet<P>,
-    from: &Multiset<P>,
-    target: &Multiset<P>,
-    limits: &ExplorationLimits,
-) -> CoveringWordOutcome {
-    one_shot_covering_word(net, from, target, limits)
-}
-
-/// The pre-session one-shot search: compiles a dedicated engine, then runs
-/// the forward BFS. Backs the deprecated [`covering_word`] /
-/// [`shortest_covering_word`] shims.
-fn one_shot_covering_word<P: Clone + Ord>(
-    net: &PetriNet<P>,
-    from: &Multiset<P>,
-    target: &Multiset<P>,
-    limits: &ExplorationLimits,
-) -> CoveringWordOutcome {
-    if target.le(from) {
-        return CoveringWordOutcome::Covered(Vec::new());
-    }
-    let engine =
-        CompiledNet::compile_with_places(net, from.support().chain(target.support()).cloned());
-    forward_covering_word(&engine, from, target, limits)
-}
-
 /// The budgeted forward covering-word BFS on an already-compiled engine —
 /// the session entry point ([`Analysis::covering_word`] runs here). `from`
 /// and `target` must fit the engine's place universe; the trivial-cover
 /// fast path (`target ≤ from` ⇒ empty word) is the caller's.
+///
+/// The search is budgeted by `limits` at every step — configurations are
+/// only interned while the budget allows — and prunes only identical
+/// configurations, which is sufficient for the small nets of the
+/// experiments. Lemma 5.3 (Rackoff) bounds the length of a shortest
+/// covering word by `(‖target‖∞ + ‖T‖∞)^(|P|^|P|)`; experiment E5 compares
+/// the two.
 ///
 /// [`Analysis::covering_word`]: crate::session::Analysis::covering_word
 pub(crate) fn forward_covering_word<P: Clone + Ord>(
@@ -522,27 +419,6 @@ pub(crate) fn forward_covering_word<P: Clone + Ord>(
     }
 }
 
-/// Covering words found by searching the pre-built reachability graph.
-///
-/// Convenience used by analyses that already hold a [`ReachabilityGraph`]:
-/// returns a word from the graph node `from` to some node covering `target`.
-///
-/// **Deprecated**: use the session API instead —
-/// [`Analysis::new`](crate::session::Analysis::new)`(net).covering_word(from, target).in_reachability_graph().run()`.
-#[deprecated(
-    note = "open an `Analysis` session instead: `Analysis::new(net).covering_word(from, target).in_reachability_graph().run()` builds, caches and resumes the graph for you"
-)]
-#[must_use]
-pub fn covering_word_in_graph<P: Clone + Ord>(
-    graph: &ReachabilityGraph<P>,
-    from: usize,
-    target: &Multiset<P>,
-) -> Option<Vec<usize>> {
-    graph
-        .path_to(from, |id| target.le(graph.node(id)))
-        .map(|(_, word)| word)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,8 +429,7 @@ mod tests {
         Multiset::from_pairs(pairs.iter().copied())
     }
 
-    /// One-shot oracle through the session API — what the deprecated
-    /// `CoverabilityOracle::build` shim forwards external callers to.
+    /// One-shot oracle through the session API.
     fn oracle(
         net: &PetriNet<&'static str>,
         target: Multiset<&'static str>,
@@ -566,8 +441,7 @@ mod tests {
             .clone()
     }
 
-    /// One-shot budgeted covering-word search through the session API —
-    /// what the deprecated `covering_word` shim forwards to.
+    /// One-shot budgeted covering-word search through the session API.
     fn word_outcome(
         net: &PetriNet<&'static str>,
         from: &Multiset<&'static str>,
@@ -580,8 +454,7 @@ mod tests {
             .run()
     }
 
-    /// The word alone — what the deprecated `shortest_covering_word`
-    /// shim forwards to.
+    /// The word alone.
     fn shortest_word(
         net: &PetriNet<&'static str>,
         from: &Multiset<&'static str>,
@@ -819,46 +692,5 @@ mod tests {
         )
         .expect("coverable");
         assert_eq!(word.len(), 5);
-    }
-
-    /// The deprecated one-shot shims stay for external callers only;
-    /// this is the one place that still calls them, pinning that they
-    /// forward to the session path.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_one_shot_shims_forward_to_the_session_path() {
-        let net = example_4_2_net();
-        let target = ms(&[("p", 1)]);
-        let start = ms(&[("i", 2), ("i_bar", 2)]);
-        let limits = ExplorationLimits::default();
-
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = CoverabilityOracle::build(&net, target.clone());
-        assert_eq!(shim.basis(), oracle(&net, target.clone()).basis());
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = CoverabilityOracle::build_with(&net, target.clone(), Parallelism::Parallel(2));
-        assert_eq!(shim.basis(), oracle(&net, target.clone()).basis());
-
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = covering_word(&net, &start, &target, &limits);
-        assert_eq!(shim, word_outcome(&net, &start, &target, &limits));
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = shortest_covering_word(&net, &start, &target, &limits);
-        assert_eq!(shim, shortest_word(&net, &start, &target, &limits));
-
-        let graph = build_graph(&net, &start);
-        let from = graph.initial_ids()[0];
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = covering_word_in_graph(&graph, from, &target).expect("coverable");
-        let reached = net.fire_word(&start, &shim).unwrap();
-        assert!(target.le(&reached));
-    }
-
-    /// Session-built reachability graph for the in-graph shim test.
-    fn build_graph(
-        net: &PetriNet<&'static str>,
-        start: &Multiset<&'static str>,
-    ) -> Arc<ReachabilityGraph<&'static str>> {
-        Analysis::new(net).reachability([start.clone()]).run()
     }
 }

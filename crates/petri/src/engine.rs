@@ -7,7 +7,7 @@
 //! slice copy plus a handful of indexed adds — no tree merges, no
 //! allocation beyond the output row — which is what makes the exploration,
 //! coverability and simulation layers of the suite run at hardware speed
-//! (the `bench_coverability` ablation tracks the speedup over the sparse
+//! (the `bench_sparse_dense` ablation tracks the speedup over the sparse
 //! path).
 //!
 //! The engine is the *internal* workhorse: the public entry points of
@@ -32,7 +32,7 @@
 //! assert_eq!(engine.to_sparse(&next), Multiset::from_pairs([("a", 2u64), ("b", 1)]));
 //! ```
 
-use crate::packed::{packed_enabled, CellWidth, PackedTransition, RowLayout};
+use crate::packed::{CellWidth, PackedTransition, RowLayout};
 use crate::PetriNet;
 use pp_multiset::Multiset;
 use std::collections::BTreeSet;
@@ -203,6 +203,12 @@ pub struct CompiledNet<P> {
     /// Largest single pre/post count of any transition: packed layouts
     /// must represent the transition constants themselves.
     max_transition_count: u64,
+    /// Whether rows are packed at the proven width bound (the default) or
+    /// stored in uncompressed `u64` cells, the reference representation
+    /// (selected per session by [`Analysis::u64_rows`]).
+    ///
+    /// [`Analysis::u64_rows`]: crate::session::Analysis::u64_rows
+    pub(crate) packed: bool,
 }
 
 impl<P: Clone + Ord> CompiledNet<P> {
@@ -255,6 +261,7 @@ impl<P: Clone + Ord> CompiledNet<P> {
             transitions,
             max_step_creation,
             max_transition_count,
+            packed: true,
         }
     }
 
@@ -296,9 +303,9 @@ impl<P: Clone + Ord> CompiledNet<P> {
     ///   back to the uncompressed `u64` cells.
     ///
     /// The bound also covers every transition constant, so packed
-    /// transition compilation is always representable. When packing is
-    /// disabled (`PP_PETRI_PACKED=0`, see [`packed_enabled`]) this always
-    /// returns the `u64` layout — the bit-identity fallback path.
+    /// transition compilation is always representable. An engine opened
+    /// with [`Analysis::u64_rows`](crate::session::Analysis::u64_rows)
+    /// always gets the `u64` layout — the bit-identity reference path.
     ///
     /// [`max_step_creation`]: Self::max_step_creation
     #[must_use]
@@ -308,7 +315,7 @@ impl<P: Clone + Ord> CompiledNet<P> {
         max_agents: Option<u64>,
         max_configurations: usize,
     ) -> RowLayout {
-        let width = if !packed_enabled() {
+        let width = if !self.packed {
             CellWidth::U64
         } else {
             let bound = if self.max_step_creation == 0 {
@@ -612,9 +619,6 @@ mod tests {
 
     #[test]
     fn width_selection_rule() {
-        let _gate = crate::packed::GATE_TEST_LOCK.lock().unwrap();
-        let was = packed_enabled();
-        crate::packed::set_packed_enabled(true);
         // Non-increasing pairwise net: the bound is the initial total.
         let net = PetriNet::from_transitions([Transition::pairwise("a", "b", "b", "b")]);
         let engine = CompiledNet::compile(&net);
@@ -633,7 +637,7 @@ mod tests {
         // An agent-creating net (b -> 2c): bounded by the node budget
         // without a cap, and capped runs get creation headroom for
         // fired-but-refused rows.
-        let engine = CompiledNet::compile(&sample_net());
+        let mut engine = CompiledNet::compile(&sample_net());
         assert_eq!(engine.max_step_creation(), 1);
         let w = |total, cap| {
             engine
@@ -657,10 +661,10 @@ mod tests {
             CellWidth::U64,
             "the id-space clamp keeps the budget bound finite but wide"
         );
-        // Disabling the gate forces the uncompressed fallback layout.
-        crate::packed::set_packed_enabled(false);
-        assert_eq!(w(10, Some(254)), CellWidth::U64);
-        crate::packed::set_packed_enabled(was);
+        // An unpacked engine always gets the uncompressed reference layout.
+        engine.packed = false;
+        let layout = engine.row_layout(10, Some(254), budget);
+        assert_eq!(layout.uniform_width(), Some(CellWidth::U64));
     }
 
     #[test]
@@ -671,14 +675,10 @@ mod tests {
         let net =
             PetriNet::from_transitions([Transition::new(ms(&[("a", 300)]), ms(&[("b", 300)]))]);
         let engine = CompiledNet::compile(&net);
-        let _gate = crate::packed::GATE_TEST_LOCK.lock().unwrap();
-        let was = packed_enabled();
-        crate::packed::set_packed_enabled(true);
         let layout = engine.row_layout(2, None, 1_000);
         assert_eq!(layout.uniform_width(), Some(CellWidth::U16));
         let packed = engine.packed_transitions(&layout);
         assert_eq!(packed.len(), 1);
-        crate::packed::set_packed_enabled(was);
     }
 
     #[test]

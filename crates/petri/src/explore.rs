@@ -33,7 +33,7 @@ pub const MAX_GRAPH_CONFIGURATIONS: usize = u32::MAX as usize;
 /// Hidden from the documented API: the `tests/parallel_poison.rs`
 /// integration test sets [`PANIC_IN_WORKERS`](fault_injection::PANIC_IN_WORKERS)
 /// to prove that a panicking worker thread poisons the whole build — the
-/// panic propagates out of [`ReachabilityGraph::build_with`] — instead of
+/// panic propagates out of the parallel build — instead of
 /// deadlocking the pipeline barrier. While set, worker dispatch also
 /// ignores the minimum level size so tiny test graphs still spawn workers.
 #[doc(hidden)]
@@ -754,33 +754,10 @@ fn scan_expand(
 }
 
 impl<P: Clone + Ord> ReachabilityGraph<P> {
-    /// Explores the reachability graph of `net` from `initial` breadth-first
-    /// on the single-threaded engine.
-    ///
-    /// Equivalent to [`build_with`](Self::build_with) with
-    /// [`Parallelism::Sequential`].
-    ///
-    /// **Deprecated**: use the session API instead —
-    /// [`Analysis::new`](crate::session::Analysis::new)`(net).reachability(initial).limits(l).run()`.
-    #[deprecated(
-        note = "open an `Analysis` session instead: `Analysis::new(net).reachability(initial).limits(l).run()` compiles the net once and can resume truncated graphs"
-    )]
-    #[must_use]
-    pub fn build<I: IntoIterator<Item = Multiset<P>>>(
-        net: &PetriNet<P>,
-        initial: I,
-        limits: &ExplorationLimits,
-    ) -> Self {
-        Self::build_one_shot(net, initial, limits, Parallelism::Sequential)
-    }
-
-    /// Explores the reachability graph of `net` from `initial` breadth-first.
-    ///
-    /// The search runs on the dense interned engine
-    /// ([`CompiledNet`] + [`ConfigArena`]): configurations are dense rows
-    /// deduplicated by hash interning and successors are produced by slice
-    /// arithmetic. The sparse [`Multiset`] views returned by
-    /// [`node`](Self::node) are materialized lazily, on first access.
+    /// Explores from `initial` on an already-compiled engine — the session
+    /// entry point ([`Analysis`](crate::session::Analysis) owns the shared
+    /// engine). Every initial configuration must fit the engine's place
+    /// universe.
     ///
     /// With [`Parallelism::Parallel`], each BFS level is expanded by
     /// cooperating worker threads over a hash-sharded scratch arena
@@ -788,43 +765,6 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// the exact order the sequential search would have made them — node
     /// ids, edges, and the completion taxonomy are **identical** across all
     /// modes and worker counts, so parallelism is purely a speed knob.
-    ///
-    /// **Deprecated**: use the session API instead —
-    /// [`Analysis::new`](crate::session::Analysis::new)`(net).reachability(initial).limits(l).parallelism(p).run()`.
-    #[deprecated(
-        note = "open an `Analysis` session instead: `Analysis::new(net).reachability(initial).limits(l).parallelism(p).run()` compiles the net once and can resume truncated graphs"
-    )]
-    #[must_use]
-    pub fn build_with<I: IntoIterator<Item = Multiset<P>>>(
-        net: &PetriNet<P>,
-        initial: I,
-        limits: &ExplorationLimits,
-        parallelism: Parallelism,
-    ) -> Self {
-        Self::build_one_shot(net, initial, limits, parallelism)
-    }
-
-    /// The pre-session one-shot build: compiles a dedicated engine over the
-    /// net plus the initial supports, then explores. Backs the deprecated
-    /// [`build`](Self::build)/[`build_with`](Self::build_with) shims.
-    fn build_one_shot<I: IntoIterator<Item = Multiset<P>>>(
-        net: &PetriNet<P>,
-        initial: I,
-        limits: &ExplorationLimits,
-        parallelism: Parallelism,
-    ) -> Self {
-        let initial_configs: Vec<Multiset<P>> = initial.into_iter().collect();
-        let engine = Arc::new(CompiledNet::compile_with_places(
-            net,
-            initial_configs.iter().flat_map(|c| c.support().cloned()),
-        ));
-        Self::build_on(engine, &initial_configs, limits, parallelism)
-    }
-
-    /// Explores from `initial` on an already-compiled engine — the session
-    /// entry point ([`Analysis`](crate::session::Analysis) owns the shared
-    /// engine). Every initial configuration must fit the engine's place
-    /// universe.
     pub(crate) fn build_on(
         engine: Arc<CompiledNet<P>>,
         initial_configs: &[Multiset<P>],
@@ -1972,13 +1912,15 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
 
 /// Reference sparse exploration: the pre-engine `BTreeMap`-based breadth
 /// first search, kept as the differential-testing and benchmarking baseline
-/// for the dense engine path of [`ReachabilityGraph::build`].
+/// for the dense engine path of [`Analysis::reachability`].
 ///
 /// Returns the set of reached configurations and whether the exploration
 /// completed without hitting a limit. Semantics match
-/// [`ReachabilityGraph::build`] exactly; the property tests in
+/// [`Analysis::reachability`] exactly; the property tests in
 /// `tests/dense_sparse_equivalence.rs` assert that node sets and
 /// completeness flags agree on the protocol catalog.
+///
+/// [`Analysis::reachability`]: crate::session::Analysis::reachability
 #[must_use]
 pub fn sparse_reference_exploration<P, I>(
     net: &PetriNet<P>,
@@ -2079,9 +2021,7 @@ mod tests {
         ])
     }
 
-    /// One-shot sequential build through the session API — what the
-    /// deprecated `ReachabilityGraph::build` shim forwards external
-    /// callers to.
+    /// One-shot sequential build through the session API.
     fn build<I: IntoIterator<Item = Multiset<&'static str>>>(
         net: &PetriNet<&'static str>,
         initials: I,
@@ -2459,23 +2399,5 @@ mod tests {
         assert_eq!(graph.initial_ids().len(), 2);
         assert!(graph.id_of(&ms(&[("b", 2)])).is_some());
         assert!(graph.id_of(&ms(&[("a", 1), ("b", 1)])).is_some());
-    }
-
-    /// The deprecated one-shot constructors stay for external callers
-    /// only; this is the one place that still calls them, pinning that
-    /// they forward to the session path bit-identically.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_one_shot_shims_forward_to_the_session_path() {
-        let net = doubling_net();
-        let limits = ExplorationLimits::with_max_configurations(3);
-        let start = [ms(&[("a", 5)])];
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = ReachabilityGraph::build(&net, start.clone(), &limits);
-        assert!(shim.identical_to(&build(&net, start.clone(), &limits)));
-        let par = Parallelism::Parallel(2);
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = ReachabilityGraph::build_with(&net, start.clone(), &limits, par);
-        assert!(shim.identical_to(&build_with(&net, start, &limits, par)));
     }
 }

@@ -182,3 +182,72 @@ pub fn outcome_fingerprint<P: Clone + Ord>(outcome: &BatchOutcome<P>, places: &[
 pub fn hex(value: u64) -> String {
     format!("{value:016x}")
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Analysis, ExplorationLimits, Parallelism, PetriNet, Transition};
+    use pp_multiset::Multiset;
+
+    fn doubling_net() -> PetriNet<&'static str> {
+        PetriNet::from_transitions([
+            Transition::pairwise("a", "a", "a", "b"),
+            Transition::pairwise("a", "b", "b", "b"),
+        ])
+    }
+
+    #[test]
+    fn fingerprints_agree_across_engines_and_differ_across_budgets() {
+        let net = doubling_net();
+        let start = Multiset::from_pairs([("a", 9u64)]);
+        let sequential = Analysis::new(&net).reachability([start.clone()]).run();
+        let parallel = Analysis::new(&net)
+            .parallelism(Parallelism::Parallel(3))
+            .reachability([start.clone()])
+            .run();
+        assert_eq!(
+            reachability_fingerprint(&sequential),
+            reachability_fingerprint(&parallel),
+            "identical graphs must fingerprint identically"
+        );
+        let truncated = Analysis::new(&net)
+            .reachability([start])
+            .limits(ExplorationLimits::with_max_configurations(3))
+            .run();
+        assert_ne!(
+            reachability_fingerprint(&sequential),
+            reachability_fingerprint(&truncated)
+        );
+    }
+
+    #[test]
+    fn basis_and_word_fingerprints_are_place_order_sensitive_but_stable() {
+        let net = doubling_net();
+        let places: Vec<&'static str> = net.places().iter().copied().collect();
+        let mut analysis = Analysis::new(&net);
+        let oracle = analysis
+            .coverability(Multiset::from_pairs([("b", 2u64)]))
+            .run();
+        let again = Analysis::new(&net)
+            .coverability(Multiset::from_pairs([("b", 2u64)]))
+            .run();
+        assert_eq!(
+            coverability_fingerprint(&oracle, &places),
+            coverability_fingerprint(&again, &places)
+        );
+        let word = analysis
+            .covering_word(
+                Multiset::from_pairs([("a", 3u64)]),
+                Multiset::from_pairs([("b", 3u64)]),
+            )
+            .run();
+        assert_eq!(
+            covering_word_fingerprint(&word),
+            covering_word_fingerprint(&word.clone())
+        );
+        assert_ne!(
+            covering_word_fingerprint(&word),
+            covering_word_fingerprint(&CoveringWordOutcome::Truncated)
+        );
+    }
+}

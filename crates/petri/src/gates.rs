@@ -14,8 +14,8 @@
 //!   every worker count and packing mode); keeping the reads in one
 //!   ~100-line module makes the "performance-only" claim reviewable.
 //! * **Uniform parsing discipline** — value grammars stay next to the
-//!   gate they belong to ([`Parallelism::from_env_value`] and
-//!   `packed::from_env_value`), not scattered over call sites.
+//!   gate they belong to ([`Parallelism::from_env_value`]), not scattered
+//!   over call sites.
 //!
 //! [`Parallelism::from_env_value`]: crate::parallel::Parallelism::from_env_value
 
@@ -24,12 +24,6 @@
 /// back to hardware detection. Read by
 /// [`Parallelism::auto`](crate::parallel::Parallelism::auto).
 pub const PP_PETRI_THREADS: &str = "PP_PETRI_THREADS";
-
-/// Name of the packed-row-storage gate: `0`/`off`/`false` (trimmed,
-/// case-insensitive) forces the uncompressed `u64` row layout, anything
-/// else leaves packing on (the default). Read by
-/// [`packed::packed_enabled`](crate::packed::packed_enabled).
-pub const PP_PETRI_PACKED: &str = "PP_PETRI_PACKED";
 
 /// Name of the analysis-server address gate: the default `host:port` the
 /// `pp_serve` CLI binds (`serve`) or connects to (`submit`/`ping`) when no
@@ -67,13 +61,6 @@ pub const GATES: &[Gate] = &[
         effect: "worker count for every state-space fixpoint: `0` forces the \
                  sequential engine, `n` forces `Parallel(n)`, anything else \
                  auto-detects. Results are bit-identical across all values.",
-    },
-    Gate {
-        name: PP_PETRI_PACKED,
-        values: "`0`/`off`/`false` | anything else",
-        effect: "row representation: off forces the uncompressed `u64` layout, \
-                 on (default) packs counts at the width bound. Results are \
-                 bit-identical either way.",
     },
     Gate {
         name: PP_SERVE_ADDR,
@@ -131,7 +118,6 @@ mod tests {
         // The test environment may set the gates; only assert the
         // read path is exercised without panicking.
         let _ = read(PP_PETRI_THREADS);
-        let _ = read(PP_PETRI_PACKED);
         let _ = read(PP_SERVE_ADDR);
         let _ = read(PP_SERVE_THREADS);
     }

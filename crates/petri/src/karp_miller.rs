@@ -23,10 +23,9 @@
 //! unpacked `Vec<OmegaValue>` scratch.
 
 use crate::engine::CompiledNet;
-use crate::packed::{packed_enabled, CellWidth, RowLayout};
+use crate::packed::{CellWidth, RowLayout};
 use crate::parallel::Parallelism;
 use crate::session::Completion;
-use crate::PetriNet;
 use pp_multiset::Multiset;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
@@ -368,8 +367,8 @@ impl KmTruncation {
 /// ω never widens anything — the sentinel fits every width. A *finite*
 /// count at or above a place's sentinel instead promotes that single
 /// place to the next wider cell and re-encodes the stored rows; every
-/// other place keeps its narrow cells. With the packing gate off every
-/// place starts (and stays) at `u64`.
+/// other place keeps its narrow cells. On an engine that does not pack
+/// every place starts (and stays) at `u64`.
 struct PackedOmegaStore {
     widths: Vec<CellWidth>,
     layout: RowLayout,
@@ -384,9 +383,10 @@ struct PackedOmegaStore {
 
 impl PackedOmegaStore {
     /// An empty store over `places` cells, sized so the initial marking's
-    /// largest count packs without an immediate promotion.
-    fn new(places: usize, max_initial_cell: u64) -> Self {
-        let width = if packed_enabled() {
+    /// largest count packs without an immediate promotion (or `u64` cells
+    /// throughout when `packed` is off).
+    fn new(places: usize, max_initial_cell: u64, packed: bool) -> Self {
+        let width = if packed {
             CellWidth::fitting(max_initial_cell.saturating_add(1))
         } else {
             CellWidth::U64
@@ -525,23 +525,9 @@ pub struct KarpMillerTree<P: Ord> {
 
 impl<P: Clone + Ord> KarpMillerTree<P> {
     /// Builds the tree from `initial`, exploring at most `max_nodes` nodes,
-    /// on the single-threaded engine.
-    ///
-    /// Equivalent to [`build_with`](Self::build_with) with
-    /// [`Parallelism::Sequential`].
-    ///
-    /// **Deprecated**: use the session API instead —
-    /// [`Analysis::new`](crate::session::Analysis::new)`(net).karp_miller(initial).max_nodes(n).run()`.
-    #[deprecated(
-        note = "open an `Analysis` session instead: `Analysis::new(net).karp_miller(initial).max_nodes(n).run()` compiles the net once and caches the tree"
-    )]
-    #[must_use]
-    pub fn build(net: &PetriNet<P>, initial: &Multiset<P>, max_nodes: usize) -> Self {
-        let engine = CompiledNet::compile_with_places(net, initial.support().cloned());
-        Self::build_on(&engine, initial, max_nodes, Parallelism::Sequential)
-    }
-
-    /// Builds the tree from `initial`, exploring at most `max_nodes` nodes.
+    /// on an already-compiled engine — the session entry point
+    /// ([`Analysis`](crate::session::Analysis) owns the shared engine).
+    /// The initial configuration must fit the engine's universe.
     ///
     /// The search runs on the dense engine, wave by wave: every pending
     /// node of the current wave is expanded — subsumption check against its
@@ -562,26 +548,6 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
     /// when some branch's counters left the `u64` range (checked arithmetic
     /// instead of the former panic); [`completion`](Self::completion) says
     /// which.
-    ///
-    /// **Deprecated**: use the session API instead —
-    /// [`Analysis::new`](crate::session::Analysis::new)`(net).karp_miller(initial).max_nodes(n).parallelism(p).run()`.
-    #[deprecated(
-        note = "open an `Analysis` session instead: `Analysis::new(net).karp_miller(initial).max_nodes(n).parallelism(p).run()` compiles the net once and caches the tree"
-    )]
-    #[must_use]
-    pub fn build_with(
-        net: &PetriNet<P>,
-        initial: &Multiset<P>,
-        max_nodes: usize,
-        parallelism: Parallelism,
-    ) -> Self {
-        let engine = CompiledNet::compile_with_places(net, initial.support().cloned());
-        Self::build_on(&engine, initial, max_nodes, parallelism)
-    }
-
-    /// Builds the tree on an already-compiled engine — the session entry
-    /// point ([`Analysis`](crate::session::Analysis) owns the shared
-    /// engine). The initial configuration must fit the engine's universe.
     pub(crate) fn build_on(
         engine: &CompiledNet<P>,
         initial: &Multiset<P>,
@@ -598,6 +564,7 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
         let mut rows = PackedOmegaStore::new(
             engine.num_places(),
             dense_initial.iter().copied().max().unwrap_or(0),
+            engine.packed,
         );
         let mut trunc = KmTruncation::default();
         let workers = parallelism.workers();
@@ -729,15 +696,13 @@ mod tests {
     use super::*;
     use crate::cover::is_coverable;
     use crate::session::Analysis;
-    use crate::Transition;
+    use crate::{PetriNet, Transition};
 
     fn ms(pairs: &[(&'static str, u64)]) -> Multiset<&'static str> {
         Multiset::from_pairs(pairs.iter().copied())
     }
 
-    /// One-shot sequential build through the session API — what the
-    /// deprecated `KarpMillerTree::build` shim forwards external
-    /// callers to.
+    /// One-shot sequential build through the session API.
     fn build(
         net: &PetriNet<&'static str>,
         initial: &Multiset<&'static str>,
@@ -954,10 +919,7 @@ mod tests {
 
     #[test]
     fn packed_store_promotes_a_single_place_width() {
-        let _gate = crate::packed::GATE_TEST_LOCK.lock().unwrap();
-        let was = crate::packed::packed_enabled();
-        crate::packed::set_packed_enabled(true);
-        let mut store = PackedOmegaStore::new(3, 2);
+        let mut store = PackedOmegaStore::new(3, 2, true);
         // u8 cells to start with: the initial max cell is 2.
         assert_eq!(store.widths, vec![CellWidth::U8; 3]);
         store.push(&[
@@ -1009,26 +971,24 @@ mod tests {
         store.push(&extreme);
         assert_eq!(store.decode(3), extreme);
         assert_eq!(store.len(), 4);
-        crate::packed::set_packed_enabled(was);
     }
 
     #[test]
     fn width_promotion_preserves_the_tree() {
         // x -> y + 300 z: the first admitted child already carries a count
         // over u8's sentinel, so the store promotes mid-build; the
-        // resulting markings must match the gate-off (u64-cells) build.
-        let _gate = crate::packed::GATE_TEST_LOCK.lock().unwrap();
-        let was = crate::packed::packed_enabled();
+        // resulting markings must match the u64-cells reference build.
         let net = PetriNet::from_transitions([Transition::new(
             ms(&[("x", 1)]),
             ms(&[("y", 1), ("z", 300)]),
         )]);
         let start = ms(&[("x", 2)]);
-        crate::packed::set_packed_enabled(true);
         let packed = build(&net, &start, 10_000);
-        crate::packed::set_packed_enabled(false);
-        let unpacked = build(&net, &start, 10_000);
-        crate::packed::set_packed_enabled(was);
+        let unpacked = Analysis::new(&net)
+            .u64_rows()
+            .karp_miller(start.clone())
+            .max_nodes(10_000)
+            .run();
         assert_eq!(packed.markings(), unpacked.markings());
         assert_eq!(packed.completion(), unpacked.completion());
         assert!(packed.covers(&ms(&[("z", 600)])));
@@ -1051,26 +1011,5 @@ mod tests {
         assert!(!tree.is_complete());
         assert!(tree.covers(&ms(&[("z", huge)])));
         assert!(!tree.covers(&ms(&[("y", 2)])));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_one_shot_shims_forward_to_the_session_path() {
-        let net = PetriNet::from_transitions([
-            Transition::new(ms(&[("x", 1)]), ms(&[("y", 1)])),
-            Transition::new(ms(&[("y", 1)]), ms(&[("x", 1), ("z", 1)])),
-        ]);
-        let start = ms(&[("x", 1)]);
-        let session = build(&net, &start, 10_000);
-
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = KarpMillerTree::build(&net, &start, 10_000);
-        assert_eq!(shim.markings(), session.markings());
-        assert_eq!(shim.completion(), session.completion());
-
-        // pp-lint: allow(deprecated-internal) — the shim's forwarding is itself under test
-        let shim = KarpMillerTree::build_with(&net, &start, 10_000, Parallelism::Parallel(2));
-        assert_eq!(shim.markings(), session.markings());
-        assert_eq!(shim.completion(), session.completion());
     }
 }

@@ -21,11 +21,11 @@
 //! * [`PackedTransition`] — a transition pre-compiled against a uniform
 //!   layout: enabledness is a handful of word compares, firing is one
 //!   wrapping subtract + add per touched word.
-//! * The [`packed_enabled`] runtime gate (`PP_PETRI_PACKED`), mirroring
-//!   the `PP_PETRI_THREADS` knob: setting `PP_PETRI_PACKED=0` forces the
-//!   uncompressed `u64` layout everywhere, which the determinism CI jobs
-//!   use to prove packed and unpacked builds produce bit-identical
-//!   graphs.
+//!
+//! Packing is on by default. A session opened with
+//! [`Analysis::u64_rows`](crate::session::Analysis::u64_rows) keeps the
+//! uncompressed `u64` layout instead: the reference representation the
+//! differential tests compare packed builds against, bit for bit.
 //!
 //! # Why plain word arithmetic is enough for firing
 //!
@@ -39,9 +39,6 @@
 //! fast path is *unconditional* `wrapping_sub`/`wrapping_add` on whole
 //! words; only the enabled check and the backward-cover step (which can
 //! genuinely under/overflow) need the SWAR masks.
-
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 
 /// Storable width of one packed cell (place count).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -507,59 +504,6 @@ impl PackedTransition {
     }
 }
 
-static PACKED_OVERRIDE: AtomicBool = AtomicBool::new(true);
-static PACKED_INIT: OnceLock<bool> = OnceLock::new();
-
-fn packed_from_env() -> bool {
-    match crate::gates::read(crate::gates::PP_PETRI_PACKED) {
-        Some(value) => from_env_value(&value),
-        None => true,
-    }
-}
-
-/// Parses a `PP_PETRI_PACKED` value: `0` (or `off`/`false`, trimmed,
-/// case-insensitive) disables packing; anything else leaves it on.
-fn from_env_value(value: &str) -> bool {
-    let v = value.trim();
-    !(v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false"))
-}
-
-/// Whether packed row storage is enabled (the default).
-///
-/// Initialised once from the `PP_PETRI_PACKED` environment variable
-/// (`PP_PETRI_PACKED=0` forces the uncompressed `u64` layout — the
-/// fallback path CI's determinism matrix exercises), then adjustable
-/// in-process via [`set_packed_enabled`].
-pub fn packed_enabled() -> bool {
-    let _ = PACKED_INIT.get_or_init(|| {
-        let initial = packed_from_env();
-        // relaxed: standalone bool gate; OnceLock publishes the init and
-        // no other memory is ordered against the flag.
-        PACKED_OVERRIDE.store(initial, Ordering::Relaxed);
-        initial
-    });
-    // relaxed: standalone bool gate read, see the store above.
-    PACKED_OVERRIDE.load(Ordering::Relaxed)
-}
-
-/// Overrides the packed-storage gate in-process.
-///
-/// Exists so bit-identity harnesses (`bench_sparse_dense --check`) can
-/// build the same instance packed and unpacked in one process and assert
-/// the graphs identical; tests must serialise around it.
-pub fn set_packed_enabled(enabled: bool) {
-    let _ = PACKED_INIT.get_or_init(packed_from_env);
-    // relaxed: standalone bool gate; callers serialise around the flip
-    // (see GATE_TEST_LOCK), so no cross-thread ordering is implied here.
-    PACKED_OVERRIDE.store(enabled, Ordering::Relaxed);
-}
-
-/// Serialises unit tests that flip the process-global packed gate via
-/// [`set_packed_enabled`]: hold this lock for the whole save/toggle/restore
-/// window so concurrent tests never observe a mid-test override.
-#[cfg(test)]
-pub(crate) static GATE_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -750,15 +694,5 @@ mod tests {
             assert!(!row_le_words(&b, &a, width));
             assert!(row_le_words(&a, &a, width));
         }
-    }
-
-    #[test]
-    fn env_value_parsing() {
-        assert!(!from_env_value("0"));
-        assert!(!from_env_value(" off "));
-        assert!(!from_env_value("FALSE"));
-        assert!(from_env_value("1"));
-        assert!(from_env_value(""));
-        assert!(from_env_value("yes"));
     }
 }

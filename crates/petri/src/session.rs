@@ -248,6 +248,18 @@ impl<P: Clone + Ord> Analysis<P> {
         self
     }
 
+    /// Stores the rows of every query of this session in uncompressed
+    /// `u64` cells instead of packing them at the proven width bound (the
+    /// default). Results are bit-identical either way: this is the
+    /// reference representation the packed fast path is checked against.
+    /// Drops any cached results.
+    #[must_use]
+    pub fn u64_rows(mut self) -> Self {
+        Arc::make_mut(&mut self.engine).packed = false;
+        self.clear_cache();
+        self
+    }
+
     /// The shared compiled engine of the session.
     #[must_use]
     pub fn engine(&self) -> &Arc<CompiledNet<P>> {
@@ -416,7 +428,7 @@ impl<P: Clone + Ord> Analysis<P> {
 
     /// A one-off engine over the session universe widened by the supports
     /// of `configs` — the documented slow path for configurations outside
-    /// the declared universe.
+    /// the declared universe. It keeps the session's row representation.
     fn widened_engine<'c, I: IntoIterator<Item = &'c Multiset<P>>>(
         &self,
         configs: I,
@@ -430,7 +442,9 @@ impl<P: Clone + Ord> Analysis<P> {
             .iter()
             .cloned()
             .chain(configs.into_iter().flat_map(|c| c.support().cloned()));
-        Arc::new(CompiledNet::compile_with_places(&self.net, extra))
+        let mut engine = CompiledNet::compile_with_places(&self.net, extra);
+        engine.packed = self.engine.packed;
+        Arc::new(engine)
     }
 }
 
@@ -634,14 +648,10 @@ impl<P: Clone + Ord> KarpMillerQuery<'_, P> {
 
 /// A configured covering-word query (see [`Analysis::covering_word`]).
 ///
-/// This single query subsumes the three historical entry points: the
-/// default is the budgeted forward BFS of the old `covering_word` /
-/// `shortest_covering_word` pair (with the explicit
-/// [`CoveringWordOutcome`]), and
+/// The default is a budgeted forward BFS with an explicit
+/// [`CoveringWordOutcome`];
 /// [`in_reachability_graph`](Self::in_reachability_graph) searches the
-/// session's (cached, resumable) reachability graph instead — the old
-/// `covering_word_in_graph`, minus the obligation to build and hold the
-/// graph yourself.
+/// session's (cached, resumable) reachability graph instead.
 #[must_use = "a query does nothing until run"]
 pub struct CoveringWordQuery<'a, P: Ord> {
     analysis: &'a mut Analysis<P>,

@@ -8,7 +8,7 @@
 //! frames over TCP, where any number of clients submit jobs — catalog
 //! protocols from [`pp_protocols::catalog`] or inline Petri-net literals
 //! — and get back completion reasons, `final_limits` watermarks and
-//! result [fingerprints](fingerprint) that a solo
+//! result [fingerprints](pp_petri::fingerprint) that a solo
 //! [`Batch`](pp_petri::Batch) run at the same limits reproduces exactly.
 //!
 //! The moving parts, bottom-up:
@@ -17,8 +17,6 @@
 //!   arbitrary bytes, canonical key-sorted output);
 //! * [`proto`] — the frame grammar: requests in, typed error codes and
 //!   wire names out;
-//! * [`fingerprint`] — representation-independent FNV-1a fingerprints of
-//!   result structure, the wire-checkable determinism oracle;
 //! * [`pool`] — the cross-connection token pool (one token = one stored
 //!   configuration), bounding server memory and fair-sharing it;
 //! * [`cache`] — the keyed session store that keeps compiled nets and
@@ -36,7 +34,6 @@
 
 pub mod cache;
 pub mod client;
-pub mod fingerprint;
 pub mod json;
 pub mod pool;
 pub mod proto;

@@ -18,7 +18,7 @@
 //!
 //! The server adds *no* result-affecting state of its own. Every job runs
 //! as a single-job [`Batch`] at an explicit budget; the response reports
-//! that budget back as `final_limits` plus a [fingerprint](crate::fingerprint)
+//! that budget back as `final_limits` plus a [fingerprint](pp_petri::fingerprint)
 //! of the result, and the batch layer guarantees the result is
 //! bit-identical to a solo run at those limits — under any runner, any
 //! packing mode, any number of concurrent clients. What concurrency *can*
@@ -42,7 +42,6 @@
 //! cycle can exist.
 
 use crate::cache::{Entry, SessionStore, StoredJob};
-use crate::fingerprint::{hex, outcome_fingerprint, Fnv};
 use crate::json::{parse, Json};
 use crate::proto::{
     completion_wire_name, error_frame, limits_frame, parse_request, QuerySpec, Request, Source,
@@ -51,6 +50,7 @@ use crate::proto::{
 use pp_petri::batch::{BatchOutcome, BatchQuery, JobReport};
 use pp_petri::cover::CoveringWordOutcome;
 use pp_petri::explore::MAX_GRAPH_CONFIGURATIONS;
+use pp_petri::fingerprint::{hex, outcome_fingerprint, Fnv};
 use pp_petri::{
     gates, Batch, BatchJob, CancelToken, Completion, ExplorationLimits, Parallelism, PetriNet,
     Transition,

@@ -4,11 +4,11 @@
 //! reported `final_limits`, under sequential and parallel runners, with
 //! one and several concurrent clients, across truncate-then-resume.
 
+use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{Batch, BatchJob, ExplorationLimits, Parallelism};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
-use pp_serve::fingerprint::{hex, outcome_fingerprint};
 use pp_serve::json::Json;
 use pp_serve::server::{Server, ServerConfig, ServerHandle};
 use pp_serve::Client;

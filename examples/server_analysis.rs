@@ -6,11 +6,11 @@
 //!
 //! Run with: `cargo run --example server_analysis`
 
+use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{Batch, BatchJob, ExplorationLimits, Parallelism};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
-use pp_serve::fingerprint::{hex, outcome_fingerprint};
 use pp_serve::json::Json;
 use pp_serve::server::{Server, ServerConfig};
 use pp_serve::Client;

@@ -4,21 +4,15 @@
 //! count rows and stored words — for every cell width, at every boundary
 //! (0, the cell max, and one past it), for uniform and per-place layouts
 //! alike (including the Karp–Miller ω sentinel, which is simply a cell
-//! stored *at* its max). On top of the round-trips, a gate flip must not
-//! change any graph: a build with packing disabled is `identical_to` the
-//! packed build of the same inputs.
+//! stored *at* its max). On top of the round-trips, the row representation
+//! must not change any graph: a `u64`-rows session build is `identical_to`
+//! the packed build of the same inputs.
 
 use pp_multiset::Multiset;
-use pp_petri::packed::{packed_enabled, set_packed_enabled};
 use pp_petri::{
     Analysis, CellWidth, ExplorationLimits, Parallelism, PetriNet, RowLayout, Transition,
 };
 use proptest::prelude::*;
-use std::sync::Mutex;
-
-/// Serializes the tests that flip the process-global packing gate; the
-/// pure layout tests below never touch it.
-static GATE: Mutex<()> = Mutex::new(());
 
 const WIDTHS: [CellWidth; 4] = [
     CellWidth::U8,
@@ -119,13 +113,11 @@ fn ms(pairs: &[(&'static str, u64)]) -> Multiset<&'static str> {
     Multiset::from_pairs(pairs.iter().copied())
 }
 
-/// Flipping the packing gate changes the storage width but not one bit of
-/// the logical graph: packed and unpacked builds are `identical_to` each
+/// The row representation changes the storage width but not one bit of
+/// the logical graph: packed and `u64`-rows builds are `identical_to` each
 /// other, sequentially and in parallel.
 #[test]
 fn packed_and_unpacked_builds_are_identical() {
-    let _gate = GATE.lock().unwrap();
-    let was = packed_enabled();
     let net = PetriNet::from_transitions([
         Transition::pairwise("a", "a", "a", "b"),
         Transition::pairwise("a", "b", "b", "b"),
@@ -134,7 +126,6 @@ fn packed_and_unpacked_builds_are_identical() {
     let initial = ms(&[("a", 9)]);
     let limits = ExplorationLimits::default();
 
-    set_packed_enabled(true);
     let packed = Analysis::new(&net)
         .reachability([initial.clone()])
         .limits(limits)
@@ -144,12 +135,11 @@ fn packed_and_unpacked_builds_are_identical() {
         .reachability([initial.clone()])
         .limits(limits)
         .run();
-    set_packed_enabled(false);
     let unpacked = Analysis::new(&net)
+        .u64_rows()
         .reachability([initial.clone()])
         .limits(limits)
         .run();
-    set_packed_enabled(was);
 
     assert!(packed.identical_to(&packed_par));
     assert!(packed.identical_to(&unpacked));
