@@ -17,12 +17,12 @@
 //! on conservative nets started from small configurations, which is the case
 //! the pipeline exercises).
 
-use crate::component::{is_bottom, reach_bottom_in};
+use crate::component::{bottom_component_size_in, is_bottom, reach_bottom_in};
 use crate::session::Analysis;
 use crate::{ExplorationLimits, PetriNet};
 use pp_bigint::{Nat, PowerBound};
 use pp_multiset::Multiset;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The exponent `dᵈ(1 + (2 + dᵈ)^(d+1))` of Theorem 6.1.
 #[must_use]
@@ -168,14 +168,24 @@ pub fn find_bottom_witness_in<P: Clone + Ord>(
         .limits(pump_limits)
         .run();
     if let Some(start) = graph.id_of(rho) {
+        // Whether a pair passes the bottom check, and the component size it
+        // reports, depend on the pair only through the restriction
+        // `(Q, α|Q)`, and most pairs share one with an earlier pair. Each
+        // distinct restriction is therefore resolved once (`Some(size)` when
+        // `α|Q` is `T|Q`-bottom within the pump limits, `None` otherwise)
+        // and each distinct `T|Q` compiled once. The scan order and every
+        // check are unchanged, so the first passing pair — the witness — is
+        // the same as without the memo.
+        let mut sessions: BTreeMap<BTreeSet<P>, Analysis<P>> = BTreeMap::new();
+        let mut verdicts: BTreeMap<(BTreeSet<P>, Multiset<P>), Option<usize>> = BTreeMap::new();
         for alpha_id in graph.ids() {
-            let alpha = graph.node(alpha_id).clone();
+            let alpha = graph.node(alpha_id);
             for &beta_id in graph.reachable_from(alpha_id).iter() {
                 if beta_id == alpha_id {
                     continue;
                 }
-                let beta = graph.node(beta_id).clone();
-                if !alpha.le(&beta) || alpha == beta {
+                let beta = graph.node(beta_id);
+                if !alpha.le(beta) || alpha == beta {
                     continue;
                 }
                 let q_places: BTreeSet<P> = net
@@ -193,29 +203,37 @@ pub fn find_bottom_witness_in<P: Clone + Ord>(
                 if pumped.is_empty() {
                     continue;
                 }
-                let restricted = net.restrict(&q_places);
                 let alpha_q = alpha.restrict(&q_places);
+                let key = (q_places, alpha_q);
                 // The bottom check and component of the witness are small by
                 // construction (their size is what Theorem 6.1 bounds), so
                 // they are explored under the same truncated limits as the
                 // pumping search: a candidate needing more is simply skipped.
-                if is_bottom(&restricted, &alpha_q, &pump_limits) != Some(true) {
-                    continue;
-                }
-                let Some(component_size) =
-                    crate::component::component_size(&restricted, &alpha_q, &pump_limits)
-                else {
+                let verdict = match verdicts.get(&key) {
+                    Some(&verdict) => verdict,
+                    None => {
+                        let (q_places, alpha_q) = &key;
+                        let session = sessions
+                            .entry(q_places.clone())
+                            .or_insert_with(|| Analysis::new(&net.restrict(q_places)));
+                        let verdict = bottom_component_size_in(session, alpha_q, &pump_limits);
+                        verdicts.insert(key.clone(), verdict);
+                        verdict
+                    }
+                };
+                let Some(component_size) = verdict else {
                     continue;
                 };
                 let (_, sigma) = graph.path_to(start, |id| id == alpha_id)?;
                 let (_, w) = graph.path_to(alpha_id, |id| id == beta_id)?;
+                let (q_places, _) = key;
                 return Some(BottomWitness {
                     sigma,
                     w,
                     q_places,
                     pumped_places: pumped,
-                    alpha,
-                    beta,
+                    alpha: alpha.clone(),
+                    beta: beta.clone(),
                     component_size,
                 });
             }
@@ -326,6 +344,97 @@ mod tests {
         assert_eq!(witness.alpha, ms(&[("a", 1), ("b", 4)]));
         let bound = theorem_6_1_bound(&capped, &rho);
         assert!(witness.within_bound(&capped, &bound));
+    }
+
+    /// The search without the restriction memo: every candidate pair runs
+    /// its own bottom check and component count on a freshly compiled
+    /// `T|Q`. Returns the witness and the number of pairs checked.
+    fn witness_checking_every_pair(
+        net: &PetriNet<&'static str>,
+        rho: &Multiset<&'static str>,
+        limits: &ExplorationLimits,
+    ) -> Option<(BottomWitness<&'static str>, usize)> {
+        let pump_limits = ExplorationLimits {
+            max_configurations: limits.max_configurations.min(1_500),
+            ..*limits
+        };
+        let graph = Analysis::new(net)
+            .reachability([rho.clone()])
+            .limits(pump_limits)
+            .run();
+        let start = graph.id_of(rho)?;
+        let mut checked = 0;
+        for alpha_id in graph.ids() {
+            for &beta_id in graph.reachable_from(alpha_id).iter() {
+                let (alpha, beta) = (graph.node(alpha_id), graph.node(beta_id));
+                if beta_id == alpha_id || !alpha.le(beta) || alpha == beta {
+                    continue;
+                }
+                let q_places: BTreeSet<_> = net
+                    .places()
+                    .iter()
+                    .filter(|p| alpha.get(p) == beta.get(p))
+                    .copied()
+                    .collect();
+                let pumped: BTreeSet<_> = net.places().difference(&q_places).copied().collect();
+                let restricted = net.restrict(&q_places);
+                let alpha_q = alpha.restrict(&q_places);
+                checked += 1;
+                if is_bottom(&restricted, &alpha_q, &pump_limits) != Some(true) {
+                    continue;
+                }
+                let component_size =
+                    crate::component::component_size(&restricted, &alpha_q, &pump_limits)?;
+                let (_, sigma) = graph.path_to(start, |id| id == alpha_id)?;
+                let (_, w) = graph.path_to(alpha_id, |id| id == beta_id)?;
+                let witness = BottomWitness {
+                    sigma,
+                    w,
+                    q_places,
+                    pumped_places: pumped,
+                    alpha: alpha.clone(),
+                    beta: beta.clone(),
+                    component_size,
+                };
+                return Some((witness, checked));
+            }
+        }
+        None
+    }
+
+    #[test]
+    fn repeated_failing_restrictions_do_not_end_the_search() {
+        // a -> a + b pumps b, but a can also escape to c for good, so every
+        // pair (α, β) with α(a) = 1 shares the restriction
+        // (Q = {a, c, x}, α|Q = a), which is not bottom. Only once α = c
+        // does c -> c + x pump x over the bottom restriction ({a, b, c}, c).
+        let net = PetriNet::from_transitions([
+            Transition::new(ms(&[("a", 1)]), ms(&[("a", 1), ("b", 1)])),
+            Transition::new(ms(&[("a", 1)]), ms(&[("c", 1)])),
+            Transition::new(ms(&[("c", 1)]), ms(&[("c", 1), ("x", 1)])),
+        ]);
+        let rho = ms(&[("a", 1)]);
+        let limits = ExplorationLimits::with_max_agents(6);
+        let witness = find_bottom_witness(&net, &rho, &limits).expect("witness exists");
+        assert_eq!(witness.alpha, ms(&[("c", 1)]));
+        assert_eq!(witness.beta, ms(&[("c", 1), ("x", 1)]));
+        assert_eq!(witness.q_places, BTreeSet::from(["a", "b", "c"]));
+        assert_eq!(witness.pumped_places, BTreeSet::from(["x"]));
+        assert_eq!(witness.sigma, vec![1]);
+        assert_eq!(witness.component_size, 1);
+        assert!(witness.validate(&net, &rho, &limits));
+
+        let (reference, checked) =
+            witness_checking_every_pair(&net, &rho, &limits).expect("witness exists");
+        // Several pairs re-checked the failing restriction before the witness.
+        assert!(checked > 2, "only {checked} pairs checked");
+        assert_eq!(witness.sigma, reference.sigma);
+        assert_eq!(witness.w, reference.w);
+        assert_eq!(witness.q_places, reference.q_places);
+        assert_eq!(witness.pumped_places, reference.pumped_places);
+        assert_eq!(witness.alpha, reference.alpha);
+        assert_eq!(witness.beta, reference.beta);
+        assert_eq!(witness.component_size, reference.component_size);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! returns `None` when the exploration was truncated.
 
 use crate::session::Analysis;
-use crate::{ExplorationLimits, PetriNet};
+use crate::{ExplorationLimits, PetriNet, ReachabilityGraph};
 use pp_multiset::Multiset;
+use std::sync::Arc;
 
 /// The `T`-component of `config`: all configurations mutually reachable with
 /// it, or `None` if the exploration hit a limit before the answer was certain.
@@ -31,16 +32,7 @@ pub fn component_of_in<P: Clone + Ord>(
     config: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<Vec<Multiset<P>>> {
-    let graph = analysis
-        .reachability([config.clone()])
-        .limits(*limits)
-        .run();
-    if !graph.is_complete() {
-        return None;
-    }
-    let id = graph
-        .id_of(config)
-        .expect("initial configuration is interned");
+    let (graph, id) = complete_graph(analysis, config, limits)?;
     let scc = graph.scc_of(id);
     Some(scc.into_iter().map(|i| graph.node(i).clone()).collect())
 }
@@ -66,16 +58,7 @@ pub fn is_bottom_in<P: Clone + Ord>(
     config: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<bool> {
-    let graph = analysis
-        .reachability([config.clone()])
-        .limits(*limits)
-        .run();
-    if !graph.is_complete() {
-        return None;
-    }
-    let id = graph
-        .id_of(config)
-        .expect("initial configuration is interned");
+    let (graph, id) = complete_graph(analysis, config, limits)?;
     Some(graph.scc_of(id).len() == graph.len())
 }
 
@@ -86,7 +69,7 @@ pub fn component_size<P: Clone + Ord>(
     config: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<usize> {
-    component_of(net, config, limits).map(|c| c.len())
+    component_size_in(&mut Analysis::new(net), config, limits)
 }
 
 /// [`component_size`] on an existing [`Analysis`] session.
@@ -96,7 +79,43 @@ pub fn component_size_in<P: Clone + Ord>(
     config: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<usize> {
-    component_of_in(analysis, config, limits).map(|c| c.len())
+    let (graph, id) = complete_graph(analysis, config, limits)?;
+    Some(graph.scc_of(id).len())
+}
+
+/// The size of the `T`-component of `config` when `config` is `T`-bottom,
+/// decided on a single exploration: `None` when it is not bottom or the
+/// exploration hit a limit. Equals `is_bottom_in(..) == Some(true)` followed
+/// by [`component_size_in`], without exploring the graph twice.
+pub(crate) fn bottom_component_size_in<P: Clone + Ord>(
+    analysis: &mut Analysis<P>,
+    config: &Multiset<P>,
+    limits: &ExplorationLimits,
+) -> Option<usize> {
+    let (graph, id) = complete_graph(analysis, config, limits)?;
+    // Bottom: the component is everything reachable, so its size is the
+    // size of the graph.
+    (graph.scc_of(id).len() == graph.len()).then_some(graph.len())
+}
+
+/// The reachability graph from `config` and the id of `config` in it, or
+/// `None` if the exploration hit a limit.
+fn complete_graph<P: Clone + Ord>(
+    analysis: &mut Analysis<P>,
+    config: &Multiset<P>,
+    limits: &ExplorationLimits,
+) -> Option<(Arc<ReachabilityGraph<P>>, usize)> {
+    let graph = analysis
+        .reachability([config.clone()])
+        .limits(*limits)
+        .run();
+    if !graph.is_complete() {
+        return None;
+    }
+    let id = graph
+        .id_of(config)
+        .expect("initial configuration is interned");
+    Some((graph, id))
 }
 
 /// A bottom configuration reachable from `config`, together with a witnessing
@@ -125,16 +144,7 @@ pub fn reach_bottom_in<P: Clone + Ord>(
     config: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<(Multiset<P>, Vec<usize>)> {
-    let graph = analysis
-        .reachability([config.clone()])
-        .limits(*limits)
-        .run();
-    if !graph.is_complete() {
-        return None;
-    }
-    let start = graph
-        .id_of(config)
-        .expect("initial configuration is interned");
+    let (graph, start) = complete_graph(analysis, config, limits)?;
     // Mark nodes whose SCC is a bottom SCC (no edge leaves the component).
     let sccs = graph.sccs();
     let mut component_index = vec![usize::MAX; graph.len()];
@@ -194,6 +204,18 @@ mod tests {
         assert_eq!(is_bottom(&net, &ms(&[("a", 2)]), &limits), Some(false));
         assert_eq!(is_bottom(&net, &ms(&[("c", 2)]), &limits), Some(true));
         assert_eq!(is_bottom(&net, &Multiset::new(), &limits), Some(true));
+        // The single-graph verdict: the component size when bottom, else None.
+        let mut analysis = Analysis::new(&net);
+        for (config, verdict) in [
+            (ms(&[("a", 1)]), Some(2)),
+            (ms(&[("a", 2)]), None),
+            (ms(&[("c", 2)]), Some(1)),
+        ] {
+            assert_eq!(
+                bottom_component_size_in(&mut analysis, &config, &limits),
+                verdict
+            );
+        }
     }
 
     #[test]
@@ -202,6 +224,12 @@ mod tests {
         let limits = ExplorationLimits::with_max_configurations(3);
         assert_eq!(is_bottom(&net, &ms(&[("a", 1)]), &limits), None);
         assert!(component_of(&net, &ms(&[("a", 1)]), &limits).is_none());
+        assert_eq!(component_size(&net, &ms(&[("a", 1)]), &limits), None);
+        let mut analysis = Analysis::new(&net);
+        assert_eq!(
+            bottom_component_size_in(&mut analysis, &ms(&[("a", 1)]), &limits),
+            None
+        );
         assert!(reach_bottom(&net, &ms(&[("a", 1)]), &limits).is_none());
     }
 
