@@ -2,7 +2,6 @@
 
 use crate::error::HilbertError;
 use crate::system::LinearSystem;
-use std::collections::BTreeSet;
 
 /// Resource budget for the Hilbert-basis completion.
 ///
@@ -42,18 +41,209 @@ fn dominates(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(&x, &y)| x >= y)
 }
 
+/// Writes the support of `v` into `mask`: bit `j % 64` of word `j / 64` is
+/// set iff `v[j] > 0`.
+fn support_mask(v: &[u64], mask: &mut [u64]) {
+    mask.fill(0);
+    for (j, &x) in v.iter().enumerate() {
+        if x > 0 {
+            mask[j / 64] |= 1 << (j % 64);
+        }
+    }
+}
+
+/// The minimal solutions found so far, indexed for the child-side
+/// domination test of [`LinearSystem::hilbert_basis`].
+///
+/// An element `b` is listed in bucket `(j, b[j])` for every `j` in its
+/// support, and carries its support as a bitmask of `⌈cols/64⌉` words.
+struct BasisIndex {
+    cols: usize,
+    words: usize,
+    /// The elements, row-major with stride `cols`.
+    elements: Vec<u64>,
+    /// Their support masks, row-major with stride `words`.
+    masks: Vec<u64>,
+    /// `buckets[j][v]`: the elements `b` with `b[j] == v > 0`.
+    buckets: Vec<Vec<Vec<usize>>>,
+}
+
+impl BasisIndex {
+    fn new(cols: usize) -> Self {
+        BasisIndex {
+            cols,
+            words: cols.div_ceil(64),
+            elements: Vec::new(),
+            masks: Vec::new(),
+            buckets: vec![Vec::new(); cols],
+        }
+    }
+
+    fn insert(&mut self, b: &[u64]) {
+        let id = self.elements.len() / self.cols;
+        self.elements.extend_from_slice(b);
+        let start = self.masks.len();
+        self.masks.resize(start + self.words, 0);
+        support_mask(b, &mut self.masks[start..]);
+        for (bucket, &v) in self.buckets.iter_mut().zip(b) {
+            if v == 0 {
+                continue;
+            }
+            let v = usize::try_from(v).expect("a coordinate is at most the node count");
+            if bucket.len() <= v {
+                bucket.resize_with(v + 1, Vec::new);
+            }
+            bucket[v].push(id);
+        }
+    }
+
+    /// Whether some element dominates `child = t + e_j`, where no element
+    /// dominates `t`. Such an element must have `b[j] == child[j]`, so only
+    /// that bucket is scanned; `child_mask` is the support of `child`.
+    fn dominates_child(&self, child: &[u64], child_mask: &[u64], j: usize) -> bool {
+        let Some(bucket) = usize::try_from(child[j])
+            .ok()
+            .and_then(|v| self.buckets[j].get(v))
+        else {
+            return false;
+        };
+        bucket.iter().any(|&id| {
+            let mask = &self.masks[id * self.words..(id + 1) * self.words];
+            mask.iter().zip(child_mask).all(|(&b, &c)| b & !c == 0)
+                && dominates(child, &self.elements[id * self.cols..(id + 1) * self.cols])
+        })
+    }
+
+    /// The elements, sorted lexicographically and free of duplicates.
+    fn into_basis(self) -> Vec<Vec<u64>> {
+        let mut basis: Vec<Vec<u64>> = self
+            .elements
+            .chunks(self.cols)
+            .map(<[u64]>::to_vec)
+            .collect();
+        basis.sort();
+        basis.dedup();
+        basis
+    }
+}
+
+/// One breadth-first level of the completion: vectors of equal `ℓ₁` norm,
+/// each carried with its defect `A·t`, both stored row-major.
+struct Level {
+    cols: usize,
+    rows: usize,
+    vectors: Vec<u64>,
+    defects: Vec<i128>,
+}
+
+impl Level {
+    fn new(cols: usize, rows: usize) -> Self {
+        Level {
+            cols,
+            rows,
+            vectors: Vec::new(),
+            defects: Vec::new(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.vectors.is_empty()
+    }
+
+    fn vector(&self, i: usize) -> &[u64] {
+        &self.vectors[i * self.cols..(i + 1) * self.cols]
+    }
+
+    fn nodes(&self) -> impl Iterator<Item = (&[u64], &[i128])> {
+        self.vectors
+            .chunks(self.cols)
+            .zip(self.defects.chunks(self.rows))
+    }
+
+    fn clear(&mut self) {
+        self.vectors.clear();
+        self.defects.clear();
+    }
+}
+
+/// Marks a free slot of a [`ChildSet`].
+const EMPTY: usize = usize::MAX;
+
+/// The distinct children of one level: a linear-probing table of indices
+/// into the level being built, so that a child reached from several parents
+/// is tested and stored once.
+#[derive(Default)]
+struct ChildSet {
+    /// Child indices or [`EMPTY`]; the length is zero or a power of two at
+    /// least twice the number of entries.
+    slots: Vec<usize>,
+}
+
+impl ChildSet {
+    fn clear(&mut self) {
+        self.slots.fill(EMPTY);
+    }
+
+    /// Looks up child `id`, the last vector of `children`, among the
+    /// earlier ones, which are all in the table: `None` if an equal child is
+    /// present, else the free slot where `id` belongs.
+    fn vacant_slot(&mut self, children: &Level, id: usize) -> Option<usize> {
+        if 2 * (id + 1) > self.slots.len() {
+            self.slots = vec![EMPTY; (4 * (id + 1)).next_power_of_two()];
+            for earlier in 0..id {
+                let slot = self
+                    .probe(children, earlier)
+                    .expect("the earlier children are distinct");
+                self.slots[slot] = earlier;
+            }
+        }
+        self.probe(children, id)
+    }
+
+    fn probe(&self, children: &Level, id: usize) -> Option<usize> {
+        let vector = children.vector(id);
+        let hash = vector.iter().fold(0u64, |h, &x| {
+            (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
+        });
+        let mask = self.slots.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.slots[slot] {
+                EMPTY => return Some(slot),
+                other if children.vector(other) == vector => return None,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+}
+
 impl LinearSystem {
     /// Computes the Hilbert basis of the system: the set of minimal non-zero
     /// solutions of `A·x = 0` with `x ∈ N^n`.
     ///
     /// Uses the Contejean–Devie completion procedure: the frontier is explored
     /// breadth-first starting from the unit vectors; a frontier vector `t` is
-    /// either recognized as a solution (and recorded if not dominated by an
-    /// already-known solution) or extended by `e_j` for every coordinate `j`
-    /// whose column decreases the defect, i.e. `⟨A·t, a_j⟩ < 0`. Frontier
-    /// vectors dominated by a known minimal solution are pruned. Breadth-first
-    /// order guarantees that solutions are discovered in order of increasing
-    /// `ℓ₁` norm, so every recorded solution is minimal.
+    /// either recognized as a solution (and recorded) or extended by `e_j`
+    /// for every coordinate `j` whose column decreases the defect, i.e.
+    /// `⟨A·t, a_j⟩ < 0`. Breadth-first order makes level `k` the vectors of
+    /// `ℓ₁` norm `k`, so solutions are discovered in order of increasing
+    /// norm and every recorded solution is minimal.
+    ///
+    /// Each vector is tested for domination once, when it is generated as a
+    /// child `t + e_j` of a level-`k` vector `t`, and a dominated child is
+    /// pruned. At that moment the basis holds every solution of norm at most
+    /// `k`. A solution recorded later has norm at least `k + 1`, so it can
+    /// equal the child but never strictly dominate it: no later test is
+    /// needed. Since no basis element dominates the parent `t`, an element
+    /// `b` dominating `t + e_j` must have `b[j] = t[j] + 1`. The basis is
+    /// therefore indexed by `(j, b[j])`, and the child scans that one bucket,
+    /// rejecting elements whose support bitmask is not inside its own before
+    /// comparing coordinates.
+    ///
+    /// A child reached from several parents is tested and kept once, and
+    /// each frontier vector carries its defect `A·t`, so a child's defect is
+    /// one vector addition. The order of the vectors within a level affects
+    /// neither the basis nor which budget error is returned.
     ///
     /// The returned basis is sorted lexicographically and free of duplicates.
     ///
@@ -72,23 +262,29 @@ impl LinearSystem {
     /// assert_eq!(basis, vec![vec![3, 2]]);
     /// ```
     pub fn hilbert_basis(&self, config: &HilbertConfig) -> Result<Vec<Vec<u64>>, HilbertError> {
-        let n = self.cols();
-        let mut basis: Vec<Vec<u64>> = Vec::new();
-        let mut level: Vec<Vec<u64>> = (0..n)
-            .map(|j| {
-                let mut e = vec![0u64; n];
-                e[j] = 1;
-                e
-            })
+        let (n, m) = (self.cols(), self.rows());
+        // Column a_j at columns[j * m..(j + 1) * m].
+        let columns: Vec<i128> = (0..n)
+            .flat_map(|j| self.column(j))
+            .map(i128::from)
             .collect();
+        let mut basis = BasisIndex::new(n);
+        // Level 1: the unit vectors, whose defects are the columns.
+        let mut level = Level::new(n, m);
+        level.vectors.resize(n * n, 0);
+        for j in 0..n {
+            level.vectors[j * n + j] = 1;
+        }
+        level.defects.clone_from(&columns);
+        let mut children = Level::new(n, m);
+        let mut seen = ChildSet::default();
+        let mut mask = vec![0u64; n.div_ceil(64)];
+        let mut child_mask = mask.clone();
         let mut expanded = 0usize;
 
         while !level.is_empty() {
-            // Split the level into solutions (candidate minimal solutions) and
-            // non-solutions to extend.
-            let mut next_level: BTreeSet<Vec<u64>> = BTreeSet::new();
-            let mut to_extend: Vec<(Vec<u64>, Vec<i128>)> = Vec::new();
-            for t in level {
+            // Record the level's solutions before any child is tested.
+            for (t, defect) in level.nodes() {
                 expanded += 1;
                 if expanded > config.max_nodes {
                     return Err(HilbertError::NodeBudgetExceeded {
@@ -100,46 +296,45 @@ impl LinearSystem {
                         return Err(HilbertError::NormBudgetExceeded { budget: max_norm });
                     }
                 }
-                if basis.iter().any(|b| dominates(&t, b)) {
-                    continue;
-                }
-                let defect = self.eval(&t);
                 if defect.iter().all(|&v| v == 0) {
-                    // Breadth-first order: nothing smaller can appear later,
-                    // so t is minimal among solutions.
-                    basis.push(t);
-                } else {
-                    to_extend.push((t, defect));
+                    basis.insert(t);
                 }
             }
-            for (t, defect) in to_extend {
-                if basis.iter().any(|b| dominates(&t, b)) {
+            children.clear();
+            seen.clear();
+            for (t, defect) in level.nodes() {
+                if defect.iter().all(|&v| v == 0) {
                     continue;
                 }
-                for j in 0..n {
+                support_mask(t, &mut mask);
+                for (j, a_j) in columns.chunks(m).enumerate() {
                     // Contejean–Devie criterion: only move towards the kernel.
-                    let dot: i128 = defect
-                        .iter()
-                        .zip(self.column(j))
-                        .map(|(&d, a)| d * i128::from(a))
-                        .sum();
+                    let dot: i128 = defect.iter().zip(a_j).map(|(&d, &a)| d * a).sum();
                     if dot >= 0 {
                         continue;
                     }
-                    let mut next = t.clone();
-                    next[j] += 1;
-                    if basis.iter().any(|b| dominates(&next, b)) {
-                        continue;
+                    let id = children.vectors.len() / n;
+                    children.vectors.extend_from_slice(t);
+                    children.vectors[id * n + j] += 1;
+                    child_mask.copy_from_slice(&mask);
+                    child_mask[j / 64] |= 1 << (j % 64);
+                    match seen.vacant_slot(&children, id) {
+                        Some(slot)
+                            if !basis.dominates_child(children.vector(id), &child_mask, j) =>
+                        {
+                            seen.slots[slot] = id;
+                            children
+                                .defects
+                                .extend(defect.iter().zip(a_j).map(|(&d, &a)| d + a));
+                        }
+                        _ => children.vectors.truncate(id * n),
                     }
-                    next_level.insert(next);
                 }
             }
-            level = next_level.into_iter().collect();
+            std::mem::swap(&mut level, &mut children);
         }
 
-        basis.sort();
-        basis.dedup();
-        Ok(basis)
+        Ok(basis.into_basis())
     }
 }
 
@@ -147,6 +342,87 @@ impl LinearSystem {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    impl LinearSystem {
+        /// The completion loop as it stood before the child-side check and
+        /// the `(j, value)` index: every node is compared against the whole
+        /// basis at level entry, before extension and as a child. Kept as
+        /// the oracle that [`LinearSystem::hilbert_basis`] must match.
+        fn reference_hilbert_basis(
+            &self,
+            config: &HilbertConfig,
+        ) -> Result<Vec<Vec<u64>>, HilbertError> {
+            let n = self.cols();
+            let mut basis: Vec<Vec<u64>> = Vec::new();
+            let mut level: Vec<Vec<u64>> = (0..n)
+                .map(|j| {
+                    let mut e = vec![0u64; n];
+                    e[j] = 1;
+                    e
+                })
+                .collect();
+            let mut expanded = 0usize;
+
+            while !level.is_empty() {
+                // Split the level into solutions (candidate minimal solutions) and
+                // non-solutions to extend.
+                let mut next_level: BTreeSet<Vec<u64>> = BTreeSet::new();
+                let mut to_extend: Vec<(Vec<u64>, Vec<i128>)> = Vec::new();
+                for t in level {
+                    expanded += 1;
+                    if expanded > config.max_nodes {
+                        return Err(HilbertError::NodeBudgetExceeded {
+                            budget: config.max_nodes,
+                        });
+                    }
+                    if let Some(max_norm) = config.max_norm {
+                        if t.iter().sum::<u64>() > max_norm {
+                            return Err(HilbertError::NormBudgetExceeded { budget: max_norm });
+                        }
+                    }
+                    if basis.iter().any(|b| dominates(&t, b)) {
+                        continue;
+                    }
+                    let defect = self.eval(&t);
+                    if defect.iter().all(|&v| v == 0) {
+                        // Breadth-first order: nothing smaller can appear later,
+                        // so t is minimal among solutions.
+                        basis.push(t);
+                    } else {
+                        to_extend.push((t, defect));
+                    }
+                }
+                for (t, defect) in to_extend {
+                    if basis.iter().any(|b| dominates(&t, b)) {
+                        continue;
+                    }
+                    for j in 0..n {
+                        // Contejean–Devie criterion: only move towards the kernel.
+                        let dot: i128 = defect
+                            .iter()
+                            .zip(self.column(j))
+                            .map(|(&d, a)| d * i128::from(a))
+                            .sum();
+                        if dot >= 0 {
+                            continue;
+                        }
+                        let mut next = t.clone();
+                        next[j] += 1;
+                        if basis.iter().any(|b| dominates(&next, b)) {
+                            continue;
+                        }
+                        next_level.insert(next);
+                    }
+                }
+                level = next_level.into_iter().collect();
+            }
+
+            basis.sort();
+            basis.dedup();
+            Ok(basis)
+        }
+    }
 
     fn basis_of(rows: Vec<Vec<i64>>) -> Vec<Vec<u64>> {
         LinearSystem::from_rows(rows)
@@ -282,14 +558,64 @@ mod tests {
     }
 
     fn arb_system() -> impl Strategy<Value = LinearSystem> {
-        (1usize..=2, 2usize..=4).prop_flat_map(|(rows, cols)| {
+        (1usize..=2, 2usize..=5).prop_flat_map(|(rows, cols)| {
             proptest::collection::vec(proptest::collection::vec(-3i64..=3, cols), rows)
                 .prop_map(|m| LinearSystem::from_rows(m).unwrap())
         })
     }
 
+    #[test]
+    fn matches_reference_across_mask_words() {
+        // 70 columns: the support masks span two words, and the 65
+        // unconstrained columns are unit solutions on both sides of the
+        // word boundary.
+        let mut rows = vec![vec![0i64; 70], vec![0i64; 70]];
+        for (j, a, b) in [
+            (0, 2, 1),
+            (1, -3, 0),
+            (63, 0, -1),
+            (64, 1, 1),
+            (65, -1, 0),
+            (69, -2, -1),
+        ] {
+            rows[0][j] = a;
+            rows[1][j] = b;
+        }
+        let system = LinearSystem::from_rows(rows).unwrap();
+        let config = HilbertConfig::with_max_nodes(10_000);
+        let basis = system.hilbert_basis(&config).unwrap();
+        assert_eq!(Ok(basis.clone()), system.reference_hilbert_basis(&config));
+        assert!(basis.len() > 65);
+        assert!(basis.iter().all(|b| system.is_solution(b)));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn matches_reference_oracle(system in arb_system(), max_nodes in 1usize..=2_000) {
+            let config = HilbertConfig::with_max_nodes(max_nodes);
+            prop_assert_eq!(
+                system.hilbert_basis(&config),
+                system.reference_hilbert_basis(&config)
+            );
+        }
+
+        #[test]
+        fn matches_reference_oracle_under_tight_budgets(
+            system in arb_system(),
+            max_nodes in 1usize..=64,
+            max_norm in 1u64..=8,
+        ) {
+            let config = HilbertConfig {
+                max_nodes,
+                max_norm: Some(max_norm),
+            };
+            prop_assert_eq!(
+                system.hilbert_basis(&config),
+                system.reference_hilbert_basis(&config)
+            );
+        }
 
         #[test]
         fn basis_elements_are_minimal_solutions(system in arb_system()) {

@@ -170,16 +170,15 @@ pub fn shrink_multicycle<P: Clone + Ord>(
         decompose_into_simple_cycles(control, theta_parikh).ok_or(ShrinkError::NotAMulticycle)?;
     // Deduplicate simple cycles by their Parikh image, remembering counts.
     let mut simple_cycles: Vec<Vec<usize>> = Vec::new();
+    let mut cycle_parikhs: Vec<Vec<u64>> = Vec::new();
     let mut counts: Vec<u64> = Vec::new();
     for cycle in cycles_multiset {
         let parikh = control.parikh(&cycle);
-        match simple_cycles
-            .iter()
-            .position(|c| control.parikh(c) == parikh)
-        {
+        match cycle_parikhs.iter().position(|c| *c == parikh) {
             Some(i) => counts[i] += 1,
             None => {
                 simple_cycles.push(cycle);
+                cycle_parikhs.push(parikh);
                 counts.push(1);
             }
         }
@@ -226,8 +225,8 @@ pub fn shrink_multicycle<P: Clone + Ord>(
         fg[places.len() + c_index] = count;
     }
     debug_assert!(system.is_solution(&fg), "(f, g) must solve the system");
-    let multiplicities_over_basis =
-        decompose(&fg, &basis).ok_or(ShrinkError::DecompositionFailed)?;
+    // Pottier decomposition check: (f, g) is a sum of basis elements.
+    decompose(&fg, &basis).ok_or(ShrinkError::DecompositionFailed)?;
 
     // 5. H0: basis elements (used by the decomposition or not) whose α part
     //    vanishes on the zero places. The proof only needs elements of H, but
@@ -250,10 +249,10 @@ pub fn shrink_multicycle<P: Clone + Ord>(
     };
     // Edge counts contributed by a candidate solution's β part.
     let edge_count = |candidate: &[u64], edge: usize| -> u64 {
-        simple_cycles
+        cycle_parikhs
             .iter()
             .enumerate()
-            .map(|(c_index, cycle)| candidate[places.len() + c_index] * control.parikh(cycle)[edge])
+            .map(|(c_index, parikh)| candidate[places.len() + c_index] * parikh[edge])
             .sum()
     };
     for (edge, &edge_uses) in theta_parikh.iter().enumerate() {
@@ -276,9 +275,6 @@ pub fn shrink_multicycle<P: Clone + Ord>(
             None => return Err(ShrinkError::PlaceNotCoverable(p_index)),
         }
     }
-    // If nothing required covering (all counts below k), still return a valid
-    // (possibly empty) multicycle.
-    let _ = multiplicities_over_basis;
 
     // 7. Assemble Θ'.
     let multiplicities: Vec<u64> = (0..simple_cycles.len())
