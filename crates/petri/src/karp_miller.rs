@@ -213,8 +213,8 @@ fn accelerate(row: &mut [OmegaValue], ancestor: &[OmegaValue]) {
 ///
 /// Branches are shared immutable linked lists: extending a branch for a
 /// child is one `Arc` clone instead of copying the whole ancestor vector,
-/// which is what makes the speculative next-wave expansion of the
-/// pipelined builder cheap to fan out.
+/// so a wave's pending nodes carry their branches by reference and fan
+/// out to worker threads without copying.
 struct BranchNode {
     row: OmegaRow,
     parent: BranchLink,
@@ -299,8 +299,8 @@ fn expand_node(
     }
 }
 
-/// Fans one wave out over `workers` cooperating threads (pure node-local
-/// work; all admission decisions stay with the caller).
+/// Fans one chunk of a wave out over `workers` cooperating threads (pure
+/// node-local work; all admission decisions stay with the caller).
 fn expand_wave(
     items: &[(OmegaRow, BranchLink)],
     transitions: &[crate::engine::CompiledTransition],
@@ -327,17 +327,9 @@ fn expand_wave(
     }
 }
 
-/// Fan a wave out over threads once it holds this many pending nodes;
+/// Fan a chunk out over threads once it holds this many pending nodes;
 /// below it, thread spawns would dominate the branch scans.
 const PARALLEL_WAVE_THRESHOLD: usize = 64;
-
-/// One wave item's admission inputs: its (already expanded) branch node
-/// plus the flags the sequential admission order needs.
-struct WaveSlot {
-    /// `None` exactly when the node was subsumed by an ancestor.
-    branch: BranchLink,
-    overflowed: bool,
-}
 
 /// Which limits bit during a tree construction; the admission runs
 /// strictly in wave order in every mode, so the flags are deterministic
@@ -489,33 +481,6 @@ impl PackedOmegaStore {
     }
 }
 
-/// The serial wave-order admission: counts every admitted node against
-/// `max_nodes` and appends its marking — exactly the sequential builder's
-/// bookkeeping, so the tree is identical across worker counts. Returns
-/// `false` when the node budget cut the wave short (the whole build
-/// stops, as in the sequential breadth-first order).
-fn admit_wave(
-    slots: &[WaveSlot],
-    rows: &mut PackedOmegaStore,
-    max_nodes: usize,
-    trunc: &mut KmTruncation,
-) -> bool {
-    for slot in slots {
-        if rows.len() >= max_nodes {
-            trunc.budget = true;
-            return false;
-        }
-        let Some(node) = &slot.branch else {
-            continue; // subsumed: no marking, no children
-        };
-        if slot.overflowed {
-            trunc.overflow = true;
-        }
-        rows.push(&node.row);
-    }
-    true
-}
-
 /// A Karp–Miller coverability tree, stored as its set of ω-markings.
 #[derive(Debug, Clone)]
 pub struct KarpMillerTree<P: Ord> {
@@ -529,20 +494,18 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
     /// ([`Analysis`](crate::session::Analysis) owns the shared engine).
     /// The initial configuration must fit the engine's universe.
     ///
-    /// The search runs on the dense engine, wave by wave: every pending
-    /// node of the current wave is expanded — subsumption check against its
+    /// The search runs on the dense engine, wave by wave, in breadth-first
+    /// order. Expanding a pending node — subsumption check against its
     /// branch, one child per enabled transition, ω-acceleration against
-    /// *all* its ancestors — and the children form the next wave. Node
-    /// expansion only reads the node's own branch, so with
-    /// [`Parallelism::Parallel`] the waves fan out over worker threads.
-    ///
-    /// Like the pipelined exploration engine, the wave-order admission
-    /// (budget counting and the marking list — the serial fraction) is
-    /// **overlapped** with expansion: while this thread admits wave *w*,
-    /// a helper thread already expands wave *w+1*'s candidate children,
-    /// whose ancestor chains are shared `Arc` links and therefore free to
-    /// hand out. Admission still runs strictly in wave order, making the
-    /// tree **identical** across modes and worker counts.
+    /// *all* its ancestors — only reads the node's own branch, and each
+    /// node admits at most one marking. So the wave is expanded in chunks
+    /// of at most as many nodes as the budget can still admit: with
+    /// [`Parallelism::Parallel`] a large chunk fans out over worker
+    /// threads, then this thread admits it in wave order and collects its
+    /// children for the next wave. The build stops at the first node the
+    /// budget refuses, before expanding it: no node is ever expanded
+    /// speculatively, and the tree is **identical** across modes and
+    /// worker counts.
     ///
     /// The tree is reported as incomplete when the node budget is hit *or*
     /// when some branch's counters left the `u64` range (checked arithmetic
@@ -554,6 +517,18 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
         max_nodes: usize,
         parallelism: Parallelism,
     ) -> Self {
+        Self::build_counting(engine, initial, max_nodes, parallelism).0
+    }
+
+    /// [`build_on`](Self::build_on), also returning how many nodes the
+    /// wave loop expanded: the admitted ones plus those subsumed ahead of
+    /// the budget cut.
+    fn build_counting(
+        engine: &CompiledNet<P>,
+        initial: &Multiset<P>,
+        max_nodes: usize,
+        parallelism: Parallelism,
+    ) -> (Self, usize) {
         let dense_initial = engine
             .to_dense(initial)
             .expect("initial support is part of the compiled universe");
@@ -569,59 +544,42 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
         let mut trunc = KmTruncation::default();
         let workers = parallelism.workers();
         let transitions = engine.transitions();
+        let mut expanded = 0;
         let mut wave: Vec<(OmegaRow, BranchLink)> = vec![(root, None)];
-        let mut expansions = expand_wave(&wave, transitions, workers);
-        loop {
-            // Turn the expanded wave into admission slots plus the
-            // speculative candidate items of the next wave (children keep
-            // their parent's chain through one shared Arc each).
-            let mut slots: Vec<WaveSlot> = Vec::with_capacity(wave.len());
-            let mut candidates: Vec<(OmegaRow, BranchLink)> = Vec::new();
-            for ((row, parent), expansion) in wave.drain(..).zip(expansions.drain(..)) {
-                if expansion.subsumed {
-                    slots.push(WaveSlot {
-                        branch: None,
-                        overflowed: false,
+        'build: while !wave.is_empty() {
+            let mut next = Vec::new();
+            let mut start = 0;
+            while start < wave.len() {
+                // Each node admits at most one marking, so a chunk no
+                // larger than the budget left is admitted whole.
+                let len = (wave.len() - start).min(max_nodes - rows.len());
+                if len == 0 {
+                    trunc.budget = true;
+                    break 'build;
+                }
+                let chunk = &mut wave[start..start + len];
+                let expansions = expand_wave(chunk, transitions, workers);
+                expanded += len;
+                start += len;
+                for ((row, parent), expansion) in chunk.iter_mut().zip(expansions) {
+                    if expansion.subsumed {
+                        continue; // no marking, no children
+                    }
+                    trunc.overflow |= expansion.overflowed;
+                    rows.push(row);
+                    let node = Arc::new(BranchNode {
+                        row: std::mem::take(row),
+                        parent: parent.take(),
                     });
-                    continue;
+                    next.extend(
+                        expansion
+                            .children
+                            .into_iter()
+                            .map(|child| (child, Some(node.clone()))),
+                    );
                 }
-                let node = Arc::new(BranchNode { row, parent });
-                for child in expansion.children {
-                    candidates.push((child, Some(node.clone())));
-                }
-                slots.push(WaveSlot {
-                    branch: Some(node),
-                    overflowed: expansion.overflowed,
-                });
             }
-
-            // Overlap this wave's serial admission with the speculative
-            // expansion of the next wave. On a budget cut the speculative
-            // results are discarded — exactly the nodes the sequential
-            // builder would never have expanded.
-            let mut admitted_all = true;
-            let next_expansions = if workers > 1 && candidates.len() >= PARALLEL_WAVE_THRESHOLD {
-                std::thread::scope(|scope| {
-                    let expander =
-                        scope.spawn(|| expand_wave(&candidates, transitions, workers - 1));
-                    admitted_all = admit_wave(&slots, &mut rows, max_nodes, &mut trunc);
-                    expander
-                        .join()
-                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-                })
-            } else {
-                admitted_all = admit_wave(&slots, &mut rows, max_nodes, &mut trunc);
-                if admitted_all && !candidates.is_empty() {
-                    expand_wave(&candidates, transitions, workers)
-                } else {
-                    Vec::new()
-                }
-            };
-            if !admitted_all || candidates.is_empty() {
-                break;
-            }
-            wave = candidates;
-            expansions = next_expansions;
+            wave = next;
         }
         let markings = rows
             .into_rows()
@@ -636,10 +594,11 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
                 marking
             })
             .collect();
-        KarpMillerTree {
+        let tree = KarpMillerTree {
             markings,
             completion: trunc.completion(),
-        }
+        };
+        (tree, expanded)
     }
 
     /// The ω-markings of the tree.
@@ -846,6 +805,79 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The catalog's binary-threshold(n=6) protocol net (transitions in
+    /// catalog order) and its initial configuration with `agents` inputs.
+    fn binary_threshold_6(agents: u64) -> (PetriNet<&'static str>, Multiset<&'static str>) {
+        let net = PetriNet::from_transitions([
+            Transition::new(ms(&[("v0", 2)]), ms(&[("v1", 1)])),
+            Transition::new(ms(&[("v1", 1)]), ms(&[("v0", 2)])),
+            Transition::new(ms(&[("v1", 2)]), ms(&[("v2", 1)])),
+            Transition::new(ms(&[("v2", 1)]), ms(&[("v1", 2)])),
+            Transition::new(ms(&[("L0", 1), ("v2", 1)]), ms(&[("L1", 1)])),
+            Transition::new(ms(&[("L1", 1), ("v1", 1)]), ms(&[("L2", 1)])),
+            Transition::pairwise("L2", "v0", "L2", "L2"),
+            Transition::pairwise("L2", "v1", "L2", "L2"),
+            Transition::pairwise("L2", "v2", "L2", "L2"),
+        ]);
+        (net, ms(&[("v0", agents), ("L0", 1)]))
+    }
+
+    #[test]
+    fn budget_cut_expands_only_admissible_nodes() {
+        // binary-threshold(6)/18 at 20 000 nodes: the cut lands inside a
+        // wave of 83 026 candidates, none of which may be expanded once
+        // the budget is full, whatever the worker count.
+        let (net, start) = binary_threshold_6(18);
+        let engine = CompiledNet::compile(&net);
+        let max_nodes = 20_000;
+        let (tree, expanded) =
+            KarpMillerTree::build_counting(&engine, &start, max_nodes, Parallelism::Sequential);
+        assert_eq!(tree.markings().len(), max_nodes);
+        assert_eq!(tree.completion(), Completion::ConfigBudget);
+        for workers in [2usize, 3] {
+            let (parallel, parallel_expanded) = KarpMillerTree::build_counting(
+                &engine,
+                &start,
+                max_nodes,
+                Parallelism::Parallel(workers),
+            );
+            assert_eq!(parallel_expanded, expanded, "{workers} workers");
+            assert_eq!(parallel.markings(), tree.markings());
+        }
+        // Reference: the classical one-node-at-a-time breadth-first loop,
+        // which expands exactly the admitted nodes plus the subsumed ones
+        // ahead of the cut.
+        let root: OmegaRow = engine
+            .to_dense(&start)
+            .expect("initial fits")
+            .into_iter()
+            .map(OmegaValue::Finite)
+            .collect();
+        let mut queue = std::collections::VecDeque::from([(root, None)]);
+        let (mut admitted, mut subsumed) = (0usize, 0usize);
+        while let Some((row, parent)) = queue.pop_front() {
+            if admitted == max_nodes {
+                break;
+            }
+            let expansion = expand_node(engine.transitions(), &row, &parent);
+            if expansion.subsumed {
+                subsumed += 1;
+                continue;
+            }
+            admitted += 1;
+            let node = Arc::new(BranchNode { row, parent });
+            queue.extend(
+                expansion
+                    .children
+                    .into_iter()
+                    .map(|child| (child, Some(node.clone()))),
+            );
+        }
+        assert_eq!(admitted, max_nodes);
+        assert_eq!(expanded, admitted + subsumed);
+        assert_eq!(expanded, 23_790);
     }
 
     #[test]

@@ -9,11 +9,14 @@
 //! would immediately show up.
 
 use pp_multiset::Multiset;
-use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition};
+use pp_petri::fingerprint::karp_miller_fingerprint;
+use pp_petri::{
+    Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition,
+};
 use pp_population::stable::ProtocolStability;
 use pp_population::verify::{verify_input, verify_input_with};
 use pp_population::Predicate;
-use pp_protocols::{counting_entries, flock};
+use pp_protocols::{counting_entries, flock, threshold};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -147,6 +150,54 @@ fn parallel_karp_miller_matches_sequential_on_a_large_tree() {
 }
 
 #[test]
+fn benchmark_karp_miller_answer_is_pinned_across_worker_counts() {
+    // The suite benchmark's Karp–Miller query: binary-threshold(6) from 18
+    // agents, capped at 20 000 nodes. The cap lands mid-wave; 2 248 and
+    // 7 421 nodes are admitted at the last two full-wave boundaries, so
+    // the budgets around them probe both sides of a wave cut.
+    let protocol = threshold::binary_threshold_with_leader(6);
+    let places: Vec<_> = protocol.net().places().iter().copied().collect();
+    let start = protocol.initial_config_with_count(18);
+    let tree = |max_nodes: usize, parallelism: Parallelism| {
+        Analysis::new(protocol.net())
+            .parallelism(parallelism)
+            .karp_miller(start.clone())
+            .max_nodes(max_nodes)
+            .run()
+    };
+    let modes = [
+        Parallelism::Sequential,
+        Parallelism::Parallel(1),
+        Parallelism::Parallel(2),
+        Parallelism::Parallel(3),
+    ];
+    for parallelism in modes {
+        let capped = tree(20_000, parallelism);
+        assert_eq!(capped.markings().len(), 20_000, "{parallelism:?}");
+        assert_eq!(capped.completion(), Completion::ConfigBudget);
+        assert_eq!(
+            karp_miller_fingerprint(&capped, &places),
+            0x3c52_5ac4_23d9_cdda,
+            "{parallelism:?}"
+        );
+    }
+    for max_nodes in [2_248, 2_249, 7_421, 7_422] {
+        let sequential = tree(max_nodes, Parallelism::Sequential);
+        assert_eq!(sequential.markings().len(), max_nodes);
+        assert_eq!(sequential.completion(), Completion::ConfigBudget);
+        for parallelism in &modes[1..] {
+            let parallel = tree(max_nodes, *parallelism);
+            assert_eq!(
+                sequential.markings(),
+                parallel.markings(),
+                "budget {max_nodes} under {parallelism:?}"
+            );
+            assert_eq!(sequential.completion(), parallel.completion());
+        }
+    }
+}
+
+#[test]
 fn parallel_verifier_reaches_the_same_verdicts() {
     for entry in counting_entries(2) {
         if entry.protocol.initial_states().len() != 1 {
@@ -226,12 +277,17 @@ proptest! {
     }
 
     #[test]
-    fn random_karp_miller_trees_are_identical((net, initial) in arb_net_and_initial()) {
-        let sequential = Analysis::new(&net).karp_miller(initial.clone()).max_nodes(2_000).run();
-        for workers in [1usize, 4] {
+    fn random_karp_miller_trees_are_identical(
+        (net, initial) in arb_net_and_initial(),
+        max_nodes in 1usize..=2_000,
+    ) {
+        // A drawn budget lands its cut anywhere in a wave, not just past
+        // the end of the tree.
+        let sequential = Analysis::new(&net).karp_miller(initial.clone()).max_nodes(max_nodes).run();
+        for workers in [1usize, 2, 4] {
             let parallel = Analysis::new(&net)
                 .karp_miller(initial.clone())
-                .max_nodes(2_000)
+                .max_nodes(max_nodes)
                 .parallelism(Parallelism::Parallel(workers))
                 .run();
             prop_assert_eq!(sequential.markings(), parallel.markings());
