@@ -228,17 +228,21 @@ pub fn shrink_multicycle<P: Clone + Ord>(
     // Pottier decomposition check: (f, g) is a sum of basis elements.
     decompose(&fg, &basis).ok_or(ShrinkError::DecompositionFailed)?;
 
-    // 5. H0: basis elements (used by the decomposition or not) whose α part
-    //    vanishes on the zero places. The proof only needs elements of H, but
-    //    any solution of the system with the vanishing property is usable, so
-    //    searching the full basis only makes the construction more robust.
-    let vanishes = |candidate: &[u64]| -> bool {
-        places
-            .iter()
-            .enumerate()
-            .all(|(p_index, p)| !zero_places.contains(p) || candidate[p_index] == 0)
+    // 5. H0: basis elements whose α part vanishes on the zero places and that
+    //    lie in the box ≤ (f, g), which holds every element of a Pottier
+    //    decomposition of (f, g). The box is what preserves signs: a solution
+    //    of (1) displaces each place p by s(p)·α(p), and α ≤ f is zero
+    //    wherever Δ(Θ) is, so a sum of H0 elements has the sign of Δ(Θ) on
+    //    every place. A basis element outside the box may displace a place
+    //    that Θ leaves unchanged.
+    let in_h0 = |candidate: &[u64]| -> bool {
+        candidate.iter().zip(&fg).all(|(c, bound)| c <= bound)
+            && places
+                .iter()
+                .enumerate()
+                .all(|(p_index, p)| !zero_places.contains(p) || candidate[p_index] == 0)
     };
-    let h0: Vec<&Vec<u64>> = basis.iter().filter(|b| vanishes(b)).collect();
+    let h0: Vec<&Vec<u64>> = basis.iter().filter(|b| in_h0(b)).collect();
 
     // 6. Cover frequent edges and large-displacement places using H0.
     let mut selected: Vec<u64> = vec![0u64; places.len() + simple_cycles.len()];

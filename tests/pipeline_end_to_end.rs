@@ -4,7 +4,7 @@
 use pp_petri::bottom::theorem_6_1_bound;
 use pp_petri::ExplorationLimits;
 use pp_population::StateId;
-use pp_protocols::{flock, leaders_n, modulo};
+use pp_protocols::{catalog, flock, leaders_n, modulo};
 use pp_statecomplexity::{analyze_protocol, Section8Constants};
 use std::collections::BTreeSet;
 
@@ -55,6 +55,26 @@ fn pipeline_objects_satisfy_their_lemmas() {
                 "{}: Lemma 7.3 violated",
                 protocol.name()
             );
+        }
+    }
+}
+
+/// Lemma 7.3 on the whole catalog: wherever the pipeline shrinks a
+/// multicycle, the result keeps the sign of `Δ(Θ)` on every place.
+#[test]
+fn shrunk_multicycles_preserve_signs_on_the_catalog() {
+    let limits = ExplorationLimits::default();
+    for n in 1..=5u64 {
+        for entry in catalog::all(n) {
+            if let Some(shrunk) = &analyze_protocol(&entry.protocol, &limits).shrunk {
+                assert!(
+                    shrunk.signs_preserved(4),
+                    "{}(n={n}): Lemma 7.3 violated: {} became {}",
+                    entry.family,
+                    shrunk.original_displacement,
+                    shrunk.displacement
+                );
+            }
         }
     }
 }
