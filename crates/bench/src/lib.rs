@@ -1,12 +1,9 @@
-//! Shared helpers for the experiment tables and benchmark binaries.
+//! Shared helpers for the experiment tables.
 //!
 //! The experiment index lives in `DESIGN.md`; every experiment `E1`–`E12` has
 //! a binary in `src/bin/` that prints its table to stdout using the small
-//! formatting helpers of this crate, the engine ablations
-//! (`bench_sparse_dense`, `bench_parallel_explore`, `bench_session_reuse`,
-//! `bench_batch_throughput` — E12b–E15) additionally write gated
-//! `BENCH_*.json` files. The suite benchmark (`suitebench/`) times the
-//! remaining layers end to end.
+//! formatting helpers of this crate. Timings are not taken here: the suite
+//! benchmark (`suitebench/`) times every engine layer end to end.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

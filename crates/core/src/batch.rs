@@ -37,7 +37,7 @@
 //! ```
 //!
 //! The experiments drive the full catalog of `pp-protocols` through this
-//! layer (`pp_protocols::batch`, `bench_batch_throughput`); the
+//! layer (`pp_protocols::batch`, `tests/batch_fairness.rs`); the
 //! exhaustive verifier of `pp-population` batches its per-input graphs
 //! through the same net-level scheduler.
 

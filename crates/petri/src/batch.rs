@@ -384,8 +384,8 @@ pub struct JobReport<P: Ord> {
     pub completion: Completion,
     /// The limits of the job's *final* run. A solo query at exactly these
     /// limits produces a bit-identical result — this is the batch layer's
-    /// determinism contract, and what `bench_batch_throughput --check`
-    /// re-verifies.
+    /// determinism contract, which `tests/batch_fairness.rs` checks on the
+    /// catalog.
     pub final_limits: ExplorationLimits,
     /// Stored configurations / tree nodes of the final result (the tokens
     /// the job actually consumed; coverability and covering-word jobs

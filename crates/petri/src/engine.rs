@@ -7,8 +7,8 @@
 //! slice copy plus a handful of indexed adds — no tree merges, no
 //! allocation beyond the output row — which is what makes the exploration,
 //! coverability and simulation layers of the suite run at hardware speed
-//! (the `bench_sparse_dense` ablation tracks the speedup over the sparse
-//! path).
+//! (the suite benchmark's `explore.nodes_per_s` tracks the exploration
+//! rate).
 //!
 //! The engine is the *internal* workhorse: the public entry points of
 //! [`explore`](crate::explore), [`cover`](crate::cover) and

@@ -688,12 +688,15 @@ fn expand_one(
     blocked
 }
 
-/// The sequential breadth-first expansion of nodes `start..` in id order.
+/// The sequential breadth-first expansion of nodes `start..end` in id
+/// order.
 ///
 /// Node ids are assigned in discovery order, so scanning ids *is* the BFS
-/// queue: every node interned during the scan is reached by the scan. Used
-/// by the cold sequential build (`start = 0`) and by the continuation phase
-/// of [`ReachabilityGraph::resume`] (`start` = first fresh id).
+/// queue: with `end = usize::MAX`, every node interned during the scan is
+/// reached by the scan. Used by the cold sequential build (`start = 0`), by
+/// the continuation phase of [`ReachabilityGraph::resume`] (`start` = first
+/// fresh id), both unbounded, and by the direct regime of the parallel
+/// build, which expands exactly one frontier `start..end` per call.
 #[allow(clippy::too_many_arguments)]
 fn scan_expand(
     transitions: &[PackedTransition],
@@ -704,12 +707,13 @@ fn scan_expand(
     trunc: &mut Truncation,
     limits: &ExplorationLimits,
     start: usize,
+    end: usize,
 ) {
     let cap = limits.effective_max_configurations();
     let mut src = Vec::new();
     let mut succ = Vec::new();
     let mut id = start;
-    while id < arena.len() {
+    while id < arena.len().min(end) {
         let depth = depths[id];
         if limits.max_depth.is_some_and(|max| depth as usize >= max) {
             trunc.depth = true;
@@ -878,6 +882,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             &mut trunc,
             limits,
             0,
+            usize::MAX,
         );
         Self::finish(
             engine,
@@ -898,10 +903,10 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     ///
     /// * **Direct** — while no workers are in flight (small levels, and
     ///   every level under `Parallel(1)`), a level is one fused
-    ///   sequential step: frontier rows are expanded in id order and
-    ///   fresh successors interned straight into the arena, exactly the
-    ///   sequential BFS step. No scratch, no barriers, no deferred
-    ///   commit — deep narrow graphs run at sequential speed.
+    ///   sequential step: the sequential search's own `scan_expand` runs
+    ///   over the frontier's id range on the write-locked arena, interning
+    ///   fresh successors straight into it. No scratch, no barriers, no
+    ///   deferred commit — deep narrow graphs run at sequential speed.
     ///
     /// * **Pipelined** — once a level reaches `PARALLEL_LEVEL_MIN`
     ///   candidates (and `Parallel(n ≥ 2)` provides workers), its
@@ -1005,8 +1010,6 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             let mut workers_spawned = false;
             let mut spare_rows: Vec<u64> = Vec::new();
             let mut spare_flags: Vec<bool> = Vec::new();
-            let mut src: Vec<u64> = Vec::new();
-            let mut succ: Vec<u64> = Vec::new();
 
             // Installs the next job and wakes the workers (spawning them
             // on first use). Duplicated as a macro because the spawn
@@ -1152,50 +1155,17 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                     // One fused sequential step: expand in id order,
                     // interning fresh rows straight into the arena.
                     let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    for id in frontier_start..frontier_end {
-                        let node = ConfigId(u32::try_from(id).expect("node id fits u32"));
-                        if let Some(max_agents) = limits.max_agents {
-                            if arena.total(node) > max_agents {
-                                trunc.agents = true;
-                                dirty.push(DirtyNode {
-                                    id: node.0,
-                                    watermark: u32::try_from(arena.len())
-                                        .expect("arena len fits u32"),
-                                });
-                                continue;
-                            }
-                        }
-                        src.clear();
-                        src.extend_from_slice(arena.row(node));
-                        let mut blocked = false;
-                        for (t, transition) in transitions.iter().enumerate() {
-                            if !transition.is_enabled_words(&src) {
-                                continue;
-                            }
-                            transition.fire_words(&src, &mut succ);
-                            let to = match arena.lookup(&succ) {
-                                Some(existing) => existing.index(),
-                                None => {
-                                    if arena.len() >= cap {
-                                        trunc.config = true;
-                                        blocked = true;
-                                        continue;
-                                    }
-                                    let fresh = arena.intern(&succ);
-                                    edges.push(Vec::new());
-                                    depths.push(u32::try_from(depth + 1).expect("depth fits u32"));
-                                    fresh.index()
-                                }
-                            };
-                            edges[id].push((t, to));
-                        }
-                        if blocked {
-                            dirty.push(DirtyNode {
-                                id: node.0,
-                                watermark: u32::try_from(arena.len()).expect("arena len fits u32"),
-                            });
-                        }
-                    }
+                    scan_expand(
+                        transitions,
+                        &mut arena,
+                        &mut edges,
+                        &mut depths,
+                        &mut dirty,
+                        &mut trunc,
+                        limits,
+                        frontier_start,
+                        frontier_end,
+                    );
                     next_id = arena.len();
                     drop(arena);
                     frontier_start = frontier_end;
@@ -1647,6 +1617,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             &mut trunc,
             limits,
             first_new,
+            usize::MAX,
         );
 
         self.dirty = dirty;
@@ -1704,8 +1675,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// call — builds of the same input under any two [`Parallelism`] modes
     /// must satisfy it, and a [`resume`](Self::resume)d graph must satisfy
     /// it against a cold build at the final limits. The equivalence tests
-    /// and `bench_parallel_explore --check` all go through this single
-    /// definition.
+    /// all go through this single definition.
     #[must_use]
     pub fn identical_to(&self, other: &Self) -> bool {
         self.len() == other.len()

@@ -4,7 +4,7 @@
 //! `pp_statecomplexity::batch`) wants realistic multi-net job fleets;
 //! the catalog *is* one. This module turns [`catalog::all`] into job
 //! lists and runs the whole catalog as a single batch — the entry point
-//! behind `bench_batch_throughput` and the `batch_analysis` example.
+//! behind the `batch_analysis` example.
 //!
 //! ```
 //! use pp_petri::Parallelism;
@@ -71,8 +71,8 @@ pub fn catalog_jobs(n: u64, agents: u64, limits: ExplorationLimits) -> Vec<Batch
 /// `pool`, with the given runner [`Parallelism`].
 ///
 /// Every job's result is bit-identical to a solo run at its final budget
-/// (the batch layer's determinism contract; `bench_batch_throughput
-/// --check` gates exactly this on the catalog).
+/// (the batch layer's determinism contract, checked on the catalog by
+/// `tests/batch_fairness.rs`).
 ///
 /// # Panics
 ///

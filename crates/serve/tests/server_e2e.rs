@@ -273,116 +273,148 @@ fn every_query_shape_is_bit_identical_to_a_direct_batch_run() {
     }
 }
 
+/// The per-client job list of the concurrency test: `(family, n, agents)`
+/// with overlapping identities, so the session cache sees cold compiles,
+/// hot reuse and the same net at other agent counts.
+const WORKLOAD: [(&str, u64, u64); 6] = [
+    ("majority", 2, 6),
+    ("flock-unary", 3, 6),
+    ("majority", 2, 6),
+    ("example-4.2", 2, 5),
+    ("flock-unary", 3, 8),
+    ("majority", 2, 8),
+];
+
 #[test]
 fn concurrent_clients_all_get_the_direct_run_answer() {
-    let handle = spawn(ServerConfig {
-        runner: Parallelism::Parallel(2),
-        ..ServerConfig::default()
-    });
-    let addr = handle.addr();
-    let mut threads = Vec::new();
-    for worker in 0..3u64 {
-        threads.push(std::thread::spawn(move || {
-            let mut client = Client::connect(addr).expect("connect");
-            // Two share one job identity, one differs: the session cache
+    for runner in [Parallelism::Sequential, Parallelism::Parallel(2)] {
+        for clients in [1usize, 3] {
+            let handle = spawn(ServerConfig {
+                runner,
+                ..ServerConfig::default()
+            });
+            let addr = handle.addr();
+            // Concurrent clients share job identities: the session cache
             // must never cross-contaminate them.
-            let agents = if worker == 2 { 8 } else { 6 };
-            let answer = client
-                .submit(&submit_catalog("flock-unary", 3, agents, &[]))
-                .expect("submit");
-            assert_ok(&answer.result);
-            (
-                agents,
-                final_limits_of(&answer.result),
-                str_field(&answer.result, "fingerprint").to_string(),
-            )
-        }));
+            let threads: Vec<_> = (0..clients)
+                .map(|_| {
+                    std::thread::spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        WORKLOAD.map(|(family, n, agents)| {
+                            let answer = client
+                                .submit(&submit_catalog(family, n, agents, &[]))
+                                .expect("submit");
+                            assert_ok(&answer.result);
+                            (
+                                final_limits_of(&answer.result),
+                                str_field(&answer.result, "fingerprint").to_string(),
+                            )
+                        })
+                    })
+                })
+                .collect();
+            for thread in threads {
+                let answers = thread.join().expect("client thread");
+                for ((family, n, agents), (limits, fingerprint)) in
+                    WORKLOAD.into_iter().zip(answers)
+                {
+                    let direct = direct_catalog_fingerprint(
+                        family,
+                        n,
+                        agents,
+                        "reachability",
+                        &[],
+                        limits,
+                        runner,
+                    );
+                    assert_eq!(
+                        fingerprint, direct,
+                        "{family}(n={n})[{agents}] under {runner:?} with {clients} clients"
+                    );
+                }
+            }
+            handle.shutdown();
+        }
     }
-    for thread in threads {
-        let (agents, limits, fingerprint) = thread.join().expect("client thread");
-        let direct = direct_catalog_fingerprint(
-            "flock-unary",
-            3,
-            agents,
-            "reachability",
-            &[],
-            limits,
-            Parallelism::Parallel(2),
-        );
-        assert_eq!(fingerprint, direct, "agents={agents}");
-    }
-    handle.shutdown();
 }
 
 #[test]
 fn truncation_reports_a_watermark_and_resume_is_bit_identical_to_cold() {
-    let handle = spawn(ServerConfig::default());
-    let mut client = connect(&handle);
+    for runner in [Parallelism::Sequential, Parallelism::Parallel(2)] {
+        for resume_budget in [10_000u64, 100_000] {
+            let handle = spawn(ServerConfig {
+                runner,
+                ..ServerConfig::default()
+            });
+            let mut client = connect(&handle);
 
-    // A budget far below the reachable space: the job truncates, reports
-    // the watermark it ran at, and is resumable.
-    let answer = client
-        .submit(&submit_catalog(
-            "flock-unary",
-            4,
-            8,
-            &[("budget", Json::uint(5))],
-        ))
-        .expect("submit");
-    assert_ok(&answer.result);
-    assert_eq!(str_field(&answer.result, "completion"), "config-budget");
-    assert_eq!(field(&answer.result, "resumable"), &Json::Bool(true));
-    let truncated_limits = final_limits_of(&answer.result);
-    assert_eq!(truncated_limits.max_configurations, 5);
-    let direct = direct_catalog_fingerprint(
-        "flock-unary",
-        4,
-        8,
-        "reachability",
-        &[],
-        truncated_limits,
-        Parallelism::Sequential,
-    );
-    assert_eq!(str_field(&answer.result, "fingerprint"), direct);
-    let session = str_field(&answer.result, "session").to_string();
+            // A budget far below the reachable space: the job truncates,
+            // reports the watermark it ran at, and is resumable.
+            let answer = client
+                .submit(&submit_catalog(
+                    "flock-unary",
+                    4,
+                    8,
+                    &[("budget", Json::uint(5))],
+                ))
+                .expect("submit");
+            assert_ok(&answer.result);
+            assert_eq!(str_field(&answer.result, "completion"), "config-budget");
+            assert_eq!(field(&answer.result, "resumable"), &Json::Bool(true));
+            let truncated_limits = final_limits_of(&answer.result);
+            assert_eq!(truncated_limits.max_configurations, 5);
+            let direct = direct_catalog_fingerprint(
+                "flock-unary",
+                4,
+                8,
+                "reachability",
+                &[],
+                truncated_limits,
+                runner,
+            );
+            assert_eq!(str_field(&answer.result, "fingerprint"), direct);
+            let session = str_field(&answer.result, "session").to_string();
 
-    // Resume at a generous budget: the server extends the *cached* graph
-    // in place, and the extended result is bit-identical to a cold direct
-    // run at the final limits — the resume-equals-cold contract.
-    let resume = obj(&[
-        ("cmd", Json::str("resume")),
-        ("session", Json::str(&session)),
-        ("budget", Json::uint(10_000)),
-    ]);
-    let answer = client.submit(&resume).expect("resume");
-    assert_ok(&answer.result);
-    assert_eq!(str_field(&answer.result, "completion"), "complete");
-    assert_eq!(
-        field(&answer.result, "cache"),
-        &obj(&[("seeded", Json::Bool(true))]),
-        "resume must hit the cached session"
-    );
-    let limits = final_limits_of(&answer.result);
-    let direct = direct_catalog_fingerprint(
-        "flock-unary",
-        4,
-        8,
-        "reachability",
-        &[],
-        limits,
-        Parallelism::Sequential,
-    );
-    assert_eq!(str_field(&answer.result, "fingerprint"), direct);
+            // Resume at a generous budget: the server extends the *cached*
+            // graph in place, and the extended result is bit-identical to a
+            // cold direct run at the final limits — the resume-equals-cold
+            // contract.
+            let resume = obj(&[
+                ("cmd", Json::str("resume")),
+                ("session", Json::str(&session)),
+                ("budget", Json::uint(resume_budget)),
+            ]);
+            let answer = client.submit(&resume).expect("resume");
+            assert_ok(&answer.result);
+            assert_eq!(str_field(&answer.result, "completion"), "complete");
+            assert_eq!(
+                field(&answer.result, "cache"),
+                &obj(&[("seeded", Json::Bool(true))]),
+                "resume must hit the cached session"
+            );
+            let limits = final_limits_of(&answer.result);
+            let direct = direct_catalog_fingerprint(
+                "flock-unary",
+                4,
+                8,
+                "reachability",
+                &[],
+                limits,
+                runner,
+            );
+            assert_eq!(str_field(&answer.result, "fingerprint"), direct);
 
-    // Resuming a token nobody issued is a typed error.
-    let bogus = obj(&[
-        ("cmd", Json::str("resume")),
-        ("session", Json::str("c:0000000000000000")),
-        ("budget", Json::uint(10)),
-    ]);
-    let answer = client.submit(&bogus).expect("resume");
-    assert_error(&answer.result, "unknown-session");
-    handle.shutdown();
+            // Resuming a token nobody issued is a typed error.
+            let bogus = obj(&[
+                ("cmd", Json::str("resume")),
+                ("session", Json::str("c:0000000000000000")),
+                ("budget", Json::uint(10)),
+            ]);
+            let answer = client.submit(&bogus).expect("resume");
+            assert_error(&answer.result, "unknown-session");
+            handle.shutdown();
+        }
+    }
 }
 
 #[test]

@@ -8,11 +8,13 @@
 //! property tests here drive a batch of N identical jobs (the fair-share
 //! shape: everyone must end at the same grant, ±1 remainder token) and
 //! mixed batches where completed jobs refund budget that still-running
-//! jobs pick up.
+//! jobs pick up; the catalog tests run protocol fleets, pooled and not.
 
 use pp_multiset::Multiset;
-use pp_petri::batch::{Batch, BatchJob};
+use pp_petri::batch::{Batch, BatchJob, BatchQuery, BatchReport};
 use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, Transition};
+use pp_population::StateId;
+use pp_protocols::batch::catalog_jobs;
 use pp_statecomplexity::batch::ProtocolBatch;
 use proptest::prelude::*;
 
@@ -150,6 +152,75 @@ fn protocol_batch_fair_share_matches_solo_runs() {
                 "{} != solo under {:?}",
                 job.name,
                 runner
+            );
+        }
+    }
+}
+
+/// Every job of `report` is `identical_to` a solo session query at the
+/// job's final limits.
+fn assert_matches_solo_runs(
+    jobs: &[BatchJob<StateId>],
+    report: &BatchReport<StateId>,
+    label: &str,
+) {
+    assert_eq!(report.jobs.len(), jobs.len());
+    for (job, job_report) in jobs.iter().zip(&report.jobs) {
+        let BatchQuery::Reachability { initials } = &job.query else {
+            unreachable!("catalog jobs are reachability jobs");
+        };
+        let solo = Analysis::new(&job.net)
+            .reachability(initials.iter().cloned())
+            .limits(job_report.final_limits)
+            .run();
+        assert!(
+            job_report
+                .outcome
+                .as_reachability()
+                .unwrap()
+                .identical_to(&solo),
+            "{label}: {} != solo at {:?}",
+            job_report.name,
+            job_report.final_limits
+        );
+    }
+}
+
+/// A serving-shaped catalog fleet: every entry at 10 agents twice (the
+/// duplicate clients share one result) and at 12 agents (same nets, other
+/// question). Unpooled, and pooled at half the total demand, every job
+/// matches a solo run at its final budget, and the final budgets agree
+/// between the sequential and the parallel runner.
+#[test]
+fn catalog_fleet_matches_solo_runs_pooled_and_unpooled() {
+    let limits = ExplorationLimits::default();
+    for n in [2u64, 4] {
+        let mut jobs = catalog_jobs(n, 10, limits);
+        jobs.extend(catalog_jobs(n, 10, limits));
+        jobs.extend(catalog_jobs(n, 12, limits));
+
+        let unpooled = Batch::new().jobs(jobs.iter().cloned()).run();
+        assert_matches_solo_runs(&jobs, &unpooled, &format!("n={n} unpooled"));
+
+        let total: usize = unpooled.jobs.iter().map(|job| job.explored).sum();
+        let pool = (total / 2).max(1);
+        let pooled: Vec<BatchReport<StateId>> = [Parallelism::Sequential, Parallelism::Parallel(2)]
+            .into_iter()
+            .map(|runner| {
+                let report = Batch::new()
+                    .jobs(jobs.iter().cloned())
+                    .pool(pool)
+                    .parallelism(runner)
+                    .run();
+                assert_matches_solo_runs(&jobs, &report, &format!("n={n} pooled {runner:?}"));
+                report
+            })
+            .collect();
+        for (sequential, parallel) in pooled[0].jobs.iter().zip(&pooled[1].jobs) {
+            assert_eq!(
+                sequential.final_limits, parallel.final_limits,
+                "n={n}: {} final budgets diverge across runners",
+                sequential.name
             );
         }
     }

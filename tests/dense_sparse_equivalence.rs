@@ -19,7 +19,7 @@ use pp_multiset::Multiset;
 use pp_petri::cover::{is_coverable, CoveringWordOutcome};
 use pp_petri::explore::sparse_reference_exploration;
 use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition};
-use pp_protocols::counting_entries;
+use pp_protocols::{counting_entries, flock, leaders_n, threshold};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -120,6 +120,18 @@ fn catalog_protocols_explore_identically() {
                 let initial = entry.protocol.initial_config_with_count(input);
                 assert_same_graph(entry.protocol.net(), initial, &limits);
             }
+        }
+    }
+    // Graphs of hundreds to tens of thousands of nodes, the size the
+    // verifier and the experiments run at.
+    for (protocol, agent_counts) in [
+        (leaders_n::example_4_2(3), [20, 40]),
+        (flock::flock_of_birds_unary(5), [20, 30]),
+        (threshold::binary_threshold_with_leader(6), [20, 30]),
+    ] {
+        for agents in agent_counts {
+            let initial = protocol.initial_config_with_count(agents);
+            assert_same_graph(protocol.net(), initial, &limits);
         }
     }
 }

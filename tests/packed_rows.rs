@@ -6,12 +6,14 @@
 //! alike (including the Karp–Miller ω sentinel, which is simply a cell
 //! stored *at* its max). On top of the round-trips, the row representation
 //! must not change any graph: a `u64`-rows session build is `identical_to`
-//! the packed build of the same inputs.
+//! the packed build of the same inputs, on a toy net and on catalog
+//! protocols, and the catalog graphs store at most half the bytes per node.
 
 use pp_multiset::Multiset;
 use pp_petri::{
     Analysis, CellWidth, ExplorationLimits, Parallelism, PetriNet, RowLayout, Transition,
 };
+use pp_protocols::{flock, leaders_n, threshold};
 use proptest::prelude::*;
 
 const WIDTHS: [CellWidth; 4] = [
@@ -115,7 +117,45 @@ fn ms(pairs: &[(&'static str, u64)]) -> Multiset<&'static str> {
 
 /// The row representation changes the storage width but not one bit of
 /// the logical graph: packed and `u64`-rows builds are `identical_to` each
-/// other, sequentially and in parallel.
+/// other, sequentially and in parallel, and packing at least halves the
+/// stored bytes per node.
+fn assert_packing_is_lossless<P: Clone + Ord>(
+    name: &str,
+    net: &PetriNet<P>,
+    initial: &Multiset<P>,
+) {
+    let limits = ExplorationLimits::default();
+    let packed = Analysis::new(net)
+        .reachability([initial.clone()])
+        .limits(limits)
+        .run();
+    let packed_par = Analysis::new(net)
+        .parallelism(Parallelism::Parallel(3))
+        .reachability([initial.clone()])
+        .limits(limits)
+        .run();
+    let unpacked = Analysis::new(net)
+        .u64_rows()
+        .reachability([initial.clone()])
+        .limits(limits)
+        .run();
+
+    assert!(
+        packed.identical_to(&packed_par),
+        "{name}: packed parallel build diverges from packed sequential"
+    );
+    assert!(
+        packed.identical_to(&unpacked) && unpacked.identical_to(&packed),
+        "{name}: packed and unpacked builds diverge"
+    );
+    assert!(
+        unpacked.bytes_per_node() >= 2 * packed.bytes_per_node(),
+        "{name}: packed {} bytes/node should be at most half of unpacked {}",
+        packed.bytes_per_node(),
+        unpacked.bytes_per_node()
+    );
+}
+
 #[test]
 fn packed_and_unpacked_builds_are_identical() {
     let net = PetriNet::from_transitions([
@@ -123,32 +163,25 @@ fn packed_and_unpacked_builds_are_identical() {
         Transition::pairwise("a", "b", "b", "b"),
         Transition::pairwise("b", "b", "b", "a"),
     ]);
-    let initial = ms(&[("a", 9)]);
-    let limits = ExplorationLimits::default();
-
-    let packed = Analysis::new(&net)
-        .reachability([initial.clone()])
-        .limits(limits)
-        .run();
-    let packed_par = Analysis::new(&net)
-        .parallelism(Parallelism::Parallel(3))
-        .reachability([initial.clone()])
-        .limits(limits)
-        .run();
-    let unpacked = Analysis::new(&net)
-        .u64_rows()
-        .reachability([initial.clone()])
-        .limits(limits)
-        .run();
-
-    assert!(packed.identical_to(&packed_par));
-    assert!(packed.identical_to(&unpacked));
-    assert!(unpacked.identical_to(&packed));
-    // The conservative net actually compacts: its counts fit u8 cells.
-    assert!(
-        packed.bytes_per_node() < unpacked.bytes_per_node(),
-        "packed {} bytes/node should undercut unpacked {}",
-        packed.bytes_per_node(),
-        unpacked.bytes_per_node()
-    );
+    assert_packing_is_lossless("conservative net", &net, &ms(&[("a", 9)]));
+    // Catalog graphs of hundreds to tens of thousands of nodes. Their
+    // counts fit narrow cells, so the 2x floor is live: example-4.2 and
+    // flock-unary compact 6x, binary-threshold exactly 2x.
+    for (family, protocol, agent_counts) in [
+        ("example-4.2(n=3)", leaders_n::example_4_2(3), [20, 40]),
+        ("flock-unary(n=5)", flock::flock_of_birds_unary(5), [20, 30]),
+        (
+            "binary-threshold(n=6)",
+            threshold::binary_threshold_with_leader(6),
+            [20, 30],
+        ),
+    ] {
+        for agents in agent_counts {
+            assert_packing_is_lossless(
+                &format!("{family} at {agents} agents"),
+                protocol.net(),
+                &protocol.initial_config_with_count(agents),
+            );
+        }
+    }
 }

@@ -15,8 +15,8 @@ use pp_petri::{
 };
 use pp_population::stable::ProtocolStability;
 use pp_population::verify::{verify_input, verify_input_with};
-use pp_population::Predicate;
-use pp_protocols::{counting_entries, flock, threshold};
+use pp_population::{Predicate, Protocol};
+use pp_protocols::{counting_entries, flock, leaders_n, threshold};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -59,20 +59,53 @@ fn arb_net_and_initial() -> impl Strategy<Value = (PetriNet<u8>, Multiset<u8>)> 
 #[test]
 fn catalog_graphs_are_identical_across_worker_counts() {
     let limits = ExplorationLimits::default();
-    for entry in counting_entries(2) {
-        if entry.protocol.initial_states().len() != 1 {
-            continue;
-        }
-        let initial = entry.protocol.initial_config_with_count(6);
-        let net = entry.protocol.net();
-        let reference = build(net, &initial, &limits, Parallelism::Parallel(2));
-        for workers in [1usize, 3, 7] {
-            let other = build(net, &initial, &limits, Parallelism::Parallel(workers));
+    let mut instances: Vec<(&str, Protocol, u64)> = counting_entries(2)
+        .into_iter()
+        .filter(|entry| entry.protocol.initial_states().len() == 1)
+        .map(|entry| (entry.family, entry.protocol, 6))
+        .collect();
+    // Larger untruncated graphs: flock-unary(5)@22 has 6,246 nodes, with
+    // levels wide enough for the pipelined engine to dispatch worker jobs,
+    // and binary-threshold(6)@25 has 1,165.
+    instances.extend([
+        ("example-4.2(n=3)", leaders_n::example_4_2(3), 20),
+        ("flock-unary(n=5)", flock::flock_of_birds_unary(5), 22),
+        (
+            "binary-threshold(n=6)",
+            threshold::binary_threshold_with_leader(6),
+            25,
+        ),
+    ]);
+    for (family, protocol, agents) in instances {
+        let initial = protocol.initial_config_with_count(agents);
+        let net = protocol.net();
+        let sequential = build(net, &initial, &limits, Parallelism::Sequential);
+        assert!(sequential.is_complete(), "{family}@{agents} truncated");
+        for workers in [1usize, 2, 3, 4, 7] {
+            let parallel = build(net, &initial, &limits, Parallelism::Parallel(workers));
             assert!(
-                reference.identical_to(&other),
-                "graphs differ at {workers} workers"
+                sequential.identical_to(&parallel),
+                "{family}@{agents}: graphs differ at {workers} workers"
             );
         }
+    }
+    // The largest instances, at the host's default parallelism only.
+    for (family, protocol, agents) in [
+        ("flock-unary(n=5)", flock::flock_of_birds_unary(5), 34),
+        (
+            "binary-threshold(n=6)",
+            threshold::binary_threshold_with_leader(6),
+            40,
+        ),
+    ] {
+        let initial = protocol.initial_config_with_count(agents);
+        let sequential = build(protocol.net(), &initial, &limits, Parallelism::Sequential);
+        let parallel = build(protocol.net(), &initial, &limits, Parallelism::auto());
+        assert!(
+            sequential.identical_to(&parallel),
+            "{family}@{agents}: graphs differ at {:?}",
+            Parallelism::auto()
+        );
     }
 }
 

@@ -10,42 +10,69 @@
 
 use pp_petri::cover::CoveringWordOutcome;
 use pp_petri::{Analysis, Completion, ExplorationLimits, Parallelism};
-use pp_protocols::{counting_entries, flock};
+use pp_population::Protocol;
+use pp_protocols::{counting_entries, flock, leaders_n, threshold};
 use std::sync::Arc;
+
+/// Truncates at each budget of `budgets` in turn, resuming step by step,
+/// and compares every stop against a cold build — for the sequential
+/// engine and for Parallelism::Parallel(3) sessions and cold builds (a
+/// resumed graph must be indistinguishable from both, by the engines'
+/// determinism contract).
+fn assert_resumes_match_cold_builds(
+    family: &str,
+    protocol: &Protocol,
+    agents: u64,
+    budgets: &[usize],
+) {
+    let net = protocol.net();
+    let initial = protocol.initial_config_with_count(agents);
+    for parallelism in [Parallelism::Sequential, Parallelism::Parallel(3)] {
+        let mut session = Analysis::new(net).parallelism(parallelism);
+        for &budget in budgets {
+            let limits = ExplorationLimits::with_max_configurations(budget);
+            let resumed = session.reachability([initial.clone()]).limits(limits).run();
+            for cold_mode in [Parallelism::Sequential, Parallelism::Parallel(3)] {
+                let cold = Analysis::new(net)
+                    .parallelism(cold_mode)
+                    .reachability([initial.clone()])
+                    .limits(limits)
+                    .run();
+                assert!(
+                    resumed.identical_to(&cold),
+                    "{family}@{agents}: resumed@{budget} != cold ({parallelism:?} vs {cold_mode:?})"
+                );
+            }
+            drop(resumed);
+        }
+    }
+}
 
 #[test]
 fn catalog_resumes_are_bit_identical_to_cold_builds() {
-    // Truncate at a chain of budgets, resume step by step, and compare
-    // every stop against a cold build — for the sequential engine and for
-    // Parallelism::Parallel(3) cold builds (a resumed graph must be
-    // indistinguishable from both, by the engines' determinism contract).
+    let full = ExplorationLimits::default().max_configurations;
     for entry in counting_entries(2) {
         if entry.protocol.initial_states().len() != 1 {
             continue;
         }
-        let net = entry.protocol.net();
-        let initial = entry.protocol.initial_config_with_count(6);
-        let budgets = [3usize, 40, 250_000];
-        for parallelism in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-            let mut session = Analysis::new(net).parallelism(parallelism);
-            for budget in budgets {
-                let limits = ExplorationLimits::with_max_configurations(budget);
-                let resumed = session.reachability([initial.clone()]).limits(limits).run();
-                for cold_mode in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-                    let cold = Analysis::new(net)
-                        .parallelism(cold_mode)
-                        .reachability([initial.clone()])
-                        .limits(limits)
-                        .run();
-                    assert!(
-                        resumed.identical_to(&cold),
-                        "{}: resumed@{budget} != cold ({parallelism:?} vs {cold_mode:?})",
-                        entry.family
-                    );
-                }
-                drop(resumed);
-            }
-        }
+        assert_resumes_match_cold_builds(entry.family, &entry.protocol, 6, &[3, 40, full]);
+    }
+    // Larger graphs truncated at half their size, so the resume re-expands
+    // a long continuation rather than a thin budget boundary.
+    for (family, protocol, agents) in [
+        ("example-4.2(n=3)", leaders_n::example_4_2(3), 30),
+        ("flock-unary(n=5)", flock::flock_of_birds_unary(5), 26),
+        (
+            "binary-threshold(n=6)",
+            threshold::binary_threshold_with_leader(6),
+            30,
+        ),
+    ] {
+        let nodes = Analysis::new(protocol.net())
+            .reachability([protocol.initial_config_with_count(agents)])
+            .run()
+            .len();
+        assert_resumes_match_cold_builds(family, &protocol, agents, &[(nodes / 2).max(1), full]);
     }
 }
 
