@@ -6,10 +6,12 @@
 //! [`Multiset`](pp_multiset::Multiset) answers that with a `BTreeMap`
 //! lookup allocating tree nodes per configuration; the [`ConfigArena`]
 //! instead stores every distinct configuration exactly once as a dense
-//! `Vec<u64>` row in one contiguous buffer and answers membership with an
-//! Fx-hash probe plus a slice comparison. Configurations are identified by
-//! compact [`ConfigId`]s (`u32`), so graph edges cost eight bytes instead
-//! of two tree pointers.
+//! `Vec<u64>` row in one contiguous buffer and answers membership from a
+//! flat open-addressed id table: the row is Fx-hashed once, a linear probe
+//! over `u32` slots compares cached row hashes, and only a hash match
+//! costs a slice comparison. Configurations are identified by compact
+//! [`ConfigId`]s (`u32`); a reachability graph's edge is a
+//! `(transition, target)` pair of `usize`s, sixteen bytes.
 //!
 //! The [`ShardedArena`] is the concurrent variant used by the parallel
 //! exploration engine: rows are partitioned by the top bits of their hash
@@ -35,7 +37,6 @@
 //! arena never unpacks a row to answer a membership query.
 
 use crate::packed::{CellWidth, RowLayout};
-use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
 
@@ -90,10 +91,65 @@ pub struct ConfigArena {
     base: usize,
     data: Vec<u64>,
     totals: Vec<u64>,
-    /// Cached row hashes, parallel to `totals`: the sharded parallel engine
-    /// re-interns rows across arenas and must not pay for re-hashing.
+    /// Cached row hashes, parallel to `totals`: probes compare them before
+    /// comparing rows, the id table is rebuilt from them, and the sharded
+    /// parallel engine re-interns rows across arenas without re-hashing.
     hashes: Vec<u64>,
-    index: FxHashMap<u64, Vec<u32>>,
+    /// The id table: a power-of-two number of slots probed linearly from
+    /// a row's home slot ([`home_slot`](Self::home_slot)). A slot holds 0
+    /// when empty and `live offset + 1` of a stored row otherwise, so every
+    /// `u32` id stays assignable. At most 3/4 of the slots are occupied,
+    /// which keeps linear-probe runs short.
+    table: Vec<u32>,
+    /// `64 - log2(table.len())`: the home slot is the top bits of the
+    /// remixed hash.
+    shift: u32,
+}
+
+/// Slots of a fresh arena's id table.
+const MIN_SLOTS: usize = 16;
+
+/// Odd multiplier (2^64 / golden ratio) remixing a row hash before its
+/// top bits pick the home slot. Fx ends with a multiply, so its low bits
+/// depend only on low input bits, and inside one [`ShardedArena`] shard
+/// the raw top bits are fixed because they chose the shard; the product's
+/// top bits depend on every hash bit.
+const SLOT_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The result of [`ConfigArena::entry`]: the row's id if it is stored,
+/// otherwise the vacant slot it would take.
+pub(crate) enum Entry<'a> {
+    /// The row is already interned under this id.
+    Occupied(ConfigId),
+    /// The row is absent; inserting it needs no second hash or probe.
+    Vacant(VacantEntry<'a>),
+}
+
+/// An absent row together with the arena slot it would occupy.
+pub(crate) struct VacantEntry<'a> {
+    arena: &'a mut ConfigArena,
+    row: &'a [u64],
+    hash: u64,
+    slot: usize,
+}
+
+impl VacantEntry<'_> {
+    /// The id the row receives if inserted: the arena's current
+    /// [`len`](ConfigArena::len), which budget checks compare against.
+    pub(crate) fn next_id(&self) -> usize {
+        self.arena.len()
+    }
+
+    /// Stores the row and returns its fresh id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena is full (more than `u32::MAX` configurations).
+    pub(crate) fn insert(self) -> ConfigId {
+        self.arena
+            .insert_at(self.slot, self.hash, self.row)
+            .expect("arena full: more than u32::MAX configurations")
+    }
 }
 
 impl ConfigArena {
@@ -115,7 +171,8 @@ impl ConfigArena {
             data: Vec::new(),
             totals: Vec::new(),
             hashes: Vec::new(),
-            index: FxHashMap::default(),
+            table: vec![0; MIN_SLOTS],
+            shift: 64 - MIN_SLOTS.trailing_zeros(),
         }
     }
 
@@ -204,15 +261,78 @@ impl ConfigArena {
     /// instead of panicking mid-build.
     pub(crate) fn try_intern_prehashed(&mut self, hash: u64, row: &[u64]) -> Option<ConfigId> {
         assert_eq!(row.len(), self.stride, "row width mismatch");
-        debug_assert_eq!(hash, hash_row(row), "stale row hash");
-        if let Some(candidates) = self.index.get(&hash) {
-            for &id in candidates {
-                if self.row(ConfigId(id)) == row {
-                    return Some(ConfigId(id));
-                }
-            }
+        match self.probe(hash, row) {
+            Ok(id) => Some(id),
+            Err(slot) => self.insert_at(slot, hash, row),
         }
+    }
+
+    /// Find-or-insert with one hash and one probe: the row's id if it is
+    /// stored, else a [`VacantEntry`] that inserts it into the slot the
+    /// probe ended on. Exploration checks its configuration budget between
+    /// the two, so a refused row is never stored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` has the wrong stored width.
+    pub(crate) fn entry<'a>(&'a mut self, row: &'a [u64]) -> Entry<'a> {
+        assert_eq!(row.len(), self.stride, "row width mismatch");
+        let hash = hash_row(row);
+        match self.probe(hash, row) {
+            Ok(id) => Entry::Occupied(id),
+            Err(slot) => Entry::Vacant(VacantEntry {
+                arena: self,
+                row,
+                hash,
+                slot,
+            }),
+        }
+    }
+
+    /// The row's home slot in the id table.
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash.wrapping_mul(SLOT_MIX) >> self.shift) as usize
+    }
+
+    /// Probes the id table for `row`: `Ok` with its id if stored, `Err`
+    /// with the empty slot that ends the probe otherwise. A slot's cached
+    /// hash is compared before its row, so a probe compares a row only on
+    /// a full 64-bit hash match. Terminates because the table always has
+    /// an empty slot.
+    fn probe(&self, hash: u64, row: &[u64]) -> Result<ConfigId, usize> {
+        debug_assert_eq!(hash, hash_row(row), "stale row hash");
+        let mask = self.table.len() - 1;
+        let mut slot = self.home_slot(hash);
+        loop {
+            let entry = self.table[slot];
+            if entry == 0 {
+                return Err(slot);
+            }
+            let offset = (entry - 1) as usize;
+            if self.hashes[offset] == hash
+                && &self.data[offset * self.stride..(offset + 1) * self.stride] == row
+            {
+                return Ok(ConfigId((self.base + offset) as u32));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Stores the absent `row` at `slot`, the empty slot its probe ended
+    /// on, growing the table first if the row would push the load past
+    /// 3/4. Returns `None` (arena unchanged) when the next id, or the
+    /// slot value `live offset + 1`, would overflow `u32`.
+    fn insert_at(&mut self, slot: usize, hash: u64, row: &[u64]) -> Option<ConfigId> {
         let id = u32::try_from(self.len()).ok()?;
+        let live = self.totals.len() + 1;
+        let entry = u32::try_from(live).ok()?;
+        let slot = if live * 4 > self.table.len() * 3 {
+            self.rebuild_table(self.table.len() * 2);
+            self.vacant_slot(hash)
+        } else {
+            debug_assert_eq!(self.table[slot], 0, "vacant slot was taken");
+            slot
+        };
         self.data.extend_from_slice(row);
         self.totals.push(if self.layout.is_u64_uniform() {
             row.iter().sum()
@@ -220,8 +340,29 @@ impl ConfigArena {
             self.layout.row_total(row)
         });
         self.hashes.push(hash);
-        self.index.entry(hash).or_default().push(id);
+        self.table[slot] = entry;
         Some(ConfigId(id))
+    }
+
+    /// The first empty slot on `hash`'s probe sequence.
+    fn vacant_slot(&self, hash: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home_slot(hash);
+        while self.table[slot] != 0 {
+            slot = (slot + 1) & mask;
+        }
+        slot
+    }
+
+    /// Refills an id table of `slots` slots from the cached hashes of the
+    /// live rows. Live rows are distinct, so no row is hashed or compared.
+    fn rebuild_table(&mut self, slots: usize) {
+        self.table = vec![0; slots];
+        self.shift = 64 - slots.trailing_zeros();
+        for offset in 0..self.hashes.len() {
+            let slot = self.vacant_slot(self.hashes[offset]);
+            self.table[slot] = offset as u32 + 1;
+        }
     }
 
     /// The cached hash of configuration `id`'s row.
@@ -245,12 +386,7 @@ impl ConfigArena {
 
     /// [`lookup`](Self::lookup) with the row hash already computed.
     pub(crate) fn lookup_prehashed(&self, hash: u64, row: &[u64]) -> Option<ConfigId> {
-        let candidates = self.index.get(&hash)?;
-        candidates
-            .iter()
-            .copied()
-            .map(ConfigId)
-            .find(|&id| self.row(id) == row)
+        self.probe(hash, row).ok()
     }
 
     /// Retires every row with absolute id below `abs`: the storage is
@@ -264,21 +400,14 @@ impl ConfigArena {
         if retired == 0 {
             return;
         }
-        // Remove the retired rows' probe entries through their cached
-        // hashes — O(retired), not O(index capacity).
-        for offset in 0..retired {
-            let hash = self.hashes[offset];
-            if let Some(ids) = self.index.get_mut(&hash) {
-                ids.retain(|&id| id as usize >= cut);
-                if ids.is_empty() {
-                    self.index.remove(&hash);
-                }
-            }
-        }
         self.data.drain(..retired * self.stride);
         self.totals.drain(..retired);
         self.hashes.drain(..retired);
         self.base = cut;
+        // Every surviving row's live offset shifted, so the id table is
+        // refilled from the cached hashes at its current size:
+        // O(table slots + live rows), and no row is hashed again.
+        self.rebuild_table(self.table.len());
     }
 
     /// Iterates over all live (non-retired) rows in id order.
@@ -355,12 +484,13 @@ impl ShardedConfigId {
 /// A concurrently-usable interning arena, sharded by row hash.
 ///
 /// The arena owns a power-of-two number of shards; a row's shard is chosen
-/// from the top bits of its Fx hash (the low bits keep steering the probe
-/// table inside the shard). Each shard is a plain [`ConfigArena`] behind
-/// its own [`Mutex`], so [`intern`](Self::intern) takes `&self` and can be
-/// called from many worker threads at once — the design point of the
-/// parallel exploration engine, where each BFS level's successor rows are
-/// interned concurrently and renumbered deterministically afterwards.
+/// from the top bits of its Fx hash (inside the shard, the id table's home
+/// slot comes from a multiplicative remix of the whole hash). Each shard
+/// is a plain [`ConfigArena`] behind its own [`Mutex`], so
+/// [`intern`](Self::intern) takes `&self` and can be called from many
+/// worker threads at once — the design point of the parallel exploration
+/// engine, where each BFS level's successor rows are interned concurrently
+/// and renumbered deterministically afterwards.
 ///
 /// # Examples
 ///
@@ -514,7 +644,7 @@ impl ShardedArena {
         }
         let hash = hash_row(row);
         let shard = self.shard_of(hash);
-        let local = spin_lock(&self.shards[shard]).lookup(row)?;
+        let local = spin_lock(&self.shards[shard]).lookup_prehashed(hash, row)?;
         Some(ShardedConfigId {
             shard: u32::try_from(shard).expect("shard count fits u32"),
             local: local.0,
@@ -549,6 +679,7 @@ impl ShardedArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::{prop_assert, prop_assert_eq, ProptestConfig};
 
     #[test]
     fn interning_deduplicates() {
@@ -713,6 +844,99 @@ mod tests {
         assert_eq!(arena.try_intern_prehashed(hash_row(&fresh), &fresh), None);
         assert_eq!(arena.len(), u32::MAX as usize + 1);
         assert_eq!(arena.lookup(&fresh), None, "refused rows are not stored");
+    }
+
+    /// Reference model of one arena, or of one shard: live row → id.
+    #[derive(Default)]
+    struct Model {
+        ids: std::collections::BTreeMap<Vec<u64>, u32>,
+        next: u32,
+    }
+
+    impl Model {
+        fn intern(&mut self, row: &[u64]) -> u32 {
+            if let Some(&id) = self.ids.get(row) {
+                return id;
+            }
+            let id = self.next;
+            self.next += 1;
+            self.ids.insert(row.to_vec(), id);
+            id
+        }
+
+        fn lookup(&self, row: &[u64]) -> Option<u32> {
+            self.ids.get(row).copied()
+        }
+
+        fn retire_below(&mut self, cut: u32) {
+            self.ids.retain(|_, id| *id >= cut);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+        #[test]
+        fn id_table_matches_a_btreemap_model(
+            ops in proptest::collection::vec((0u8..=255, (0u64..10, 0u64..10, 0u64..10)), 10_000..10_500)
+        ) {
+            // Every op interns a narrow row (1000 distinct, so most
+            // interns are dedup hits), then probes a present-or-retired
+            // row, probes a row that was never interned, or, rarely,
+            // retires the previous epoch as the pipelined engine does.
+            let mut flat = ConfigArena::new(3);
+            let mut flat_model = Model::default();
+            let mut flat_epoch = 0;
+            let sharded = ShardedArena::new(3, 4);
+            let mut shard_models: Vec<Model> = (0..4).map(|_| Model::default()).collect();
+            let mut sharded_epoch = sharded.snapshot_lens();
+            let sharded_lookup = |row: &[u64]| sharded.lookup(row).map(|id| (id.shard(), id.local()));
+            let model_lookup = |models: &[Model], row: &[u64]| {
+                let shard = sharded.shard_of(hash_row(row));
+                models[shard].lookup(row).map(|local| (shard, local as usize))
+            };
+            for (action, (a, b, c)) in ops {
+                let row = [a, b, c];
+                prop_assert_eq!(flat.intern(&row).0, flat_model.intern(&row));
+                let id = sharded.intern(&row);
+                prop_assert_eq!(id.shard(), sharded.shard_of(hash_row(&row)));
+                prop_assert_eq!(id.local(), shard_models[id.shard()].intern(&row) as usize);
+                match action {
+                    0 => {
+                        flat.retire_below(flat_epoch);
+                        flat_model.retire_below(flat_epoch as u32);
+                        flat_epoch = flat.len();
+                        sharded.retire_below(&sharded_epoch);
+                        for (model, &cut) in shard_models.iter_mut().zip(&sharded_epoch) {
+                            model.retire_below(cut);
+                        }
+                        sharded_epoch = sharded.snapshot_lens();
+                    }
+                    1..=127 => {
+                        // A retired row misses exactly when the model
+                        // dropped it.
+                        let probe = [c, a, b];
+                        prop_assert_eq!(flat.lookup(&probe).map(|id| id.0), flat_model.lookup(&probe));
+                        prop_assert_eq!(sharded_lookup(&probe), model_lookup(&shard_models, &probe));
+                    }
+                    128..=191 => {
+                        let absent = [a + 10, b, c];
+                        prop_assert_eq!(flat.lookup(&absent), None);
+                        prop_assert_eq!(sharded.lookup(&absent), None);
+                    }
+                    _ => {}
+                }
+            }
+            prop_assert_eq!(flat.len(), flat_model.next as usize);
+            prop_assert_eq!(
+                sharded.len(),
+                shard_models.iter().map(|m| m.next as usize).sum::<usize>()
+            );
+            prop_assert!(flat.table.len() >= 512, "the table grew past several boundaries");
+            for row in (0..1000u64).map(|i| [i / 100, i / 10 % 10, i % 10]) {
+                prop_assert_eq!(flat.lookup(&row).map(|id| id.0), flat_model.lookup(&row));
+                prop_assert_eq!(sharded_lookup(&row), model_lookup(&shard_models, &row));
+            }
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //!
 //! [`Analysis::covering_word`]: crate::session::Analysis::covering_word
 
-use crate::arena::ConfigArena;
+use crate::arena::{ConfigArena, Entry};
 use crate::engine::CompiledNet;
 use crate::packed::{row_le_words, CellWidth, PackedTransition, RowLayout};
 use crate::parallel::Parallelism;
@@ -398,16 +398,19 @@ pub(crate) fn forward_covering_word<P: Clone + Ord>(
                 word.push(t);
                 return CoveringWordOutcome::Covered(word);
             }
-            if arena.lookup(&succ).is_some() {
-                continue;
-            }
-            if arena.len() >= limits.effective_max_configurations() {
-                // Every already-interned configuration was cover-checked
-                // above when first produced, so once the budget blocks new
-                // interns no cover can ever be found: stop immediately.
-                return CoveringWordOutcome::Truncated;
-            }
-            let succ_id = arena.intern(&succ).index();
+            let succ_id = match arena.entry(&succ) {
+                Entry::Occupied(_) => continue,
+                Entry::Vacant(vacant)
+                    if vacant.next_id() >= limits.effective_max_configurations() =>
+                {
+                    // Every already-interned configuration was cover-checked
+                    // above when first produced, so once the budget blocks
+                    // new interns no cover can ever be found: stop
+                    // immediately.
+                    return CoveringWordOutcome::Truncated;
+                }
+                Entry::Vacant(vacant) => vacant.insert().index(),
+            };
             parents.push((id, t));
             queue.push_back((succ_id, depth + 1));
         }

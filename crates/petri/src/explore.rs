@@ -8,7 +8,7 @@
 //! exploration is truncated by [`ExplorationLimits`] and the result records
 //! whether it is complete.
 
-use crate::arena::{ConfigArena, ConfigId, ShardedArena, ShardedConfigId};
+use crate::arena::{ConfigArena, ConfigId, Entry, ShardedArena, ShardedConfigId};
 use crate::engine::CompiledNet;
 use crate::packed::{PackedTransition, RowLayout};
 use crate::parallel::Parallelism;
@@ -671,17 +671,19 @@ fn expand_one(
             continue;
         }
         transition.fire_words(src, succ);
-        let to = if let Some(existing) = arena.lookup(succ) {
-            existing.index()
-        } else if arena.len() >= cap {
-            trunc.config = true;
-            blocked = true;
-            continue;
-        } else {
-            let fresh = arena.intern(succ);
-            edges.push(Vec::new());
-            depths.push(depth + 1);
-            fresh.index()
+        let to = match arena.entry(succ) {
+            Entry::Occupied(existing) => existing.index(),
+            Entry::Vacant(vacant) if vacant.next_id() >= cap => {
+                trunc.config = true;
+                blocked = true;
+                continue;
+            }
+            Entry::Vacant(vacant) => {
+                let fresh = vacant.insert();
+                edges.push(Vec::new());
+                depths.push(depth + 1);
+                fresh.index()
+            }
         };
         edges[id].push((t, to));
     }
@@ -823,15 +825,19 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             // The width bound covers every initial total, so the pack
             // cannot overflow a cell.
             let packed = arena.layout().pack(&row);
-            let id = if let Some(id) = arena.lookup(&packed) {
-                Some(id.index())
-            } else if arena.len() >= limits.effective_max_configurations() {
-                None
-            } else {
-                let id = arena.intern(&packed);
-                edges.push(Vec::new());
-                depths.push(0);
-                Some(id.index())
+            let id = match arena.entry(&packed) {
+                Entry::Occupied(id) => Some(id.index()),
+                Entry::Vacant(vacant)
+                    if vacant.next_id() >= limits.effective_max_configurations() =>
+                {
+                    None
+                }
+                Entry::Vacant(vacant) => {
+                    let id = vacant.insert();
+                    edges.push(Vec::new());
+                    depths.push(0);
+                    Some(id.index())
+                }
             };
             match id {
                 Some(id) => {
@@ -1524,15 +1530,15 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             // changes across reopens); the layout-stability check above
             // guarantees they fit the current cells.
             let packed_row = self.arena.layout().pack(&row);
-            let id = if let Some(id) = self.arena.lookup(&packed_row) {
-                Some(id.index())
-            } else if self.arena.len() >= cap {
-                None
-            } else {
-                let id = self.arena.intern(&packed_row);
-                self.edges.push(Vec::new());
-                self.depths.push(0);
-                Some(id.index())
+            let id = match self.arena.entry(&packed_row) {
+                Entry::Occupied(id) => Some(id.index()),
+                Entry::Vacant(vacant) if vacant.next_id() >= cap => None,
+                Entry::Vacant(vacant) => {
+                    let id = vacant.insert();
+                    self.edges.push(Vec::new());
+                    self.depths.push(0);
+                    Some(id.index())
+                }
             };
             match id {
                 Some(id) => {

@@ -9,7 +9,9 @@
 //! would immediately show up.
 
 use pp_multiset::Multiset;
-use pp_petri::fingerprint::karp_miller_fingerprint;
+use pp_petri::fingerprint::{
+    coverability_fingerprint, karp_miller_fingerprint, reachability_fingerprint,
+};
 use pp_petri::{
     Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition,
 };
@@ -227,6 +229,47 @@ fn benchmark_karp_miller_answer_is_pinned_across_worker_counts() {
             );
             assert_eq!(sequential.completion(), parallel.completion());
         }
+    }
+}
+
+#[test]
+fn benchmark_reachability_and_coverability_answers_are_pinned_across_worker_counts() {
+    // The suite benchmark's two largest reachability queries and its
+    // largest coverability query, pinned to their recorded node counts and
+    // fingerprints in both engines.
+    let flock5 = flock::flock_of_birds_unary(5);
+    let binary6 = threshold::binary_threshold_with_leader(6);
+    let flock16 = flock::flock_of_birds_unary(16);
+    let target = Multiset::from_pairs([(flock16.state_id("a16").expect("catalog state"), 2u64)]);
+    let flock16_places: Vec<_> = flock16.net().places().iter().copied().collect();
+    for parallelism in [Parallelism::Sequential, Parallelism::Parallel(2)] {
+        for (protocol, agents, nodes, fingerprint) in [
+            (&flock5, 34, 50_982, 0x7074_9dae_505c_37a0),
+            (&binary6, 50, 21_074, 0x5853_7ed5_3423_ffa1),
+        ] {
+            let graph = build(
+                protocol.net(),
+                &protocol.initial_config_with_count(agents),
+                &ExplorationLimits::default(),
+                parallelism,
+            );
+            assert_eq!(graph.len(), nodes, "{agents} agents under {parallelism:?}");
+            assert_eq!(
+                reachability_fingerprint(&graph),
+                fingerprint,
+                "{agents} agents under {parallelism:?}"
+            );
+        }
+        let oracle = Analysis::new(flock16.net())
+            .parallelism(parallelism)
+            .coverability(target.clone())
+            .run();
+        assert_eq!(oracle.basis().len(), 407, "{parallelism:?}");
+        assert_eq!(
+            coverability_fingerprint(&oracle, &flock16_places),
+            0xded9_d920_24c2_ad43,
+            "{parallelism:?}"
+        );
     }
 }
 
