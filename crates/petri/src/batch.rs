@@ -214,8 +214,9 @@ pub struct BatchJob<P: Ord> {
     /// the job's *demand*; the pool decides how much of it is granted.
     pub limits: ExplorationLimits,
     /// Parallelism of the job's own state-space build (not of the batch
-    /// runner). Defaults to [`Parallelism::Sequential`]; results are
-    /// identical either way.
+    /// runner) for reachability and Karp–Miller jobs; coverability jobs
+    /// always saturate sequentially. Defaults to
+    /// [`Parallelism::Sequential`]; results are identical either way.
     pub exploration: Parallelism,
     /// Cancellation flag, observed at round barriers (see
     /// [`BatchJob::cancel_token`]). `None` means the job cannot be
@@ -966,11 +967,7 @@ fn run_one<P: Clone + Ord>(job: &BatchJob<P>, state: &mut JobState<P>) {
             state.outcome = Some(BatchOutcome::Reachability(graph));
         }
         BatchQuery::Coverability { target } => {
-            let oracle = state
-                .session
-                .coverability(target.clone())
-                .parallelism(job.exploration)
-                .run();
+            let oracle = state.session.coverability(target.clone()).run();
             state.completion = Completion::Complete;
             state.used = oracle.basis().len();
             state.outcome = Some(BatchOutcome::Coverability(oracle));

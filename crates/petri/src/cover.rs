@@ -16,18 +16,20 @@
 //!   negative answer from a truncated search, so the BFS terminates
 //!   meaningfully on uncoverable targets of unbounded nets.
 //!
-//! The oracle and the exploration underlying it accept a [`Parallelism`]
-//! knob; results are identical across modes.
+//! The backward algorithm expands only the minimal elements it still
+//! holds: a candidate that drops out of the basis before its turn is never
+//! expanded, because the backward-cover image is monotone (`c ≤ r` gives
+//! `pre_t(c) ≤ pre_t(r)`), so the row that replaced it covers its images.
+//! The merge is inherently ordered and image generation is cheap, so the
+//! saturation has one sequential path.
 //!
 //! [`Analysis::covering_word`]: crate::session::Analysis::covering_word
 
 use crate::arena::{ConfigArena, Entry};
 use crate::engine::CompiledNet;
-use crate::packed::{row_le_words, CellWidth, PackedTransition, RowLayout};
-use crate::parallel::Parallelism;
+use crate::packed::{row_le_words, CellWidth, RowLayout};
 use crate::{ExplorationLimits, PetriNet};
 use pp_multiset::Multiset;
-use rayon::prelude::*;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -36,100 +38,95 @@ fn row_le(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-/// The packed backward-cover images of `rows` under every transition, in
-/// (row-major, transition-minor) order — the deterministic candidate order
-/// of one saturation round of the backward algorithm. A `None`
-/// entry marks a candidate whose count overflowed the current cell width;
-/// one is enough to restart the whole saturation a width wider. Takes the
-/// packed transitions rather than the whole engine so worker threads need
-/// no bounds on the place type.
-fn backward_images(transitions: &[PackedTransition], rows: &[Vec<u64>]) -> Vec<Option<Vec<u64>>> {
-    let mut out = Vec::with_capacity(rows.len() * transitions.len());
-    let mut predecessor = Vec::new();
-    for row in rows {
-        for t in transitions {
-            if t.backward_cover_words(row, &mut predecessor) {
-                out.push(Some(predecessor.clone()));
-            } else {
-                out.push(None);
-            }
-        }
-    }
-    out
+/// The `index`-th row of a flat store of `stride`-word rows.
+fn stored_row(store: &[u64], stride: usize, index: usize) -> &[u64] {
+    &store[index * stride..(index + 1) * stride]
 }
 
-/// Merges one packed backward-cover candidate into the basis under the
-/// minimality filter, recording kept candidates in `next` (the following
-/// round's frontier). One call per candidate, in the canonical
-/// (row-major, transition-minor) order, is what makes the saturation
-/// deterministic across build modes. The dominance tests run as SWAR
-/// word compares ([`row_le_words`]), the hot loop of the whole backward
-/// algorithm.
-fn merge_candidate(
-    basis: &mut Vec<Vec<u64>>,
-    next: &mut Vec<Vec<u64>>,
-    candidate: &[u64],
-    width: CellWidth,
-) {
-    if basis.iter().any(|b| row_le_words(b, candidate, width)) {
-        return;
+/// The cell width a backward saturation starts at: the narrowest one
+/// fitting the target and the transition constants. An engine with packing
+/// off runs on u64 cells from the start — the layout bit-identical to the
+/// historical dense rows.
+fn initial_width<P: Clone + Ord>(engine: &CompiledNet<P>, dense_target: &[u64]) -> CellWidth {
+    if !engine.packed {
+        return CellWidth::U64;
     }
-    basis.retain(|b| !row_le_words(candidate, b, width));
-    basis.push(candidate.to_vec());
-    next.push(candidate.to_vec());
+    CellWidth::fitting(
+        dense_target
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(engine.max_transition_count()),
+    )
 }
 
 /// One full backward saturation at a fixed cell `width`, returning the
-/// minimal basis as packed rows — or `None` as soon as any candidate
+/// minimal basis as dense count rows — or `None` as soon as any candidate
 /// overflows a lane, the caller's cue to retry one width wider. The basis
 /// is the unique minimal one of the backward-reachable upward-closed set,
 /// so a restart at a wider width reproduces exactly the same counts.
+///
+/// Every kept candidate is appended to a flat row store and never moved;
+/// `live[i]` says whether row `i` is still in the basis, and the basis is
+/// a list of store indices. The frontier is the store past the `next`
+/// cursor, so rows are expanded in insertion order — each at most once,
+/// and only while live (a row's own image can retire it mid-expansion, so
+/// the flag is checked before every transition). Skipping retired rows is
+/// sound because the backward-cover image is monotone: `c ≤ r` gives
+/// `pre_t(c) ≤ pre_t(r)` for every `t`, and the row `c` that retired `r`
+/// is itself in the frontier or dominated by a row that is.
 fn saturate<P: Clone + Ord>(
     engine: &CompiledNet<P>,
     dense_target: &[u64],
     width: CellWidth,
-    workers: usize,
 ) -> Option<Vec<Vec<u64>>> {
-    /// Fan out candidate generation once the round holds this many
-    /// (row × transition) pairs; below it, thread spawns would dominate.
-    const PARALLEL_CANDIDATE_THRESHOLD: usize = 256;
-
     let layout = RowLayout::uniform(dense_target.len(), width);
+    let stride = layout.words_per_row();
     let transitions = engine.packed_transitions(&layout);
-    let packed_target = layout.pack(dense_target);
-    // Minimal basis of the upward closure, grown backwards to fixpoint.
-    let mut basis: Vec<Vec<u64>> = vec![packed_target.clone()];
-    let mut frontier: Vec<Vec<u64>> = vec![packed_target];
-    while !frontier.is_empty() {
-        let pairs = frontier.len() * transitions.len();
-        let mut next: Vec<Vec<u64>> = Vec::new();
-        if workers > 1 && pairs >= PARALLEL_CANDIDATE_THRESHOLD {
-            let candidates: Vec<Option<Vec<u64>>> = frontier
-                .par_chunks(frontier.len().div_ceil(workers))
-                .map(|rows| backward_images(&transitions, rows))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect();
-            for candidate in &candidates {
-                merge_candidate(&mut basis, &mut next, candidate.as_deref()?, width);
+    let mut store = layout.pack(dense_target);
+    let mut live = vec![true];
+    let mut basis: Vec<usize> = vec![0];
+    let mut candidate = Vec::with_capacity(stride);
+    let mut next = 0;
+    while next < live.len() {
+        let source = next;
+        next += 1;
+        for t in &transitions {
+            if !live[source] {
+                break;
             }
-        } else {
-            // Sequential path: one reused buffer, no per-candidate
-            // allocation for the (many) immediately-dominated images.
-            let mut predecessor = Vec::new();
-            for row in &frontier {
-                for t in &transitions {
-                    if !t.backward_cover_words(row, &mut predecessor) {
-                        return None;
-                    }
-                    merge_candidate(&mut basis, &mut next, &predecessor, width);
+            let row = stored_row(&store, stride, source);
+            if !t.backward_cover_words(row, &mut candidate) {
+                return None;
+            }
+            // The live source row is a basis element: test it first, since
+            // it dominates most of its own images.
+            if row_le_words(row, &candidate, width)
+                || basis
+                    .iter()
+                    .any(|&b| row_le_words(stored_row(&store, stride, b), &candidate, width))
+            {
+                continue;
+            }
+            basis.retain(|&b| {
+                let dominated = row_le_words(&candidate, stored_row(&store, stride, b), width);
+                if dominated {
+                    live[b] = false;
                 }
-            }
+                !dominated
+            });
+            basis.push(live.len());
+            live.push(true);
+            store.extend_from_slice(&candidate);
         }
-        frontier = next;
     }
-    Some(basis)
+    Some(
+        basis
+            .iter()
+            .map(|&b| layout.unpack(stored_row(&store, stride, b)))
+            .collect(),
+    )
 }
 
 /// Exact coverability decisions via the backward algorithm.
@@ -165,43 +162,23 @@ impl<P: Clone + Ord> CoverabilityOracle<P> {
     /// shared engine). The target must fit the engine's place universe.
     ///
     /// The basis is grown as packed rows with SWAR word arithmetic (lanes
-    /// promoted to the next wider cell on overflow), saturating round by
-    /// round (every basis row discovered in round `k` has its backward
-    /// images considered in round `k + 1`). With [`Parallelism::Parallel`]
-    /// the candidate generation of each round fans out over worker
-    /// threads; the minimality merge stays sequential and in a fixed order,
-    /// so the basis is identical across modes and worker counts (it is the
-    /// unique minimal basis of the backward-reachable upward-closed set,
-    /// stored in lexicographic row order).
-    pub(crate) fn build_on(
-        engine: Arc<CompiledNet<P>>,
-        target: Multiset<P>,
-        parallelism: Parallelism,
-    ) -> Self {
+    /// promoted to the next wider cell on overflow). Kept rows are expanded
+    /// once each, in the order they were found, and only while they are
+    /// still minimal: a row dominated by a later find is skipped, since by
+    /// monotonicity of the backward-cover image its dominator's images
+    /// cover its own. The result is the unique minimal basis of the
+    /// backward-reachable upward-closed set, stored in lexicographic row
+    /// order, so it does not depend on the expansion order or cell width.
+    pub(crate) fn build_on(engine: Arc<CompiledNet<P>>, target: Multiset<P>) -> Self {
         let dense_target = engine
             .to_dense(&target)
             .expect("target support is part of the compiled universe");
-        let workers = parallelism.workers();
         // Backward candidates are not bounded by any forward reachability
-        // bound, so the saturation starts at the narrowest width fitting
-        // the target and the transition constants and retries one width
-        // wider whenever a candidate overflows a lane. An engine with
-        // packing off runs on u64 cells from the start — the layout
-        // bit-identical to the historical dense rows.
-        let mut width = if engine.packed {
-            CellWidth::fitting(
-                dense_target
-                    .iter()
-                    .copied()
-                    .max()
-                    .unwrap_or(0)
-                    .max(engine.max_transition_count()),
-            )
-        } else {
-            CellWidth::U64
-        };
-        let packed_basis = loop {
-            match saturate(&engine, &dense_target, width, workers) {
+        // bound, so the saturation retries one width wider whenever a
+        // candidate overflows a lane.
+        let mut width = initial_width(&engine, &dense_target);
+        let mut dense_basis = loop {
+            match saturate(&engine, &dense_target, width) {
                 Some(basis) => break basis,
                 None => {
                     width = width
@@ -210,11 +187,8 @@ impl<P: Clone + Ord> CoverabilityOracle<P> {
                 }
             }
         };
-        let layout = RowLayout::uniform(engine.num_places(), width);
-        let mut dense_basis: Vec<Vec<u64>> =
-            packed_basis.iter().map(|row| layout.unpack(row)).collect();
-        // Canonical order: makes the basis comparable across build modes
-        // (and across cell widths — packed word order is not count order).
+        // Canonical order: makes the basis comparable across cell widths
+        // (packed word order is not count order).
         dense_basis.sort_unstable();
         let basis = dense_basis
             .iter()
@@ -480,6 +454,166 @@ mod tests {
         ])
     }
 
+    /// Merges one packed candidate into the basis under the minimality
+    /// filter, recording kept candidates in `next` (the following round's
+    /// frontier).
+    fn merge_candidate(
+        basis: &mut Vec<Vec<u64>>,
+        next: &mut Vec<Vec<u64>>,
+        candidate: &[u64],
+        width: CellWidth,
+    ) {
+        if basis.iter().any(|b| row_le_words(b, candidate, width)) {
+            return;
+        }
+        basis.retain(|b| !row_le_words(candidate, b, width));
+        basis.push(candidate.to_vec());
+        next.push(candidate.to_vec());
+    }
+
+    /// The reference saturation: round by round, every row kept in a round
+    /// is expanded in the next one, whether or not it is still in the
+    /// basis. `None` on a lane overflow.
+    fn reference_saturate(
+        engine: &CompiledNet<u8>,
+        dense_target: &[u64],
+        width: CellWidth,
+    ) -> Option<Vec<Vec<u64>>> {
+        let layout = RowLayout::uniform(dense_target.len(), width);
+        let transitions = engine.packed_transitions(&layout);
+        let packed_target = layout.pack(dense_target);
+        let mut basis = vec![packed_target.clone()];
+        let mut frontier = vec![packed_target];
+        let mut predecessor = Vec::new();
+        while !frontier.is_empty() {
+            let mut next = Vec::new();
+            for row in &frontier {
+                for t in &transitions {
+                    if !t.backward_cover_words(row, &mut predecessor) {
+                        return None;
+                    }
+                    merge_candidate(&mut basis, &mut next, &predecessor, width);
+                }
+            }
+            frontier = next;
+        }
+        Some(basis.iter().map(|row| layout.unpack(row)).collect())
+    }
+
+    /// The reference basis as sorted dense rows, widening the cells on
+    /// overflow from the same starting width as the oracle. The flag says
+    /// whether a restart happened.
+    fn reference_basis(engine: &CompiledNet<u8>, target: &Multiset<u8>) -> (Vec<Vec<u64>>, bool) {
+        let dense_target = engine.to_dense(target).expect("target fits the engine");
+        let mut width = initial_width(engine, &dense_target);
+        let mut widened = false;
+        loop {
+            if let Some(mut basis) = reference_saturate(engine, &dense_target, width) {
+                basis.sort_unstable();
+                return (basis, widened);
+            }
+            width = width.widen().expect("a u64 lane cannot overflow");
+            widened = true;
+        }
+    }
+
+    /// The live-only oracle and the reference on one engine for `target`,
+    /// packed and with `u64` cells; returns whether the packed reference
+    /// restarted.
+    fn assert_matches_reference(net: &PetriNet<u8>, target: &Multiset<u8>) -> bool {
+        let packed = Arc::new(CompiledNet::compile_with_places(
+            net,
+            target.support().copied(),
+        ));
+        let mut wide = packed.as_ref().clone();
+        wide.packed = false;
+        let (reference, widened) = reference_basis(&packed, target);
+        let (wide_reference, _) = reference_basis(&wide, target);
+        assert_eq!(reference, wide_reference, "reference depends on packing");
+        for engine in [packed, Arc::new(wide)] {
+            let oracle = CoverabilityOracle::build_on(engine.clone(), target.clone());
+            assert_eq!(
+                oracle.dense_basis, reference,
+                "packed = {}, target {target:?}",
+                engine.packed
+            );
+        }
+        widened
+    }
+
+    /// Small nets with counts 1–2, plus one large `pre` count (150–250) on
+    /// one transition: a U8 lane overflows once a backward image adds it to
+    /// a nonzero count, so the restart runs, while the basis stays small.
+    fn arb_net_and_target() -> impl proptest::prelude::Strategy<Value = (PetriNet<u8>, Multiset<u8>)>
+    {
+        use proptest::collection::{btree_map, vec};
+        use proptest::prelude::Strategy;
+        (2u8..=5).prop_flat_map(|places| {
+            let transition = (
+                btree_map(0..places, 1u64..3, 1..3),
+                btree_map(0..places, 1u64..3, 1..3),
+            );
+            (
+                vec(transition, 1..7),
+                (0usize..6, 0..places, 150u64..=250),
+                btree_map(0..places, 1u64..=3, 1..3),
+            )
+                .prop_map(|(mut transitions, (at, place, large), target)| {
+                    let at = at % transitions.len();
+                    transitions[at].0.insert(place, large);
+                    let net =
+                        PetriNet::from_transitions(transitions.into_iter().map(|(pre, post)| {
+                            Transition::new(Multiset::from_pairs(pre), Multiset::from_pairs(post))
+                        }));
+                    (net, Multiset::from_pairs(target))
+                })
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn live_only_saturation_matches_the_reference((net, target) in arb_net_and_target()) {
+            assert_matches_reference(&net, &target);
+            let oracle = Analysis::new(&net).coverability(target.clone()).run();
+            let basis = oracle.basis();
+            for (i, a) in basis.iter().enumerate() {
+                for (j, b) in basis.iter().enumerate() {
+                    proptest::prop_assert!(i == j || !a.le(b), "{a:?} ≤ {b:?}");
+                }
+                for t in net.transitions() {
+                    let image = t.fire_backward_cover(a);
+                    proptest::prop_assert!(
+                        basis.iter().any(|e| e.le(&image)),
+                        "image {image:?} of {a:?} is not covered"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn width_restart_matches_the_reference() {
+        // 250 b at U8, and every backward step trades one b for 200 a: the
+        // second image needs 400 a, so the U8 saturation overflows.
+        let net = PetriNet::from_transitions([Transition::new(
+            Multiset::from_pairs([(0u8, 200)]),
+            Multiset::unit(1),
+        )]);
+        let target = Multiset::from_pairs([(1u8, 250)]);
+        let engine = CompiledNet::compile(&net);
+        let dense_target = engine.to_dense(&target).expect("target fits the engine");
+        let width = initial_width(&engine, &dense_target);
+        assert_eq!(width, CellWidth::U8);
+        assert!(saturate(&engine, &dense_target, width).is_none());
+        assert!(assert_matches_reference(&net, &target), "no restart");
+        // 250 b, 249 b + 200 a, …, 50 000 a.
+        assert_eq!(
+            Analysis::new(&net).coverability(target).run().basis().len(),
+            251
+        );
+    }
+
     #[test]
     fn backward_oracle_simple_net() {
         let net = PetriNet::from_transitions([Transition::pairwise("a", "a", "a", "b")]);
@@ -643,24 +777,6 @@ mod tests {
         };
         let outcome = word_outcome(&net, &ms(&[("a", 1)]), &ms(&[("c", 1)]), &limits);
         assert_eq!(outcome, CoveringWordOutcome::Truncated);
-    }
-
-    #[test]
-    fn parallel_oracle_builds_the_same_basis() {
-        use crate::parallel::Parallelism;
-        let net = example_4_2_net();
-        for target in [ms(&[("p", 1)]), ms(&[("p", 2), ("q", 1)]), ms(&[("z", 1)])] {
-            let sequential = oracle(&net, target.clone());
-            let parallel = Analysis::new(&net)
-                .coverability(target.clone())
-                .parallelism(Parallelism::Parallel(3))
-                .run();
-            assert_eq!(
-                sequential.basis(),
-                parallel.basis(),
-                "bases differ for target {target:?}"
-            );
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The parallelism knob of the state-space engine.
 //!
-//! Every fixpoint of the suite (forward exploration, backward coverability
-//! saturation, Karp–Miller construction) takes a [`Parallelism`] describing
-//! how many OS threads may cooperate on one build. Results are *identical*
+//! The forward fixpoints of the suite (exploration and Karp–Miller
+//! construction) take a [`Parallelism`] describing how many OS threads may
+//! cooperate on one build; backward coverability saturation has one
+//! sequential path and does not take it. Results are *identical*
 //! across modes and worker counts — the parallel paths renumber or merge
 //! deterministically — so the knob is purely a performance choice:
 //!

@@ -239,9 +239,11 @@ impl<P: Clone + Ord> Analysis<P> {
         }
     }
 
-    /// Sets the default [`Parallelism`] for queries of this session
-    /// (individual queries can still override it). Defaults to
-    /// [`Parallelism::Sequential`].
+    /// Sets the default [`Parallelism`] of the session's reachability
+    /// queries (including [`CoveringWordQuery::in_reachability_graph`]) and
+    /// Karp–Miller queries; each query can still override it. Defaults to
+    /// [`Parallelism::Sequential`]. Coverability queries do not take it:
+    /// the backward saturation has one sequential path.
     #[must_use]
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
@@ -328,11 +330,9 @@ impl<P: Clone + Ord> Analysis<P> {
     /// assert!(!oracle.is_coverable_from(&Multiset::from_pairs([("a", 2u64)])));
     /// ```
     pub fn coverability(&mut self, target: Multiset<P>) -> CoverabilityQuery<'_, P> {
-        let parallelism = self.parallelism;
         CoverabilityQuery {
             analysis: self,
             target,
-            parallelism,
         }
     }
 
@@ -540,24 +540,13 @@ impl<P: Clone + Ord> ReachabilityQuery<'_, P> {
 pub struct CoverabilityQuery<'a, P: Ord> {
     analysis: &'a mut Analysis<P>,
     target: Multiset<P>,
-    parallelism: Parallelism,
 }
 
 impl<P: Clone + Ord> CoverabilityQuery<'_, P> {
-    /// Overrides the session's parallelism for this query.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-
     /// Runs the backward saturation (or returns the cached oracle — the
     /// backward algorithm is exact, so an oracle never goes stale).
     pub fn run(self) -> Arc<CoverabilityOracle<P>> {
-        let CoverabilityQuery {
-            analysis,
-            target,
-            parallelism,
-        } = self;
+        let CoverabilityQuery { analysis, target } = self;
         if let Some(oracle) = analysis.oracles.get(&target) {
             return oracle.clone();
         }
@@ -567,12 +556,11 @@ impl<P: Clone + Ord> CoverabilityQuery<'_, P> {
             // reachability query and keeping the cache bounded by the
             // declared universe).
             let engine = analysis.widened_engine([&target]);
-            return Arc::new(CoverabilityOracle::build_on(engine, target, parallelism));
+            return Arc::new(CoverabilityOracle::build_on(engine, target));
         }
         let oracle = Arc::new(CoverabilityOracle::build_on(
             analysis.engine.clone(),
             target.clone(),
-            parallelism,
         ));
         analysis.oracles.insert(target, oracle.clone());
         oracle

@@ -1,12 +1,13 @@
 //! Determinism properties of the parallel sharded engine.
 //!
 //! The contract of `Parallelism` is that it is *purely* a speed knob:
-//! every fixpoint — forward exploration, backward coverability saturation,
-//! Karp–Miller construction, and the verifier built on top of them — must
-//! return bit-identical results for every mode and worker count. These
-//! tests drive the three consumers over the protocol catalog and random
-//! nets, including the truncated regimes where nondeterministic numbering
-//! would immediately show up.
+//! every fixpoint that takes it — forward exploration, Karp–Miller
+//! construction, and the verifier built on top of them — must return
+//! bit-identical results for every mode and worker count, and a session's
+//! parallelism must not change a backward coverability basis (which has
+//! one sequential path). These tests drive the consumers over the
+//! protocol catalog and random nets, including the truncated regimes
+//! where nondeterministic numbering would immediately show up.
 
 use pp_multiset::Multiset;
 use pp_petri::fingerprint::{
@@ -234,14 +235,16 @@ fn benchmark_karp_miller_answer_is_pinned_across_worker_counts() {
 
 #[test]
 fn benchmark_reachability_and_coverability_answers_are_pinned_across_worker_counts() {
-    // The suite benchmark's two largest reachability queries and its
-    // largest coverability query, pinned to their recorded node counts and
-    // fingerprints in both engines.
+    // The suite benchmark's two largest reachability queries and its two
+    // coverability queries, pinned to their recorded node counts and
+    // fingerprints in both engines (and coverability with `u64` rows too).
     let flock5 = flock::flock_of_birds_unary(5);
     let binary6 = threshold::binary_threshold_with_leader(6);
     let flock16 = flock::flock_of_birds_unary(16);
-    let target = Multiset::from_pairs([(flock16.state_id("a16").expect("catalog state"), 2u64)]);
-    let flock16_places: Vec<_> = flock16.net().places().iter().copied().collect();
+    let covers = [
+        (&flock16, "a16", 2u64, 407, 0xded9_d920_24c2_ad43),
+        (&binary6, "L2", 1, 11, 0x3aec_6255_089b_e2e2),
+    ];
     for parallelism in [Parallelism::Sequential, Parallelism::Parallel(2)] {
         for (protocol, agents, nodes, fingerprint) in [
             (&flock5, 34, 50_982, 0x7074_9dae_505c_37a0),
@@ -260,16 +263,22 @@ fn benchmark_reachability_and_coverability_answers_are_pinned_across_worker_coun
                 "{agents} agents under {parallelism:?}"
             );
         }
-        let oracle = Analysis::new(flock16.net())
-            .parallelism(parallelism)
-            .coverability(target.clone())
-            .run();
-        assert_eq!(oracle.basis().len(), 407, "{parallelism:?}");
-        assert_eq!(
-            coverability_fingerprint(&oracle, &flock16_places),
-            0xded9_d920_24c2_ad43,
-            "{parallelism:?}"
-        );
+        for (protocol, state, count, elements, fingerprint) in covers {
+            let place = protocol.state_id(state).expect("catalog state");
+            let places: Vec<_> = protocol.net().places().iter().copied().collect();
+            let session = Analysis::new(protocol.net()).parallelism(parallelism);
+            for mut analysis in [session.clone(), session.u64_rows()] {
+                let oracle = analysis
+                    .coverability(Multiset::from_pairs([(place, count)]))
+                    .run();
+                assert_eq!(oracle.basis().len(), elements, "{parallelism:?}");
+                assert_eq!(
+                    coverability_fingerprint(&oracle, &places),
+                    fingerprint,
+                    "{parallelism:?}"
+                );
+            }
+        }
     }
 }
 
@@ -381,8 +390,8 @@ proptest! {
         let sequential = Analysis::new(&net).coverability(target.clone()).run();
         for workers in [1usize, 4] {
             let parallel = Analysis::new(&net)
-                .coverability(target.clone())
                 .parallelism(Parallelism::Parallel(workers))
+                .coverability(target.clone())
                 .run();
             prop_assert_eq!(sequential.basis(), parallel.basis());
             prop_assert_eq!(
