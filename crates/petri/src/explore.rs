@@ -18,6 +18,7 @@ use pp_multiset::Multiset;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
 /// The largest number of configurations any exploration can store: the
 /// `u32` id space of [`ConfigArena`].
@@ -35,7 +36,8 @@ pub const MAX_GRAPH_CONFIGURATIONS: usize = u32::MAX as usize;
 /// to prove that a panicking worker thread poisons the whole build — the
 /// panic propagates out of the parallel build — instead of
 /// deadlocking the pipeline barrier. While set, worker dispatch also
-/// ignores the minimum level size so tiny test graphs still spawn workers.
+/// ignores the minimum level size and the measured regime choice, so tiny
+/// test graphs still spawn workers on every level.
 #[doc(hidden)]
 pub mod fault_injection {
     use std::sync::atomic::AtomicBool;
@@ -155,7 +157,7 @@ pub struct ReachabilityGraph<P: Ord> {
     /// Sparse views of the arena rows, converted lazily on first access
     /// (many callers only need ids, lengths or dense rows).
     sparse_views: Vec<OnceLock<Multiset<P>>>,
-    edges: Vec<Vec<(usize, usize)>>,
+    edges: EdgeLists,
     initial: Vec<usize>,
     completion: Completion,
     /// The limits the graph was (last) built under; [`resume`](Self::resume)
@@ -174,8 +176,11 @@ pub struct ReachabilityGraph<P: Ord> {
     pending_initials: Vec<Vec<u64>>,
 }
 
-/// Outgoing adjacency lists: per node, `(transition index, successor id)`.
-type EdgeLists = Vec<Vec<(usize, usize)>>;
+/// Outgoing adjacency lists: per node, `(transition index, successor id)`,
+/// each in one exact-size allocation. Expansion collects a node's edges in
+/// a reused scratch `Vec` and stores them once, so growing a list costs no
+/// reallocations and a stored list carries no spare capacity.
+type EdgeLists = Vec<Box<[(usize, usize)]>>;
 
 /// One entry of the dirty frontier: a node stored but not fully expanded,
 /// plus the arena length at the moment the build moved past it.
@@ -521,6 +526,7 @@ fn commit_level(
     child_depth: u32,
 ) -> Vec<ShardedConfigId> {
     let mut committed = Vec::new();
+    let mut list = Vec::new();
     for global in frontier.clone() {
         let position = index.position(global - frontier.start, frontier_sids);
         if !job.expand[position] {
@@ -536,6 +542,7 @@ fn commit_level(
             continue;
         }
         let mut blocked = false;
+        list.clear();
         for &(transition, successor) in results.successors(position) {
             let to = match successor {
                 SuccessorRef::Known(id) => id as usize,
@@ -559,15 +566,16 @@ fn commit_level(
                         let assigned = *next_id;
                         *next_id += 1;
                         map.set(sid, assigned as u32);
-                        edges.push(Vec::new());
+                        edges.push(Box::default());
                         depths.push(child_depth);
                         committed.push(sid);
                         assigned
                     }
                 },
             };
-            edges[global].push((transition as usize, to));
+            list.push((transition as usize, to));
         }
+        edges[global] = list.as_slice().into();
         if blocked {
             dirty.push(DirtyNode {
                 id: u32::try_from(global).expect("node id fits u32"),
@@ -641,6 +649,29 @@ fn expand_level_chunks(
     }
 }
 
+/// How [`ReachabilityGraph::build_parallel`] chooses between its direct
+/// and pipelined regimes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RegimeChoice {
+    /// Pipeline a level of at least `PARALLEL_LEVEL_MIN` candidates only
+    /// while pipelined levels cost less per node than direct ones.
+    Measured,
+    /// Pipeline every level of at least `PARALLEL_LEVEL_MIN` candidates:
+    /// keeps the steady-state pipeline under test on hosts where it never
+    /// pays.
+    #[cfg(test)]
+    BySize,
+}
+
+/// The reused buffers of [`expand_one`]: the source row, the successor
+/// row, and the node's edge list before it is stored exact-size.
+#[derive(Default)]
+struct ExpandScratch {
+    src: Vec<u64>,
+    succ: Vec<u64>,
+    list: Vec<(usize, usize)>,
+}
+
 /// Expands one node in the sequential interning order: rebuilds its edge
 /// list from scratch (fire every transition in index order, resolve each
 /// successor by dedup lookup or a budgeted intern). Returns `true` when the
@@ -659,12 +690,12 @@ fn expand_one(
     depth: u32,
     cap: usize,
     trunc: &mut Truncation,
-    src: &mut Vec<u64>,
-    succ: &mut Vec<u64>,
+    scratch: &mut ExpandScratch,
 ) -> bool {
+    let ExpandScratch { src, succ, list } = scratch;
     src.clear();
     src.extend_from_slice(arena.row(ConfigId(id as u32)));
-    edges[id].clear();
+    list.clear();
     let mut blocked = false;
     for (t, transition) in transitions.iter().enumerate() {
         if !transition.is_enabled_words(src) {
@@ -680,13 +711,14 @@ fn expand_one(
             }
             Entry::Vacant(vacant) => {
                 let fresh = vacant.insert();
-                edges.push(Vec::new());
+                edges.push(Box::default());
                 depths.push(depth + 1);
                 fresh.index()
             }
         };
-        edges[id].push((t, to));
+        list.push((t, to));
     }
+    edges[id] = list.as_slice().into();
     blocked
 }
 
@@ -712,8 +744,7 @@ fn scan_expand(
     end: usize,
 ) {
     let cap = limits.effective_max_configurations();
-    let mut src = Vec::new();
-    let mut succ = Vec::new();
+    let mut scratch = ExpandScratch::default();
     let mut id = start;
     while id < arena.len().min(end) {
         let depth = depths[id];
@@ -747,8 +778,7 @@ fn scan_expand(
             depth,
             cap,
             trunc,
-            &mut src,
-            &mut succ,
+            &mut scratch,
         ) {
             dirty.push(DirtyNode {
                 id: id as u32,
@@ -778,7 +808,13 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         parallelism: Parallelism,
     ) -> Self {
         if parallelism.is_parallel() {
-            Self::build_parallel(engine, initial_configs, limits, parallelism.workers())
+            Self::build_parallel(
+                engine,
+                initial_configs,
+                limits,
+                parallelism.workers(),
+                RegimeChoice::Measured,
+            )
         } else {
             Self::build_sequential(engine, initial_configs, limits)
         }
@@ -834,7 +870,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 }
                 Entry::Vacant(vacant) => {
                     let id = vacant.insert();
-                    edges.push(Vec::new());
+                    edges.push(Box::default());
                     depths.push(0);
                     Some(id.index())
                 }
@@ -907,8 +943,9 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     ///
     /// The engine alternates between two regimes, level by level:
     ///
-    /// * **Direct** — while no workers are in flight (small levels, and
-    ///   every level under `Parallel(1)`), a level is one fused
+    /// * **Direct** — while no workers are in flight (small levels, every
+    ///   level under `Parallel(1)`, and every level once pipelining has
+    ///   stopped paying), a level is one fused
     ///   sequential step: the sequential search's own `scan_expand` runs
     ///   over the frontier's id range on the write-locked arena, interning
     ///   fresh successors straight into it. No scratch, no barriers, no
@@ -928,6 +965,13 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     ///   rows into the frozen arena, retiring the oldest scratch epoch,
     ///   and handing over the next job.
     ///
+    /// Under [`RegimeChoice::Measured`] the choice between the two is
+    /// measured, not assumed: every direct level records its wall time per
+    /// node, every pipelined iteration its time per committed node from
+    /// its sync point through its drain. Once a pipelined iteration costs
+    /// at least as much per node as the last direct level did, pipelining
+    /// stops paying and every later level of the build runs direct.
+    ///
     /// Both regimes replay discoveries in the exact sequential interning
     /// order (including budget truncation decisions), so the resulting
     /// graph is bit-identical to [`build_sequential`]\'s for every worker
@@ -943,6 +987,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         initial_configs: &[Multiset<P>],
         limits: &ExplorationLimits,
         workers: usize,
+        choice: RegimeChoice,
     ) -> Self {
         /// Don\'t wake the workers for levels smaller than this.
         const PARALLEL_LEVEL_MIN: usize = 512;
@@ -989,6 +1034,12 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         // one sync after publication, map entries one sync after that.
         let mut b_prev2 = vec![0u32; num_shards];
         let mut b_prev = vec![0u32; num_shards];
+
+        // The measured regime choice: the wall time per node of the last
+        // direct level (`None` until one is measured), and whether the
+        // pipelined regime still beats it.
+        let mut direct_secs_per_node: Option<f64> = None;
+        let mut pipelining_pays = true;
 
         let transitions = &packed;
         let spawned = workers.saturating_sub(1);
@@ -1092,6 +1143,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
 
             loop {
                 // ---- sync point: no worker is running ----
+                let synced = Instant::now();
                 if worker_panicked.load(Ordering::Acquire) {
                     break; // re-raised after the workers are released
                 }
@@ -1136,7 +1188,9 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 let Some((mut job, job_index, results)) = pending.take() else {
                     // ---- direct regime: no expansion in flight ----
                     let count = frontier_end - frontier_start;
-                    if spawned > 0 && (count >= PARALLEL_LEVEL_MIN || force_workers) {
+                    if spawned > 0
+                        && (force_workers || (pipelining_pays && count >= PARALLEL_LEVEL_MIN))
+                    {
                         // Promote: expand this frontier on the workers.
                         // There is nothing to overlap yet — the pipeline
                         // proper starts at the next iteration, when this
@@ -1174,6 +1228,9 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                     );
                     next_id = arena.len();
                     drop(arena);
+                    if choice == RegimeChoice::Measured {
+                        direct_secs_per_node = Some(synced.elapsed().as_secs_f64() / count as f64);
+                    }
                     frontier_start = frontier_end;
                     frontier_end = next_id;
                     frontier_sids.clear();
@@ -1200,7 +1257,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                     epoch_count > 0 && limits.max_depth.is_none_or(|max| depth + 1 < max);
                 let use_workers = expand_next
                     && spawned > 0
-                    && (epoch_count >= PARALLEL_LEVEL_MIN || force_workers);
+                    && (force_workers || (pipelining_pays && epoch_count >= PARALLEL_LEVEL_MIN));
                 let mut next_index = JobIndex::Identity;
                 if use_workers {
                     // Hand the whole epoch (shard-major layout, stable
@@ -1247,6 +1304,12 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                     let (finished, taken) = drain!();
                     pending = Some((finished, next_index, taken));
                     prepublished = false; // published at the next sync point
+                    let secs_per_node =
+                        synced.elapsed().as_secs_f64() / (frontier_end - frontier_start) as f64;
+                    if direct_secs_per_node.is_some_and(|direct| secs_per_node >= direct) {
+                        // Demoted at the next sync point, for good.
+                        pipelining_pays = false;
+                    }
                 } else {
                     // Demote to the direct regime: publish the fresh rows
                     // now (no worker is in flight) so the next direct step
@@ -1535,7 +1598,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 Entry::Vacant(vacant) if vacant.next_id() >= cap => None,
                 Entry::Vacant(vacant) => {
                     let id = vacant.insert();
-                    self.edges.push(Vec::new());
+                    self.edges.push(Box::default());
                     self.depths.push(0);
                     Some(id.index())
                 }
@@ -1562,8 +1625,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         // arena length, exactly as a cold build would record it.
         let old_dirty = std::mem::take(&mut self.dirty);
         let mut dirty: Vec<DirtyNode> = Vec::new();
-        let mut src = Vec::new();
-        let mut succ = Vec::new();
+        let mut scratch = ExpandScratch::default();
         for node in old_dirty {
             let id = node.id;
             let depth = self.depths[id as usize];
@@ -1601,8 +1663,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 depth,
                 cap,
                 &mut trunc,
-                &mut src,
-                &mut succ,
+                &mut scratch,
             ) {
                 dirty.push(DirtyNode {
                     id,
@@ -2362,6 +2423,72 @@ mod tests {
                 assert!(graph.depth_of(to) <= graph.depth_of(id) + 1);
             }
         }
+    }
+
+    /// Eight tokens walking a line of nine places, one step either way:
+    /// the BFS levels from `8·p0` are the partitions of the level's depth
+    /// into at most eight parts of size at most eight, five consecutive
+    /// levels of which (depths 30–34) hold at least 512 nodes.
+    fn walk_net() -> (PetriNet<&'static str>, Multiset<&'static str>) {
+        const LINE: [&str; 9] = ["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8"];
+        let net = PetriNet::from_transitions(LINE.windows(2).flat_map(|pair| {
+            [
+                Transition::new(ms(&[(pair[0], 1)]), ms(&[(pair[1], 1)])),
+                Transition::new(ms(&[(pair[1], 1)]), ms(&[(pair[0], 1)])),
+            ]
+        }));
+        (net, ms(&[("p0", 8)]))
+    }
+
+    #[test]
+    fn steady_state_pipeline_matches_the_sequential_build() {
+        let (net, initial) = walk_net();
+        let initials = [initial];
+        let engine = Arc::new(CompiledNet::compile(&net));
+        let build_sequential = |limits: &ExplorationLimits| {
+            ReachabilityGraph::build_sequential(engine.clone(), &initials, limits)
+        };
+        let build = |limits: &ExplorationLimits, workers: usize, choice: RegimeChoice| {
+            ReachabilityGraph::build_parallel(engine.clone(), &initials, limits, workers, choice)
+        };
+        let unlimited = ExplorationLimits::default();
+        let sequential = build_sequential(&unlimited);
+        assert_eq!(sequential.len(), 12_870);
+
+        // The forced pipeline must cross at least three consecutive
+        // levels of `PARALLEL_LEVEL_MIN` (512) nodes before the budget cut.
+        let mut level_sizes = Vec::new();
+        for id in sequential.ids() {
+            let depth = sequential.depth_of(id);
+            level_sizes.resize(level_sizes.len().max(depth + 1), 0usize);
+            level_sizes[depth] += 1;
+        }
+        let first_large = level_sizes
+            .iter()
+            .position(|&size| size >= 512)
+            .expect("some level reaches 512 nodes");
+        assert!(level_sizes[first_large..first_large + 5]
+            .iter()
+            .all(|&size| size >= 512));
+        // Cut in the middle of the fifth large level.
+        let cut =
+            level_sizes[..first_large + 4].iter().sum::<usize>() + level_sizes[first_large + 4] / 2;
+        let budget = ExplorationLimits::with_max_configurations(cut);
+        let truncated = build_sequential(&budget);
+        assert_eq!(truncated.len(), cut);
+        assert_eq!(truncated.completion(), Completion::ConfigBudget);
+
+        for workers in [2usize, 3] {
+            assert!(
+                build(&unlimited, workers, RegimeChoice::BySize).identical_to(&sequential),
+                "forced pipeline diverges at {workers} workers"
+            );
+            assert!(
+                build(&budget, workers, RegimeChoice::BySize).identical_to(&truncated),
+                "forced pipeline under a mid-level budget diverges at {workers} workers"
+            );
+        }
+        assert!(build(&unlimited, 2, RegimeChoice::Measured).identical_to(&sequential));
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   coarser grain (e.g. `pp_population::verify` fanning out over inputs).
 //! * [`Parallelism::Parallel`]`(n)` — the sharded level-synchronous engine
 //!   with `n` cooperating workers (the calling thread included).
-//!   `Parallel(1)` still exercises the sharded code path, just without
-//!   spawning — which is exactly what the single-thread CI job pins via
-//!   `PP_PETRI_THREADS=1` to keep the shard logic covered deterministically.
+//!   `Parallel(1)` spawns no worker, so it never promotes a level to the
+//!   pipelined regime: every level runs the direct regime, one fused
+//!   sequential step per frontier. The single-thread CI job pins it via
+//!   `PP_PETRI_THREADS=1`.
 //!
 //! [`Parallelism::auto`] picks `Parallel(available_parallelism)` on
 //! multi-core hosts and `Sequential` on single-core ones; the
@@ -44,7 +45,7 @@ impl Parallelism {
     /// The `PP_PETRI_THREADS` environment variable overrides detection:
     /// `0` forces `Sequential` (the classic loops, no sharding at all),
     /// a positive integer `n` forces `Parallel(n)` —
-    /// `PP_PETRI_THREADS=1` is the spawn-free sharded path used by the
+    /// `PP_PETRI_THREADS=1` is the spawn-free direct regime used by the
     /// single-thread CI job — and a value that does not parse as an
     /// integer falls back to hardware detection.
     #[must_use]
