@@ -128,21 +128,20 @@ impl BasisIndex {
 }
 
 /// One breadth-first level of the completion: vectors of equal `ℓ₁` norm,
-/// each carried with its defect `A·t`, both stored row-major.
+/// each carried with its Gram image `g = AᵀA·t`, both stored row-major
+/// with stride `cols`.
 struct Level {
     cols: usize,
-    rows: usize,
     vectors: Vec<u64>,
-    defects: Vec<i128>,
+    grams: Vec<i128>,
 }
 
 impl Level {
-    fn new(cols: usize, rows: usize) -> Self {
+    fn new(cols: usize) -> Self {
         Level {
             cols,
-            rows,
             vectors: Vec::new(),
-            defects: Vec::new(),
+            grams: Vec::new(),
         }
     }
 
@@ -157,12 +156,12 @@ impl Level {
     fn nodes(&self) -> impl Iterator<Item = (&[u64], &[i128])> {
         self.vectors
             .chunks(self.cols)
-            .zip(self.defects.chunks(self.rows))
+            .zip(self.grams.chunks(self.cols))
     }
 
     fn clear(&mut self) {
         self.vectors.clear();
-        self.defects.clear();
+        self.grams.clear();
     }
 }
 
@@ -240,9 +239,13 @@ impl LinearSystem {
     /// rejecting elements whose support bitmask is not inside its own before
     /// comparing coordinates.
     ///
-    /// A child reached from several parents is tested and kept once, and
-    /// each frontier vector carries its defect `A·t`, so a child's defect is
-    /// one vector addition. The order of the vectors within a level affects
+    /// The criterion reads `⟨A·t, a_j⟩` off `g = AᵀA·t`, since
+    /// `g_j = ⟨A·t, a_j⟩`. Each frontier vector carries its `g`, so the
+    /// criterion is the lookup `g_j < 0` and the child `t + e_j` gets
+    /// `g + G_j`, with `G_j` row `j` of the Gram matrix `G = AᵀA`. The same
+    /// `g` recognizes solutions: `g = 0` iff `A·t = 0`, because
+    /// `⟨t, g⟩ = ‖A·t‖²`. A child reached from several parents is tested
+    /// and kept once. The order of the vectors within a level affects
     /// neither the basis nor which budget error is returned.
     ///
     /// The returned basis is sorted lexicographically and free of duplicates.
@@ -262,21 +265,28 @@ impl LinearSystem {
     /// assert_eq!(basis, vec![vec![3, 2]]);
     /// ```
     pub fn hilbert_basis(&self, config: &HilbertConfig) -> Result<Vec<Vec<u64>>, HilbertError> {
-        let (n, m) = (self.cols(), self.rows());
-        // Column a_j at columns[j * m..(j + 1) * m].
-        let columns: Vec<i128> = (0..n)
-            .flat_map(|j| self.column(j))
-            .map(i128::from)
+        let n = self.cols();
+        let columns: Vec<Vec<i128>> = (0..n)
+            .map(|j| self.column(j).into_iter().map(i128::from).collect())
+            .collect();
+        // The Gram matrix G = AᵀA, row-major: G[j][k] = ⟨a_j, a_k⟩.
+        let gram: Vec<i128> = columns
+            .iter()
+            .flat_map(|a_j| {
+                columns
+                    .iter()
+                    .map(move |a_k| a_j.iter().zip(a_k).map(|(&x, &y)| x * y).sum())
+            })
             .collect();
         let mut basis = BasisIndex::new(n);
-        // Level 1: the unit vectors, whose defects are the columns.
-        let mut level = Level::new(n, m);
+        // Level 1: the unit vectors, whose Gram images are the rows of G.
+        let mut level = Level::new(n);
         level.vectors.resize(n * n, 0);
         for j in 0..n {
             level.vectors[j * n + j] = 1;
         }
-        level.defects.clone_from(&columns);
-        let mut children = Level::new(n, m);
+        level.grams.clone_from(&gram);
+        let mut children = Level::new(n);
         let mut seen = ChildSet::default();
         let mut mask = vec![0u64; n.div_ceil(64)];
         let mut child_mask = mask.clone();
@@ -284,7 +294,7 @@ impl LinearSystem {
 
         while !level.is_empty() {
             // Record the level's solutions before any child is tested.
-            for (t, defect) in level.nodes() {
+            for (t, g) in level.nodes() {
                 expanded += 1;
                 if expanded > config.max_nodes {
                     return Err(HilbertError::NodeBudgetExceeded {
@@ -296,21 +306,20 @@ impl LinearSystem {
                         return Err(HilbertError::NormBudgetExceeded { budget: max_norm });
                     }
                 }
-                if defect.iter().all(|&v| v == 0) {
+                if g.iter().all(|&v| v == 0) {
                     basis.insert(t);
                 }
             }
             children.clear();
             seen.clear();
-            for (t, defect) in level.nodes() {
-                if defect.iter().all(|&v| v == 0) {
+            for (t, g) in level.nodes() {
+                if g.iter().all(|&v| v == 0) {
                     continue;
                 }
                 support_mask(t, &mut mask);
-                for (j, a_j) in columns.chunks(m).enumerate() {
+                for (j, (&g_j, gram_j)) in g.iter().zip(gram.chunks(n)).enumerate() {
                     // Contejean–Devie criterion: only move towards the kernel.
-                    let dot: i128 = defect.iter().zip(a_j).map(|(&d, &a)| d * a).sum();
-                    if dot >= 0 {
+                    if g_j >= 0 {
                         continue;
                     }
                     let id = children.vectors.len() / n;
@@ -324,8 +333,8 @@ impl LinearSystem {
                         {
                             seen.slots[slot] = id;
                             children
-                                .defects
-                                .extend(defect.iter().zip(a_j).map(|(&d, &a)| d + a));
+                                .grams
+                                .extend(g.iter().zip(gram_j).map(|(&x, &y)| x + y));
                         }
                         _ => children.vectors.truncate(id * n),
                     }
@@ -564,6 +573,34 @@ mod tests {
         })
     }
 
+    /// Systems shaped like the Lemma 7.3 system of `shrink_multicycle`: one
+    /// row per place, a `±1` slack column per row (the sign of the place's
+    /// displacement), then one column per simple cycle holding its negated
+    /// displacement.
+    fn arb_lemma_7_3_system() -> impl Strategy<Value = LinearSystem> {
+        const PLACES: usize = 3;
+        (1usize..=5).prop_flat_map(|cycles| {
+            (
+                proptest::collection::vec(any::<bool>(), PLACES),
+                proptest::collection::vec(proptest::collection::vec(-2i64..=2, cycles), PLACES),
+            )
+                .prop_map(|(signs, cycle_block)| {
+                    let rows = signs
+                        .iter()
+                        .zip(cycle_block)
+                        .enumerate()
+                        .map(|(place, (&positive, cycle_row))| {
+                            let mut row = vec![0i64; PLACES];
+                            row[place] = if positive { 1 } else { -1 };
+                            row.extend(cycle_row);
+                            row
+                        })
+                        .collect();
+                    LinearSystem::from_rows(rows).unwrap()
+                })
+        })
+    }
+
     #[test]
     fn matches_reference_across_mask_words() {
         // 70 columns: the support masks span two words, and the 65
@@ -610,6 +647,23 @@ mod tests {
             let config = HilbertConfig {
                 max_nodes,
                 max_norm: Some(max_norm),
+            };
+            prop_assert_eq!(
+                system.hilbert_basis(&config),
+                system.reference_hilbert_basis(&config)
+            );
+        }
+
+        #[test]
+        fn matches_reference_oracle_on_lemma_7_3_systems(
+            system in arb_lemma_7_3_system(),
+            max_nodes in 1usize..=300,
+            norm_capped in any::<bool>(),
+            max_norm in 1u64..=12,
+        ) {
+            let config = HilbertConfig {
+                max_nodes,
+                max_norm: norm_capped.then_some(max_norm),
             };
             prop_assert_eq!(
                 system.hilbert_basis(&config),

@@ -153,6 +153,22 @@ pub fn find_bottom_witness_in<P: Clone + Ord>(
     rho: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<BottomWitness<P>> {
+    search_bottom_witness(analysis, rho, limits, bottom_component_size_in)
+}
+
+/// [`find_bottom_witness_in`] with the verdict of each distinct restriction
+/// `(Q, α|Q)` taken from `resolve(T|Q session, α|Q, pump limits)`, so that
+/// tests can observe every restriction the search resolves.
+pub(crate) fn search_bottom_witness<P, F>(
+    analysis: &mut Analysis<P>,
+    rho: &Multiset<P>,
+    limits: &ExplorationLimits,
+    mut resolve: F,
+) -> Option<BottomWitness<P>>
+where
+    P: Clone + Ord,
+    F: FnMut(&mut Analysis<P>, &Multiset<P>, &ExplorationLimits) -> Option<usize>,
+{
     let net = analysis.net().clone();
     // Strategy A: look for a pumpable pair α ≤ β (α ≠ β) whose agreement set
     // Q yields a bottom restriction. Pumpable pairs only exist when the net
@@ -216,7 +232,7 @@ pub fn find_bottom_witness_in<P: Clone + Ord>(
                         let session = sessions
                             .entry(q_places.clone())
                             .or_insert_with(|| Analysis::new(&net.restrict(q_places)));
-                        let verdict = bottom_component_size_in(session, alpha_q, &pump_limits);
+                        let verdict = resolve(session, alpha_q, &pump_limits);
                         verdicts.insert(key.clone(), verdict);
                         verdict
                     }

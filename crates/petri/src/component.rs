@@ -8,6 +8,7 @@
 //! general nets the analysis is performed under [`ExplorationLimits`] and
 //! returns `None` when the exploration was truncated.
 
+use crate::engine::CompiledNet;
 use crate::session::Analysis;
 use crate::{ExplorationLimits, PetriNet, ReachabilityGraph};
 use pp_multiset::Multiset;
@@ -87,15 +88,49 @@ pub fn component_size_in<P: Clone + Ord>(
 /// decided on a single exploration: `None` when it is not bottom or the
 /// exploration hit a limit. Equals `is_bottom_in(..) == Some(true)` followed
 /// by [`component_size_in`], without exploring the graph twice.
+///
+/// When some transition [pumps](pumps_at) at `config`, the answer is `None`
+/// without an exploration. Say `config →t config + δ` with `δ ≥ 0` and
+/// `δ ≠ 0`. By monotonicity `t` is enabled at every `config + kδ`, so
+/// infinitely many distinct configurations are reachable. A complete
+/// exploration stores every successor of every stored node, so it would
+/// store all of them; no finite arena can, and every limit (budget, agent
+/// cap, depth cap, id space) reports its own truncation rather than
+/// [`Completion::Complete`](crate::Completion::Complete). The exploration
+/// would therefore end incomplete and return `None` as well.
 pub(crate) fn bottom_component_size_in<P: Clone + Ord>(
     analysis: &mut Analysis<P>,
     config: &Multiset<P>,
     limits: &ExplorationLimits,
 ) -> Option<usize> {
+    if pumps_at(analysis.engine(), config) {
+        return None;
+    }
     let (graph, id) = complete_graph(analysis, config, limits)?;
     // Bottom: the component is everything reachable, so its size is the
     // size of the graph.
     (graph.scc_of(id).len() == graph.len()).then_some(graph.len())
+}
+
+/// Whether some transition of `engine` is enabled at `config` and has a
+/// displacement that is `≥ 0` on every place and `≠ 0` on some place.
+///
+/// Places of `config` outside the compiled universe are dropped: no
+/// transition reads or writes them, so they do not affect enabledness.
+fn pumps_at<P: Clone + Ord>(engine: &CompiledNet<P>, config: &Multiset<P>) -> bool {
+    let row = engine.to_dense_lossy(config);
+    engine.transitions().iter().any(|t| {
+        let produced = |place: u32| {
+            t.post()
+                .iter()
+                .find(|&&(p, _)| p == place)
+                .map_or(0, |&(_, c)| c)
+        };
+        let total = |entries: &[(u32, u64)]| entries.iter().map(|&(_, c)| c).sum::<u64>();
+        t.is_enabled_row(&row)
+            && t.pre().iter().all(|&(p, c)| produced(p) >= c)
+            && total(t.post()) > total(t.pre())
+    })
 }
 
 /// The reachability graph from `config` and the id of `config` in it, or
@@ -168,7 +203,7 @@ pub fn reach_bottom_in<P: Clone + Ord>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Transition;
+    use crate::{Completion, Transition};
 
     fn ms(pairs: &[(&'static str, u64)]) -> Multiset<&'static str> {
         Multiset::from_pairs(pairs.iter().copied())
@@ -231,6 +266,165 @@ mod tests {
             None
         );
         assert!(reach_bottom(&net, &ms(&[("a", 1)]), &limits).is_none());
+    }
+
+    /// The verdict of [`bottom_component_size_in`] without the pump
+    /// pre-check: always a full exploration.
+    fn explored_verdict<P: Clone + Ord>(
+        analysis: &mut Analysis<P>,
+        config: &Multiset<P>,
+        limits: &ExplorationLimits,
+    ) -> Option<usize> {
+        let (graph, id) = complete_graph(analysis, config, limits)?;
+        (graph.scc_of(id).len() == graph.len()).then_some(graph.len())
+    }
+
+    #[test]
+    fn pumping_transition_settles_the_verdict_without_exploring() {
+        // a -> a + b is enabled at a and only adds: a pumps.
+        let net = PetriNet::from_transitions([Transition::new(
+            ms(&[("a", 1)]),
+            ms(&[("a", 1), ("b", 1)]),
+        )]);
+        let start = ms(&[("a", 1)]);
+        let mut analysis = Analysis::new(&net);
+        assert!(pumps_at(analysis.engine(), &start));
+        // Nothing enabled at b alone.
+        assert!(!pumps_at(analysis.engine(), &ms(&[("b", 3)])));
+        let depth_capped = ExplorationLimits {
+            max_depth: Some(4),
+            ..Default::default()
+        };
+        for (limits, cut) in [
+            (
+                ExplorationLimits::with_max_configurations(1_500),
+                Completion::ConfigBudget,
+            ),
+            (ExplorationLimits::with_max_agents(6), Completion::AgentCap),
+            (depth_capped, Completion::DepthCap),
+        ] {
+            assert_eq!(
+                bottom_component_size_in(&mut analysis, &start, &limits),
+                None
+            );
+            // A full exploration under the same limits agrees: it ends on
+            // the limit it hit, never complete.
+            assert_eq!(explored_verdict(&mut analysis, &start, &limits), None);
+            let graph = analysis.reachability([start.clone()]).limits(limits).run();
+            assert_eq!(graph.completion(), cut);
+        }
+    }
+
+    #[test]
+    fn pre_check_ignores_late_and_zero_displacements() {
+        let limits = ExplorationLimits::with_max_configurations(1_500);
+        // a -> b -> a + c: the first configuration above a sits at depth 2,
+        // and no single transition only adds, so the exploration decides.
+        let late = PetriNet::from_transitions([
+            Transition::new(ms(&[("a", 1)]), ms(&[("b", 1)])),
+            Transition::new(ms(&[("b", 1)]), ms(&[("a", 1), ("c", 1)])),
+        ]);
+        let start = ms(&[("a", 1)]);
+        let mut analysis = Analysis::new(&late);
+        assert!(!pumps_at(analysis.engine(), &start));
+        assert_eq!(
+            bottom_component_size_in(&mut analysis, &start, &limits),
+            None
+        );
+        let graph = analysis.reachability([start.clone()]).limits(limits).run();
+        assert_eq!(graph.completion(), Completion::ConfigBudget);
+        // A self-loop a -> a has displacement 0: no pump, and {a} is bottom.
+        let idle = PetriNet::from_transitions([Transition::new(ms(&[("a", 1)]), ms(&[("a", 1)]))]);
+        let mut analysis = Analysis::new(&idle);
+        assert!(!pumps_at(analysis.engine(), &start));
+        assert_eq!(
+            bottom_component_size_in(&mut analysis, &start, &limits),
+            Some(1)
+        );
+        // a -> 2b adds an agent but takes a's: no pump, and 2b -> a comes
+        // back, so {a, 2b} is a bottom component.
+        let split = PetriNet::from_transitions([
+            Transition::new(ms(&[("a", 1)]), ms(&[("b", 2)])),
+            Transition::new(ms(&[("b", 2)]), ms(&[("a", 1)])),
+        ]);
+        let mut analysis = Analysis::new(&split);
+        assert!(!pumps_at(analysis.engine(), &start));
+        assert_eq!(
+            bottom_component_size_in(&mut analysis, &start, &limits),
+            Some(2)
+        );
+        // A transition that only adds but is disabled does not pump either.
+        let blocked = PetriNet::from_transitions([
+            Transition::new(ms(&[("a", 1)]), ms(&[("b", 1)])),
+            Transition::new(ms(&[("z", 1)]), ms(&[("z", 1), ("a", 1)])),
+        ]);
+        let mut analysis = Analysis::new(&blocked);
+        assert!(!pumps_at(analysis.engine(), &start));
+        assert_eq!(
+            bottom_component_size_in(&mut analysis, &start, &limits),
+            None
+        );
+        assert_eq!(
+            bottom_component_size_in(&mut analysis, &ms(&[("b", 1)]), &limits),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn pre_check_agrees_with_exploration_on_the_catalog_witness_searches() {
+        use pp_protocols::catalog;
+        use std::collections::BTreeSet;
+
+        let limits = ExplorationLimits::default();
+        let protocols = (1..=5u64)
+            .flat_map(catalog::all)
+            .map(|entry| entry.protocol)
+            .chain([pp_protocols::flock::flock_of_birds_unary(6)]);
+        let (mut resolved, mut pumping) = (0usize, 0usize);
+        for protocol in protocols {
+            // The witness search of the Section 8 pipeline: T|P' from the
+            // leaders, with P' the non-initial states.
+            let non_initial: BTreeSet<_> = protocol
+                .states()
+                .filter(|s| !protocol.initial_states().contains(s))
+                .collect();
+            let restricted = protocol.net().restrict(&non_initial);
+            // `pp_protocols` links its own build of this crate, so the net
+            // is copied into this build's types through the shared
+            // multisets, places and transition order included.
+            let mut net = PetriNet::new();
+            for place in restricted.places() {
+                net.add_place(*place);
+            }
+            for t in restricted.transitions() {
+                net.add_transition(Transition::new(t.pre().clone(), t.post().clone()));
+            }
+            let leaders = protocol.leaders().restrict(&non_initial);
+            let mut analysis = Analysis::new(&net);
+            let expected = crate::bottom::find_bottom_witness_in(&mut analysis, &leaders, &limits);
+            let observed = crate::bottom::search_bottom_witness(
+                &mut Analysis::new(&net),
+                &leaders,
+                &limits,
+                |session, alpha_q, limits| {
+                    let verdict = explored_verdict(session, alpha_q, limits);
+                    resolved += 1;
+                    if pumps_at(session.engine(), alpha_q) {
+                        pumping += 1;
+                        assert_eq!(verdict, None, "{}: {alpha_q:?}", protocol.name());
+                    }
+                    verdict
+                },
+            );
+            assert_eq!(
+                format!("{expected:?}"),
+                format!("{observed:?}"),
+                "{}",
+                protocol.name()
+            );
+        }
+        // flock-unary(6) alone resolves 34 restrictions, 33 of them pumping.
+        assert_eq!((pumping, resolved), (92, 125));
     }
 
     #[test]

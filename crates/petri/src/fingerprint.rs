@@ -28,6 +28,21 @@ use crate::ReachabilityGraph;
 #[derive(Debug, Clone)]
 pub struct Fnv(u64);
 
+/// The 64-bit FNV prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// `FNV_PRIME^k` (wrapping) for `k = 0..=8`: feeding `k` zero bytes
+/// multiplies the state by `FNV_PRIME^k`.
+const FNV_PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < powers.len() {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    powers
+};
+
 impl Default for Fnv {
     fn default() -> Self {
         Self::new()
@@ -45,13 +60,25 @@ impl Fnv {
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
         }
     }
 
     /// Feeds one `u64` in little-endian byte order.
+    ///
+    /// Only the significant low bytes go through the byte loop. XOR with a
+    /// zero byte is the identity, so the `k` zero high bytes each just
+    /// multiply by the prime, and they are fed as one multiplication by
+    /// `FNV_PRIME^k`. The value equals the byte-at-a-time hash.
     pub fn write_u64(&mut self, value: u64) {
-        self.write_bytes(&value.to_le_bytes());
+        let zero_high_bytes = (value.leading_zeros() / 8) as usize;
+        let mut rest = value;
+        for _ in zero_high_bytes..8 {
+            self.0 ^= rest & 0xff;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+            rest >>= 8;
+        }
+        self.0 = self.0.wrapping_mul(FNV_PRIME_POWERS[zero_high_bytes]);
     }
 
     /// Feeds one `usize` widened to `u64`.
@@ -85,10 +112,13 @@ pub fn reachability_fingerprint<P: Clone + Ord>(graph: &ReachabilityGraph<P>) ->
     for &id in graph.initial_ids() {
         h.write_usize(id);
     }
+    let layout = graph.row_layout();
+    let mut row = Vec::with_capacity(layout.places());
     for id in 0..graph.len() {
-        let row = graph.dense_node(id);
+        row.clear();
+        layout.unpack_into(graph.packed_node(id), &mut row);
         h.write_usize(row.len());
-        for count in row {
+        for &count in &row {
             h.write_u64(count);
         }
         h.write_usize(graph.depth_of(id));
@@ -194,6 +224,36 @@ mod tests {
             Transition::pairwise("a", "a", "a", "b"),
             Transition::pairwise("a", "b", "b", "b"),
         ])
+    }
+
+    /// The FNV-1a definition: every little-endian byte through the loop.
+    fn bytewise_u64(h: &mut Fnv, value: u64) {
+        h.write_bytes(&value.to_le_bytes());
+    }
+
+    #[test]
+    fn write_u64_equals_the_bytewise_hash() {
+        let mut values = vec![0u64, 1, 255, 256, u64::MAX];
+        values.extend((0..8).map(|i| 256u64.pow(i)));
+        values.extend((1..8).map(|i| 256u64.pow(i) - 1));
+        // A seeded xorshift sample, spread over every byte length.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..512 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            values.push(state >> (state % 64));
+        }
+        let (mut fast, mut reference) = (Fnv::new(), Fnv::new());
+        for value in values {
+            let (mut one, mut other) = (Fnv::new(), Fnv::new());
+            one.write_u64(value);
+            bytewise_u64(&mut other, value);
+            assert_eq!(one.finish(), other.finish(), "value {value:#x}");
+            fast.write_u64(value);
+            bytewise_u64(&mut reference, value);
+            assert_eq!(fast.finish(), reference.finish(), "stream at {value:#x}");
+        }
     }
 
     #[test]
