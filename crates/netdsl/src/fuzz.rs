@@ -2,11 +2,10 @@
 //!
 //! For every generated case the harness runs three queries — budgeted
 //! reachability, backward coverability and a budgeted Karp–Miller tree —
-//! first under a fixed *baseline* engine configuration (sequential, packed
-//! rows as in production, cold, direct [`Analysis`]), then once per
-//! differential *axis*:
+//! first under a fixed *baseline* engine configuration (packed rows as in
+//! production, cold, direct [`Analysis`]), then once per differential
+//! *axis*:
 //!
-//! * **parallel** — `Parallelism::Parallel(3)` instead of sequential;
 //! * **packed** — the uncompressed `u64` reference rows
 //!   ([`Analysis::u64_rows`]) instead of packed ones;
 //! * **resume** — truncate at half the budget, then resume to the full
@@ -14,7 +13,7 @@
 //! * **batch** — the same query as a single-job [`Batch`] run.
 //!
 //! Each axis must reproduce the baseline [fingerprint](pp_petri::fingerprint)
-//! bit for bit; the engine documents all four as observably identical, so
+//! bit for bit; the engine documents all three as observably identical, so
 //! *any* difference is a bug. On divergence the harness greedily shrinks
 //! the case — dropping transitions, initial configurations and places,
 //! then lowering counts — while the divergence persists, and renders the
@@ -22,12 +21,12 @@
 //! target rides along in the `target` stanza).
 //!
 //! `--inject-fault` flips
-//! [`fault_injection::EXHAUST_SCRATCH_IDS`](pp_petri::explore) around the
-//! parallel-axis runs. The hook refuses fresh scratch interns in worker
-//! chunks, which truncates *parallel* reachability early while leaving the
-//! sequential baseline untouched — a guaranteed observable engine fault
-//! that CI uses to prove the harness actually catches and shrinks
-//! divergences (the run *fails* if nothing is caught).
+//! [`fault_injection::SKIP_FIRST_DIRTY_ON_RESUME`](pp_petri::explore)
+//! around the resume-axis runs. The hook makes the resume leave its first
+//! re-expandable dirty node unexpanded, so a graph resumed from a
+//! budget-truncated half-budget build loses edges the cold baseline has —
+//! an observable engine fault that CI uses to prove the harness actually
+//! catches and shrinks divergences (the run *fails* if nothing is caught).
 
 use crate::ast::NetDef;
 use crate::eval::{concretize, instantiate, EvalError, NetSpec};
@@ -72,8 +71,6 @@ impl QueryKind {
 /// The engine configurations differentially checked against the baseline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Axis {
-    /// Sequential vs `Parallel(3)` workers.
-    Parallel,
     /// Packed vs unpacked `u64` rows.
     Packed,
     /// Cold full-budget run vs truncate-then-resume.
@@ -84,13 +81,12 @@ pub enum Axis {
 
 impl Axis {
     /// All axes, in checking order.
-    pub const ALL: [Axis; 4] = [Axis::Parallel, Axis::Packed, Axis::Resume, Axis::Batch];
+    pub const ALL: [Axis; 3] = [Axis::Packed, Axis::Resume, Axis::Batch];
 
     /// Stable lowercase name (used in reports and repro headers).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Axis::Parallel => "parallel",
             Axis::Packed => "packed",
             Axis::Resume => "resume",
             Axis::Batch => "batch",
@@ -115,7 +111,7 @@ pub struct FuzzOptions {
     /// Configuration budget for reachability and node budget for
     /// Karp–Miller (coverability is exact and needs none).
     pub budget: usize,
-    /// Enable the scratch-id exhaustion fault on parallel-axis runs.
+    /// Enable the skipped-dirty-node fault on resume-axis runs.
     pub inject_fault: bool,
 }
 
@@ -203,13 +199,6 @@ impl RunMode {
         axis: None,
         inject_fault: false,
     };
-
-    fn parallelism(self) -> Parallelism {
-        match self.axis {
-            Some(Axis::Parallel) => Parallelism::Parallel(3),
-            _ => Parallelism::Sequential,
-        }
-    }
 }
 
 /// Clears the fault hook on scope exit, so a panicking engine cannot leak
@@ -218,8 +207,8 @@ struct EngineModeGuard;
 
 impl EngineModeGuard {
     fn set(mode: RunMode) -> EngineModeGuard {
-        fault_injection::EXHAUST_SCRATCH_IDS.store(
-            mode.inject_fault && matches!(mode.axis, Some(Axis::Parallel)),
+        fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.store(
+            mode.inject_fault && matches!(mode.axis, Some(Axis::Resume)),
             Ordering::SeqCst,
         );
         EngineModeGuard
@@ -228,7 +217,7 @@ impl EngineModeGuard {
 
 impl Drop for EngineModeGuard {
     fn drop(&mut self) {
-        fault_injection::EXHAUST_SCRATCH_IDS.store(false, Ordering::SeqCst);
+        fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.store(false, Ordering::SeqCst);
     }
 }
 
@@ -259,7 +248,7 @@ fn run_query(
     if matches!(mode.axis, Some(Axis::Batch)) {
         return run_query_batch(spec, query, limits);
     }
-    let mut analysis = Analysis::new(&spec.net).parallelism(mode.parallelism());
+    let mut analysis = Analysis::new(&spec.net);
     if matches!(mode.axis, Some(Axis::Packed)) {
         analysis = analysis.u64_rows();
     }
@@ -489,7 +478,7 @@ fn case_seed(seed: u64, case: u32) -> u64 {
 /// Runs the differential fuzzer; see the module docs for the axes.
 ///
 /// Every divergence is shrunk before being reported. With
-/// `inject_fault` the engine is *expected* to diverge on the parallel
+/// `inject_fault` the engine is *expected* to diverge on the resume
 /// axis — callers invert the success condition.
 #[must_use]
 pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
@@ -559,7 +548,7 @@ mod tests {
             inject_fault: false,
         });
         assert_eq!(outcome.cases, 12);
-        assert!(outcome.comparisons >= 12 * 3 * 3, "axes actually ran");
+        assert!(outcome.comparisons >= 12 * 7, "axes actually ran");
         assert!(
             outcome.divergences.is_empty(),
             "unexpected divergences: {:?}",
@@ -574,18 +563,22 @@ mod tests {
     #[test]
     fn injected_faults_are_caught_and_shrunk() {
         let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The CLI's default budget, as in CI's self-test: the fault shows
+        // only where the half-budget build truncates and keeps its row
+        // layout, which at this seed takes the full 600.
+        let budget = FuzzOptions::default().budget;
         let outcome = run_fuzz(&FuzzOptions {
             cases: 8,
             seed: 1,
-            budget: 300,
+            budget,
             inject_fault: true,
         });
         assert!(
             !outcome.divergences.is_empty(),
-            "the scratch-id exhaustion fault must be observable"
+            "the skipped-dirty-node fault must be observable"
         );
         for divergence in &outcome.divergences {
-            assert_eq!(divergence.axis, Axis::Parallel, "fault is parallel-only");
+            assert_eq!(divergence.axis, Axis::Resume, "fault is resume-only");
             assert!(divergence.shrunk.transitions.len() <= divergence.original.transitions.len());
             // The shrunk definition still parses, instantiates and still
             // exhibits the divergence (the shrinker only keeps reducers
@@ -595,17 +588,17 @@ mod tests {
                 &reparsed,
                 divergence.query,
                 divergence.axis,
-                300,
+                budget,
                 true
             ));
             let doc = divergence.repro_document(1);
-            assert!(doc.contains("axis=parallel"));
+            assert!(doc.contains("axis=resume"));
         }
     }
 
     /// The production default is what gets fuzzed: the baseline and the
-    /// parallel, resume and batch axes all store packed rows, and only
-    /// the packed axis runs on the `u64` reference rows.
+    /// resume and batch axes all store packed rows, and only the packed
+    /// axis runs on the `u64` reference rows.
     #[test]
     fn only_the_packed_axis_runs_on_u64_rows() {
         let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -616,7 +609,6 @@ mod tests {
         let spec = instantiate(&def, &[]).unwrap();
         let modes = [
             (None, true),
-            (Some(Axis::Parallel), true),
             (Some(Axis::Resume), true),
             (Some(Axis::Batch), true),
             (Some(Axis::Packed), false),

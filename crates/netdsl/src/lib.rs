@@ -17,8 +17,8 @@
 //!   classes, cap styles and symbolic parameters; and
 //! * a differential **fuzzing harness** ([`fuzz`]) that runs every
 //!   generated net through reachability, coverability and Karp–Miller
-//!   under sequential vs parallel, packed vs unpacked, cold vs resumed and
-//!   direct vs batch engine configurations, demands bit-identical
+//!   under packed vs unpacked, cold vs resumed and direct vs batch engine
+//!   configurations, demands bit-identical
 //!   [fingerprints](pp_petri::fingerprint), and shrinks any divergence to
 //!   a self-contained `.pnet` repro.
 //!

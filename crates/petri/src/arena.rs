@@ -13,32 +13,15 @@
 //! [`ConfigId`]s (`u32`); a reachability graph's edge is a
 //! `(transition, target)` pair of `usize`s, sixteen bytes.
 //!
-//! The [`ShardedArena`] is the concurrent variant used by the parallel
-//! exploration engine: rows are partitioned by the top bits of their hash
-//! into independent shards, each a [`ConfigArena`] behind its own lock, so
-//! worker threads interning different rows rarely contend. Sharded ids
-//! ([`ShardedConfigId`]) are scratch identifiers local to one build; the
-//! deterministic commit pass of the parallel reachability build renumbers
-//! them into dense BFS-ordered [`ConfigId`]s.
-//!
-//! To support the *pipelined* renumbering protocol (main thread commits
-//! level *d* while workers already expand level *d+1*), the scratch arena
-//! retains **two levels** of rows at a time: ids are absolute and stay
-//! valid while older epochs are retired with the crate-internal
-//! `ShardedArena::retire_below`, so a row first seen at level *d* keeps
-//! its stable [`ShardedConfigId`] through the whole window in which level
-//! *d+1* workers may still rediscover it.
-//!
 //! Arenas are *layout-aware*: rows are stored in the packed word format
 //! of a [`RowLayout`] (one `u64` per place in
 //! the uncompressed default, down to one byte per place when the
-//! compiled net's counts are provably small), and all hashing, equality
-//! probing and retirement operate directly on the packed words — the
-//! arena never unpacks a row to answer a membership query.
+//! compiled net's counts are provably small), and all hashing and equality
+//! probing operate directly on the packed words — the arena never unpacks
+//! a row to answer a membership query.
 
 use crate::packed::{CellWidth, RowLayout};
 use std::hash::{Hash, Hasher};
-use std::sync::Mutex;
 
 /// Identifier of an interned configuration within one [`ConfigArena`].
 ///
@@ -82,24 +65,15 @@ pub struct ConfigArena {
     layout: RowLayout,
     /// Stored words per row — cached from `layout` for the hot paths.
     stride: usize,
-    /// Number of *retired* leading rows (see [`retire_below`]): ids stay
-    /// absolute, row `id` lives at buffer position `id - base`. Always 0
-    /// for the global arenas; only the pipelined engine's scratch shards
-    /// retire epochs.
-    ///
-    /// [`retire_below`]: Self::retire_below
-    base: usize,
     data: Vec<u64>,
     totals: Vec<u64>,
     /// Cached row hashes, parallel to `totals`: probes compare them before
-    /// comparing rows, the id table is rebuilt from them, and the sharded
-    /// parallel engine re-interns rows across arenas without re-hashing.
+    /// comparing rows, and the id table is rebuilt from them.
     hashes: Vec<u64>,
     /// The id table: a power-of-two number of slots probed linearly from
     /// a row's home slot ([`home_slot`](Self::home_slot)). A slot holds 0
-    /// when empty and `live offset + 1` of a stored row otherwise, so every
-    /// `u32` id stays assignable. At most 3/4 of the slots are occupied,
-    /// which keeps linear-probe runs short.
+    /// when empty and `id + 1` of a stored row otherwise. At most 3/4 of
+    /// the slots are occupied, which keeps linear-probe runs short.
     table: Vec<u32>,
     /// `64 - log2(table.len())`: the home slot is the top bits of the
     /// remixed hash.
@@ -111,9 +85,8 @@ const MIN_SLOTS: usize = 16;
 
 /// Odd multiplier (2^64 / golden ratio) remixing a row hash before its
 /// top bits pick the home slot. Fx ends with a multiply, so its low bits
-/// depend only on low input bits, and inside one [`ShardedArena`] shard
-/// the raw top bits are fixed because they chose the shard; the product's
-/// top bits depend on every hash bit.
+/// depend only on low input bits; the product's top bits depend on every
+/// hash bit.
 const SLOT_MIX: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The result of [`ConfigArena::entry`]: the row's id if it is stored,
@@ -146,9 +119,7 @@ impl VacantEntry<'_> {
     ///
     /// Panics if the arena is full (more than `u32::MAX` configurations).
     pub(crate) fn insert(self) -> ConfigId {
-        self.arena
-            .insert_at(self.slot, self.hash, self.row)
-            .expect("arena full: more than u32::MAX configurations")
+        self.arena.insert_at(self.slot, self.hash, self.row)
     }
 }
 
@@ -167,7 +138,6 @@ impl ConfigArena {
         ConfigArena {
             layout,
             stride,
-            base: 0,
             data: Vec::new(),
             totals: Vec::new(),
             hashes: Vec::new(),
@@ -195,11 +165,11 @@ impl ConfigArena {
         self.stride
     }
 
-    /// Number of distinct interned configurations (retired rows included:
-    /// ids are absolute, so this is also the next id to be assigned).
+    /// Number of distinct interned configurations (also the next id to be
+    /// assigned).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.base + self.totals.len()
+        self.totals.len()
     }
 
     /// Returns `true` if no configuration has been interned.
@@ -214,10 +184,10 @@ impl ConfigArena {
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not belong to this arena (or was retired).
+    /// Panics if `id` does not belong to this arena.
     #[must_use]
     pub fn row(&self, id: ConfigId) -> &[u64] {
-        let start = (id.index() - self.base) * self.stride;
+        let start = id.index() * self.stride;
         &self.data[start..start + self.stride]
     }
 
@@ -225,10 +195,10 @@ impl ConfigArena {
     ///
     /// # Panics
     ///
-    /// Panics if `id` does not belong to this arena (or was retired).
+    /// Panics if `id` does not belong to this arena.
     #[must_use]
     pub fn total(&self, id: ConfigId) -> u64 {
-        self.totals[id.index() - self.base]
+        self.totals[id.index()]
     }
 
     /// Interns a stored-format `row`, returning the id of the unique
@@ -237,33 +207,11 @@ impl ConfigArena {
     /// # Panics
     ///
     /// Panics if `row` has the wrong stored width or the arena is full
-    /// (more than `u32::MAX` configurations); use the crate-internal
-    /// `try_intern_prehashed` where id-space exhaustion must be
-    /// survivable.
+    /// (more than `u32::MAX` configurations).
     pub fn intern(&mut self, row: &[u64]) -> ConfigId {
-        let hash = hash_row(row);
-        self.intern_prehashed(hash, row)
-    }
-
-    /// [`intern`](Self::intern) with the row hash already computed, so
-    /// callers moving rows between arenas (the sharded parallel engine)
-    /// hash each row once.
-    pub(crate) fn intern_prehashed(&mut self, hash: u64, row: &[u64]) -> ConfigId {
-        self.try_intern_prehashed(hash, row)
-            .expect("arena full: more than u32::MAX configurations")
-    }
-
-    /// Fallible interning: returns `None` (leaving the arena unchanged)
-    /// when assigning the next id would overflow `u32` — the id space is
-    /// exhausted. Deduplication hits on already-stored rows still
-    /// succeed. The parallel engine's sharded scratch arenas surface this
-    /// as [`Completion::IdSpace`](crate::Completion::IdSpace) truncation
-    /// instead of panicking mid-build.
-    pub(crate) fn try_intern_prehashed(&mut self, hash: u64, row: &[u64]) -> Option<ConfigId> {
-        assert_eq!(row.len(), self.stride, "row width mismatch");
-        match self.probe(hash, row) {
-            Ok(id) => Some(id),
-            Err(slot) => self.insert_at(slot, hash, row),
+        match self.entry(row) {
+            Entry::Occupied(id) => id,
+            Entry::Vacant(vacant) => vacant.insert(),
         }
     }
 
@@ -308,11 +256,11 @@ impl ConfigArena {
             if entry == 0 {
                 return Err(slot);
             }
-            let offset = (entry - 1) as usize;
-            if self.hashes[offset] == hash
-                && &self.data[offset * self.stride..(offset + 1) * self.stride] == row
+            let id = (entry - 1) as usize;
+            if self.hashes[id] == hash
+                && &self.data[id * self.stride..(id + 1) * self.stride] == row
             {
-                return Ok(ConfigId((self.base + offset) as u32));
+                return Ok(ConfigId(entry - 1));
             }
             slot = (slot + 1) & mask;
         }
@@ -320,13 +268,15 @@ impl ConfigArena {
 
     /// Stores the absent `row` at `slot`, the empty slot its probe ended
     /// on, growing the table first if the row would push the load past
-    /// 3/4. Returns `None` (arena unchanged) when the next id, or the
-    /// slot value `live offset + 1`, would overflow `u32`.
-    fn insert_at(&mut self, slot: usize, hash: u64, row: &[u64]) -> Option<ConfigId> {
-        let id = u32::try_from(self.len()).ok()?;
-        let live = self.totals.len() + 1;
-        let entry = u32::try_from(live).ok()?;
-        let slot = if live * 4 > self.table.len() * 3 {
+    /// 3/4.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the slot value `id + 1` would overflow `u32`.
+    fn insert_at(&mut self, slot: usize, hash: u64, row: &[u64]) -> ConfigId {
+        let id = self.len();
+        let entry = u32::try_from(id + 1).expect("arena full: more than u32::MAX configurations");
+        let slot = if (id + 1) * 4 > self.table.len() * 3 {
             self.rebuild_table(self.table.len() * 2);
             self.vacant_slot(hash)
         } else {
@@ -341,7 +291,7 @@ impl ConfigArena {
         });
         self.hashes.push(hash);
         self.table[slot] = entry;
-        Some(ConfigId(id))
+        ConfigId(entry - 1)
     }
 
     /// The first empty slot on `hash`'s probe sequence.
@@ -355,24 +305,15 @@ impl ConfigArena {
     }
 
     /// Refills an id table of `slots` slots from the cached hashes of the
-    /// live rows. Live rows are distinct, so no row is hashed or compared.
+    /// stored rows. Stored rows are distinct, so no row is hashed or
+    /// compared.
     fn rebuild_table(&mut self, slots: usize) {
         self.table = vec![0; slots];
         self.shift = 64 - slots.trailing_zeros();
-        for offset in 0..self.hashes.len() {
-            let slot = self.vacant_slot(self.hashes[offset]);
-            self.table[slot] = offset as u32 + 1;
+        for id in 0..self.hashes.len() {
+            let slot = self.vacant_slot(self.hashes[id]);
+            self.table[slot] = id as u32 + 1;
         }
-    }
-
-    /// The cached hash of configuration `id`'s row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this arena (or was retired).
-    #[must_use]
-    pub(crate) fn row_hash(&self, id: ConfigId) -> u64 {
-        self.hashes[id.index() - self.base]
     }
 
     /// The id of a stored-format `row` if it is already interned.
@@ -381,299 +322,19 @@ impl ConfigArena {
         if row.len() != self.stride {
             return None;
         }
-        self.lookup_prehashed(hash_row(row), row)
+        self.probe(hash_row(row), row).ok()
     }
 
-    /// [`lookup`](Self::lookup) with the row hash already computed.
-    pub(crate) fn lookup_prehashed(&self, hash: u64, row: &[u64]) -> Option<ConfigId> {
-        self.probe(hash, row).ok()
-    }
-
-    /// Retires every row with absolute id below `abs`: the storage is
-    /// released and the rows disappear from dedup lookups, but id
-    /// assignment keeps counting upwards so the remaining (and all future)
-    /// ids stay stable. The pipelined exploration engine uses this to keep
-    /// exactly two levels of scratch rows alive.
-    pub(crate) fn retire_below(&mut self, abs: usize) {
-        let cut = abs.clamp(self.base, self.len());
-        let retired = cut - self.base;
-        if retired == 0 {
-            return;
-        }
-        self.data.drain(..retired * self.stride);
-        self.totals.drain(..retired);
-        self.hashes.drain(..retired);
-        self.base = cut;
-        // Every surviving row's live offset shifted, so the id table is
-        // refilled from the cached hashes at its current size:
-        // O(table slots + live rows), and no row is hashed again.
-        self.rebuild_table(self.table.len());
-    }
-
-    /// Iterates over all live (non-retired) rows in id order.
+    /// Iterates over all rows in id order.
     pub fn rows(&self) -> impl Iterator<Item = &[u64]> {
-        (self.base..self.len()).map(move |i| self.row(ConfigId(i as u32)))
-    }
-
-    /// Fast-forwards id assignment so the next interned row receives
-    /// absolute id `next`, as if that many rows had been interned and
-    /// retired. Test-only: lets the id-space exhaustion path be exercised
-    /// without interning four billion rows.
-    #[cfg(test)]
-    pub(crate) fn skip_ids_for_test(&mut self, next: usize) {
-        assert!(self.totals.is_empty(), "skip ids on a fresh arena only");
-        self.base = next;
+        (0..self.len()).map(move |i| self.row(ConfigId(i as u32)))
     }
 }
 
-pub(crate) fn hash_row(row: &[u64]) -> u64 {
+fn hash_row(row: &[u64]) -> u64 {
     let mut hasher = rustc_hash::FxHasher::default();
     row.hash(&mut hasher);
     hasher.finish()
-}
-
-/// Acquires `mutex` by spinning on `try_lock` instead of parking.
-///
-/// The critical sections guarded this way (a shard probe, a result push)
-/// run for nanoseconds, while losing a `Mutex::lock` race parks the thread
-/// through a futex syscall — tens of microseconds under the
-/// syscall-intercepting sandboxes this suite's CI runs in, five orders of
-/// magnitude more than the wait being avoided. Spinning keeps the
-/// contention cost proportional to the critical section.
-///
-/// # Panics
-///
-/// Panics if the lock is poisoned.
-pub(crate) fn spin_lock<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    loop {
-        match mutex.try_lock() {
-            Ok(guard) => return guard,
-            Err(std::sync::TryLockError::WouldBlock) => std::hint::spin_loop(),
-            Err(std::sync::TryLockError::Poisoned(_)) => panic!("sharded arena lock poisoned"),
-        }
-    }
-}
-
-/// Identifier of a configuration interned in a [`ShardedArena`]: the shard
-/// that owns the row plus the row's index within that shard.
-///
-/// Sharded ids are *scratch* identifiers: they depend on the shard count
-/// and are only meaningful relative to the arena that produced them. The
-/// parallel exploration engine maps them to dense BFS-ordered
-/// [`ConfigId`]s in its deterministic renumbering pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ShardedConfigId {
-    shard: u32,
-    local: u32,
-}
-
-impl ShardedConfigId {
-    /// The owning shard's index.
-    #[must_use]
-    pub fn shard(self) -> usize {
-        self.shard as usize
-    }
-
-    /// The row index within the owning shard.
-    #[must_use]
-    pub fn local(self) -> usize {
-        self.local as usize
-    }
-}
-
-/// A concurrently-usable interning arena, sharded by row hash.
-///
-/// The arena owns a power-of-two number of shards; a row's shard is chosen
-/// from the top bits of its Fx hash (inside the shard, the id table's home
-/// slot comes from a multiplicative remix of the whole hash). Each shard
-/// is a plain [`ConfigArena`] behind its own [`Mutex`], so
-/// [`intern`](Self::intern) takes `&self` and can be called from many
-/// worker threads at once — the design point of the parallel exploration
-/// engine, where each BFS level's successor rows are interned concurrently
-/// and renumbered deterministically afterwards.
-///
-/// # Examples
-///
-/// ```
-/// use pp_petri::arena::ShardedArena;
-///
-/// let arena = ShardedArena::new(2, 8);
-/// let a = arena.intern(&[1, 2]);
-/// assert_eq!(arena.intern(&[1, 2]), a); // deduplicated across calls
-/// assert_ne!(arena.intern(&[2, 1]), a);
-/// assert_eq!(arena.len(), 2);
-/// ```
-#[derive(Debug)]
-pub struct ShardedArena {
-    layout: RowLayout,
-    stride: usize,
-    shard_bits: u32,
-    shards: Vec<Mutex<ConfigArena>>,
-}
-
-impl ShardedArena {
-    /// An empty sharded arena for uncompressed rows of `width` counters
-    /// with at least `shards` shards (rounded up to a power of two,
-    /// clamped to 1..=1024).
-    #[must_use]
-    pub fn new(width: usize, shards: usize) -> Self {
-        ShardedArena::with_layout(RowLayout::uniform(width, CellWidth::U64), shards)
-    }
-
-    /// An empty sharded arena for packed rows of the given layout.
-    #[must_use]
-    pub fn with_layout(layout: RowLayout, shards: usize) -> Self {
-        let count = shards.clamp(1, 1024).next_power_of_two();
-        let stride = layout.words_per_row();
-        ShardedArena {
-            shard_bits: count.trailing_zeros(),
-            shards: (0..count)
-                .map(|_| Mutex::new(ConfigArena::with_layout(layout.clone())))
-                .collect(),
-            layout,
-            stride,
-        }
-    }
-
-    /// The number of places per row (the logical width).
-    #[must_use]
-    pub fn width(&self) -> usize {
-        self.layout.places()
-    }
-
-    /// The row layout packed rows are stored in.
-    #[must_use]
-    pub fn layout(&self) -> &RowLayout {
-        &self.layout
-    }
-
-    /// Number of shards (a power of two).
-    #[must_use]
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, hash: u64) -> usize {
-        if self.shard_bits == 0 {
-            0
-        } else {
-            (hash >> (64 - self.shard_bits)) as usize
-        }
-    }
-
-    /// Interns a stored-format `row`, returning the id of the unique
-    /// stored copy.
-    ///
-    /// Safe to call concurrently: only the owning shard is locked.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `row` has the wrong stored width or the owning shard's
-    /// local id space is exhausted (more than `u32::MAX` rows ever
-    /// interned into one shard). The parallel exploration engine uses the
-    /// fallible crate-internal `try_intern_hashed` instead and degrades
-    /// to an id-space truncation.
-    pub fn intern(&self, row: &[u64]) -> ShardedConfigId {
-        self.try_intern_hashed(hash_row(row), row)
-            .expect("sharded arena shard full: more than u32::MAX rows")
-    }
-
-    /// [`intern`](Self::intern) with the row hash already computed,
-    /// returning `None` (with the arena unchanged) when the owning
-    /// shard's local id space is exhausted.
-    pub(crate) fn try_intern_hashed(&self, hash: u64, row: &[u64]) -> Option<ShardedConfigId> {
-        let shard = self.shard_of(hash);
-        let local = spin_lock(&self.shards[shard]).try_intern_prehashed(hash, row)?;
-        Some(ShardedConfigId {
-            shard: u32::try_from(shard).expect("shard count fits u32"),
-            local: local.0,
-        })
-    }
-
-    /// Per-shard next local id, i.e. the number of rows ever interned into
-    /// each shard (retired rows included). Two successive snapshots
-    /// delimit an *epoch*: every row interned between them has a local id
-    /// in the snapshot range of its shard. The pipelined engine snapshots
-    /// at each level handoff while all workers are parked.
-    #[must_use]
-    pub(crate) fn snapshot_lens(&self) -> Vec<u32> {
-        self.shards
-            .iter()
-            .map(|s| u32::try_from(spin_lock(s).len()).expect("shard id fits u32"))
-            .collect()
-    }
-
-    /// Calls `f` with `(shard, local id, agent total, row)` for every live
-    /// row whose local id falls in `from[shard]..to[shard]`, in shard-major
-    /// local-minor order — the deterministic enumeration of one epoch that
-    /// the pipelined engine turns into the next level's job.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a range addresses retired or not-yet-interned rows.
-    pub(crate) fn for_each_in_range(
-        &self,
-        from: &[u32],
-        to: &[u32],
-        mut f: impl FnMut(usize, u32, u64, &[u64]),
-    ) {
-        for (shard_index, shard) in self.shards.iter().enumerate() {
-            let shard = spin_lock(shard);
-            for local in from[shard_index]..to[shard_index] {
-                let id = ConfigId(local);
-                f(shard_index, local, shard.total(id), shard.row(id));
-            }
-        }
-    }
-
-    /// Retires, per shard, every row with local id below `lens[shard]`
-    /// (see [`ConfigArena::retire_below`]): surviving and future ids stay
-    /// stable, retired rows leave dedup. `lens` is a snapshot previously
-    /// returned by [`snapshot_lens`](Self::snapshot_lens).
-    pub(crate) fn retire_below(&self, lens: &[u32]) {
-        for (shard, &cut) in self.shards.iter().zip(lens) {
-            spin_lock(shard).retire_below(cut as usize);
-        }
-    }
-
-    /// The id of a stored-format `row` if it is already interned.
-    #[must_use]
-    pub fn lookup(&self, row: &[u64]) -> Option<ShardedConfigId> {
-        if row.len() != self.stride {
-            return None;
-        }
-        let hash = hash_row(row);
-        let shard = self.shard_of(hash);
-        let local = spin_lock(&self.shards[shard]).lookup_prehashed(hash, row)?;
-        Some(ShardedConfigId {
-            shard: u32::try_from(shard).expect("shard count fits u32"),
-            local: local.0,
-        })
-    }
-
-    /// Total number of distinct interned configurations (locks every shard).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| spin_lock(s).len()).sum()
-    }
-
-    /// Returns `true` if no configuration has been interned.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Calls `f` with the cached hash and row of configuration `id`,
-    /// holding the owning shard's lock for the duration of the call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` does not belong to this arena.
-    pub fn with_row<R>(&self, id: ShardedConfigId, f: impl FnOnce(u64, &[u64]) -> R) -> R {
-        let shard = spin_lock(&self.shards[id.shard()]);
-        let local = ConfigId(id.local);
-        f(shard.row_hash(local), shard.row(local))
-    }
 }
 
 #[cfg(test)]
@@ -745,131 +406,20 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sharded_arena_deduplicates_and_exposes_rows() {
-        let arena = ShardedArena::new(3, 4);
-        assert_eq!(arena.num_shards(), 4);
-        assert_eq!(arena.width(), 3);
-        assert!(arena.is_empty());
-        assert_eq!(arena.lookup(&[1, 2, 3]), None);
-        let a = arena.intern(&[1, 2, 3]);
-        let b = arena.intern(&[3, 2, 1]);
-        assert_eq!(arena.intern(&[1, 2, 3]), a);
-        assert_ne!(a, b);
-        assert_eq!(arena.len(), 2);
-        assert_eq!(arena.lookup(&[1, 2, 3]), Some(a));
-        assert_eq!(arena.lookup(&[9, 9, 9]), None);
-        assert_eq!(arena.lookup(&[1, 2]), None);
-        arena.with_row(a, |hash, row| {
-            assert_eq!(row, &[1, 2, 3]);
-            assert_eq!(hash, hash_row(&[1, 2, 3]));
-        });
-    }
-
-    #[test]
-    fn retire_below_keeps_ids_stable_and_drops_dedup() {
-        let mut arena = ConfigArena::new(2);
-        let a = arena.intern(&[1, 1]);
-        let b = arena.intern(&[2, 2]);
-        arena.retire_below(1);
-        assert_eq!(arena.len(), 2, "retired rows still count toward ids");
-        assert_eq!(arena.row(b), &[2, 2]);
-        assert_eq!(arena.total(b), 4);
-        assert_eq!(arena.lookup(&[1, 1]), None, "retired rows leave dedup");
-        assert_eq!(arena.lookup(&[2, 2]), Some(b));
-        // Re-interning a retired row assigns a fresh id: ids never recycle.
-        let a2 = arena.intern(&[1, 1]);
-        assert_eq!(a2, ConfigId(2));
-        assert_ne!(a2, a);
-        let rows: Vec<&[u64]> = arena.rows().collect();
-        assert_eq!(rows, vec![&[2, 2][..], &[1, 1]]);
-        // Retiring everything (or past the end) is safe and idempotent.
-        arena.retire_below(100);
-        assert_eq!(arena.len(), 3);
-        assert_eq!(arena.rows().count(), 0);
-        arena.retire_below(0);
-        assert_eq!(arena.len(), 3);
-    }
-
-    #[test]
-    fn sharded_retirement_keeps_the_newest_epoch() {
-        let arena = ShardedArena::new(1, 4);
-        let epoch0 = arena.snapshot_lens();
-        assert_eq!(epoch0, vec![0; 4]);
-        let a = arena.intern(&[10]);
-        let b = arena.intern(&[20]);
-        let epoch1 = arena.snapshot_lens();
-        let c = arena.intern(&[30]);
-        // Enumerate the first epoch (rows a, b) deterministically.
-        let mut seen = Vec::new();
-        arena.for_each_in_range(&epoch0, &epoch1, |shard, local, total, row| {
-            seen.push((shard, local, total, row.to_vec()));
-        });
-        assert_eq!(seen.len(), 2);
-        assert!(seen.iter().all(|(_, _, total, row)| *total == row[0]));
-        // Retire the first epoch; the newer row keeps its stable id.
-        arena.retire_below(&epoch1);
-        assert_eq!(arena.lookup(&[10]), None);
-        assert_eq!(arena.lookup(&[20]), None);
-        assert_eq!(arena.lookup(&[30]), Some(c));
-        arena.with_row(c, |_, row| assert_eq!(row, &[30]));
-        let _ = (a, b);
-    }
-
-    #[test]
-    fn sharded_arena_shard_count_is_clamped_to_powers_of_two() {
-        assert_eq!(ShardedArena::new(1, 0).num_shards(), 1);
-        assert_eq!(ShardedArena::new(1, 3).num_shards(), 4);
-        assert_eq!(ShardedArena::new(1, 64).num_shards(), 64);
-        assert_eq!(ShardedArena::new(1, 100_000).num_shards(), 1024);
-    }
-
-    #[test]
-    fn intern_refuses_instead_of_panicking_when_id_space_is_exhausted() {
-        let mut arena = ConfigArena::new(2);
-        // The very last assignable id is u32::MAX; one past it must be
-        // refused, not panic (regression: the sharded scratch arenas used
-        // to `expect("arena full…")` here, killing the whole build).
-        arena.skip_ids_for_test(u32::MAX as usize);
-        let row = [1u64, 2];
-        let hash = hash_row(&row);
-        let last = arena
-            .try_intern_prehashed(hash, &row)
-            .expect("id u32::MAX itself is assignable");
-        assert_eq!(last, ConfigId(u32::MAX));
-        // Dedup hits keep succeeding even at the boundary…
-        assert_eq!(arena.try_intern_prehashed(hash, &row), Some(last));
-        // …but a *fresh* row no longer fits the id space.
-        let fresh = [3u64, 4];
-        assert_eq!(arena.try_intern_prehashed(hash_row(&fresh), &fresh), None);
-        assert_eq!(arena.len(), u32::MAX as usize + 1);
-        assert_eq!(arena.lookup(&fresh), None, "refused rows are not stored");
-    }
-
-    /// Reference model of one arena, or of one shard: live row → id.
+    /// Reference model of one arena: row → id.
     #[derive(Default)]
     struct Model {
         ids: std::collections::BTreeMap<Vec<u64>, u32>,
-        next: u32,
     }
 
     impl Model {
         fn intern(&mut self, row: &[u64]) -> u32 {
-            if let Some(&id) = self.ids.get(row) {
-                return id;
-            }
-            let id = self.next;
-            self.next += 1;
-            self.ids.insert(row.to_vec(), id);
-            id
+            let next = self.ids.len() as u32;
+            *self.ids.entry(row.to_vec()).or_insert(next)
         }
 
         fn lookup(&self, row: &[u64]) -> Option<u32> {
             self.ids.get(row).copied()
-        }
-
-        fn retire_below(&mut self, cut: u32) {
-            self.ids.retain(|_, id| *id >= cut);
         }
     }
 
@@ -880,61 +430,29 @@ mod tests {
             ops in proptest::collection::vec((0u8..=255, (0u64..10, 0u64..10, 0u64..10)), 10_000..10_500)
         ) {
             // Every op interns a narrow row (1000 distinct, so most
-            // interns are dedup hits), then probes a present-or-retired
-            // row, probes a row that was never interned, or, rarely,
-            // retires the previous epoch as the pipelined engine does.
-            let mut flat = ConfigArena::new(3);
-            let mut flat_model = Model::default();
-            let mut flat_epoch = 0;
-            let sharded = ShardedArena::new(3, 4);
-            let mut shard_models: Vec<Model> = (0..4).map(|_| Model::default()).collect();
-            let mut sharded_epoch = sharded.snapshot_lens();
-            let sharded_lookup = |row: &[u64]| sharded.lookup(row).map(|id| (id.shard(), id.local()));
-            let model_lookup = |models: &[Model], row: &[u64]| {
-                let shard = sharded.shard_of(hash_row(row));
-                models[shard].lookup(row).map(|local| (shard, local as usize))
-            };
+            // interns are dedup hits), then probes a row that may or may
+            // not be present, or a row that was never interned.
+            let mut arena = ConfigArena::new(3);
+            let mut model = Model::default();
             for (action, (a, b, c)) in ops {
                 let row = [a, b, c];
-                prop_assert_eq!(flat.intern(&row).0, flat_model.intern(&row));
-                let id = sharded.intern(&row);
-                prop_assert_eq!(id.shard(), sharded.shard_of(hash_row(&row)));
-                prop_assert_eq!(id.local(), shard_models[id.shard()].intern(&row) as usize);
+                prop_assert_eq!(arena.intern(&row).0, model.intern(&row));
                 match action {
-                    0 => {
-                        flat.retire_below(flat_epoch);
-                        flat_model.retire_below(flat_epoch as u32);
-                        flat_epoch = flat.len();
-                        sharded.retire_below(&sharded_epoch);
-                        for (model, &cut) in shard_models.iter_mut().zip(&sharded_epoch) {
-                            model.retire_below(cut);
-                        }
-                        sharded_epoch = sharded.snapshot_lens();
-                    }
-                    1..=127 => {
-                        // A retired row misses exactly when the model
-                        // dropped it.
+                    0..=127 => {
                         let probe = [c, a, b];
-                        prop_assert_eq!(flat.lookup(&probe).map(|id| id.0), flat_model.lookup(&probe));
-                        prop_assert_eq!(sharded_lookup(&probe), model_lookup(&shard_models, &probe));
+                        prop_assert_eq!(arena.lookup(&probe).map(|id| id.0), model.lookup(&probe));
                     }
                     128..=191 => {
                         let absent = [a + 10, b, c];
-                        prop_assert_eq!(flat.lookup(&absent), None);
-                        prop_assert_eq!(sharded.lookup(&absent), None);
+                        prop_assert_eq!(arena.lookup(&absent), None);
                     }
                     _ => {}
                 }
             }
-            prop_assert_eq!(flat.len(), flat_model.next as usize);
-            prop_assert_eq!(
-                sharded.len(),
-                shard_models.iter().map(|m| m.next as usize).sum::<usize>()
-            );
-            prop_assert!(flat.table.len() >= 512, "the table grew past several boundaries");
+            prop_assert_eq!(arena.len(), model.ids.len());
+            prop_assert!(arena.table.len() >= 512, "the table grew past several boundaries");
             for row in (0..1000u64).map(|i| [i / 100, i / 10 % 10, i % 10]) {
-                prop_assert_eq!(flat.lookup(&row).map(|id| id.0), flat_model.lookup(&row));
-                prop_assert_eq!(sharded_lookup(&row), model_lookup(&shard_models, &row));
+                prop_assert_eq!(arena.lookup(&row).map(|id| id.0), model.lookup(&row));
             }
         }
     }
@@ -953,32 +471,5 @@ mod tests {
         assert_eq!(arena.total(id), cells.iter().sum::<u64>());
         assert_eq!(arena.layout().unpack(arena.row(id)), cells);
         assert_eq!(arena.lookup(&packed), Some(id));
-    }
-
-    #[test]
-    fn sharded_arena_concurrent_interning_deduplicates() {
-        let arena = ShardedArena::new(2, 16);
-        std::thread::scope(|scope| {
-            for worker in 0..4u64 {
-                let arena = &arena;
-                scope.spawn(move || {
-                    // All workers intern the same 100 distinct rows, starting
-                    // at different offsets so the interleavings differ.
-                    for i in 0..500u64 {
-                        let i = i + worker * 31;
-                        let row = [(i / 10) % 10, i % 10];
-                        arena.intern(&row);
-                    }
-                });
-            }
-        });
-        assert_eq!(arena.len(), 100);
-        // Every row is found again, and ids round-trip through with_row.
-        for a in 0..10u64 {
-            for b in 0..10u64 {
-                let id = arena.lookup(&[a, b]).expect("row was interned");
-                arena.with_row(id, |_, row| assert_eq!(row, &[a, b]));
-            }
-        }
     }
 }

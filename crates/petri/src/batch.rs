@@ -82,10 +82,9 @@
 //! # Concurrency
 //!
 //! [`Batch::parallelism`] fans jobs of one round out over cooperating OS
-//! threads ([`Parallelism::Parallel`]); each job's own exploration stays
-//! sequential unless [`BatchJob::exploration`] says otherwise. Results are
-//! identical across all runner modes — the engines are deterministic and
-//! rounds are barriers — so, as everywhere in this crate, parallelism is
+//! threads ([`Parallelism::Parallel`]); each job runs on one thread.
+//! Results are identical across all runner modes — the engines are
+//! deterministic and rounds are barriers — so the runner parallelism is
 //! purely a speed knob.
 //!
 //! # Cancellation and orphaned jobs
@@ -194,8 +193,8 @@ pub enum BatchQuery<P: Ord> {
 /// Build one with the shape constructors ([`reachability`](Self::reachability),
 /// [`coverability`](Self::coverability), [`karp_miller`](Self::karp_miller),
 /// [`covering_word`](Self::covering_word)), then adjust
-/// [`limits`](Self::limits) / [`exploration`](Self::exploration) /
-/// [`with_places`](Self::with_places) as needed and hand it to
+/// [`limits`](Self::limits) / [`with_places`](Self::with_places) as
+/// needed and hand it to
 /// [`Batch::job`].
 #[derive(Debug, Clone)]
 pub struct BatchJob<P: Ord> {
@@ -213,11 +212,6 @@ pub struct BatchJob<P: Ord> {
     /// The job's own limits. Under a shared pool, `max_configurations` is
     /// the job's *demand*; the pool decides how much of it is granted.
     pub limits: ExplorationLimits,
-    /// Parallelism of the job's own state-space build (not of the batch
-    /// runner) for reachability and Karp–Miller jobs; coverability jobs
-    /// always saturate sequentially. Defaults to
-    /// [`Parallelism::Sequential`]; results are identical either way.
-    pub exploration: Parallelism,
     /// Cancellation flag, observed at round barriers (see
     /// [`BatchJob::cancel_token`]). `None` means the job cannot be
     /// orphaned.
@@ -232,7 +226,6 @@ impl<P: Clone + Ord> BatchJob<P> {
             extra_places: Vec::new(),
             query,
             limits: ExplorationLimits::default(),
-            exploration: Parallelism::Sequential,
             cancel: None,
         }
     }
@@ -282,13 +275,6 @@ impl<P: Clone + Ord> BatchJob<P> {
     #[must_use]
     pub fn limits(mut self, limits: ExplorationLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Sets the parallelism of the job's own state-space build.
-    #[must_use]
-    pub fn exploration(mut self, exploration: Parallelism) -> Self {
-        self.exploration = exploration;
         self
     }
 
@@ -565,8 +551,7 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
     /// Runs the batch and reports every job's result.
     ///
     /// Results are deterministic: they do not depend on the runner
-    /// parallelism, on each job's exploration parallelism, or on how pool
-    /// rounds interleave — every job's outcome is bit-identical to a solo
+    /// parallelism or on how pool rounds interleave — every job's outcome is bit-identical to a solo
     /// query at its [`JobReport::final_limits`].
     pub fn run(self) -> BatchReport<P> {
         let started = Instant::now();
@@ -915,7 +900,7 @@ fn run_round<P: Clone + Ord + Send + Sync>(
     parallelism: Parallelism,
 ) {
     let workers = parallelism.workers().min(to_run.len()).max(1);
-    if !parallelism.is_parallel() || workers == 1 {
+    if workers == 1 {
         for &j in to_run {
             run_one(&jobs[j], &mut states[j].lock().expect("job state"));
         }
@@ -960,7 +945,6 @@ fn run_one<P: Clone + Ord>(job: &BatchJob<P>, state: &mut JobState<P>) {
                 .session
                 .reachability(initials.iter().cloned())
                 .limits(limits)
-                .parallelism(job.exploration)
                 .run();
             state.completion = graph.completion();
             state.used = graph.len();
@@ -977,7 +961,6 @@ fn run_one<P: Clone + Ord>(job: &BatchJob<P>, state: &mut JobState<P>) {
                 .session
                 .karp_miller(initial.clone())
                 .max_nodes(state.granted)
-                .parallelism(job.exploration)
                 .run();
             state.completion = tree.completion();
             state.used = tree.markings().len();

@@ -8,17 +8,15 @@
 //! exploration is truncated by [`ExplorationLimits`] and the result records
 //! whether it is complete.
 
-use crate::arena::{ConfigArena, ConfigId, Entry, ShardedArena, ShardedConfigId};
+use crate::arena::{ConfigArena, ConfigId, Entry};
 use crate::engine::CompiledNet;
 use crate::packed::{PackedTransition, RowLayout};
-use crate::parallel::Parallelism;
 use crate::session::Completion;
 use crate::PetriNet;
 use pp_multiset::Multiset;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex, OnceLock, RwLock};
-use std::time::Instant;
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 
 /// The largest number of configurations any exploration can store: the
 /// `u32` id space of [`ConfigArena`].
@@ -29,31 +27,22 @@ use std::time::Instant;
 /// the arena.
 pub const MAX_GRAPH_CONFIGURATIONS: usize = u32::MAX as usize;
 
-/// Test-only fault injection for the parallel engine.
+/// Test-only fault injection for the resume path.
 ///
-/// Hidden from the documented API: the `tests/parallel_poison.rs`
-/// integration test sets [`PANIC_IN_WORKERS`](fault_injection::PANIC_IN_WORKERS)
-/// to prove that a panicking worker thread poisons the whole build — the
-/// panic propagates out of the parallel build — instead of
-/// deadlocking the pipeline barrier. While set, worker dispatch also
-/// ignores the minimum level size and the measured regime choice, so tiny
-/// test graphs still spawn workers on every level.
+/// Hidden from the documented API: `pp_netdsl fuzz --inject-fault` sets
+/// [`SKIP_FIRST_DIRTY_ON_RESUME`](fault_injection::SKIP_FIRST_DIRTY_ON_RESUME)
+/// around its resume-axis runs to prove that the differential harness
+/// catches, shrinks and reports an engine fault.
 #[doc(hidden)]
 pub mod fault_injection {
     use std::sync::atomic::AtomicBool;
 
-    /// When `true`, every spawned exploration worker panics at its next
-    /// wakeup (the main thread never does — it must survive to observe
-    /// the poisoning).
-    pub static PANIC_IN_WORKERS: AtomicBool = AtomicBool::new(false);
-
-    /// When `true`, the sharded scratch arenas refuse every *fresh*
-    /// intern, as if their shard-local `u32` id space were exhausted
-    /// (dedup hits still resolve). Worker dispatch also ignores the
-    /// minimum level size, like [`PANIC_IN_WORKERS`]. Regression lever
-    /// for the id-space truncation path: builds must degrade to
-    /// `Completion::IdSpace`, never panic.
-    pub static EXHAUST_SCRATCH_IDS: AtomicBool = AtomicBool::new(false);
+    /// When `true`, phase 2 of [`ReachabilityGraph::resume`](super::ReachabilityGraph::resume)
+    /// leaves the first dirty node it would re-expand as it is: its
+    /// recorded edge list stays, and it leaves the dirty frontier. A
+    /// graph resumed from a budget-truncated build then differs from the
+    /// cold build at the raised budget.
+    pub static SKIP_FIRST_DIRTY_ON_RESUME: AtomicBool = AtomicBool::new(false);
 }
 
 /// Limits for forward exploration.
@@ -201,28 +190,21 @@ struct DirtyNode {
     watermark: u32,
 }
 
-/// Which exploration limits bit during a build. The flags are set at the
-/// exact decision points the sequential search would set them, in both
-/// engines, so they are deterministic across modes and worker counts.
+/// Which exploration limits bit during a build, set at the decision points
+/// of the breadth-first scan.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Truncation {
     config: bool,
     agents: bool,
     depth: bool,
-    /// A sharded scratch arena ran out of shard-local `u32` ids mid-build
-    /// (the parallel engine's analogue of the sequential id-space clamp).
-    id_space: bool,
 }
 
 impl Truncation {
     /// The dominant [`Completion`] for these flags under `limits`
-    /// (id space → configuration budget → agent cap → depth cap; a budget
-    /// that was clamped by the arena id space also reports
-    /// [`Completion::IdSpace`]).
+    /// (configuration budget → agent cap → depth cap; a budget that was
+    /// clamped by the arena id space reports [`Completion::IdSpace`]).
     fn completion(self, limits: &ExplorationLimits) -> Completion {
-        if self.id_space {
-            Completion::IdSpace
-        } else if self.config {
+        if self.config {
             if limits.max_configurations > MAX_GRAPH_CONFIGURATIONS {
                 Completion::IdSpace
             } else {
@@ -236,431 +218,6 @@ impl Truncation {
             Completion::Complete
         }
     }
-}
-
-/// The seed state both build paths start from: the arena and edge lists
-/// holding the interned initial configurations, their ids and depths, the
-/// initial rows the budget refused, and the flags recorded so far.
-struct SeedState {
-    arena: ConfigArena,
-    edges: EdgeLists,
-    initial_ids: Vec<usize>,
-    depths: Vec<u32>,
-    pending_initials: Vec<Vec<u64>>,
-    trunc: Truncation,
-}
-
-/// A successor reference produced by the worker phase of one level.
-#[derive(Debug, Clone, Copy)]
-enum SuccessorRef {
-    /// The successor is already numbered in the (frozen) final arena.
-    Known(u32),
-    /// First seen this level: lives in the scratch sharded arena.
-    Fresh(ShardedConfigId),
-    /// The scratch arena refused the row: its shard's `u32` id space is
-    /// exhausted. The commit pass records the source node as dirty under
-    /// an id-space truncation — the graph degrades like a budget
-    /// truncation instead of panicking mid-build.
-    Exhausted,
-}
-
-/// One expanded chunk of a level's job: the flat successor list (in
-/// node-major, transition-minor order) and, per node, its `(offset, len)`
-/// span within that list — emitted by the workers directly so the commit
-/// pass gets random access without re-walking or copying edges.
-struct ChunkResult {
-    chunk: usize,
-    edges: Vec<(u32, SuccessorRef)>,
-    spans: Vec<(u32, u32)>,
-}
-
-/// One BFS level's shared work description for the parallel engine.
-///
-/// The main thread publishes a job (one scratch epoch's rows in
-/// deterministic shard-major order), all workers claim chunks via
-/// `next_chunk` and push their [`ChunkResult`]s into `results`; the main
-/// thread later reassembles the chunks for that level's deterministic
-/// commit pass — which, under the pipelined protocol, runs **while** the
-/// workers are already expanding the next job.
-struct LevelJob {
-    rows: Vec<u64>,
-    /// Per-node flag: `false` = the node is over the agent budget and is
-    /// stored without being expanded (workers report zero successors and
-    /// the commit pass records the incompleteness).
-    expand: Vec<bool>,
-    width: usize,
-    count: usize,
-    chunk_size: usize,
-    next_chunk: AtomicUsize,
-    results: Mutex<Vec<ChunkResult>>,
-}
-
-impl LevelJob {
-    fn empty() -> Self {
-        LevelJob {
-            rows: Vec::new(),
-            expand: Vec::new(),
-            width: 0,
-            count: 0,
-            chunk_size: 1,
-            next_chunk: AtomicUsize::new(0),
-            results: Mutex::new(Vec::new()),
-        }
-    }
-}
-
-/// Maps a frontier node back to its position in the level job that
-/// expanded it.
-enum JobIndex {
-    /// The job was built after the previous commit, from the frontier's
-    /// contiguous arena rows in id order (the inline path): a node's
-    /// position is its id offset, and the commit scans sequentially.
-    Identity,
-    /// The job was built before the previous commit, from one scratch
-    /// epoch in shard-major, local-minor order (the pipelined path): a
-    /// row's position is its shard's cumulative offset plus its local id
-    /// relative to the epoch start of that shard.
-    Epoch { start: Vec<u32>, offset: Vec<u32> },
-}
-
-impl JobIndex {
-    fn position(&self, id_offset: usize, sids: &[ShardedConfigId]) -> usize {
-        match self {
-            JobIndex::Identity => id_offset,
-            JobIndex::Epoch { start, offset } => {
-                let sid = sids[id_offset];
-                offset[sid.shard()] as usize + (sid.local() - start[sid.shard()] as usize)
-            }
-        }
-    }
-}
-
-/// Epoch-tagged map from scratch [`ShardedConfigId`]s to committed global
-/// ids (`u32::MAX` = not committed). Entries are stored relative to a
-/// per-shard retirement base, so the map — like the scratch arena itself —
-/// only ever holds the two live epochs of the pipeline.
-struct SidMap {
-    base: Vec<u32>,
-    slots: Vec<Vec<u32>>,
-}
-
-impl SidMap {
-    fn new(shards: usize) -> Self {
-        SidMap {
-            base: vec![0; shards],
-            slots: vec![Vec::new(); shards],
-        }
-    }
-
-    fn get(&self, sid: ShardedConfigId) -> Option<u32> {
-        let slot = sid
-            .local()
-            .checked_sub(self.base[sid.shard()] as usize)
-            .expect("retired scratch id queried");
-        match self.slots[sid.shard()].get(slot) {
-            Some(&global) if global != u32::MAX => Some(global),
-            _ => None,
-        }
-    }
-
-    fn set(&mut self, sid: ShardedConfigId, global: u32) {
-        let slot = sid
-            .local()
-            .checked_sub(self.base[sid.shard()] as usize)
-            .expect("retired scratch id assigned");
-        let slots = &mut self.slots[sid.shard()];
-        if slots.len() <= slot {
-            slots.resize(slot + 1, u32::MAX);
-        }
-        slots[slot] = global;
-    }
-
-    /// Drops every entry whose local id lies below `lens[shard]` — the
-    /// epoch analogue of [`ShardedArena::retire_below`]. Retired entries
-    /// are never queried again: commits only resolve scratch ids from the
-    /// two live epochs.
-    fn retire_below(&mut self, lens: &[u32]) {
-        for (shard, &cut) in lens.iter().enumerate() {
-            let cut = cut.max(self.base[shard]);
-            let drop = (cut - self.base[shard]) as usize;
-            let slots = &mut self.slots[shard];
-            slots.drain(..drop.min(slots.len()));
-            self.base[shard] = cut;
-        }
-    }
-}
-
-/// Random-access view over one level's expansion results: for each job
-/// position, the successor references produced for that node, in
-/// transition order. Chunks are kept as the workers produced them — the
-/// per-node spans they emitted make lookup O(1) without copying a single
-/// edge.
-struct LevelResults {
-    results: Vec<ChunkResult>,
-    chunk_size: usize,
-}
-
-impl LevelResults {
-    fn assemble(mut results: Vec<ChunkResult>, count: usize, chunk_size: usize) -> Self {
-        results.sort_unstable_by_key(|r| r.chunk);
-        debug_assert!(results.iter().enumerate().all(|(i, r)| r.chunk == i));
-        debug_assert_eq!(
-            results.iter().map(|r| r.spans.len()).sum::<usize>(),
-            count,
-            "every job position reported successors"
-        );
-        let _ = count;
-        LevelResults {
-            results,
-            chunk_size,
-        }
-    }
-
-    fn successors(&self, position: usize) -> &[(u32, SuccessorRef)] {
-        let chunk = &self.results[position / self.chunk_size];
-        let (offset, len) = chunk.spans[position - chunk.chunk * self.chunk_size];
-        &chunk.edges[offset as usize..offset as usize + len as usize]
-    }
-}
-
-/// Gathers one scratch epoch into a level job plus the [`JobIndex`] that
-/// maps a node's scratch id back to its job position. `rows`/`expand` are
-/// recycled buffers from a committed job.
-fn build_level_job(
-    sharded: &ShardedArena,
-    from: &[u32],
-    to: &[u32],
-    limits: &ExplorationLimits,
-    width: usize,
-    mut rows: Vec<u64>,
-    mut expand: Vec<bool>,
-) -> (LevelJob, JobIndex) {
-    rows.clear();
-    expand.clear();
-    let mut offset = Vec::with_capacity(from.len());
-    let mut count = 0usize;
-    for shard in 0..from.len() {
-        offset.push(u32::try_from(count).expect("job position fits u32"));
-        count += (to[shard] - from[shard]) as usize;
-    }
-    rows.reserve(count * width);
-    expand.reserve(count);
-    sharded.for_each_in_range(from, to, |_, _, total, row| {
-        expand.push(limits.max_agents.is_none_or(|max| total <= max));
-        rows.extend_from_slice(row);
-    });
-    (
-        LevelJob {
-            rows,
-            expand,
-            width,
-            count,
-            chunk_size: count.max(1),
-            next_chunk: AtomicUsize::new(0),
-            results: Mutex::new(Vec::new()),
-        },
-        JobIndex::Epoch {
-            start: from.to_vec(),
-            offset,
-        },
-    )
-}
-
-/// Builds an inline level job from the frontier's already-published arena
-/// rows, in id order — the [`JobIndex::Identity`] layout whose commit
-/// scans results sequentially (no shard indirection, no random access).
-fn build_frontier_job(
-    arena: &ConfigArena,
-    frontier: std::ops::Range<usize>,
-    limits: &ExplorationLimits,
-    width: usize,
-    mut rows: Vec<u64>,
-    mut expand: Vec<bool>,
-) -> LevelJob {
-    rows.clear();
-    expand.clear();
-    let count = frontier.len();
-    rows.reserve(count * width);
-    expand.reserve(count);
-    for id in frontier {
-        let id = ConfigId(u32::try_from(id).expect("node id fits u32"));
-        let total = arena.total(id);
-        expand.push(limits.max_agents.is_none_or(|max| total <= max));
-        rows.extend_from_slice(arena.row(id));
-    }
-    LevelJob {
-        rows,
-        expand,
-        width,
-        count,
-        chunk_size: count.max(1),
-        next_chunk: AtomicUsize::new(0),
-        results: Mutex::new(Vec::new()),
-    }
-}
-
-/// The deterministic commit of one level: replays the expansion results in
-/// frontier × transition order, assigning dense ids exactly as the
-/// sequential BFS would — resolving already-known successors through the
-/// epoch-tagged [`SidMap`] and admitting first-seen rows against the
-/// configuration budget. Returns the scratch ids committed as the next
-/// frontier, in id order.
-///
-/// This pass never touches the frozen arena (rows are published to it at
-/// the next pipeline sync), which is what lets it run concurrently with
-/// the workers' expansion of the next level.
-#[allow(clippy::too_many_arguments)]
-fn commit_level(
-    frontier: std::ops::Range<usize>,
-    frontier_sids: &[ShardedConfigId],
-    index: &JobIndex,
-    job: &LevelJob,
-    results: &LevelResults,
-    map: &mut SidMap,
-    edges: &mut EdgeLists,
-    next_id: &mut usize,
-    cap: usize,
-    trunc: &mut Truncation,
-    dirty: &mut Vec<DirtyNode>,
-    depths: &mut Vec<u32>,
-    child_depth: u32,
-) -> Vec<ShardedConfigId> {
-    let mut committed = Vec::new();
-    let mut list = Vec::new();
-    for global in frontier.clone() {
-        let position = index.position(global - frontier.start, frontier_sids);
-        if !job.expand[position] {
-            // Over the agent budget: stored but never expanded, exactly
-            // like the sequential search (which records the same dirty
-            // node, watermark and truncation flag — `next_id` mirrors the
-            // sequential arena length at this point of the replay).
-            trunc.agents = true;
-            dirty.push(DirtyNode {
-                id: u32::try_from(global).expect("node id fits u32"),
-                watermark: u32::try_from(*next_id).expect("arena len fits u32"),
-            });
-            continue;
-        }
-        let mut blocked = false;
-        list.clear();
-        for &(transition, successor) in results.successors(position) {
-            let to = match successor {
-                SuccessorRef::Known(id) => id as usize,
-                SuccessorRef::Exhausted => {
-                    // The scratch arena could not even hold the row: the
-                    // node keeps its recorded edges to known successors
-                    // and stays dirty, and the build reports an id-space
-                    // truncation (a more permissive arena may resume it).
-                    trunc.id_space = true;
-                    blocked = true;
-                    continue;
-                }
-                SuccessorRef::Fresh(sid) => match map.get(sid) {
-                    Some(assigned) => assigned as usize,
-                    None => {
-                        if *next_id >= cap {
-                            trunc.config = true;
-                            blocked = true;
-                            continue;
-                        }
-                        let assigned = *next_id;
-                        *next_id += 1;
-                        map.set(sid, assigned as u32);
-                        edges.push(Box::default());
-                        depths.push(child_depth);
-                        committed.push(sid);
-                        assigned
-                    }
-                },
-            };
-            list.push((transition as usize, to));
-        }
-        edges[global] = list.as_slice().into();
-        if blocked {
-            dirty.push(DirtyNode {
-                id: u32::try_from(global).expect("node id fits u32"),
-                watermark: u32::try_from(*next_id).expect("arena len fits u32"),
-            });
-        }
-    }
-    committed
-}
-
-/// Worker body: claims frontier chunks, fires every transition on the
-/// packed word rows, and resolves each successor — against the frozen
-/// final arena first (a lock-free read; backward and lateral edges end
-/// here), falling back to an intern into the sharded scratch arena for
-/// rows first seen this level. Pure fan-out — all ordering decisions
-/// happen in the main thread's renumbering pass. Takes the packed
-/// transitions rather than the whole engine so worker threads need no
-/// bounds on `P`.
-fn expand_level_chunks(
-    job: &LevelJob,
-    transitions: &[PackedTransition],
-    frozen: &ConfigArena,
-    sharded: &ShardedArena,
-) {
-    // relaxed: test-only fault flag, set before the build starts.
-    let exhaust_faults = fault_injection::EXHAUST_SCRATCH_IDS.load(Ordering::Relaxed);
-    let mut succ = Vec::new();
-    loop {
-        // relaxed: pure work-claiming counter — the fetch_add's atomicity
-        // alone makes claims disjoint; chunk results are renumbered
-        // deterministically afterwards, so claim order carries no data.
-        let chunk = job.next_chunk.fetch_add(1, Ordering::Relaxed);
-        let start = chunk * job.chunk_size;
-        if start >= job.count {
-            break;
-        }
-        let end = (start + job.chunk_size).min(job.count);
-        let mut edges: Vec<(u32, SuccessorRef)> =
-            Vec::with_capacity((end - start) * transitions.len());
-        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(end - start);
-        for node in start..end {
-            let offset = edges.len() as u32;
-            if !job.expand[node] {
-                spans.push((offset, 0));
-                continue;
-            }
-            let src = &job.rows[node * job.width..(node + 1) * job.width];
-            for (t, transition) in transitions.iter().enumerate() {
-                if !transition.is_enabled_words(src) {
-                    continue;
-                }
-                transition.fire_words(src, &mut succ);
-                let hash = crate::arena::hash_row(&succ);
-                let successor = match frozen.lookup_prehashed(hash, &succ) {
-                    Some(id) => SuccessorRef::Known(id.0),
-                    None if exhaust_faults => SuccessorRef::Exhausted,
-                    None => match sharded.try_intern_hashed(hash, &succ) {
-                        Some(sid) => SuccessorRef::Fresh(sid),
-                        None => SuccessorRef::Exhausted,
-                    },
-                };
-                edges.push((t as u32, successor));
-            }
-            spans.push((offset, edges.len() as u32 - offset));
-        }
-        crate::arena::spin_lock(&job.results).push(ChunkResult {
-            chunk,
-            edges,
-            spans,
-        });
-    }
-}
-
-/// How [`ReachabilityGraph::build_parallel`] chooses between its direct
-/// and pipelined regimes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RegimeChoice {
-    /// Pipeline a level of at least `PARALLEL_LEVEL_MIN` candidates only
-    /// while pipelined levels cost less per node than direct ones.
-    Measured,
-    /// Pipeline every level of at least `PARALLEL_LEVEL_MIN` candidates:
-    /// keeps the steady-state pipeline under test on hosts where it never
-    /// pays.
-    #[cfg(test)]
-    BySize,
 }
 
 /// The reused buffers of [`expand_one`]: the source row, the successor
@@ -722,15 +279,12 @@ fn expand_one(
     blocked
 }
 
-/// The sequential breadth-first expansion of nodes `start..end` in id
-/// order.
+/// The breadth-first expansion of every node from `start` on, in id order.
 ///
 /// Node ids are assigned in discovery order, so scanning ids *is* the BFS
-/// queue: with `end = usize::MAX`, every node interned during the scan is
-/// reached by the scan. Used by the cold sequential build (`start = 0`), by
-/// the continuation phase of [`ReachabilityGraph::resume`] (`start` = first
-/// fresh id), both unbounded, and by the direct regime of the parallel
-/// build, which expands exactly one frontier `start..end` per call.
+/// queue: every node interned during the scan is reached by the scan. Used
+/// by the cold build (`start = 0`) and by the continuation phase of
+/// [`ReachabilityGraph::resume`] (`start` = first fresh id).
 #[allow(clippy::too_many_arguments)]
 fn scan_expand(
     transitions: &[PackedTransition],
@@ -741,12 +295,11 @@ fn scan_expand(
     trunc: &mut Truncation,
     limits: &ExplorationLimits,
     start: usize,
-    end: usize,
 ) {
     let cap = limits.effective_max_configurations();
     let mut scratch = ExpandScratch::default();
     let mut id = start;
-    while id < arena.len().min(end) {
+    while id < arena.len() {
         let depth = depths[id];
         if limits.max_depth.is_some_and(|max| depth as usize >= max) {
             trunc.depth = true;
@@ -795,44 +348,17 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// engine). Every initial configuration must fit the engine's place
     /// universe.
     ///
-    /// With [`Parallelism::Parallel`], each BFS level is expanded by
-    /// cooperating worker threads over a hash-sharded scratch arena
-    /// ([`ShardedArena`]) and the discoveries are renumbered afterwards in
-    /// the exact order the sequential search would have made them — node
-    /// ids, edges, and the completion taxonomy are **identical** across all
-    /// modes and worker counts, so parallelism is purely a speed knob.
+    /// Initial configurations are interned in the supplied order, then
+    /// one breadth-first [`scan_expand`] numbers every discovery in id
+    /// order. This is also where the packed [`RowLayout`] is decided: it
+    /// is a pure function of the engine, the largest initial total, the
+    /// agent cap and the node budget ([`CompiledNet::row_layout`]), so
+    /// cold and resumed builds agree on the representation.
     pub(crate) fn build_on(
         engine: Arc<CompiledNet<P>>,
         initial_configs: &[Multiset<P>],
         limits: &ExplorationLimits,
-        parallelism: Parallelism,
     ) -> Self {
-        if parallelism.is_parallel() {
-            Self::build_parallel(
-                engine,
-                initial_configs,
-                limits,
-                parallelism.workers(),
-                RegimeChoice::Measured,
-            )
-        } else {
-            Self::build_sequential(engine, initial_configs, limits)
-        }
-    }
-
-    /// Interns the initial configurations, returning the seed state both
-    /// build paths start from, so their numbering agrees from node 0.
-    ///
-    /// This is also where the packed [`RowLayout`] is decided: it is a
-    /// pure function of the engine, the largest initial total, the
-    /// agent cap and the node budget ([`CompiledNet::row_layout`]), so
-    /// sequential, parallel and resumed builds all agree on the
-    /// representation.
-    fn intern_initial(
-        engine: &CompiledNet<P>,
-        initial_configs: &[Multiset<P>],
-        limits: &ExplorationLimits,
-    ) -> SeedState {
         let dense_rows: Vec<Vec<u64>> = initial_configs
             .iter()
             .map(|config| {
@@ -853,7 +379,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         );
         let mut arena = ConfigArena::with_layout(layout);
         let mut edges: EdgeLists = Vec::new();
-        let mut initial_ids: Vec<usize> = Vec::new();
+        let mut initial: Vec<usize> = Vec::new();
         let mut depths: Vec<u32> = Vec::new();
         let mut pending_initials: Vec<Vec<u64>> = Vec::new();
         let mut trunc = Truncation::default();
@@ -877,8 +403,8 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             };
             match id {
                 Some(id) => {
-                    if !initial_ids.contains(&id) {
-                        initial_ids.push(id);
+                    if !initial.contains(&id) {
+                        initial.push(id);
                     }
                 }
                 None => {
@@ -890,29 +416,6 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 }
             }
         }
-        SeedState {
-            arena,
-            edges,
-            initial_ids,
-            depths,
-            pending_initials,
-            trunc,
-        }
-    }
-
-    fn build_sequential(
-        engine: Arc<CompiledNet<P>>,
-        initial_configs: &[Multiset<P>],
-        limits: &ExplorationLimits,
-    ) -> Self {
-        let SeedState {
-            mut arena,
-            mut edges,
-            initial_ids,
-            mut depths,
-            pending_initials,
-            mut trunc,
-        } = Self::intern_initial(&engine, initial_configs, limits);
         let packed = engine.packed_transitions(arena.layout());
         let mut dirty: Vec<DirtyNode> = Vec::new();
         scan_expand(
@@ -924,458 +427,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             &mut trunc,
             limits,
             0,
-            usize::MAX,
         );
-        Self::finish(
-            engine,
-            arena,
-            edges,
-            initial_ids,
-            depths,
-            dirty,
-            pending_initials,
-            trunc,
-            limits,
-        )
-    }
-
-    /// The sharded **pipelined** level-synchronous parallel search.
-    ///
-    /// The engine alternates between two regimes, level by level:
-    ///
-    /// * **Direct** — while no workers are in flight (small levels, every
-    ///   level under `Parallel(1)`, and every level once pipelining has
-    ///   stopped paying), a level is one fused
-    ///   sequential step: the sequential search's own `scan_expand` runs
-    ///   over the frontier's id range on the write-locked arena, interning
-    ///   fresh successors straight into it. No scratch, no barriers, no
-    ///   deferred commit — deep narrow graphs run at sequential speed.
-    ///
-    /// * **Pipelined** — once a level reaches `PARALLEL_LEVEL_MIN`
-    ///   candidates (and `Parallel(n ≥ 2)` provides workers), its
-    ///   lifecycle splits into *expand* and *commit*, and the two stages
-    ///   **overlap**: while the main thread commits level *d* — replaying
-    ///   the workers\' discoveries in frontier × transition order,
-    ///   assigning dense [`ConfigId`]s exactly as the sequential BFS
-    ///   would — the workers already expand level *d+1*, resolving rows
-    ///   first seen at level *d* through their stable scratch ids
-    ///   ([`ShardedArena`] retains the two live epochs) instead of
-    ///   waiting for their global numbers. Only the brief sync point
-    ///   between levels stays serial: publishing the freshly committed
-    ///   rows into the frozen arena, retiring the oldest scratch epoch,
-    ///   and handing over the next job.
-    ///
-    /// Under [`RegimeChoice::Measured`] the choice between the two is
-    /// measured, not assumed: every direct level records its wall time per
-    /// node, every pipelined iteration its time per committed node from
-    /// its sync point through its drain. Once a pipelined iteration costs
-    /// at least as much per node as the last direct level did, pipelining
-    /// stops paying and every later level of the build runs direct.
-    ///
-    /// Both regimes replay discoveries in the exact sequential interning
-    /// order (including budget truncation decisions), so the resulting
-    /// graph is bit-identical to [`build_sequential`]\'s for every worker
-    /// count.
-    ///
-    /// A panicking worker marks the build as poisoned and the panic is
-    /// re-raised from the main thread once the current level drains — the
-    /// barrier protocol never deadlocks on a dead worker.
-    ///
-    /// [`build_sequential`]: Self::build_sequential
-    fn build_parallel(
-        engine: Arc<CompiledNet<P>>,
-        initial_configs: &[Multiset<P>],
-        limits: &ExplorationLimits,
-        workers: usize,
-        choice: RegimeChoice,
-    ) -> Self {
-        /// Don\'t wake the workers for levels smaller than this.
-        const PARALLEL_LEVEL_MIN: usize = 512;
-
-        let cap = limits.effective_max_configurations();
-        let SeedState {
-            arena,
-            mut edges,
-            initial_ids,
-            mut depths,
-            pending_initials,
-            mut trunc,
-        } = Self::intern_initial(&engine, initial_configs, limits);
-        // The job/row machinery works on stored words: `width` here is
-        // the packed stride, not the place count.
-        let width = arena.stride();
-        let packed = engine.packed_transitions(arena.layout());
-        let mut dirty: Vec<DirtyNode> = Vec::new();
-        let mut next_id = arena.len();
-
-        // Scratch dedup arena plus the epoch-tagged map to final ids.
-        let sharded = ShardedArena::with_layout(arena.layout().clone(), workers * 8);
-        let num_shards = sharded.num_shards();
-        let mut map = SidMap::new(num_shards);
-
-        // The current frontier: ids `[start, end)`, its scratch ids
-        // (empty for frontiers whose rows the arena already holds in id
-        // order), and its BFS depth.
-        let mut frontier_sids: Vec<ShardedConfigId> = Vec::new();
-        let mut frontier_start = 0usize;
-        let mut frontier_end = next_id;
-        let mut depth = 0usize;
-        // Whether the frontier\'s rows are already in the frozen arena
-        // (true except right after an overlapped commit).
-        let mut prepublished = true;
-
-        // The level whose expansion results are awaiting their commit:
-        // its job, result chunks, and position index. `None` in the
-        // direct regime.
-        let mut pending: Option<(LevelJob, JobIndex, Vec<ChunkResult>)> = None;
-
-        // Epoch boundaries (per-shard scratch lengths): `b_prev` opens the
-        // newest finished epoch, `b_prev2` the one before it. Rows retire
-        // one sync after publication, map entries one sync after that.
-        let mut b_prev2 = vec![0u32; num_shards];
-        let mut b_prev = vec![0u32; num_shards];
-
-        // The measured regime choice: the wall time per node of the last
-        // direct level (`None` until one is measured), and whether the
-        // pipelined regime still beats it.
-        let mut direct_secs_per_node: Option<f64> = None;
-        let mut pipelining_pays = true;
-
-        let transitions = &packed;
-        let spawned = workers.saturating_sub(1);
-        // relaxed: test-only fault flags, set before the build starts; no
-        // ordering with any other memory is needed.
-        let force_workers = fault_injection::PANIC_IN_WORKERS.load(Ordering::Relaxed)
-            || fault_injection::EXHAUST_SCRATCH_IDS.load(Ordering::Relaxed);
-        // Two barrier crossings hand each level off: workers park between
-        // levels (a busy-spin variant was measured to be strictly worse on
-        // CPU-throttled hosts, where a spinning worker steals cycles from
-        // the committing thread).
-        let barrier = Barrier::new(spawned + 1);
-        let done = AtomicBool::new(false);
-        let worker_panicked = AtomicBool::new(false);
-        let job_slot: RwLock<LevelJob> = RwLock::new(LevelJob::empty());
-        // Workers read the frozen arena during a level; the main thread
-        // writes it only at the sync points (while the workers are parked
-        // at the barrier), so neither side ever blocks on this lock.
-        let arena_slot: RwLock<ConfigArena> = RwLock::new(arena);
-
-        std::thread::scope(|scope| {
-            // Workers are spawned lazily, on the first level big enough to
-            // use them: graphs that never reach PARALLEL_LEVEL_MIN nodes
-            // per level (the small-input regime) pay no thread cost at all.
-            let mut workers_spawned = false;
-            let mut spare_rows: Vec<u64> = Vec::new();
-            let mut spare_flags: Vec<bool> = Vec::new();
-
-            // Installs the next job and wakes the workers (spawning them
-            // on first use). Duplicated as a macro because the spawn
-            // closure borrows the scope.
-            macro_rules! dispatch {
-                ($job:expr) => {{
-                    let mut next_job = $job;
-                    if !workers_spawned {
-                        workers_spawned = true;
-                        for _ in 0..spawned {
-                            scope.spawn(|| loop {
-                                barrier.wait();
-                                if done.load(Ordering::Acquire) {
-                                    break;
-                                }
-                                let outcome =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        // relaxed: test-only fault flag, set
-                                        // before the build starts; no ordering
-                                        // with any other memory is needed.
-                                        if fault_injection::PANIC_IN_WORKERS.load(Ordering::Relaxed)
-                                        {
-                                            // pp-lint: allow(panic-in-worker) — the injected
-                                            // fault must be a genuine unwind so the catch +
-                                            // poison protocol below stays covered by tests.
-                                            panic!("injected worker panic (fault_injection)");
-                                        }
-                                        // A poisoned slot means another worker
-                                        // panicked mid-level: report instead of
-                                        // panicking so the main thread raises
-                                        // one poisoned-build error, not a pile.
-                                        let (Ok(frozen), Ok(job)) =
-                                            (arena_slot.read(), job_slot.read())
-                                        else {
-                                            return false;
-                                        };
-                                        expand_level_chunks(&job, transitions, &frozen, &sharded);
-                                        true
-                                    }));
-                                if !matches!(outcome, Ok(true)) {
-                                    worker_panicked.store(true, Ordering::Release);
-                                }
-                                barrier.wait();
-                            });
-                        }
-                    }
-                    // Enough chunks that workers stay balanced, big enough
-                    // that queue-claim traffic stays negligible.
-                    next_job.chunk_size = (next_job.count.div_ceil(workers * 4)).clamp(1, 512);
-                    *job_slot.write().expect("level job poisoned") = next_job;
-                    barrier.wait(); // level start: workers read the new job
-                }};
-            }
-
-            // Joins the workers\' expansion (the main thread claims chunks
-            // too) and recovers the finished job with its results.
-            macro_rules! drain {
-                () => {{
-                    {
-                        let frozen = arena_slot.read().expect("arena lock poisoned");
-                        let current = job_slot.read().expect("level job poisoned");
-                        expand_level_chunks(&current, transitions, &frozen, &sharded);
-                    }
-                    barrier.wait(); // level end: all successors resolved
-                    let mut finished = std::mem::replace(
-                        &mut *job_slot.write().expect("level job poisoned"),
-                        LevelJob::empty(),
-                    );
-                    let taken =
-                        std::mem::take(finished.results.get_mut().expect("level results poisoned"));
-                    (finished, taken)
-                }};
-            }
-
-            loop {
-                // ---- sync point: no worker is running ----
-                let synced = Instant::now();
-                if worker_panicked.load(Ordering::Acquire) {
-                    break; // re-raised after the workers are released
-                }
-                // Publish the frontier\'s rows into the frozen arena: from
-                // here on every thread resolves them lock-free.
-                if !prepublished {
-                    let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    for (offset, &sid) in frontier_sids.iter().enumerate() {
-                        let id =
-                            sharded.with_row(sid, |hash, row| arena.intern_prehashed(hash, row));
-                        debug_assert_eq!(
-                            id.index(),
-                            frontier_start + offset,
-                            "published ids must match the committed numbering"
-                        );
-                        let _ = (id, offset);
-                    }
-                    prepublished = true;
-                }
-                if frontier_start >= frontier_end {
-                    break;
-                }
-                if let Some(max_depth) = limits.max_depth {
-                    if depth >= max_depth {
-                        // Stored but never expanded, like the sequential
-                        // search reaching its depth budget: every frontier
-                        // node is recorded as dirty, in id order, with the
-                        // final arena length as its watermark (nothing
-                        // interns after this point).
-                        trunc.depth = true;
-                        let watermark = u32::try_from(next_id).expect("arena len fits u32");
-                        for id in frontier_start..frontier_end {
-                            dirty.push(DirtyNode {
-                                id: u32::try_from(id).expect("node id fits u32"),
-                                watermark,
-                            });
-                        }
-                        break;
-                    }
-                }
-
-                let Some((mut job, job_index, results)) = pending.take() else {
-                    // ---- direct regime: no expansion in flight ----
-                    let count = frontier_end - frontier_start;
-                    if spawned > 0
-                        && (force_workers || (pipelining_pays && count >= PARALLEL_LEVEL_MIN))
-                    {
-                        // Promote: expand this frontier on the workers.
-                        // There is nothing to overlap yet — the pipeline
-                        // proper starts at the next iteration, when this
-                        // level\'s commit overlaps the next expansion.
-                        b_prev2 = std::mem::replace(&mut b_prev, sharded.snapshot_lens());
-                        let promoted = {
-                            let frozen = arena_slot.read().expect("arena lock poisoned");
-                            build_frontier_job(
-                                &frozen,
-                                frontier_start..frontier_end,
-                                limits,
-                                width,
-                                std::mem::take(&mut spare_rows),
-                                std::mem::take(&mut spare_flags),
-                            )
-                        };
-                        dispatch!(promoted);
-                        let (finished, taken) = drain!();
-                        pending = Some((finished, JobIndex::Identity, taken));
-                        continue;
-                    }
-                    // One fused sequential step: expand in id order,
-                    // interning fresh rows straight into the arena.
-                    let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    scan_expand(
-                        transitions,
-                        &mut arena,
-                        &mut edges,
-                        &mut depths,
-                        &mut dirty,
-                        &mut trunc,
-                        limits,
-                        frontier_start,
-                        frontier_end,
-                    );
-                    next_id = arena.len();
-                    drop(arena);
-                    if choice == RegimeChoice::Measured {
-                        direct_secs_per_node = Some(synced.elapsed().as_secs_f64() / count as f64);
-                    }
-                    frontier_start = frontier_end;
-                    frontier_end = next_id;
-                    frontier_sids.clear();
-                    depth += 1;
-                    continue;
-                };
-
-                // ---- pipelined regime: commit the pending level ----
-                // Epoch handoff: the newest scratch epoch holds the rows
-                // first seen while expanding the pending level — the
-                // candidate superset of the next one. The epoch before it
-                // was published and its rows retire now (its map entries
-                // one sync later).
-                let b_now = sharded.snapshot_lens();
-                sharded.retire_below(&b_prev);
-                map.retire_below(&b_prev2);
-                let epoch_count: usize = b_now
-                    .iter()
-                    .zip(&b_prev)
-                    .map(|(now, prev)| (now - prev) as usize)
-                    .sum();
-
-                let expand_next =
-                    epoch_count > 0 && limits.max_depth.is_none_or(|max| depth + 1 < max);
-                let use_workers = expand_next
-                    && spawned > 0
-                    && (force_workers || (pipelining_pays && epoch_count >= PARALLEL_LEVEL_MIN));
-                let mut next_index = JobIndex::Identity;
-                if use_workers {
-                    // Hand the whole epoch (shard-major layout, stable
-                    // scratch ids) to the workers *before* this level\'s
-                    // commit decides the epoch\'s final ids.
-                    let (next_job, index) = build_level_job(
-                        &sharded,
-                        &b_prev,
-                        &b_now,
-                        limits,
-                        width,
-                        std::mem::take(&mut spare_rows),
-                        std::mem::take(&mut spare_flags),
-                    );
-                    next_index = index;
-                    dispatch!(next_job);
-                }
-
-                // ---- overlapped region: workers expand the next level ----
-                // Commit the pending level: replay its expansion results
-                // in frontier × transition order, assigning ids exactly in
-                // the sequential interning order.
-                let level = LevelResults::assemble(results, job.count, job.chunk_size);
-                let committed = commit_level(
-                    frontier_start..frontier_end,
-                    &frontier_sids,
-                    &job_index,
-                    &job,
-                    &level,
-                    &mut map,
-                    &mut edges,
-                    &mut next_id,
-                    cap,
-                    &mut trunc,
-                    &mut dirty,
-                    &mut depths,
-                    u32::try_from(depth + 1).expect("depth fits u32"),
-                );
-                // Reclaim the committed job\'s buffers for the next build.
-                spare_rows = std::mem::take(&mut job.rows);
-                spare_flags = std::mem::take(&mut job.expand);
-
-                if use_workers {
-                    let (finished, taken) = drain!();
-                    pending = Some((finished, next_index, taken));
-                    prepublished = false; // published at the next sync point
-                    let secs_per_node =
-                        synced.elapsed().as_secs_f64() / (frontier_end - frontier_start) as f64;
-                    if direct_secs_per_node.is_some_and(|direct| secs_per_node >= direct) {
-                        // Demoted at the next sync point, for good.
-                        pipelining_pays = false;
-                    }
-                } else {
-                    // Demote to the direct regime: publish the fresh rows
-                    // now (no worker is in flight) so the next direct step
-                    // reads them straight from the arena.
-                    let _ = next_index;
-                    let mut arena = arena_slot.write().expect("arena lock poisoned");
-                    for (offset, &sid) in committed.iter().enumerate() {
-                        let id =
-                            sharded.with_row(sid, |hash, row| arena.intern_prehashed(hash, row));
-                        debug_assert_eq!(
-                            id.index(),
-                            frontier_end + offset,
-                            "published ids must match the committed numbering"
-                        );
-                        let _ = (id, offset);
-                    }
-                    prepublished = true;
-                }
-
-                if committed.is_empty() {
-                    break;
-                }
-                frontier_start = frontier_end;
-                frontier_end = next_id;
-                frontier_sids = committed;
-                depth += 1;
-                b_prev2 = std::mem::replace(&mut b_prev, b_now);
-            }
-
-            if workers_spawned {
-                done.store(true, Ordering::Release);
-                barrier.wait(); // release the workers into their exit path
-            }
-        });
-
-        assert!(
-            !worker_panicked.load(Ordering::Acquire),
-            "a parallel exploration worker panicked; the build is poisoned"
-        );
-        let arena = arena_slot.into_inner().expect("arena lock poisoned");
-        debug_assert_eq!(arena.len(), next_id, "every committed row was published");
-        Self::finish(
-            engine,
-            arena,
-            edges,
-            initial_ids,
-            depths,
-            dirty,
-            pending_initials,
-            trunc,
-            limits,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        engine: Arc<CompiledNet<P>>,
-        arena: ConfigArena,
-        edges: EdgeLists,
-        initial: Vec<usize>,
-        depths: Vec<u32>,
-        dirty: Vec<DirtyNode>,
-        pending_initials: Vec<Vec<u64>>,
-        trunc: Truncation,
-        limits: &ExplorationLimits,
-    ) -> Self {
         debug_assert_eq!(depths.len(), arena.len(), "one depth per node");
         debug_assert!(
             dirty.windows(2).all(|w| w[0].id < w[1].id),
@@ -1495,9 +547,8 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// standard breadth-first continuation over the freshly admitted nodes.
     ///
     /// The result is **bit-identical** ([`identical_to`](Self::identical_to))
-    /// to a cold build at `limits`, for graphs originally built by the
-    /// sequential or the parallel engine alike: node numbering replays the
-    /// exact sequential interning order, which both engines produce.
+    /// to a cold build at `limits`: node numbering replays the cold
+    /// build's interning order.
     /// Resuming a complete graph only updates the recorded limits.
     ///
     /// One shape cannot be replayed in place: an *agent-capped* node in the
@@ -1509,9 +560,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// and/or `max_depth` always stays on the in-place path.
     ///
     /// This is the engine behind the [`Analysis`](crate::session::Analysis)
-    /// session's resumable budgets; the re-expansion itself runs
-    /// sequentially (the dirty frontier is typically a thin budget
-    /// boundary).
+    /// session's resumable budgets.
     ///
     /// # Panics
     ///
@@ -1578,7 +627,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                         .map(|row| self.engine.to_sparse(row)),
                 )
                 .collect();
-            *self = Self::build_sequential(self.engine.clone(), &initial_configs, limits);
+            *self = Self::build_on(self.engine.clone(), &initial_configs, limits);
             return;
         }
         let packed = self.engine.packed_transitions(self.arena.layout());
@@ -1626,6 +675,8 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         let old_dirty = std::mem::take(&mut self.dirty);
         let mut dirty: Vec<DirtyNode> = Vec::new();
         let mut scratch = ExpandScratch::default();
+        // relaxed: test-only fault flag, set before the resume starts.
+        let mut skip_fault = fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.load(Ordering::Relaxed);
         for node in old_dirty {
             let id = node.id;
             let depth = self.depths[id as usize];
@@ -1652,6 +703,9 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             {
                 trunc.agents = true;
                 dirty.push(still_capped);
+                continue;
+            }
+            if std::mem::take(&mut skip_fault) {
                 continue;
             }
             if expand_one(
@@ -1684,7 +738,6 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             &mut trunc,
             limits,
             first_new,
-            usize::MAX,
         );
 
         self.dirty = dirty;
@@ -1738,11 +791,11 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// node: same numbering, dense rows, edges, depths, initial ids,
     /// completion, dirty frontier and pending initials.
     ///
-    /// This is the determinism contract of the whole engine family in one
-    /// call — builds of the same input under any two [`Parallelism`] modes
-    /// must satisfy it, and a [`resume`](Self::resume)d graph must satisfy
-    /// it against a cold build at the final limits. The equivalence tests
-    /// all go through this single definition.
+    /// This is the determinism contract of the engine in one call — builds
+    /// of the same input with packed or `u64` rows must satisfy it, and a
+    /// [`resume`](Self::resume)d graph must satisfy it against a cold build
+    /// at the final limits. The equivalence tests all go through this
+    /// single definition.
     #[must_use]
     pub fn identical_to(&self, other: &Self) -> bool {
         self.len() == other.len()
@@ -2058,28 +1111,16 @@ mod tests {
         ])
     }
 
-    /// One-shot sequential build through the session API.
+    /// One-shot build through the session API, cloned out of the session's
+    /// `Arc` because several tests resume or mutate the graph in place.
     fn build<I: IntoIterator<Item = Multiset<&'static str>>>(
         net: &PetriNet<&'static str>,
         initials: I,
         limits: &ExplorationLimits,
     ) -> ReachabilityGraph<&'static str> {
-        build_with(net, initials, limits, Parallelism::Sequential)
-    }
-
-    /// One-shot build through the session API at a chosen parallelism.
-    /// Cloned out of the session's `Arc` because several tests resume
-    /// or mutate the graph in place.
-    fn build_with<I: IntoIterator<Item = Multiset<&'static str>>>(
-        net: &PetriNet<&'static str>,
-        initials: I,
-        limits: &ExplorationLimits,
-        parallelism: Parallelism,
-    ) -> ReachabilityGraph<&'static str> {
         Analysis::new(net)
             .reachability(initials)
             .limits(*limits)
-            .parallelism(parallelism)
             .run()
             .as_ref()
             .clone()
@@ -2099,36 +1140,15 @@ mod tests {
 
     #[test]
     fn budget_truncation_is_reported() {
-        let net = doubling_net();
-        let limits = ExplorationLimits::with_max_configurations(2);
-        let graph = build(&net, [ms(&[("a", 5)])], &limits);
-        assert!(!graph.is_complete());
-        assert!(graph.len() <= 2);
-    }
-
-    #[test]
-    fn budget_truncation_is_graceful_on_both_engines() {
-        // Tiny synthetic caps: the budget must be enforced before the
-        // arena's id-space panic path, on the sequential and the pipelined
-        // parallel engine alike, and the truncated graphs must agree.
+        // Tiny caps: the budget is enforced before the arena's id-space
+        // panic path, and the graph stops at exactly the budget (7 nodes
+        // are reachable from 6a).
         let net = doubling_net();
         for cap in [1usize, 2, 3, 5] {
             let limits = ExplorationLimits::with_max_configurations(cap);
-            let sequential = build(&net, [ms(&[("a", 6)])], &limits);
-            assert!(!sequential.is_complete());
-            assert!(sequential.len() <= cap);
-            for workers in [1usize, 2, 4] {
-                let parallel = build_with(
-                    &net,
-                    [ms(&[("a", 6)])],
-                    &limits,
-                    Parallelism::Parallel(workers),
-                );
-                assert!(
-                    sequential.identical_to(&parallel),
-                    "truncated graphs diverge at cap {cap} workers {workers}"
-                );
-            }
+            let graph = build(&net, [ms(&[("a", 6)])], &limits);
+            assert!(!graph.is_complete());
+            assert_eq!(graph.len(), cap);
         }
     }
 
@@ -2150,26 +1170,6 @@ mod tests {
         let net = doubling_net();
         let graph = build(&net, [ms(&[("a", 4)])], &limits);
         assert!(graph.is_complete());
-    }
-
-    #[test]
-    fn agent_budget_truncation_matches_across_engines() {
-        // Non-conservative net: a -> a + a grows without bound; the agent
-        // cap stops expansion. Sequential and pipelined builds must agree
-        // node for node, including the incompleteness flag.
-        let net = PetriNet::from_transitions([Transition::new(ms(&[("a", 1)]), ms(&[("a", 2)]))]);
-        let limits = ExplorationLimits::with_max_agents(6);
-        let sequential = build(&net, [ms(&[("a", 1)])], &limits);
-        assert!(!sequential.is_complete());
-        for workers in [1usize, 3] {
-            let parallel = build_with(
-                &net,
-                [ms(&[("a", 1)])],
-                &limits,
-                Parallelism::Parallel(workers),
-            );
-            assert!(sequential.identical_to(&parallel));
-        }
     }
 
     #[test]
@@ -2423,72 +1423,6 @@ mod tests {
                 assert!(graph.depth_of(to) <= graph.depth_of(id) + 1);
             }
         }
-    }
-
-    /// Eight tokens walking a line of nine places, one step either way:
-    /// the BFS levels from `8·p0` are the partitions of the level's depth
-    /// into at most eight parts of size at most eight, five consecutive
-    /// levels of which (depths 30–34) hold at least 512 nodes.
-    fn walk_net() -> (PetriNet<&'static str>, Multiset<&'static str>) {
-        const LINE: [&str; 9] = ["p0", "p1", "p2", "p3", "p4", "p5", "p6", "p7", "p8"];
-        let net = PetriNet::from_transitions(LINE.windows(2).flat_map(|pair| {
-            [
-                Transition::new(ms(&[(pair[0], 1)]), ms(&[(pair[1], 1)])),
-                Transition::new(ms(&[(pair[1], 1)]), ms(&[(pair[0], 1)])),
-            ]
-        }));
-        (net, ms(&[("p0", 8)]))
-    }
-
-    #[test]
-    fn steady_state_pipeline_matches_the_sequential_build() {
-        let (net, initial) = walk_net();
-        let initials = [initial];
-        let engine = Arc::new(CompiledNet::compile(&net));
-        let build_sequential = |limits: &ExplorationLimits| {
-            ReachabilityGraph::build_sequential(engine.clone(), &initials, limits)
-        };
-        let build = |limits: &ExplorationLimits, workers: usize, choice: RegimeChoice| {
-            ReachabilityGraph::build_parallel(engine.clone(), &initials, limits, workers, choice)
-        };
-        let unlimited = ExplorationLimits::default();
-        let sequential = build_sequential(&unlimited);
-        assert_eq!(sequential.len(), 12_870);
-
-        // The forced pipeline must cross at least three consecutive
-        // levels of `PARALLEL_LEVEL_MIN` (512) nodes before the budget cut.
-        let mut level_sizes = Vec::new();
-        for id in sequential.ids() {
-            let depth = sequential.depth_of(id);
-            level_sizes.resize(level_sizes.len().max(depth + 1), 0usize);
-            level_sizes[depth] += 1;
-        }
-        let first_large = level_sizes
-            .iter()
-            .position(|&size| size >= 512)
-            .expect("some level reaches 512 nodes");
-        assert!(level_sizes[first_large..first_large + 5]
-            .iter()
-            .all(|&size| size >= 512));
-        // Cut in the middle of the fifth large level.
-        let cut =
-            level_sizes[..first_large + 4].iter().sum::<usize>() + level_sizes[first_large + 4] / 2;
-        let budget = ExplorationLimits::with_max_configurations(cut);
-        let truncated = build_sequential(&budget);
-        assert_eq!(truncated.len(), cut);
-        assert_eq!(truncated.completion(), Completion::ConfigBudget);
-
-        for workers in [2usize, 3] {
-            assert!(
-                build(&unlimited, workers, RegimeChoice::BySize).identical_to(&sequential),
-                "forced pipeline diverges at {workers} workers"
-            );
-            assert!(
-                build(&budget, workers, RegimeChoice::BySize).identical_to(&truncated),
-                "forced pipeline under a mid-level budget diverges at {workers} workers"
-            );
-        }
-        assert!(build(&unlimited, 2, RegimeChoice::Measured).identical_to(&sequential));
     }
 
     #[test]

@@ -5,14 +5,14 @@
 //! server reports a fingerprint on every response frame so clients can
 //! check the determinism contract over the wire, and the net-DSL
 //! differential fuzzer (`pp_netdsl::fuzz`) cross-checks every engine
-//! configuration — sequential vs parallel, packed vs unpacked, cold vs
-//! resumed, direct vs batch — by comparing exactly these hashes.
+//! configuration — packed vs unpacked, cold vs resumed, direct vs batch —
+//! by comparing exactly these hashes.
 //!
 //! Fingerprints hash *observable* structure only — node numbering, dense
 //! rows, edges, depths, completions, basis/marking contents in a
 //! caller-supplied canonical place order — never memory layout, so they
-//! are stable across the packed/unpacked representations and every worker
-//! count, exactly like
+//! are stable across the packed/unpacked representations and the batch
+//! runner's thread count, exactly like
 //! [`ReachabilityGraph::identical_to`](crate::ReachabilityGraph::identical_to).
 //! Two results with equal fingerprints are bit-identical for every
 //! property those suites assert (modulo the usual 64-bit collision
@@ -216,7 +216,7 @@ pub fn hex(value: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Analysis, ExplorationLimits, Parallelism, PetriNet, Transition};
+    use crate::{Analysis, ExplorationLimits, PetriNet, Transition};
     use pp_multiset::Multiset;
 
     fn doubling_net() -> PetriNet<&'static str> {
@@ -257,26 +257,24 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_agree_across_engines_and_differ_across_budgets() {
+    fn fingerprints_agree_on_resumed_graphs_and_differ_across_budgets() {
         let net = doubling_net();
         let start = Multiset::from_pairs([("a", 9u64)]);
-        let sequential = Analysis::new(&net).reachability([start.clone()]).run();
-        let parallel = Analysis::new(&net)
-            .parallelism(Parallelism::Parallel(3))
+        let cold = Analysis::new(&net).reachability([start.clone()]).run();
+        let mut session = Analysis::new(&net);
+        let truncated = session
             .reachability([start.clone()])
-            .run();
-        assert_eq!(
-            reachability_fingerprint(&sequential),
-            reachability_fingerprint(&parallel),
-            "identical graphs must fingerprint identically"
-        );
-        let truncated = Analysis::new(&net)
-            .reachability([start])
             .limits(ExplorationLimits::with_max_configurations(3))
             .run();
         assert_ne!(
-            reachability_fingerprint(&sequential),
+            reachability_fingerprint(&cold),
             reachability_fingerprint(&truncated)
+        );
+        let resumed = session.reachability([start]).run();
+        assert_eq!(
+            reachability_fingerprint(&cold),
+            reachability_fingerprint(&resumed),
+            "identical graphs must fingerprint identically"
         );
     }
 

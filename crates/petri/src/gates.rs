@@ -9,20 +9,22 @@
 //! * **Discoverability** — [`GATES`] is the complete list of knobs; the
 //!   README's gate table is cross-checked against it by the lint, so the
 //!   docs cannot silently rot.
-//! * **Auditability** — a gate that influences exploration results would
-//!   be a determinism bug (the engine promises bit-identical graphs for
-//!   every worker count and packing mode); keeping the reads in one
-//!   ~100-line module makes the "performance-only" claim reviewable.
+//! * **Auditability** — a gate that influences query results would be a
+//!   determinism bug (every answer is bit-identical at every thread count
+//!   and packing mode); keeping the reads in one ~100-line module makes
+//!   the "performance-only" claim reviewable.
 //! * **Uniform parsing discipline** — value grammars stay next to the
 //!   gate they belong to ([`Parallelism::from_env_value`]), not scattered
 //!   over call sites.
 //!
 //! [`Parallelism::from_env_value`]: crate::parallel::Parallelism::from_env_value
 
-/// Name of the worker-count gate: `0` forces the sequential engine, a
-/// positive integer `n` forces `Parallel(n)`, anything unparsable falls
-/// back to hardware detection. Read by
-/// [`Parallelism::auto`](crate::parallel::Parallelism::auto).
+/// Name of the thread-count gate of every [`Parallelism::auto`] caller
+/// (the batch runner across jobs, the verifier across inputs): `0` forces
+/// `Sequential`, a positive integer `n` forces `Parallel(n)`, anything
+/// unparsable falls back to hardware detection.
+///
+/// [`Parallelism::auto`]: crate::parallel::Parallelism::auto
 pub const PP_PETRI_THREADS: &str = "PP_PETRI_THREADS";
 
 /// Name of the analysis-server address gate: the default `host:port` the
@@ -58,8 +60,9 @@ pub const GATES: &[Gate] = &[
     Gate {
         name: PP_PETRI_THREADS,
         values: "`0` | `n ≥ 1` | unset/garbage",
-        effect: "worker count for every state-space fixpoint: `0` forces the \
-                 sequential engine, `n` forces `Parallel(n)`, anything else \
+        effect: "threads for independent work at `Parallelism::auto()` (batch \
+                 jobs, verifier inputs); each query runs on one thread: `0` \
+                 forces `Sequential`, `n` forces `Parallel(n)`, anything else \
                  auto-detects. Results are bit-identical across all values.",
     },
     Gate {

@@ -24,13 +24,11 @@
 
 use crate::engine::CompiledNet;
 use crate::packed::{CellWidth, RowLayout};
-use crate::parallel::Parallelism;
 use crate::session::Completion;
 use pp_multiset::Multiset;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A marking value: a finite count or ω (unbounded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -212,9 +210,8 @@ fn accelerate(row: &mut [OmegaValue], ancestor: &[OmegaValue]) {
 /// One node of an ancestor chain.
 ///
 /// Branches are shared immutable linked lists: extending a branch for a
-/// child is one `Arc` clone instead of copying the whole ancestor vector,
-/// so a wave's pending nodes carry their branches by reference and fan
-/// out to worker threads without copying.
+/// child is one `Rc` clone instead of copying the whole ancestor vector,
+/// so a wave's pending nodes carry their branches by reference.
 struct BranchNode {
     row: OmegaRow,
     parent: BranchLink,
@@ -227,7 +224,7 @@ impl Drop for BranchNode {
         // non-branching chains an acceleration-free net produces.
         let mut parent = self.parent.take();
         while let Some(node) = parent {
-            match Arc::try_unwrap(node) {
+            match Rc::try_unwrap(node) {
                 Ok(mut node) => parent = node.parent.take(),
                 // Some other branch still shares this tail: leave it.
                 Err(_) => break,
@@ -237,15 +234,15 @@ impl Drop for BranchNode {
 }
 
 /// A (possibly empty) ancestor chain, leaf-most node first.
-type BranchLink = Option<Arc<BranchNode>>;
+type BranchLink = Option<Rc<BranchNode>>;
 
 /// Iterates the ancestor rows of `link`, leaf to root.
 fn ancestor_rows(link: &BranchLink) -> impl Iterator<Item = &OmegaRow> {
     std::iter::successors(link.as_deref(), |node| node.parent.as_deref()).map(|node| &node.row)
 }
 
-/// The result of expanding one pending node, computed independently of
-/// every other node (which is what makes sibling expansion parallel).
+/// The result of expanding one pending node: it reads only the node's own
+/// branch.
 struct Expansion {
     /// Some branch ancestor already covers the row: stop this branch.
     subsumed: bool,
@@ -259,8 +256,7 @@ struct Expansion {
 
 /// Expands one pending node: subsumption check against the branch, then one
 /// child per enabled transition, accelerated against every ancestor (root
-/// first, the classical order). Takes the compiled transitions rather than
-/// the whole engine so worker threads need no bounds on the place type.
+/// first, the classical order).
 fn expand_node(
     transitions: &[crate::engine::CompiledTransition],
     row: &OmegaRow,
@@ -299,41 +295,7 @@ fn expand_node(
     }
 }
 
-/// Fans one chunk of a wave out over `workers` cooperating threads (pure
-/// node-local work; all admission decisions stay with the caller).
-fn expand_wave(
-    items: &[(OmegaRow, BranchLink)],
-    transitions: &[crate::engine::CompiledTransition],
-    workers: usize,
-) -> Vec<Expansion> {
-    if workers > 1 && items.len() >= PARALLEL_WAVE_THRESHOLD {
-        items
-            .par_chunks(items.len().div_ceil(workers))
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .map(|(row, parent)| expand_node(transitions, row, parent))
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        items
-            .iter()
-            .map(|(row, parent)| expand_node(transitions, row, parent))
-            .collect()
-    }
-}
-
-/// Fan a chunk out over threads once it holds this many pending nodes;
-/// below it, thread spawns would dominate the branch scans.
-const PARALLEL_WAVE_THRESHOLD: usize = 64;
-
-/// Which limits bit during a tree construction; the admission runs
-/// strictly in wave order in every mode, so the flags are deterministic
-/// across worker counts.
+/// Which limits bit during a tree construction.
 #[derive(Debug, Clone, Copy, Default)]
 struct KmTruncation {
     budget: bool,
@@ -498,14 +460,9 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
     /// order. Expanding a pending node — subsumption check against its
     /// branch, one child per enabled transition, ω-acceleration against
     /// *all* its ancestors — only reads the node's own branch, and each
-    /// node admits at most one marking. So the wave is expanded in chunks
-    /// of at most as many nodes as the budget can still admit: with
-    /// [`Parallelism::Parallel`] a large chunk fans out over worker
-    /// threads, then this thread admits it in wave order and collects its
-    /// children for the next wave. The build stops at the first node the
-    /// budget refuses, before expanding it: no node is ever expanded
-    /// speculatively, and the tree is **identical** across modes and
-    /// worker counts.
+    /// node admits at most one marking; its children join the next wave.
+    /// The build stops at the first node the budget refuses, before
+    /// expanding it: no node is ever expanded speculatively.
     ///
     /// The tree is reported as incomplete when the node budget is hit *or*
     /// when some branch's counters left the `u64` range (checked arithmetic
@@ -515,9 +472,8 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
         engine: &CompiledNet<P>,
         initial: &Multiset<P>,
         max_nodes: usize,
-        parallelism: Parallelism,
     ) -> Self {
-        Self::build_counting(engine, initial, max_nodes, parallelism).0
+        Self::build_counting(engine, initial, max_nodes).0
     }
 
     /// [`build_on`](Self::build_on), also returning how many nodes the
@@ -527,7 +483,6 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
         engine: &CompiledNet<P>,
         initial: &Multiset<P>,
         max_nodes: usize,
-        parallelism: Parallelism,
     ) -> (Self, usize) {
         let dense_initial = engine
             .to_dense(initial)
@@ -542,42 +497,30 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
             engine.packed,
         );
         let mut trunc = KmTruncation::default();
-        let workers = parallelism.workers();
         let transitions = engine.transitions();
         let mut expanded = 0;
         let mut wave: Vec<(OmegaRow, BranchLink)> = vec![(root, None)];
         'build: while !wave.is_empty() {
             let mut next = Vec::new();
-            let mut start = 0;
-            while start < wave.len() {
-                // Each node admits at most one marking, so a chunk no
-                // larger than the budget left is admitted whole.
-                let len = (wave.len() - start).min(max_nodes - rows.len());
-                if len == 0 {
+            for (row, parent) in wave {
+                if rows.len() == max_nodes {
                     trunc.budget = true;
                     break 'build;
                 }
-                let chunk = &mut wave[start..start + len];
-                let expansions = expand_wave(chunk, transitions, workers);
-                expanded += len;
-                start += len;
-                for ((row, parent), expansion) in chunk.iter_mut().zip(expansions) {
-                    if expansion.subsumed {
-                        continue; // no marking, no children
-                    }
-                    trunc.overflow |= expansion.overflowed;
-                    rows.push(row);
-                    let node = Arc::new(BranchNode {
-                        row: std::mem::take(row),
-                        parent: parent.take(),
-                    });
-                    next.extend(
-                        expansion
-                            .children
-                            .into_iter()
-                            .map(|child| (child, Some(node.clone()))),
-                    );
+                let expansion = expand_node(transitions, &row, &parent);
+                expanded += 1;
+                if expansion.subsumed {
+                    continue; // no marking, no children
                 }
+                trunc.overflow |= expansion.overflowed;
+                rows.push(&row);
+                let node = Rc::new(BranchNode { row, parent });
+                next.extend(
+                    expansion
+                        .children
+                        .into_iter()
+                        .map(|child| (child, Some(node.clone()))),
+                );
             }
             wave = next;
         }
@@ -661,26 +604,15 @@ mod tests {
         Multiset::from_pairs(pairs.iter().copied())
     }
 
-    /// One-shot sequential build through the session API.
+    /// One-shot build through the session API.
     fn build(
         net: &PetriNet<&'static str>,
         initial: &Multiset<&'static str>,
         max_nodes: usize,
-    ) -> Arc<KarpMillerTree<&'static str>> {
-        build_with(net, initial, max_nodes, Parallelism::Sequential)
-    }
-
-    /// One-shot build through the session API at a chosen parallelism.
-    fn build_with(
-        net: &PetriNet<&'static str>,
-        initial: &Multiset<&'static str>,
-        max_nodes: usize,
-        parallelism: Parallelism,
-    ) -> Arc<KarpMillerTree<&'static str>> {
+    ) -> std::sync::Arc<KarpMillerTree<&'static str>> {
         Analysis::new(net)
             .karp_miller(initial.clone())
             .max_nodes(max_nodes)
-            .parallelism(parallelism)
             .run()
     }
 
@@ -781,32 +713,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_tree_is_identical_to_sequential() {
-        use crate::parallel::Parallelism;
-        let nets = [
-            PetriNet::from_transitions([
-                Transition::pairwise("a", "a", "a", "b"),
-                Transition::pairwise("a", "b", "b", "b"),
-            ]),
-            PetriNet::from_transitions([
-                Transition::new(ms(&[("a", 1)]), ms(&[("a", 1), ("b", 1)])),
-                Transition::new(ms(&[("b", 2)]), ms(&[("c", 1)])),
-            ]),
-        ];
-        for net in &nets {
-            for agents in [1u64, 3, 6] {
-                let start = ms(&[("a", agents)]);
-                let sequential = build(net, &start, 10_000);
-                for workers in [1usize, 2, 4] {
-                    let parallel = build_with(net, &start, 10_000, Parallelism::Parallel(workers));
-                    assert_eq!(sequential.markings(), parallel.markings());
-                    assert_eq!(sequential.is_complete(), parallel.is_complete());
-                }
-            }
-        }
-    }
-
     /// The catalog's binary-threshold(n=6) protocol net (transitions in
     /// catalog order) and its initial configuration with `agents` inputs.
     fn binary_threshold_6(agents: u64) -> (PetriNet<&'static str>, Multiset<&'static str>) {
@@ -828,24 +734,13 @@ mod tests {
     fn budget_cut_expands_only_admissible_nodes() {
         // binary-threshold(6)/18 at 20 000 nodes: the cut lands inside a
         // wave of 83 026 candidates, none of which may be expanded once
-        // the budget is full, whatever the worker count.
+        // the budget is full.
         let (net, start) = binary_threshold_6(18);
         let engine = CompiledNet::compile(&net);
         let max_nodes = 20_000;
-        let (tree, expanded) =
-            KarpMillerTree::build_counting(&engine, &start, max_nodes, Parallelism::Sequential);
+        let (tree, expanded) = KarpMillerTree::build_counting(&engine, &start, max_nodes);
         assert_eq!(tree.markings().len(), max_nodes);
         assert_eq!(tree.completion(), Completion::ConfigBudget);
-        for workers in [2usize, 3] {
-            let (parallel, parallel_expanded) = KarpMillerTree::build_counting(
-                &engine,
-                &start,
-                max_nodes,
-                Parallelism::Parallel(workers),
-            );
-            assert_eq!(parallel_expanded, expanded, "{workers} workers");
-            assert_eq!(parallel.markings(), tree.markings());
-        }
         // Reference: the classical one-node-at-a-time breadth-first loop,
         // which expands exactly the admitted nodes plus the subsumed ones
         // ahead of the cut.
@@ -867,7 +762,7 @@ mod tests {
                 continue;
             }
             admitted += 1;
-            let node = Arc::new(BranchNode { row, parent });
+            let node = Rc::new(BranchNode { row, parent });
             queue.extend(
                 expansion
                     .children
@@ -892,7 +787,7 @@ mod tests {
             .spawn(|| {
                 let mut chain: BranchLink = None;
                 for depth in 0..100_000u64 {
-                    chain = Some(Arc::new(BranchNode {
+                    chain = Some(Rc::new(BranchNode {
                         row: vec![OmegaValue::Finite(depth)],
                         parent: chain,
                     }));

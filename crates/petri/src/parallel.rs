@@ -1,40 +1,35 @@
-//! The parallelism knob of the state-space engine.
+//! How many threads may work on independent jobs at once.
 //!
-//! The forward fixpoints of the suite (exploration and Karp–Miller
-//! construction) take a [`Parallelism`] describing how many OS threads may
-//! cooperate on one build; backward coverability saturation has one
-//! sequential path and does not take it. Results are *identical*
-//! across modes and worker counts — the parallel paths renumber or merge
-//! deterministically — so the knob is purely a performance choice:
+//! Every single query of the crate — reachability, coverability,
+//! Karp–Miller, a resume — runs on one thread: the breadth-first fixpoints
+//! number their discoveries in scan order, and splitting one scan over
+//! workers cost more in coordination than it saved. Cores are spent where
+//! the work is independent instead: across the jobs of one round in
+//! [`Batch`](crate::batch::Batch)'s runner, and across inputs in
+//! `pp_population::verify`. [`Parallelism`] is the knob for those runners:
 //!
-//! * [`Parallelism::Sequential`] — the classic single-threaded loops. The
-//!   right choice for small inputs, where thread coordination would cost
-//!   more than it saves, and for callers that already parallelize at a
-//!   coarser grain (e.g. `pp_population::verify` fanning out over inputs).
-//! * [`Parallelism::Parallel`]`(n)` — the sharded level-synchronous engine
-//!   with `n` cooperating workers (the calling thread included).
-//!   `Parallel(1)` spawns no worker, so it never promotes a level to the
-//!   pipelined regime: every level runs the direct regime, one fused
-//!   sequential step per frontier. The single-thread CI job pins it via
-//!   `PP_PETRI_THREADS=1`.
+//! * [`Parallelism::Sequential`] — the calling thread runs every job.
+//! * [`Parallelism::Parallel`]`(n)` — up to `n` threads (the calling thread
+//!   included) claim independent jobs; `Parallel(1)` behaves like
+//!   `Sequential`.
 //!
-//! [`Parallelism::auto`] picks `Parallel(available_parallelism)` on
-//! multi-core hosts and `Sequential` on single-core ones; the
-//! `PP_PETRI_THREADS` environment variable overrides the detected count:
-//! `0` forces `Sequential`, `n ≥ 1` forces `Parallel(n)`, and anything
-//! that does not parse as an integer (after trimming whitespace) falls
-//! back to hardware detection.
+//! Results never depend on the choice. [`Parallelism::auto`] picks
+//! `Parallel(available_parallelism)` on multi-core hosts and `Sequential`
+//! on single-core ones; the `PP_PETRI_THREADS` environment variable
+//! overrides the detected count: `0` forces `Sequential`, `n ≥ 1` forces
+//! `Parallel(n)`, and anything that does not parse as an integer (after
+//! trimming whitespace) falls back to hardware detection.
 
-/// How many threads a state-space fixpoint may use.
+/// How many threads may work on independent jobs at once.
 ///
-/// See the [module documentation](self) for the semantics; the result of
-/// every build is independent of the chosen mode.
+/// See the [module documentation](self) for the semantics; no result
+/// depends on the chosen mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Parallelism {
-    /// Single-threaded classic path (no sharding, no coordination).
+    /// The calling thread runs every job.
     Sequential,
-    /// Sharded level-synchronous path with this many cooperating workers,
-    /// the calling thread included. Values below 1 behave like 1.
+    /// Up to this many threads, the calling thread included. Values below
+    /// 1 behave like 1.
     Parallel(usize),
 }
 
@@ -43,11 +38,9 @@ impl Parallelism {
     /// threads (at least 2), [`Sequential`](Self::Sequential) otherwise.
     ///
     /// The `PP_PETRI_THREADS` environment variable overrides detection:
-    /// `0` forces `Sequential` (the classic loops, no sharding at all),
-    /// a positive integer `n` forces `Parallel(n)` —
-    /// `PP_PETRI_THREADS=1` is the spawn-free direct regime used by the
-    /// single-thread CI job — and a value that does not parse as an
-    /// integer falls back to hardware detection.
+    /// `0` forces `Sequential`, a positive integer `n` forces
+    /// `Parallel(n)`, and a value that does not parse as an integer falls
+    /// back to hardware detection.
     #[must_use]
     pub fn auto() -> Self {
         if let Some(parallelism) = crate::gates::read(crate::gates::PP_PETRI_THREADS)
@@ -79,20 +72,13 @@ impl Parallelism {
         }
     }
 
-    /// The number of cooperating workers (1 for the sequential mode).
+    /// The number of threads (1 for the sequential mode).
     #[must_use]
     pub fn workers(self) -> usize {
         match self {
             Parallelism::Sequential => 1,
             Parallelism::Parallel(n) => n.max(1),
         }
-    }
-
-    /// Returns `true` if the sharded level-synchronous path is requested
-    /// (even with a single worker).
-    #[must_use]
-    pub fn is_parallel(self) -> bool {
-        matches!(self, Parallelism::Parallel(_))
     }
 }
 
@@ -105,8 +91,6 @@ mod tests {
         assert_eq!(Parallelism::Sequential.workers(), 1);
         assert_eq!(Parallelism::Parallel(0).workers(), 1);
         assert_eq!(Parallelism::Parallel(5).workers(), 5);
-        assert!(!Parallelism::Sequential.is_parallel());
-        assert!(Parallelism::Parallel(1).is_parallel());
         assert!(Parallelism::auto().workers() >= 1);
     }
 

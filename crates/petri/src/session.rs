@@ -35,7 +35,7 @@
 //! unexpanded frontier re-expands ([`ReachabilityGraph::resume`]). The
 //! extended graph is bit-identical (node numbering, edges, depths,
 //! completion — [`ReachabilityGraph::identical_to`]) to a cold build at the
-//! larger budget, for the sequential and the parallel engine alike.
+//! larger budget.
 //!
 //! ```
 //! use pp_multiset::Multiset;
@@ -95,9 +95,7 @@ use std::sync::Arc;
 /// question.
 ///
 /// When several limits bit during one build, the dominant one is reported,
-/// in the fixed order configuration budget → agent cap → depth cap; the
-/// flags themselves are deterministic across engines and worker counts, so
-/// the reported reason is too.
+/// in the fixed order configuration budget → agent cap → depth cap.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Completion {
     /// No limit was hit: the result is exact.
@@ -109,12 +107,9 @@ pub enum Completion {
     AgentCap,
     /// Some stored configuration sat at the depth cap and was not expanded.
     DepthCap,
-    /// The `u32` id space of an interning arena — not the caller's budget
-    /// — was what actually bounded the build: either the graph arena's
-    /// global cap ([`MAX_GRAPH_CONFIGURATIONS`][max]) or, under the
-    /// parallel engine, a shard of the scratch arena refusing to assign
-    /// one more shard-local id (a refusal, never a panic — the affected
-    /// node is re-marked dirty exactly like a budget-refused one).
+    /// The `u32` id space of the graph arena
+    /// ([`MAX_GRAPH_CONFIGURATIONS`][max]) — not the caller's larger
+    /// budget — was what actually bounded the build.
     ///
     /// [max]: crate::explore::MAX_GRAPH_CONFIGURATIONS
     IdSpace,
@@ -177,7 +172,6 @@ struct KarpMillerCache<P: Ord> {
 pub struct Analysis<P: Ord> {
     net: PetriNet<P>,
     engine: Arc<CompiledNet<P>>,
-    parallelism: Parallelism,
     reach: Option<ReachCache<P>>,
     oracles: BTreeMap<Multiset<P>, Arc<CoverabilityOracle<P>>>,
     karp_miller: Option<KarpMillerCache<P>>,
@@ -189,7 +183,6 @@ impl<P: Clone + Ord> Clone for Analysis<P> {
         Analysis {
             net: self.net.clone(),
             engine: self.engine.clone(),
-            parallelism: self.parallelism,
             reach: self.reach.clone(),
             oracles: self.oracles.clone(),
             karp_miller: self.karp_miller.clone(),
@@ -202,7 +195,6 @@ impl<P: Clone + Ord + fmt::Debug> fmt::Debug for Analysis<P> {
         f.debug_struct("Analysis")
             .field("places", &self.engine.num_places())
             .field("transitions", &self.engine.num_transitions())
-            .field("parallelism", &self.parallelism)
             .field("cached_reachability", &self.reach.is_some())
             .field("cached_oracles", &self.oracles.len())
             .field("cached_karp_miller", &self.karp_miller.is_some())
@@ -232,21 +224,18 @@ impl<P: Clone + Ord> Analysis<P> {
         Analysis {
             net: net.clone(),
             engine: Arc::new(CompiledNet::compile_with_places(net, extra_places)),
-            parallelism: Parallelism::Sequential,
             reach: None,
             oracles: BTreeMap::new(),
             karp_miller: None,
         }
     }
 
-    /// Sets the default [`Parallelism`] of the session's reachability
-    /// queries (including [`CoveringWordQuery::in_reachability_graph`]) and
-    /// Karp–Miller queries; each query can still override it. Defaults to
-    /// [`Parallelism::Sequential`]. Coverability queries do not take it:
-    /// the backward saturation has one sequential path.
+    /// Accepted for compatibility and ignored: every query of a session
+    /// runs on one thread. Spend threads across independent work instead,
+    /// as [`Batch::parallelism`](crate::batch::Batch::parallelism) does
+    /// across jobs.
     #[must_use]
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+    pub fn parallelism(self, _parallelism: Parallelism) -> Self {
         self
     }
 
@@ -283,20 +272,19 @@ impl<P: Clone + Ord> Analysis<P> {
 
     /// A forward-exploration query from `initials`.
     ///
-    /// Defaults: [`ExplorationLimits::default`], the session's parallelism.
+    /// Defaults: [`ExplorationLimits::default`].
     ///
     /// # Examples
     ///
     /// ```
     /// use pp_multiset::Multiset;
-    /// use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, Transition};
+    /// use pp_petri::{Analysis, ExplorationLimits, PetriNet, Transition};
     ///
     /// let net = PetriNet::from_transitions([Transition::pairwise("a", "a", "b", "b")]);
     /// let mut analysis = Analysis::new(&net);
     /// let graph = analysis
     ///     .reachability([Multiset::from_pairs([("a", 4u64)])])
     ///     .limits(ExplorationLimits::with_max_configurations(1_000))
-    ///     .parallelism(Parallelism::Sequential)
     ///     .run();
     /// assert!(graph.completion().is_complete());
     /// assert_eq!(graph.len(), 3); // 4a, 2a+2b, 4b
@@ -305,12 +293,10 @@ impl<P: Clone + Ord> Analysis<P> {
         &mut self,
         initials: I,
     ) -> ReachabilityQuery<'_, P> {
-        let parallelism = self.parallelism;
         ReachabilityQuery {
             analysis: self,
             initials: initials.into_iter().collect(),
             limits: ExplorationLimits::default(),
-            parallelism,
         }
     }
 
@@ -338,7 +324,7 @@ impl<P: Clone + Ord> Analysis<P> {
 
     /// A Karp–Miller coverability-tree query from `initial`.
     ///
-    /// Defaults: a 100 000 node budget, the session's parallelism.
+    /// Defaults: a 100 000 node budget.
     ///
     /// # Examples
     ///
@@ -361,12 +347,10 @@ impl<P: Clone + Ord> Analysis<P> {
     /// assert!(!tree.place_is_bounded(&"b"));
     /// ```
     pub fn karp_miller(&mut self, initial: Multiset<P>) -> KarpMillerQuery<'_, P> {
-        let parallelism = self.parallelism;
         KarpMillerQuery {
             analysis: self,
             initial,
             max_nodes: 100_000,
-            parallelism,
         }
     }
 
@@ -454,7 +438,6 @@ pub struct ReachabilityQuery<'a, P: Ord> {
     analysis: &'a mut Analysis<P>,
     initials: Vec<Multiset<P>>,
     limits: ExplorationLimits,
-    parallelism: Parallelism,
 }
 
 impl<P: Clone + Ord> ReachabilityQuery<'_, P> {
@@ -464,10 +447,9 @@ impl<P: Clone + Ord> ReachabilityQuery<'_, P> {
         self
     }
 
-    /// Overrides the session's parallelism for this query. Results are
-    /// identical across modes; this is purely a speed knob.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
+    /// Accepted for compatibility and ignored: the exploration runs on
+    /// one thread (see [`Analysis::parallelism`]).
+    pub fn parallelism(self, _parallelism: Parallelism) -> Self {
         self
     }
 
@@ -485,18 +467,12 @@ impl<P: Clone + Ord> ReachabilityQuery<'_, P> {
             analysis,
             initials,
             limits,
-            parallelism,
         } = self;
         if !analysis.fits(&initials) {
             // Slow path: configurations outside the declared universe get a
             // one-off widened engine and bypass the cache.
             let engine = analysis.widened_engine(&initials);
-            return Arc::new(ReachabilityGraph::build_on(
-                engine,
-                &initials,
-                &limits,
-                parallelism,
-            ));
+            return Arc::new(ReachabilityGraph::build_on(engine, &initials, &limits));
         }
         if let Some(cache) = analysis.reach.take() {
             if cache.initials == initials {
@@ -525,7 +501,6 @@ impl<P: Clone + Ord> ReachabilityQuery<'_, P> {
             analysis.engine.clone(),
             &initials,
             &limits,
-            parallelism,
         ));
         analysis.reach = Some(ReachCache {
             initials,
@@ -573,19 +548,12 @@ pub struct KarpMillerQuery<'a, P: Ord> {
     analysis: &'a mut Analysis<P>,
     initial: Multiset<P>,
     max_nodes: usize,
-    parallelism: Parallelism,
 }
 
 impl<P: Clone + Ord> KarpMillerQuery<'_, P> {
     /// Sets the node budget of the tree construction.
     pub fn max_nodes(mut self, max_nodes: usize) -> Self {
         self.max_nodes = max_nodes;
-        self
-    }
-
-    /// Overrides the session's parallelism for this query.
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -597,7 +565,6 @@ impl<P: Clone + Ord> KarpMillerQuery<'_, P> {
             analysis,
             initial,
             max_nodes,
-            parallelism,
         } = self;
         if let Some(cache) = &analysis.karp_miller {
             if cache.initial == initial
@@ -612,18 +579,12 @@ impl<P: Clone + Ord> KarpMillerQuery<'_, P> {
             // universe gets a one-off widened engine and bypasses the
             // cache (matching the reachability query).
             let engine = analysis.widened_engine([&initial]);
-            return Arc::new(KarpMillerTree::build_on(
-                &engine,
-                &initial,
-                max_nodes,
-                parallelism,
-            ));
+            return Arc::new(KarpMillerTree::build_on(&engine, &initial, max_nodes));
         }
         let tree = Arc::new(KarpMillerTree::build_on(
             &analysis.engine,
             &initial,
             max_nodes,
-            parallelism,
         ));
         analysis.karp_miller = Some(KarpMillerCache {
             initial,
@@ -914,20 +875,6 @@ mod tests {
         let rebuilt = fork.reachability([ms(&[("a", 5)])]).run();
         assert!(!Arc::ptr_eq(&graph, &rebuilt));
         assert!(graph.identical_to(&rebuilt));
-    }
-
-    #[test]
-    fn parallel_session_queries_match_sequential() {
-        let net = doubling_net();
-        let start = ms(&[("a", 9)]);
-        let sequential = Analysis::new(&net).reachability([start.clone()]).run();
-        for workers in [1usize, 3] {
-            let parallel = Analysis::new(&net)
-                .parallelism(Parallelism::Parallel(workers))
-                .reachability([start.clone()])
-                .run();
-            assert!(sequential.identical_to(&parallel), "{workers} workers");
-        }
     }
 
     #[test]

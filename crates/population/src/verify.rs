@@ -99,8 +99,7 @@ impl VerificationReport {
     }
 }
 
-/// Verifies a single input exactly (within `limits`) on the sequential
-/// exploration engine.
+/// Verifies a single input exactly (within `limits`).
 #[must_use]
 pub fn verify_input(
     protocol: &Protocol,
@@ -109,76 +108,21 @@ pub fn verify_input(
     input: &Multiset<String>,
     limits: &ExplorationLimits,
 ) -> InputReport {
-    verify_input_with(
-        protocol,
-        stability,
-        predicate,
-        input,
-        limits,
-        Parallelism::Sequential,
-    )
-}
-
-/// Verifies a single input exactly (within `limits`), building the input's
-/// reachability graph with the given [`Parallelism`].
-///
-/// The verdict is identical across parallelism modes (the parallel engine
-/// is deterministic); the knob only decides whether this one input's graph
-/// may use several threads.
-#[must_use]
-pub fn verify_input_with(
-    protocol: &Protocol,
-    stability: &ProtocolStability,
-    predicate: &Predicate,
-    input: &Multiset<String>,
-    limits: &ExplorationLimits,
-    parallelism: Parallelism,
-) -> InputReport {
+    let expected = predicate.eval(input);
+    let Ok(initial) = protocol.initial_config(input) else {
+        return InputReport {
+            input: input.clone(),
+            expected,
+            verdict: Verdict::Unknown,
+            explored_configurations: 0,
+        };
+    };
     // The stability checker already holds the compiled net: clone its
     // session (an `Arc` bump, no recompile) for this input's exploration.
     let mut analysis = stability.analysis().clone();
-    verify_input_in(
-        &mut analysis,
-        protocol,
-        stability,
-        predicate,
-        input,
-        limits,
-        parallelism,
-    )
-}
-
-/// [`verify_input_with`] on an existing [`Analysis`] session: the input's
-/// reachability graph and every per-node stability exploration run on the
-/// session's shared engine.
-fn verify_input_in(
-    analysis: &mut Analysis<StateId>,
-    protocol: &Protocol,
-    stability: &ProtocolStability,
-    predicate: &Predicate,
-    input: &Multiset<String>,
-    limits: &ExplorationLimits,
-    parallelism: Parallelism,
-) -> InputReport {
-    let expected = predicate.eval(input);
-    let initial = match protocol.initial_config(input) {
-        Ok(config) => config,
-        Err(_) => {
-            return InputReport {
-                input: input.clone(),
-                expected,
-                verdict: Verdict::Unknown,
-                explored_configurations: 0,
-            }
-        }
-    };
-    let graph = analysis
-        .reachability([initial])
-        .limits(*limits)
-        .parallelism(parallelism)
-        .run();
+    let graph = analysis.reachability([initial]).limits(*limits).run();
     verdict_from_graph(
-        analysis, protocol, stability, input, expected, &graph, limits,
+        &analysis, protocol, stability, input, expected, &graph, limits,
     )
 }
 
@@ -265,16 +209,10 @@ fn verdict_from_graph(
 /// duplicated inputs), and the per-input verdicts are then computed from
 /// the returned graphs.
 ///
-/// Inputs are independent, so the verifier parallelizes — but at the grain
-/// that pays: with at least as many inputs as hardware threads (or only
-/// small inputs), it fans the batch (and the verdict pass) out *across*
-/// inputs, each exploring sequentially; with fewer jobs of which at least
-/// one is large, it runs inputs in order and lets every input of
-/// [`WITHIN_INPUT_AGENT_THRESHOLD`] or more agents use *within-input*
-/// parallelism (the sharded level-synchronous exploration engine). Both
-/// the per-input semantics and the order of the returned reports are
-/// identical across all strategies, because the parallel engine — and the
-/// batch layer on top of it — is deterministic.
+/// Inputs are independent, so the verifier fans the batch (and the verdict
+/// pass) out across inputs at [`Parallelism::auto`], each input exploring
+/// on one thread. The per-input verdicts and the order of the returned
+/// reports do not depend on the thread count.
 #[must_use]
 pub fn verify_inputs<I>(
     protocol: &Protocol,
@@ -287,45 +225,25 @@ where
 {
     let stability = ProtocolStability::new(protocol);
     let inputs: Vec<Multiset<String>> = inputs.into_iter().collect();
-    let auto = Parallelism::auto();
-    // Within-input parallelism only pays when there are fewer inputs than
-    // threads AND at least one input is big enough to split; otherwise the
-    // across-input fan-out is strictly better (in particular, a batch of
-    // uniformly small inputs must not degrade to a fully serial loop).
-    let any_large = inputs
-        .iter()
-        .any(|input| input.total() >= WITHIN_INPUT_AGENT_THRESHOLD);
-    let across_inputs = !auto.is_parallel() || inputs.len() >= auto.workers() || !any_large;
 
     // Phase 1 — one batch builds every input's reachability graph on the
     // stability checker's compiled engine (inputs over unknown states get
     // no job and stay Unknown).
     let mut batch = Batch::new()
         .seed_session(stability.analysis())
-        .parallelism(if across_inputs {
-            auto
-        } else {
-            Parallelism::Sequential
-        });
+        .parallelism(Parallelism::auto());
     let mut job_of: Vec<Option<usize>> = Vec::with_capacity(inputs.len());
     let mut job_count = 0usize;
     for (index, input) in inputs.iter().enumerate() {
         match protocol.initial_config(input) {
             Ok(initial) => {
-                let exploration = if !across_inputs && input.total() >= WITHIN_INPUT_AGENT_THRESHOLD
-                {
-                    auto
-                } else {
-                    Parallelism::Sequential
-                };
                 batch = batch.job(
                     BatchJob::reachability(
                         format!("input-{index}"),
                         protocol.net().clone(),
                         [initial],
                     )
-                    .limits(*limits)
-                    .exploration(exploration),
+                    .limits(*limits),
                 );
                 job_of.push(Some(job_count));
                 job_count += 1;
@@ -347,8 +265,8 @@ where
         })
         .collect();
 
-    // Phase 2 — verdicts from the graphs, fanned out across inputs at the
-    // same grain as the batch above. Each task drops its input's graph as
+    // Phase 2 — verdicts from the graphs, fanned out across inputs like
+    // the batch above. Each task drops its input's graph as
     // soon as the verdict is computed.
     type VerdictTask = (Multiset<String>, Option<Arc<ReachabilityGraph<StateId>>>);
     let tasks: Vec<VerdictTask> = inputs
@@ -379,23 +297,13 @@ where
             limits,
         )
     };
-    let reports: Vec<InputReport> = if across_inputs {
-        tasks.into_par_iter().map(verdict_of).collect()
-    } else {
-        tasks.into_iter().map(verdict_of).collect()
-    };
+    let reports: Vec<InputReport> = tasks.into_par_iter().map(verdict_of).collect();
     VerificationReport {
         protocol_name: protocol.name().to_owned(),
         predicate: predicate.to_string(),
         inputs: reports,
     }
 }
-
-/// Inputs with at least this many agents get within-input parallel
-/// exploration when [`verify_inputs`] has fewer inputs than hardware
-/// threads; smaller inputs have graphs far too small to amortize thread
-/// coordination.
-pub const WITHIN_INPUT_AGENT_THRESHOLD: u64 = 16;
 
 /// Verifies every input of the form `count · initial_state` for
 /// `count ∈ 0..=max_count` (protocols with a single initial state — the shape

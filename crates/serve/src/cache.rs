@@ -38,7 +38,8 @@ pub struct StoredJob<P: Ord> {
     /// The caps that ride along unchanged on resume (`max_agents`,
     /// `max_depth`); `max_configurations` is replaced per request.
     pub base_limits: ExplorationLimits,
-    /// Parallelism of the job's own state-space build.
+    /// Unused: every query runs on one thread. Kept so existing
+    /// constructors of this struct still compile.
     pub exploration: Parallelism,
     /// The canonical place order fingerprints use.
     pub places: Vec<P>,

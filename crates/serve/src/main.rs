@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! pp_serve serve    [--addr HOST:PORT] [--pool TOKENS] [--max-conns N]
-//!                   [--runner N] [--exploration N]
+//!                   [--runner N]
 //! pp_serve submit   [--addr HOST:PORT] --protocol FAMILY [--n N]
 //!                   [--agents N] [--query QUERY] [--budget N]
 //!                   [--target PLACE=COUNT[,PLACE=COUNT…]]
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  pp_serve serve    [--addr HOST:PORT] [--pool TOKENS] [--max-conns N] [--runner N] [--exploration N]
+  pp_serve serve    [--addr HOST:PORT] [--pool TOKENS] [--max-conns N] [--runner N]
   pp_serve submit   [--addr HOST:PORT] --protocol FAMILY [--n N] [--agents N]
                     [--query reachability|coverability|karp-miller|covering-word]
                     [--budget N] [--target PLACE=COUNT[,PLACE=COUNT...]]
@@ -107,9 +107,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(runner) = lookup(&flags, "runner") {
         config.runner = parallelism_of(runner, "--runner")?;
-    }
-    if let Some(exploration) = lookup(&flags, "exploration") {
-        config.exploration = parallelism_of(exploration, "--exploration")?;
     }
     let server = Server::bind(config).map_err(|err| format!("bind failed: {err}"))?;
     eprintln!("pp_serve: listening on {}", server.local_addr());

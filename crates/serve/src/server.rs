@@ -107,8 +107,6 @@ pub struct ServerConfig {
     pub pool: Option<usize>,
     /// Runner parallelism of each job's batch (a speed knob).
     pub runner: Parallelism,
-    /// Exploration parallelism inside each job (a speed knob).
-    pub exploration: Parallelism,
     /// Budget used when a submit frame names none.
     pub default_budget: usize,
 }
@@ -120,7 +118,6 @@ impl Default for ServerConfig {
             max_connections: DEFAULT_MAX_CONNECTIONS,
             pool: None,
             runner: Parallelism::Sequential,
-            exploration: Parallelism::Sequential,
             default_budget: ExplorationLimits::default().max_configurations,
         }
     }
@@ -965,7 +962,6 @@ where
                 extra_places: Vec::new(),
                 query: stored.query.clone(),
                 limits,
-                exploration: core.config.exploration,
                 cancel: None,
             }
             .cancel_token(cancel.clone()),

@@ -3,7 +3,8 @@
 
 use pp_multiset::Multiset;
 use pp_petri::ExplorationLimits;
-use pp_population::verify::{verify_counting_inputs, verify_inputs};
+use pp_population::stable::ProtocolStability;
+use pp_population::verify::{verify_counting_inputs, verify_input, verify_inputs};
 use pp_protocols::{catalog::other_entries, counting_entries};
 
 #[test]
@@ -23,6 +24,42 @@ fn counting_catalog_is_correct_for_small_thresholds() {
                 report.failures()
             );
             assert!(report.undecided().is_empty(), "{} undecided", entry.family);
+        }
+    }
+}
+
+#[test]
+fn single_input_verdicts_match_the_batched_verifier() {
+    // `verify_input` explores one input on a clone of the stability
+    // checker's session; `verify_inputs` runs every input as a job of one
+    // batch. Both must reach the same verdict from the same graph.
+    let limits = ExplorationLimits::default();
+    for entry in counting_entries(2) {
+        let protocol = &entry.protocol;
+        if protocol.initial_states().len() != 1 {
+            continue;
+        }
+        let state = *protocol.initial_states().iter().next().expect("one state");
+        let name = protocol.state_name(state).to_owned();
+        let inputs: Vec<Multiset<String>> = [0u64, 3, 17]
+            .into_iter()
+            .map(|count| Multiset::from_pairs([(name.clone(), count)]))
+            .collect();
+        let stability = ProtocolStability::new(protocol);
+        let batched = verify_inputs(protocol, &entry.predicate, inputs.clone(), &limits);
+        for (input, report) in inputs.iter().zip(&batched.inputs) {
+            let single = verify_input(protocol, &stability, &entry.predicate, input, &limits);
+            assert!(single.is_correct(), "{}: {input:?}", entry.family);
+            assert_eq!(
+                single.verdict, report.verdict,
+                "{}: {input:?}",
+                entry.family
+            );
+            assert_eq!(
+                single.explored_configurations, report.explored_configurations,
+                "{}: {input:?}",
+                entry.family
+            );
         }
     }
 }

@@ -1,24 +1,20 @@
-//! Differential properties: the dense interned engine — sequential *and*
-//! parallel — must explore exactly the same state spaces as the sparse
-//! reference path.
+//! Differential properties: the dense interned engine must explore exactly
+//! the same state spaces as the sparse reference path.
 //!
 //! `Analysis::reachability` runs on the `ConfigArena`/`CompiledNet`
 //! engine; `sparse_reference_exploration` is the pre-engine
-//! `BTreeMap`-based breadth-first search kept as the baseline; and
-//! `.parallelism(Parallelism::Parallel(n))` selects the sharded
-//! level-synchronous engine. All follow the same BFS order, so the
-//! three-way check is strict: the parallel graph must match the sequential
-//! one *node id for node id and edge for edge* (the deterministic
-//! renumbering guarantee), and both must match the sparse reference's node
-//! set and completeness flag — on the whole protocol catalog and on random
-//! nets, truncated or not. Resumed graphs are held to the same standard:
-//! truncate at a small budget, resume to a larger one, compare bit-for-bit
-//! against a cold build at the larger budget.
+//! `BTreeMap`-based breadth-first search kept as the baseline. Both follow
+//! the same BFS order, so the check is strict: the dense graph must match
+//! the sparse reference's node set and completeness flag — on the whole
+//! protocol catalog and on random nets, truncated or not. Resumed graphs
+//! are held to a stricter standard: truncate at a small budget, resume to
+//! a larger one, and compare node id for node id and edge for edge against
+//! a cold build at the larger budget.
 
 use pp_multiset::Multiset;
 use pp_petri::cover::{is_coverable, CoveringWordOutcome};
 use pp_petri::explore::sparse_reference_exploration;
-use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, ReachabilityGraph, Transition};
+use pp_petri::{Analysis, ExplorationLimits, PetriNet, ReachabilityGraph, Transition};
 use pp_protocols::{counting_entries, flock, leaders_n, threshold};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -30,10 +26,8 @@ fn build<P: Clone + Ord>(
     net: &PetriNet<P>,
     initial: &Multiset<P>,
     limits: &ExplorationLimits,
-    parallelism: Parallelism,
 ) -> Arc<ReachabilityGraph<P>> {
     Analysis::new(net)
-        .parallelism(parallelism)
         .reachability([initial.clone()])
         .limits(*limits)
         .run()
@@ -47,9 +41,8 @@ fn build_resumed<P: Clone + Ord>(
     initial: &Multiset<P>,
     small: &ExplorationLimits,
     large: &ExplorationLimits,
-    parallelism: Parallelism,
 ) -> Arc<ReachabilityGraph<P>> {
-    let mut analysis = Analysis::new(net).parallelism(parallelism);
+    let mut analysis = Analysis::new(net);
     let truncated = analysis
         .reachability([initial.clone()])
         .limits(*small)
@@ -61,35 +54,12 @@ fn build_resumed<P: Clone + Ord>(
         .run()
 }
 
-/// Asserts the one canonical graph-identity predicate
-/// ([`ReachabilityGraph::identical_to`]) with a size hint on failure.
-fn assert_identical_graphs<P: Clone + Ord + std::fmt::Debug>(
-    sequential: &ReachabilityGraph<P>,
-    parallel: &ReachabilityGraph<P>,
-) {
-    assert!(
-        sequential.identical_to(parallel),
-        "graphs differ: sequential has {} nodes (complete: {}), parallel has {} (complete: {})",
-        sequential.len(),
-        sequential.is_complete(),
-        parallel.len(),
-        parallel.is_complete()
-    );
-}
-
 fn assert_same_graph<P: Clone + Ord + std::fmt::Debug>(
     net: &PetriNet<P>,
     initial: Multiset<P>,
     limits: &ExplorationLimits,
 ) {
-    let dense = build(net, &initial, limits, Parallelism::Sequential);
-    // Three-way leg 1: the parallel engine is bit-identical to the
-    // sequential one, for several worker counts.
-    for workers in [1usize, 3] {
-        let parallel = build(net, &initial, limits, Parallelism::Parallel(workers));
-        assert_identical_graphs(&dense, &parallel);
-    }
-    // Three-way leg 2: both match the sparse reference node set.
+    let dense = build(net, &initial, limits);
     let (sparse_nodes, sparse_complete) =
         sparse_reference_exploration(net, [initial.clone()], limits);
     let dense_nodes: BTreeSet<Multiset<P>> = dense.ids().map(|id| dense.node(id).clone()).collect();
@@ -185,9 +155,7 @@ proptest! {
             max_agents: Some(24),
             max_depth: None,
         };
-        let dense = build(&net, &initial, &limits, Parallelism::Sequential);
-        let parallel = build(&net, &initial, &limits, Parallelism::Parallel(3));
-        assert_identical_graphs(&dense, &parallel);
+        let dense = build(&net, &initial, &limits);
         let (sparse_nodes, sparse_complete) =
             sparse_reference_exploration(&net, [initial.clone()], &limits);
         let dense_nodes: std::collections::BTreeSet<_> =
@@ -201,19 +169,15 @@ proptest! {
         (net, initial) in arb_net_and_initial(),
         max_depth in 0usize..6,
     ) {
-        // Depth truncation exercises the pipelined engine's level gate:
-        // a frontier at the depth budget is stored but never expanded,
-        // on every engine, with the same incompleteness verdict.
+        // Depth truncation: a frontier at the depth budget is stored but
+        // never expanded, with the same incompleteness verdict as the
+        // sparse reference.
         let limits = ExplorationLimits {
             max_configurations: 400,
             max_agents: Some(24),
             max_depth: Some(max_depth),
         };
-        let dense = build(&net, &initial, &limits, Parallelism::Sequential);
-        for workers in [1usize, 4] {
-            let parallel = build(&net, &initial, &limits, Parallelism::Parallel(workers));
-            assert_identical_graphs(&dense, &parallel);
-        }
+        let dense = build(&net, &initial, &limits);
         let (sparse_nodes, sparse_complete) =
             sparse_reference_exploration(&net, [initial.clone()], &limits);
         let dense_nodes: std::collections::BTreeSet<_> =
@@ -251,8 +215,7 @@ proptest! {
     ) {
         // The resumable-budget contract on random nets: truncate at a small
         // configuration budget, resume to the full limits, and the result
-        // must be bit-identical to a cold build at the full limits — for
-        // the sequential and the parallel engine alike.
+        // must be bit-identical to a cold build at the full limits.
         let small = ExplorationLimits {
             max_configurations: small_budget,
             max_agents: Some(24),
@@ -263,16 +226,13 @@ proptest! {
             max_agents: Some(24),
             max_depth: None,
         };
-        for parallelism in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-            let cold = build(&net, &initial, &large, parallelism);
-            let resumed = build_resumed(&net, &initial, &small, &large, parallelism);
-            prop_assert!(
-                resumed.identical_to(&cold),
-                "resumed != cold at budget {} ({:?})",
-                small_budget,
-                parallelism
-            );
-        }
+        let cold = build(&net, &initial, &large);
+        let resumed = build_resumed(&net, &initial, &small, &large);
+        prop_assert!(
+            resumed.identical_to(&cold),
+            "resumed != cold at budget {}",
+            small_budget
+        );
     }
 
     #[test]
@@ -293,16 +253,47 @@ proptest! {
             max_agents: Some(24),
             max_depth: Some(12),
         };
-        for parallelism in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-            let cold = build(&net, &initial, &large, parallelism);
-            let resumed = build_resumed(&net, &initial, &small, &large, parallelism);
-            prop_assert!(
-                resumed.identical_to(&cold),
-                "resumed != cold from agents {} depth {} ({:?})",
-                small_agents,
-                small_depth,
-                parallelism
-            );
+        let cold = build(&net, &initial, &large);
+        let resumed = build_resumed(&net, &initial, &small, &large);
+        prop_assert!(
+            resumed.identical_to(&cold),
+            "resumed != cold from agents {} depth {}",
+            small_agents,
+            small_depth
+        );
+    }
+
+    #[test]
+    fn random_chained_resumes_match_cold_builds(
+        (net, initial) in arb_net_and_initial(),
+        budget in 2usize..30,
+    ) {
+        // Budget, agent and depth caps raised together, in two resumes on
+        // one session: every stop must be bit-identical to a cold build at
+        // that stop's limits.
+        let stops = [
+            ExplorationLimits {
+                max_configurations: budget,
+                max_agents: Some(8),
+                max_depth: Some(3),
+            },
+            ExplorationLimits {
+                max_configurations: budget * 4,
+                max_agents: Some(14),
+                max_depth: Some(8),
+            },
+            ExplorationLimits {
+                max_configurations: 2_000,
+                max_agents: Some(20),
+                max_depth: None,
+            },
+        ];
+        let mut analysis = Analysis::new(&net);
+        for limits in &stops {
+            let resumed = analysis.reachability([initial.clone()]).limits(*limits).run();
+            let cold = build(&net, &initial, limits);
+            prop_assert!(resumed.identical_to(&cold), "stop {:?} diverges", limits);
+            drop(resumed);
         }
     }
 }

@@ -1,24 +1,24 @@
 //! The `Analysis` session facade, exercised across the workspace layers:
-//! catalog protocols, resumable budgets against cold builds, and the
-//! collapsed covering-word query.
+//! catalog protocols, resumable budgets against cold builds, the collapsed
+//! covering-word query, and the suite benchmark's recorded answers.
 //!
 //! The headline contract under test is the acceptance criterion of the
 //! session redesign: a graph truncated at budget `B` and resumed to `B′`
-//! is `identical_to` a cold build at `B′`, for worker counts {1, 3}, on
-//! real catalog protocols — and the warm/resumed paths reuse the one
-//! compiled engine the session owns.
+//! is `identical_to` a cold build at `B′` on real catalog protocols — and
+//! the warm/resumed paths reuse the one compiled engine the session owns.
 
+use pp_multiset::Multiset;
 use pp_petri::cover::CoveringWordOutcome;
-use pp_petri::{Analysis, Completion, ExplorationLimits, Parallelism};
+use pp_petri::fingerprint::{
+    coverability_fingerprint, karp_miller_fingerprint, reachability_fingerprint,
+};
+use pp_petri::{Analysis, Completion, ExplorationLimits};
 use pp_population::Protocol;
 use pp_protocols::{counting_entries, flock, leaders_n, threshold};
 use std::sync::Arc;
 
 /// Truncates at each budget of `budgets` in turn, resuming step by step,
-/// and compares every stop against a cold build — for the sequential
-/// engine and for Parallelism::Parallel(3) sessions and cold builds (a
-/// resumed graph must be indistinguishable from both, by the engines'
-/// determinism contract).
+/// and compares every stop against a cold build.
 fn assert_resumes_match_cold_builds(
     family: &str,
     protocol: &Protocol,
@@ -27,24 +27,19 @@ fn assert_resumes_match_cold_builds(
 ) {
     let net = protocol.net();
     let initial = protocol.initial_config_with_count(agents);
-    for parallelism in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-        let mut session = Analysis::new(net).parallelism(parallelism);
-        for &budget in budgets {
-            let limits = ExplorationLimits::with_max_configurations(budget);
-            let resumed = session.reachability([initial.clone()]).limits(limits).run();
-            for cold_mode in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-                let cold = Analysis::new(net)
-                    .parallelism(cold_mode)
-                    .reachability([initial.clone()])
-                    .limits(limits)
-                    .run();
-                assert!(
-                    resumed.identical_to(&cold),
-                    "{family}@{agents}: resumed@{budget} != cold ({parallelism:?} vs {cold_mode:?})"
-                );
-            }
-            drop(resumed);
-        }
+    let mut session = Analysis::new(net);
+    for &budget in budgets {
+        let limits = ExplorationLimits::with_max_configurations(budget);
+        let resumed = session.reachability([initial.clone()]).limits(limits).run();
+        let cold = Analysis::new(net)
+            .reachability([initial.clone()])
+            .limits(limits)
+            .run();
+        assert!(
+            resumed.identical_to(&cold),
+            "{family}@{agents}: resumed@{budget} != cold"
+        );
+        drop(resumed);
     }
 }
 
@@ -101,21 +96,18 @@ fn agent_and_depth_capped_catalog_resumes_match_cold_builds() {
             max_depth: None,
         },
     ];
-    for parallelism in [Parallelism::Sequential, Parallelism::Parallel(3)] {
-        let mut session = Analysis::new(net).parallelism(parallelism);
-        for limits in stops {
-            let resumed = session.reachability([initial.clone()]).limits(limits).run();
-            let cold = Analysis::new(net)
-                .parallelism(parallelism)
-                .reachability([initial.clone()])
-                .limits(limits)
-                .run();
-            assert!(
-                resumed.identical_to(&cold),
-                "capped resume diverges at {limits:?} under {parallelism:?}"
-            );
-            drop(resumed);
-        }
+    let mut session = Analysis::new(net);
+    for limits in stops {
+        let resumed = session.reachability([initial.clone()]).limits(limits).run();
+        let cold = Analysis::new(net)
+            .reachability([initial.clone()])
+            .limits(limits)
+            .run();
+        assert!(
+            resumed.identical_to(&cold),
+            "capped resume diverges at {limits:?}"
+        );
+        drop(resumed);
     }
 }
 
@@ -185,4 +177,55 @@ fn completion_taxonomy_reaches_the_integration_surface() {
     let complete = session.reachability([initial]).run();
     assert_eq!(complete.completion(), Completion::Complete);
     assert!(complete.is_complete());
+}
+
+#[test]
+fn suite_benchmark_answers_are_pinned() {
+    // The suite benchmark's `analyze` queries, pinned to the node counts
+    // and fingerprints it records: its two largest reachability graphs,
+    // its two coverability bases (with packed and `u64` rows), and its
+    // capped Karp–Miller tree.
+    let flock5 = flock::flock_of_birds_unary(5);
+    let binary6 = threshold::binary_threshold_with_leader(6);
+    let flock16 = flock::flock_of_birds_unary(16);
+    for (protocol, agents, nodes, fingerprint) in [
+        (&flock5, 34, 50_982, 0x7074_9dae_505c_37a0),
+        (&binary6, 50, 21_074, 0x5853_7ed5_3423_ffa1),
+    ] {
+        let graph = Analysis::new(protocol.net())
+            .reachability([protocol.initial_config_with_count(agents)])
+            .run();
+        assert_eq!(graph.len(), nodes, "{agents} agents");
+        assert_eq!(
+            reachability_fingerprint(&graph),
+            fingerprint,
+            "{agents} agents"
+        );
+    }
+    for (protocol, state, count, elements, fingerprint) in [
+        (&flock16, "a16", 2u64, 407, 0xded9_d920_24c2_ad43),
+        (&binary6, "L2", 1, 11, 0x3aec_6255_089b_e2e2),
+    ] {
+        let place = protocol.state_id(state).expect("catalog state");
+        let places: Vec<_> = protocol.net().places().iter().copied().collect();
+        let session = Analysis::new(protocol.net());
+        for mut analysis in [session.clone(), session.u64_rows()] {
+            let oracle = analysis
+                .coverability(Multiset::from_pairs([(place, count)]))
+                .run();
+            assert_eq!(oracle.basis().len(), elements, "{state}");
+            assert_eq!(coverability_fingerprint(&oracle, &places), fingerprint);
+        }
+    }
+    let places: Vec<_> = binary6.net().places().iter().copied().collect();
+    let tree = Analysis::new(binary6.net())
+        .karp_miller(binary6.initial_config_with_count(18))
+        .max_nodes(20_000)
+        .run();
+    assert_eq!(tree.markings().len(), 20_000);
+    assert_eq!(tree.completion(), Completion::ConfigBudget);
+    assert_eq!(
+        karp_miller_fingerprint(&tree, &places),
+        0x3c52_5ac4_23d9_cdda
+    );
 }
