@@ -129,11 +129,12 @@ impl BasisIndex {
 
 /// One breadth-first level of the completion: vectors of equal `ℓ₁` norm,
 /// each carried with its Gram image `g = AᵀA·t`, both stored row-major
-/// with stride `cols`.
+/// with stride `cols`, and with its linear hash `h(t) = Σ t_k·r_k`.
 struct Level {
     cols: usize,
     vectors: Vec<u64>,
     grams: Vec<i128>,
+    hashes: Vec<u64>,
 }
 
 impl Level {
@@ -142,35 +143,62 @@ impl Level {
             cols,
             vectors: Vec::new(),
             grams: Vec::new(),
+            hashes: Vec::new(),
         }
     }
 
+    fn len(&self) -> usize {
+        self.hashes.len()
+    }
+
     fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
+        self.hashes.is_empty()
     }
 
     fn vector(&self, i: usize) -> &[u64] {
         &self.vectors[i * self.cols..(i + 1) * self.cols]
     }
 
-    fn nodes(&self) -> impl Iterator<Item = (&[u64], &[i128])> {
+    fn nodes(&self) -> impl Iterator<Item = (&[u64], &[i128], u64)> {
         self.vectors
             .chunks(self.cols)
             .zip(self.grams.chunks(self.cols))
+            .zip(&self.hashes)
+            .map(|((t, g), &h)| (t, g, h))
     }
 
     fn clear(&mut self) {
         self.vectors.clear();
         self.grams.clear();
+        self.hashes.clear();
     }
+}
+
+/// The weight `r_k` of coordinate `k` in the linear hash
+/// `h(t) = Σ t_k·r_k` (wrapping): the SplitMix64 finalizer of `k`.
+fn hash_weight(k: usize) -> u64 {
+    let mut z = (k as u64)
+        .wrapping_add(1)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Whether `v == t + e_j`.
+fn is_successor(v: &[u64], t: &[u64], j: usize) -> bool {
+    v.iter()
+        .zip(t)
+        .enumerate()
+        .all(|(k, (&x, &y))| x == y + u64::from(k == j))
 }
 
 /// Marks a free slot of a [`ChildSet`].
 const EMPTY: usize = usize::MAX;
 
 /// The distinct children of one level: a linear-probing table of indices
-/// into the level being built, so that a child reached from several parents
-/// is tested and stored once.
+/// into the level being built, keyed by the children's linear hashes, so
+/// that a child reached from several parents is tested and stored once.
 #[derive(Default)]
 struct ChildSet {
     /// Child indices or [`EMPTY`]; the length is zero or a power of two at
@@ -183,33 +211,40 @@ impl ChildSet {
         self.slots.fill(EMPTY);
     }
 
-    /// Looks up child `id`, the last vector of `children`, among the
-    /// earlier ones, which are all in the table: `None` if an equal child is
-    /// present, else the free slot where `id` belongs.
-    fn vacant_slot(&mut self, children: &Level, id: usize) -> Option<usize> {
-        if 2 * (id + 1) > self.slots.len() {
-            self.slots = vec![EMPTY; (4 * (id + 1)).next_power_of_two()];
-            for earlier in 0..id {
-                let slot = self
-                    .probe(children, earlier)
-                    .expect("the earlier children are distinct");
+    /// The first probe position of `hash` (the high bits of a
+    /// multiplicative mix, since the linear hash itself is structured).
+    fn home(&self, hash: u64) -> usize {
+        let bits = self.slots.len().trailing_zeros();
+        (hash.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// Looks up the child `t + e_j` of hash `hash` among `children`, which
+    /// are all in the table, comparing in place: `None` if an equal child
+    /// is present, else the free slot where the next child belongs.
+    fn vacant_slot(&mut self, children: &Level, t: &[u64], j: usize, hash: u64) -> Option<usize> {
+        if 2 * (children.len() + 1) > self.slots.len() {
+            self.slots = vec![EMPTY; (4 * (children.len() + 1)).next_power_of_two()];
+            let mask = self.slots.len() - 1;
+            for (earlier, &h) in children.hashes.iter().enumerate() {
+                // The earlier children are distinct: take the first free slot.
+                let mut slot = self.home(h);
+                while self.slots[slot] != EMPTY {
+                    slot = (slot + 1) & mask;
+                }
                 self.slots[slot] = earlier;
             }
         }
-        self.probe(children, id)
-    }
-
-    fn probe(&self, children: &Level, id: usize) -> Option<usize> {
-        let vector = children.vector(id);
-        let hash = vector.iter().fold(0u64, |h, &x| {
-            (h.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
         let mask = self.slots.len() - 1;
-        let mut slot = hash as usize & mask;
+        let mut slot = self.home(hash);
         loop {
             match self.slots[slot] {
                 EMPTY => return Some(slot),
-                other if children.vector(other) == vector => return None,
+                other
+                    if children.hashes[other] == hash
+                        && is_successor(children.vector(other), t, j) =>
+                {
+                    return None
+                }
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -245,8 +280,11 @@ impl LinearSystem {
     /// `g + G_j`, with `G_j` row `j` of the Gram matrix `G = AᵀA`. The same
     /// `g` recognizes solutions: `g = 0` iff `A·t = 0`, because
     /// `⟨t, g⟩ = ‖A·t‖²`. A child reached from several parents is tested
-    /// and kept once. The order of the vectors within a level affects
-    /// neither the basis nor which budget error is returned.
+    /// and kept once: every vector also carries the linear hash
+    /// `h(t) = Σ t_k·r_k`, so the child's hash is `h(t) + r_j`, and a
+    /// repeat is recognized by comparing `t + e_j` in place, before it is
+    /// copied into the level. The order of the vectors within a level
+    /// affects neither the basis nor which budget error is returned.
     ///
     /// The returned basis is sorted lexicographically and free of duplicates.
     ///
@@ -286,6 +324,8 @@ impl LinearSystem {
             level.vectors[j * n + j] = 1;
         }
         level.grams.clone_from(&gram);
+        let weights: Vec<u64> = (0..n).map(hash_weight).collect();
+        level.hashes.clone_from(&weights);
         let mut children = Level::new(n);
         let mut seen = ChildSet::default();
         let mut mask = vec![0u64; n.div_ceil(64)];
@@ -294,7 +334,7 @@ impl LinearSystem {
 
         while !level.is_empty() {
             // Record the level's solutions before any child is tested.
-            for (t, g) in level.nodes() {
+            for (t, g, _) in level.nodes() {
                 expanded += 1;
                 if expanded > config.max_nodes {
                     return Err(HilbertError::NodeBudgetExceeded {
@@ -312,7 +352,7 @@ impl LinearSystem {
             }
             children.clear();
             seen.clear();
-            for (t, g) in level.nodes() {
+            for (t, g, h) in level.nodes() {
                 if g.iter().all(|&v| v == 0) {
                     continue;
                 }
@@ -322,22 +362,24 @@ impl LinearSystem {
                     if g_j >= 0 {
                         continue;
                     }
-                    let id = children.vectors.len() / n;
+                    let hash = h.wrapping_add(weights[j]);
+                    let Some(slot) = seen.vacant_slot(&children, t, j, hash) else {
+                        continue; // reached from an earlier parent
+                    };
+                    let id = children.len();
                     children.vectors.extend_from_slice(t);
                     children.vectors[id * n + j] += 1;
                     child_mask.copy_from_slice(&mask);
                     child_mask[j / 64] |= 1 << (j % 64);
-                    match seen.vacant_slot(&children, id) {
-                        Some(slot)
-                            if !basis.dominates_child(children.vector(id), &child_mask, j) =>
-                        {
-                            seen.slots[slot] = id;
-                            children
-                                .grams
-                                .extend(g.iter().zip(gram_j).map(|(&x, &y)| x + y));
-                        }
-                        _ => children.vectors.truncate(id * n),
+                    if basis.dominates_child(children.vector(id), &child_mask, j) {
+                        children.vectors.truncate(id * n);
+                        continue;
                     }
+                    seen.slots[slot] = id;
+                    children.hashes.push(hash);
+                    children
+                        .grams
+                        .extend(g.iter().zip(gram_j).map(|(&x, &y)| x + y));
                 }
             }
             std::mem::swap(&mut level, &mut children);

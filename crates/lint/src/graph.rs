@@ -573,7 +573,7 @@ impl Workspace {
                         // `module::name(…)` — restrict the fallback to
                         // fns whose file stem matches the module, so
                         // `mem::take` (std) resolves to nothing while
-                        // `arena::spin_lock` finds arena.rs.
+                        // `explore::scan_expand` finds explore.rs.
                         let mut ids = self.resolve_by_name(caller, name);
                         ids.retain(|&t| {
                             let f = &self.files[self.nodes[t].file];

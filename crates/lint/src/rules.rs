@@ -173,10 +173,10 @@ impl Rule {
             }
             Rule::LockOrder => {
                 "Potential-deadlock detection: each function's lock-acquisition \
-                 sequence (Mutex .lock() receivers and arena spin_lock targets, \
-                 identified by field name) is propagated over the call graph; \
-                 acquiring lock B while holding lock A adds edge A -> B to the \
-                 workspace lock-order graph. A cycle means two threads can acquire \
+                 sequence (Mutex .lock() receivers, identified by field name) is \
+                 propagated over the call graph; acquiring lock B while holding \
+                 lock A adds edge A -> B to the workspace lock-order graph. A \
+                 cycle means two threads can acquire \
                  the same locks in opposite orders and deadlock; the finding prints \
                  the witness cycle with one provenance site per edge. Fix the order, \
                  don't suppress the cycle."
@@ -1228,7 +1228,7 @@ fn resolve_closure_binding(ws: &Workspace, id: usize, name: &str) -> Option<usiz
 }
 
 /// Renders the BFS call path from the nearest root to `id`:
-/// `<closure@97> -> intern -> spin_lock`.
+/// `<closure@97> -> run_job -> unwrap`.
 fn witness_path(ws: &Workspace, pred: &[Option<usize>], roots: &[usize], id: usize) -> String {
     let mut chain = vec![id];
     let mut cur = id;
@@ -1268,8 +1268,7 @@ struct LockEdge {
 /// lock-acquisition-order graph.
 ///
 /// Locks are identified **by field name** (the receiver segment that
-/// owns `.lock()`, or the last path segment handed to `spin_lock`) —
-/// same-named locks on different types merge, which over-approximates.
+/// owns `.lock()`) — same-named locks on different types merge, which over-approximates.
 /// Per function, a held-set simulation walks the statements: guards
 /// bound by `let` stay held to the end of their block, temporaries die
 /// at the statement end, and all acquisitions within one statement are
@@ -1330,23 +1329,6 @@ fn node_acquisitions(ws: &Workspace, id: usize) -> Vec<(String, usize, bool)> {
     let v = NodeView::new(ws, id);
     let mut out = Vec::new();
     for k in 0..v.own.len() {
-        // `spin_lock(&self.shards[i])` → the last path segment before
-        // an index/call/end: `shards`.
-        if v.t(k) == "spin_lock" && v.t(k + 1) == "(" {
-            let mut label = None;
-            let mut j = k + 2;
-            loop {
-                match v.t(j) {
-                    "&" | "mut" | "." | "self" => {}
-                    t if v.kind(j) == Some(TokenKind::Ident) => label = Some(t.to_string()),
-                    _ => break,
-                }
-                j += 1;
-            }
-            if let Some(l) = label {
-                out.push((l, v.raw(k), false));
-            }
-        }
         // `recv.lock()` → the receiver segment owning the call, with
         // index/call groups skipped: `self.shards[i].lock()` → `shards`.
         if v.t(k) == "lock" && v.t(k + 1) == "(" && k >= 2 && v.t(k - 1) == "." {

@@ -8,8 +8,11 @@
 //!
 //! * **packed** — the uncompressed `u64` reference rows
 //!   ([`Analysis::u64_rows`]) instead of packed ones;
-//! * **resume** — truncate at half the budget, then resume to the full
-//!   budget (reachability only: the other queries have no resume path);
+//! * **resume** — truncate below the budget, then resume to the full
+//!   budget (reachability only: the other queries have no resume path).
+//!   The truncation budget is half the budget when that keeps the full
+//!   build's row layout, else the smallest larger budget that does, so
+//!   the resume extends the graph in place instead of rebuilding it cold;
 //! * **batch** — the same query as a single-job [`Batch`] run.
 //!
 //! Each axis must reproduce the baseline [fingerprint](pp_petri::fingerprint)
@@ -31,6 +34,7 @@
 use crate::ast::NetDef;
 use crate::eval::{concretize, instantiate, EvalError, NetSpec};
 use crate::generate::{preset, random_def, random_target, NUM_PRESETS};
+use pp_multiset::Multiset;
 use pp_petri::explore::fault_injection;
 use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{Analysis, Batch, BatchJob, BatchOutcome, ExplorationLimits, Parallelism, PetriNet};
@@ -183,8 +187,23 @@ pub struct FuzzOutcome {
     pub cases: u32,
     /// Individual `(axis, query)` comparisons performed.
     pub comparisons: u64,
+    /// Resume-axis cases whose truncated graph the resume extends in place.
+    pub resumes_in_place: u32,
+    /// Resume-axis cases whose resume rebuilds cold: no budget below the
+    /// full one keeps the full build's row layout.
+    pub resumes_cold: u32,
     /// All confirmed divergences (empty on a healthy engine).
     pub divergences: Vec<Divergence>,
+}
+
+/// The path a resume-axis resume takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ResumePath {
+    /// The truncated graph keeps the full build's row layout and is
+    /// extended in place.
+    InPlace,
+    /// The row layout changes with the budget, so the resume rebuilds cold.
+    Cold,
 }
 
 /// Engine configuration for one run: which axis deviation to apply.
@@ -229,6 +248,45 @@ fn limits_for(spec: &NetSpec, budget: usize) -> ExplorationLimits {
     }
 }
 
+/// The resume axis's truncated limits under the full `limits`, and the
+/// path its resume takes (`None` when the truncated build is already
+/// complete, leaving nothing to resume).
+///
+/// The packed row layout depends on the node budget
+/// ([`CompiledNet::row_layout`](pp_petri::CompiledNet::row_layout)), and
+/// a resume whose layout changes rebuilds cold instead of extending the
+/// graph. The truncation budget is half the budget when that keeps the
+/// full build's layout; otherwise the smallest larger budget that keeps
+/// it. Cell widths only grow with the budget, so no budget below half can
+/// keep a layout that half loses. When only the full budget has its
+/// layout, the truncation stays at half and the resume goes cold.
+fn resume_plan(
+    spec: &NetSpec,
+    limits: ExplorationLimits,
+) -> (ExplorationLimits, Option<ResumePath>) {
+    let budget = limits.max_configurations;
+    let half = (budget / 2).max(1);
+    let full = Analysis::new(&spec.net)
+        .reachability(spec.initials.clone())
+        .limits(limits)
+        .run();
+    let max_initial_total = spec.initials.iter().map(Multiset::total).max().unwrap_or(0);
+    let keeps_layout = |truncation: usize| {
+        full.engine()
+            .row_layout(max_initial_total, limits.max_agents, truncation)
+            == *full.row_layout()
+    };
+    let (truncation, path) = match (half..budget).find(|&b| keeps_layout(b)) {
+        Some(b) => (b, ResumePath::InPlace),
+        None => (half, ResumePath::Cold),
+    };
+    let truncated = ExplorationLimits {
+        max_configurations: truncation,
+        ..limits
+    };
+    (truncated, (full.len() > truncation).then_some(path))
+}
+
 /// Sorted place universe of the net (the canonical order every
 /// basis/marking fingerprint reads counts in).
 fn place_order(net: &PetriNet<String>) -> Vec<String> {
@@ -258,15 +316,12 @@ fn run_query(
                 return None;
             }
             if matches!(mode.axis, Some(Axis::Resume)) {
-                // Truncate at half the budget, then resume to the full
+                // Truncate below the budget, then resume to the full
                 // budget; the graph must match a cold full-budget build.
-                let half = ExplorationLimits {
-                    max_configurations: (budget / 2).max(1),
-                    ..limits
-                };
+                let (truncated, _) = resume_plan(spec, limits);
                 let _ = analysis
                     .reachability(spec.initials.clone())
-                    .limits(half)
+                    .limits(truncated)
                     .run();
             }
             BatchOutcome::Reachability(
@@ -485,6 +540,8 @@ pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
     let mut outcome = FuzzOutcome {
         cases: options.cases,
         comparisons: 0,
+        resumes_in_place: 0,
+        resumes_cold: 0,
         divergences: Vec::new(),
     };
     for case in 0..options.cases {
@@ -499,6 +556,13 @@ pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
         let Ok(spec) = instantiate(&def, &[]) else {
             continue;
         };
+        if !spec.initials.is_empty() {
+            match resume_plan(&spec, limits_for(&spec, options.budget)).1 {
+                Some(ResumePath::InPlace) => outcome.resumes_in_place += 1,
+                Some(ResumePath::Cold) => outcome.resumes_cold += 1,
+                None => {}
+            }
+        }
         for query in QueryKind::ALL {
             for axis in Axis::ALL {
                 if !axis.applies_to(query) {
@@ -561,11 +625,29 @@ mod tests {
     }
 
     #[test]
+    fn the_resume_axis_reaches_the_in_place_resume() {
+        let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        // The CLI's default budget and seed 1, as in CI's self-test.
+        let outcome = run_fuzz(&FuzzOptions {
+            cases: 8,
+            seed: 1,
+            ..FuzzOptions::default()
+        });
+        assert!(outcome.divergences.is_empty());
+        assert!(
+            outcome.resumes_in_place >= 1,
+            "in place {}, cold {}",
+            outcome.resumes_in_place,
+            outcome.resumes_cold
+        );
+    }
+
+    #[test]
     fn injected_faults_are_caught_and_shrunk() {
         let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        // The CLI's default budget, as in CI's self-test: the fault shows
-        // only where the half-budget build truncates and keeps its row
-        // layout, which at this seed takes the full 600.
+        // The CLI's default budget, as in CI's self-test: the fault sits
+        // in the in-place resume, so it shows only where the truncated
+        // build keeps the full build's row layout.
         let budget = FuzzOptions::default().budget;
         let outcome = run_fuzz(&FuzzOptions {
             cases: 8,

@@ -139,9 +139,11 @@ fn cmd_fuzz(args: &[String]) -> ExitCode {
     }
     let outcome = run_fuzz(&options);
     println!(
-        "fuzz: {} case(s), {} comparison(s), {} divergence(s){}",
+        "fuzz: {} case(s), {} comparison(s), resumes {} in place / {} cold, {} divergence(s){}",
         outcome.cases,
         outcome.comparisons,
+        outcome.resumes_in_place,
+        outcome.resumes_cold,
         outcome.divergences.len(),
         if options.inject_fault {
             " [fault injection active]"

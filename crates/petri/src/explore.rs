@@ -163,6 +163,10 @@ pub struct ReachabilityGraph<P: Ord> {
     /// Dense rows of initial configurations the budget refused to intern,
     /// in supplied order — replayed first on resume.
     pending_initials: Vec<Vec<u64>>,
+    /// The [`reachability_fingerprint`](crate::fingerprint::reachability_fingerprint)
+    /// of the graph, computed on first request; [`resume`](Self::resume)
+    /// clears it.
+    pub(crate) fingerprint: OnceLock<u64>,
 }
 
 /// Outgoing adjacency lists: per node, `(transition index, successor id)`,
@@ -445,6 +449,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             depths,
             dirty,
             pending_initials,
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -572,6 +577,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             limits.dominates(&self.limits),
             "resume requires limits that dominate the built limits"
         );
+        self.fingerprint = OnceLock::new();
         let cap = limits.effective_max_configurations();
         let mut trunc = Truncation::default();
         let first_new = self.arena.len();

@@ -102,8 +102,18 @@ impl Fnv {
 /// Fingerprint of a reachability graph: length, completion, initial ids,
 /// and per node the dense row, depth and successor edge list — the same
 /// data [`ReachabilityGraph::identical_to`] compares.
+///
+/// The hash is computed once per graph and cached on it (an in-place
+/// [`resume`](ReachabilityGraph::resume) clears the cache), so a server
+/// answering the same cached graph again does not rehash it. The
+/// coverability and Karp–Miller fingerprints stay uncached: they read
+/// counts in a caller-supplied place order.
 #[must_use]
 pub fn reachability_fingerprint<P: Clone + Ord>(graph: &ReachabilityGraph<P>) -> u64 {
+    *graph.fingerprint.get_or_init(|| hash_reachability(graph))
+}
+
+fn hash_reachability<P: Clone + Ord>(graph: &ReachabilityGraph<P>) -> u64 {
     let mut h = Fnv::new();
     h.write_str("reach");
     h.write_usize(graph.len());
@@ -159,9 +169,10 @@ pub fn karp_miller_fingerprint<P: Clone + Ord>(tree: &KarpMillerTree<P>, places:
     h.write_str("km");
     h.write_str(&tree.completion().to_string());
     h.write_usize(tree.markings().len());
-    for marking in tree.markings() {
-        for place in places {
-            match marking.get(place) {
+    let cells: Vec<Option<usize>> = places.iter().map(|p| tree.place_index(p)).collect();
+    for row in tree.rows() {
+        for cell in &cells {
+            match cell.map_or(OmegaValue::Finite(0), |i| OmegaValue::from_cell(row[i])) {
                 OmegaValue::Finite(count) => {
                     h.write_u64(0);
                     h.write_u64(count);
@@ -276,6 +287,35 @@ mod tests {
             reachability_fingerprint(&resumed),
             "identical graphs must fingerprint identically"
         );
+    }
+
+    #[test]
+    fn cached_fingerprints_follow_an_in_place_resume() {
+        let net = doubling_net();
+        let start = Multiset::from_pairs([("a", 9u64)]);
+        let cold = Analysis::new(&net).reachability([start.clone()]).run();
+        let mut session = Analysis::new(&net);
+        let truncated = session
+            .reachability([start.clone()])
+            .limits(ExplorationLimits::with_max_configurations(3))
+            .run();
+        let before = reachability_fingerprint(&truncated);
+        assert_eq!(before, hash_reachability(&truncated), "cached on first use");
+        // A non-increasing net keeps its row layout, so both resumes below
+        // stay on the in-place path.
+        let mut graph = (*truncated).clone();
+        graph.resume(&ExplorationLimits::default());
+        assert_eq!(graph.row_layout(), truncated.row_layout());
+        let resumed = session.reachability([start]).run();
+        for after in [
+            reachability_fingerprint(&graph),
+            reachability_fingerprint(&resumed),
+        ] {
+            assert_ne!(after, before, "resume clears the cached hash");
+            assert_eq!(after, reachability_fingerprint(&cold));
+            assert_eq!(after, hash_reachability(&cold));
+        }
+        assert_eq!(reachability_fingerprint(&truncated), before);
     }
 
     #[test]

@@ -7,28 +7,27 @@
 //! [`cover`](crate::cover) — experiment E5's ablation compares the two — and
 //! to detect unbounded places of non-conservative protocols.
 //!
-//! The tree is built on the dense engine ([`CompiledNet`]): markings are
-//! flat `Vec<OmegaValue>` rows over dense place indices, fired and compared
-//! with slice arithmetic, and converted to sparse [`OmegaMarking`]s only
-//! once the search finishes. All counter arithmetic is *checked*
-//! ([`OmegaValue::checked_add`]/[`OmegaValue::checked_sub`]): an execution
-//! whose counts leave `u64` no longer panics, it marks the tree incomplete
-//! and skips the offending branch.
+//! The tree is built on the dense engine ([`CompiledNet`]) as one flat,
+//! index-linked tree: the admitted markings are `u64` rows over the dense
+//! place indices, stored row-major in one vector, and each node records
+//! its parent's index. ω is the sentinel `u64::MAX`, the largest cell
+//! value, so the ω-order is a plain lane-wise `<=` and acceleration writes
+//! the sentinel. All counter arithmetic is *checked*: a count that would
+//! leave `u64` — or reach the sentinel itself — marks the tree incomplete
+//! ([`Completion::OmegaOverflow`]) and skips the offending branch.
 //!
-//! The long-lived admitted-markings store packs its rows with *per-place*
-//! cell widths ([`RowLayout::per_place`]): ω is a per-cell max sentinel,
-//! so a place accelerating to ω costs nothing, and only a *finite* count
-//! colliding with its sentinel promotes that one place's width (re-encoding
-//! the store) instead of widening the whole net. Branch chains stay
-//! unpacked `Vec<OmegaValue>` scratch.
+//! The frontier is lazy. A wave is the id range the previous wave
+//! admitted, read as `(parent, transition)` pairs; a child is fired into
+//! one reused scratch row only when its pair is popped, and the budget is
+//! checked before it is accelerated, so no child is built that the budget
+//! cannot admit. The sparse [`OmegaMarking`]s are decoded on demand
+//! through the [`Markings`] view; the tree's own queries read the rows.
 
-use crate::engine::CompiledNet;
-use crate::packed::{CellWidth, RowLayout};
+use crate::engine::{CompiledNet, CompiledTransition};
 use crate::session::Completion;
 use pp_multiset::Multiset;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 
 /// A marking value: a finite count or ω (unbounded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,6 +51,15 @@ impl fmt::Display for OmegaOverflow {
 impl std::error::Error for OmegaOverflow {}
 
 impl OmegaValue {
+    /// Decodes one cell of a tree row, where ω is the [`OMEGA`] sentinel.
+    pub(crate) fn from_cell(cell: u64) -> Self {
+        if cell == OMEGA {
+            OmegaValue::Omega
+        } else {
+            OmegaValue::Finite(cell)
+        }
+    }
+
     fn at_least(self, needed: u64) -> bool {
         match self {
             OmegaValue::Finite(v) => v >= needed,
@@ -120,14 +128,6 @@ impl<P: Clone + Ord> OmegaMarking<P> {
             .unwrap_or(OmegaValue::Finite(0))
     }
 
-    fn set(&mut self, place: P, value: OmegaValue) {
-        if value == OmegaValue::Finite(0) {
-            self.values.remove(&place);
-        } else {
-            self.values.insert(place, value);
-        }
-    }
-
     /// Returns `true` if no place carries ω.
     #[must_use]
     pub fn is_finite(&self) -> bool {
@@ -156,142 +156,59 @@ impl<P: Clone + Ord> OmegaMarking<P> {
     }
 }
 
-/// A dense ω-marking row over the engine's place indices.
-type OmegaRow = Vec<OmegaValue>;
+/// The ω of a dense tree row. No finite count takes this value: a count
+/// that would reach it reports [`Completion::OmegaOverflow`] instead.
+const OMEGA: u64 = u64::MAX;
 
-/// Component-wise order on dense ω-rows of equal width.
-fn row_le(a: &[OmegaValue], b: &[OmegaValue]) -> bool {
-    a.iter().zip(b).all(|(x, y)| match (x, y) {
-        (OmegaValue::Omega, OmegaValue::Omega) => true,
-        (OmegaValue::Omega, OmegaValue::Finite(_)) => false,
-        (OmegaValue::Finite(_), OmegaValue::Omega) => true,
-        (OmegaValue::Finite(a), OmegaValue::Finite(b)) => a <= b,
-    })
+/// Component-wise order on dense ω-rows of equal width. ω is the largest
+/// cell value, so the order is the plain lane-wise `<=`.
+fn row_le(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x <= y)
 }
 
-/// Fires compiled transition `t` on `row`, or `Ok(None)` if disabled.
+/// Fires compiled transition `t` on `row` into `dst` (cleared and
+/// refilled); `Ok(false)` if `t` is disabled. ω cells absorb every
+/// change.
 ///
 /// # Errors
 ///
-/// Propagates [`OmegaOverflow`] from the checked counter arithmetic.
-fn fire_row(
-    row: &[OmegaValue],
-    transition: &crate::engine::CompiledTransition,
-) -> Result<Option<OmegaRow>, OmegaOverflow> {
-    if !transition
-        .pre()
-        .iter()
-        .all(|&(p, c)| row[p as usize].at_least(c))
-    {
-        return Ok(None);
+/// Returns [`OmegaOverflow`] when a finite count would go negative, leave
+/// the `u64` range or reach the [`OMEGA`] sentinel.
+fn fire_into(
+    row: &[u64],
+    transition: &CompiledTransition,
+    dst: &mut Vec<u64>,
+) -> Result<bool, OmegaOverflow> {
+    if !transition.is_enabled_row(row) {
+        return Ok(false);
     }
-    let mut next = row.to_vec();
+    dst.clear();
+    dst.extend_from_slice(row);
     for &(p, c) in transition.pre() {
-        next[p as usize] = next[p as usize].checked_sub(c)?;
+        let cell = &mut dst[p as usize];
+        if *cell != OMEGA {
+            *cell = cell.checked_sub(c).ok_or(OmegaOverflow)?;
+        }
     }
     for &(p, c) in transition.post() {
-        next[p as usize] = next[p as usize].checked_add(c)?;
+        let cell = &mut dst[p as usize];
+        if *cell != OMEGA {
+            *cell = cell
+                .checked_add(c)
+                .filter(|&sum| sum != OMEGA)
+                .ok_or(OmegaOverflow)?;
+        }
     }
-    Ok(Some(next))
+    Ok(true)
 }
 
 /// Accelerates `row` against a strictly smaller ancestor: places where it
 /// strictly exceeds the ancestor become ω.
-fn accelerate(row: &mut [OmegaValue], ancestor: &[OmegaValue]) {
-    for (mine, theirs) in row.iter_mut().zip(ancestor) {
-        if let (OmegaValue::Finite(m), OmegaValue::Finite(t)) = (*mine, *theirs) {
-            if m > t {
-                *mine = OmegaValue::Omega;
-            }
+fn accelerate(row: &mut [u64], ancestor: &[u64]) {
+    for (mine, &theirs) in row.iter_mut().zip(ancestor) {
+        if *mine > theirs {
+            *mine = OMEGA;
         }
-    }
-}
-
-/// One node of an ancestor chain.
-///
-/// Branches are shared immutable linked lists: extending a branch for a
-/// child is one `Rc` clone instead of copying the whole ancestor vector,
-/// so a wave's pending nodes carry their branches by reference.
-struct BranchNode {
-    row: OmegaRow,
-    parent: BranchLink,
-}
-
-impl Drop for BranchNode {
-    fn drop(&mut self) {
-        // Unlink the chain iteratively: the default recursive drop would
-        // use one stack frame per ancestor, overflowing on the deep
-        // non-branching chains an acceleration-free net produces.
-        let mut parent = self.parent.take();
-        while let Some(node) = parent {
-            match Rc::try_unwrap(node) {
-                Ok(mut node) => parent = node.parent.take(),
-                // Some other branch still shares this tail: leave it.
-                Err(_) => break,
-            }
-        }
-    }
-}
-
-/// A (possibly empty) ancestor chain, leaf-most node first.
-type BranchLink = Option<Rc<BranchNode>>;
-
-/// Iterates the ancestor rows of `link`, leaf to root.
-fn ancestor_rows(link: &BranchLink) -> impl Iterator<Item = &OmegaRow> {
-    std::iter::successors(link.as_deref(), |node| node.parent.as_deref()).map(|node| &node.row)
-}
-
-/// The result of expanding one pending node: it reads only the node's own
-/// branch.
-struct Expansion {
-    /// Some branch ancestor already covers the row: stop this branch.
-    subsumed: bool,
-    /// Child markings, in transition order, already ω-accelerated against
-    /// *all* branch ancestors (not just the parent).
-    children: Vec<OmegaRow>,
-    /// Some child's counters left the `u64` range; the branch is dropped
-    /// and the tree reported incomplete.
-    overflowed: bool,
-}
-
-/// Expands one pending node: subsumption check against the branch, then one
-/// child per enabled transition, accelerated against every ancestor (root
-/// first, the classical order).
-fn expand_node(
-    transitions: &[crate::engine::CompiledTransition],
-    row: &OmegaRow,
-    parent: &BranchLink,
-) -> Expansion {
-    if ancestor_rows(parent).any(|a| row_le(row, a)) {
-        return Expansion {
-            subsumed: true,
-            children: Vec::new(),
-            overflowed: false,
-        };
-    }
-    let chain: Vec<&OmegaRow> = ancestor_rows(parent).collect();
-    let mut children = Vec::new();
-    let mut overflowed = false;
-    for transition in transitions {
-        match fire_row(row, transition) {
-            Ok(Some(mut next)) => {
-                for ancestor in chain.iter().rev().copied().chain(std::iter::once(row)) {
-                    if row_le(ancestor, &next) && ancestor != &next {
-                        accelerate(&mut next, ancestor);
-                    }
-                }
-                children.push(next);
-            }
-            Ok(None) => {}
-            Err(OmegaOverflow) => {
-                overflowed = true;
-            }
-        }
-    }
-    Expansion {
-        subsumed: false,
-        children,
-        overflowed,
     }
 }
 
@@ -315,138 +232,30 @@ impl KmTruncation {
     }
 }
 
-/// The admitted-markings store, packed with per-place cell widths.
-///
-/// ω is encoded as the cell's max value (a sentinel), so acceleration to
-/// ω never widens anything — the sentinel fits every width. A *finite*
-/// count at or above a place's sentinel instead promotes that single
-/// place to the next wider cell and re-encodes the stored rows; every
-/// other place keeps its narrow cells. On an engine that does not pack
-/// every place starts (and stays) at `u64`.
-struct PackedOmegaStore {
-    widths: Vec<CellWidth>,
-    layout: RowLayout,
-    data: Vec<u64>,
-    len: usize,
-    /// Rows holding a finite count of exactly `u64::MAX`, which would
-    /// collide with the `u64` ω sentinel — kept unpacked on the side
-    /// (all but unreachable under checked ω-arithmetic; their packed
-    /// slots stay zeroed placeholders).
-    unpackable: BTreeMap<usize, OmegaRow>,
-}
-
-impl PackedOmegaStore {
-    /// An empty store over `places` cells, sized so the initial marking's
-    /// largest count packs without an immediate promotion (or `u64` cells
-    /// throughout when `packed` is off).
-    fn new(places: usize, max_initial_cell: u64, packed: bool) -> Self {
-        let width = if packed {
-            CellWidth::fitting(max_initial_cell.saturating_add(1))
-        } else {
-            CellWidth::U64
-        };
-        let widths = vec![width; places];
-        let layout = RowLayout::per_place(widths.clone());
-        PackedOmegaStore {
-            widths,
-            layout,
-            data: Vec::new(),
-            len: 0,
-            unpackable: BTreeMap::new(),
-        }
+/// Refills `chain` with the node ids from the root down to `id`, following
+/// the `parent` links (the root is its own parent).
+fn chain_into(parent: &[u32], id: usize, chain: &mut Vec<usize>) {
+    chain.clear();
+    chain.push(id);
+    let mut node = id;
+    while node != 0 {
+        node = parent[node] as usize;
+        chain.push(node);
     }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Decodes one stored row back to ω-values.
-    fn decode(&self, index: usize) -> OmegaRow {
-        if let Some(row) = self.unpackable.get(&index) {
-            return row.clone();
-        }
-        let words = self.layout.words_per_row();
-        let row = &self.data[index * words..(index + 1) * words];
-        (0..self.layout.places())
-            .map(|place| {
-                let cell = self.layout.get(row, place);
-                if cell == self.widths[place].cell_max() {
-                    OmegaValue::Omega
-                } else {
-                    OmegaValue::Finite(cell)
-                }
-            })
-            .collect()
-    }
-
-    /// Appends a marking, promoting any place whose finite count would
-    /// collide with its current ω sentinel.
-    fn push(&mut self, row: &[OmegaValue]) {
-        debug_assert_eq!(row.len(), self.layout.places());
-        for (place, value) in row.iter().enumerate() {
-            if let OmegaValue::Finite(c) = *value {
-                while c >= self.widths[place].cell_max() {
-                    match self.widths[place].widen() {
-                        Some(wider) => self.promote(place, wider),
-                        None => {
-                            // c == u64::MAX: no wider cell exists, keep
-                            // the row unpacked so the sentinel stays
-                            // unambiguous.
-                            self.unpackable.insert(self.len, row.to_vec());
-                            self.data
-                                .resize(self.data.len() + self.layout.words_per_row(), 0);
-                            self.len += 1;
-                            return;
-                        }
-                    }
-                }
-            }
-        }
-        self.append_packed(row);
-        self.len += 1;
-    }
-
-    /// Encodes `row` (already known to fit) at the end of the data block.
-    fn append_packed(&mut self, row: &[OmegaValue]) {
-        let start = self.data.len();
-        self.data.resize(start + self.layout.words_per_row(), 0);
-        for (place, value) in row.iter().enumerate() {
-            let cell = match *value {
-                OmegaValue::Finite(c) => c,
-                OmegaValue::Omega => self.widths[place].cell_max(),
-            };
-            self.layout.set(&mut self.data[start..], place, cell);
-        }
-    }
-
-    /// Widens one place's cells and re-encodes every stored row. Already
-    /// stored counts all fit the widened layout (they fit the narrower
-    /// one), so the re-encoding cannot itself promote.
-    fn promote(&mut self, place: usize, wider: CellWidth) {
-        let rows: Vec<OmegaRow> = (0..self.len).map(|i| self.decode(i)).collect();
-        self.widths[place] = wider;
-        self.layout = RowLayout::per_place(self.widths.clone());
-        self.data.clear();
-        for (index, row) in rows.iter().enumerate() {
-            if self.unpackable.contains_key(&index) {
-                self.data
-                    .resize(self.data.len() + self.layout.words_per_row(), 0);
-            } else {
-                self.append_packed(row);
-            }
-        }
-    }
-
-    /// Decodes the whole store, in admission order.
-    fn into_rows(self) -> Vec<OmegaRow> {
-        (0..self.len).map(|i| self.decode(i)).collect()
-    }
+    chain.reverse();
 }
 
 /// A Karp–Miller coverability tree, stored as its set of ω-markings.
 #[derive(Debug, Clone)]
 pub struct KarpMillerTree<P: Ord> {
-    markings: Vec<OmegaMarking<P>>,
+    /// The engine's place order: cell `i` of every row counts `places[i]`.
+    places: Vec<P>,
+    /// The admitted ω-markings in admission order, row-major with stride
+    /// `places.len()`, ω encoded as [`OMEGA`].
+    rows: Vec<u64>,
+    /// The number of markings (kept apart from `rows`, which stay empty
+    /// on a net without places).
+    len: usize,
     completion: Completion,
 }
 
@@ -457,17 +266,18 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
     /// The initial configuration must fit the engine's universe.
     ///
     /// The search runs on the dense engine, wave by wave, in breadth-first
-    /// order. Expanding a pending node — subsumption check against its
-    /// branch, one child per enabled transition, ω-acceleration against
-    /// *all* its ancestors — only reads the node's own branch, and each
-    /// node admits at most one marking; its children join the next wave.
-    /// The build stops at the first node the budget refuses, before
-    /// expanding it: no node is ever expanded speculatively.
+    /// order. A wave is the id range its predecessor admitted, and its
+    /// entries are the `(parent, transition)` pairs of that range in
+    /// order. Popping a pair fires the transition, checks the budget, then
+    /// ω-accelerates the child against *all* its ancestors (root first,
+    /// the classical order) and drops it if some ancestor covers it;
+    /// otherwise the child is admitted. The build stops at the first
+    /// enabled pair the budget refuses, so no child is built that the
+    /// budget cannot admit.
     ///
     /// The tree is reported as incomplete when the node budget is hit *or*
-    /// when some branch's counters left the `u64` range (checked arithmetic
-    /// instead of the former panic); [`completion`](Self::completion) says
-    /// which.
+    /// when some branch's counters left the `u64` range (checked
+    /// arithmetic); [`completion`](Self::completion) says which.
     pub(crate) fn build_on(
         engine: &CompiledNet<P>,
         initial: &Multiset<P>,
@@ -484,70 +294,96 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
         initial: &Multiset<P>,
         max_nodes: usize,
     ) -> (Self, usize) {
-        let dense_initial = engine
+        let root = engine
             .to_dense(initial)
             .expect("initial support is part of the compiled universe");
-        let root: OmegaRow = dense_initial
-            .iter()
-            .map(|&c| OmegaValue::Finite(c))
-            .collect();
-        let mut rows = PackedOmegaStore::new(
-            engine.num_places(),
-            dense_initial.iter().copied().max().unwrap_or(0),
-            engine.packed,
-        );
-        let mut trunc = KmTruncation::default();
-        let transitions = engine.transitions();
-        let mut expanded = 0;
-        let mut wave: Vec<(OmegaRow, BranchLink)> = vec![(root, None)];
-        'build: while !wave.is_empty() {
-            let mut next = Vec::new();
-            for (row, parent) in wave {
-                if rows.len() == max_nodes {
-                    trunc.budget = true;
-                    break 'build;
-                }
-                let expansion = expand_node(transitions, &row, &parent);
-                expanded += 1;
-                if expansion.subsumed {
-                    continue; // no marking, no children
-                }
-                trunc.overflow |= expansion.overflowed;
-                rows.push(&row);
-                let node = Rc::new(BranchNode { row, parent });
-                next.extend(
-                    expansion
-                        .children
-                        .into_iter()
-                        .map(|child| (child, Some(node.clone()))),
-                );
-            }
-            wave = next;
-        }
-        let markings = rows
-            .into_rows()
-            .into_iter()
-            .map(|row| {
-                let mut marking = OmegaMarking {
-                    values: BTreeMap::new(),
-                };
-                for (index, value) in row.into_iter().enumerate() {
-                    marking.set(engine.places()[index].clone(), value);
-                }
-                marking
-            })
-            .collect();
-        let tree = KarpMillerTree {
-            markings,
-            completion: trunc.completion(),
+        let mut tree = KarpMillerTree {
+            places: engine.places().to_vec(),
+            rows: Vec::new(),
+            len: 0,
+            completion: Completion::Complete,
         };
+        let mut parent: Vec<u32> = Vec::new();
+        let mut trunc = KmTruncation::default();
+        let mut expanded = 0;
+        if root.contains(&OMEGA) {
+            trunc.overflow = true;
+        } else if max_nodes == 0 {
+            trunc.budget = true;
+        } else {
+            tree.admit(&root);
+            parent.push(0);
+            expanded = 1;
+        }
+        let transitions = engine.transitions();
+        let mut chain = Vec::new();
+        let mut child = Vec::with_capacity(root.len());
+        let mut wave = 0..tree.len;
+        'build: while !wave.is_empty() {
+            let next = wave.end;
+            for id in wave {
+                chain_into(&parent, id, &mut chain);
+                for transition in transitions {
+                    match fire_into(tree.row(id), transition, &mut child) {
+                        Ok(true) => {}
+                        Ok(false) => continue,
+                        Err(OmegaOverflow) => {
+                            trunc.overflow = true;
+                            continue;
+                        }
+                    }
+                    if tree.len == max_nodes {
+                        trunc.budget = true;
+                        break 'build;
+                    }
+                    expanded += 1;
+                    for &ancestor in &chain {
+                        let ancestor = tree.row(ancestor);
+                        if row_le(ancestor, &child) && ancestor != child.as_slice() {
+                            accelerate(&mut child, ancestor);
+                        }
+                    }
+                    if chain.iter().any(|&a| row_le(&child, tree.row(a))) {
+                        continue; // subsumed: no marking, no children
+                    }
+                    tree.admit(&child);
+                    parent.push(u32::try_from(id).expect("tree node ids fit u32"));
+                }
+            }
+            wave = next..tree.len;
+        }
+        tree.completion = trunc.completion();
         (tree, expanded)
     }
 
-    /// The ω-markings of the tree.
+    /// Appends one admitted marking.
+    fn admit(&mut self, row: &[u64]) {
+        self.rows.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// The ω-markings of the tree, in admission order.
     #[must_use]
-    pub fn markings(&self) -> &[OmegaMarking<P>] {
-        &self.markings
+    pub fn markings(&self) -> Markings<'_, P> {
+        Markings { tree: self }
+    }
+
+    /// The dense row of marking `index` in the engine's place order.
+    fn row(&self, index: usize) -> &[u64] {
+        let width = self.places.len();
+        &self.rows[index * width..(index + 1) * width]
+    }
+
+    /// The dense rows in admission order, cells in the engine's place
+    /// order (decode a cell with [`OmegaValue::from_cell`]).
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[u64]> {
+        (0..self.len).map(|index| self.row(index))
+    }
+
+    /// The cell index of `place` in every row, if the tree's engine knows
+    /// it (every other place is zero in every marking).
+    pub(crate) fn place_index(&self, place: &P) -> Option<usize> {
+        self.places.binary_search(place).ok()
     }
 
     /// Returns `true` if the tree was fully built within the node budget
@@ -574,22 +410,98 @@ impl<P: Clone + Ord> KarpMillerTree<P> {
     /// configuration.
     #[must_use]
     pub fn covers(&self, config: &Multiset<P>) -> bool {
-        self.markings.iter().any(|m| m.covers(config))
+        let Some(needs) = config
+            .iter()
+            .map(|(p, c)| self.place_index(p).map(|index| (index, c)))
+            .collect::<Option<Vec<_>>>()
+        else {
+            // A place outside the engine is zero everywhere.
+            return false;
+        };
+        self.rows()
+            .any(|row| needs.iter().all(|&(index, c)| row[index] >= c))
     }
 
     /// Returns `true` if the net is bounded from the initial configuration
     /// (no ω appears). Meaningful only when the tree is complete.
     #[must_use]
     pub fn is_bounded(&self) -> bool {
-        self.markings.iter().all(OmegaMarking::is_finite)
+        !self.rows.contains(&OMEGA)
     }
 
     /// Returns `true` if the given place stays bounded (never accelerates to ω).
     #[must_use]
     pub fn place_is_bounded(&self, place: &P) -> bool {
-        self.markings
+        self.place_index(place)
+            .is_none_or(|index| self.rows().all(|row| row[index] != OMEGA))
+    }
+}
+
+/// The ω-markings of a [`KarpMillerTree`], in admission order, decoded
+/// from the tree's dense rows on access.
+pub struct Markings<'a, P: Ord> {
+    tree: &'a KarpMillerTree<P>,
+}
+
+impl<P: Ord> Clone for Markings<'_, P> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<P: Ord> Copy for Markings<'_, P> {}
+
+impl<'a, P: Clone + Ord> Markings<'a, P> {
+    /// The number of markings.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.tree.len
+    }
+
+    /// Returns `true` if the tree admitted no marking.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.tree.len == 0
+    }
+
+    /// Marking `index` as a sparse ω-marking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of bounds.
+    #[must_use]
+    pub fn get(&self, index: usize) -> OmegaMarking<P> {
+        assert!(index < self.len(), "marking index out of bounds");
+        let values = self
+            .tree
+            .places
             .iter()
-            .all(|m| m.get(place) != OmegaValue::Omega)
+            .zip(self.tree.row(index))
+            .filter(|&(_, &cell)| cell != 0)
+            .map(|(place, &cell)| (place.clone(), OmegaValue::from_cell(cell)))
+            .collect();
+        OmegaMarking { values }
+    }
+
+    /// Iterates the markings in admission order.
+    pub fn iter(&self) -> impl Iterator<Item = OmegaMarking<P>> + 'a {
+        let markings = *self;
+        (0..self.len()).map(move |index| markings.get(index))
+    }
+}
+
+impl<P: Clone + Ord> PartialEq for Markings<'_, P> {
+    fn eq(&self, other: &Self) -> bool {
+        if self.tree.places == other.tree.places {
+            return self.tree.len == other.tree.len && self.tree.rows == other.tree.rows;
+        }
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl<P: Clone + Ord + fmt::Debug> fmt::Debug for Markings<'_, P> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -614,6 +526,174 @@ mod tests {
             .karp_miller(initial.clone())
             .max_nodes(max_nodes)
             .run()
+    }
+
+    /// The former builder, kept as the reference the flat one must
+    /// reproduce: every admitted node is an `Rc` link of its branch, and
+    /// every child is fired and ω-accelerated as soon as its parent is
+    /// admitted. The one deliberate difference is shared: a finite count
+    /// that reaches `u64::MAX` is an overflow.
+    mod oracle {
+        use super::super::{KmTruncation, OmegaMarking, OmegaOverflow, OmegaValue};
+        use crate::engine::{CompiledNet, CompiledTransition};
+        use crate::session::Completion;
+        use pp_multiset::Multiset;
+        use std::rc::Rc;
+
+        type OmegaRow = Vec<OmegaValue>;
+
+        fn row_le(a: &[OmegaValue], b: &[OmegaValue]) -> bool {
+            a.iter().zip(b).all(|(x, y)| match (x, y) {
+                (OmegaValue::Omega, OmegaValue::Omega) => true,
+                (OmegaValue::Omega, OmegaValue::Finite(_)) => false,
+                (OmegaValue::Finite(_), OmegaValue::Omega) => true,
+                (OmegaValue::Finite(a), OmegaValue::Finite(b)) => a <= b,
+            })
+        }
+
+        fn fire_row(
+            row: &[OmegaValue],
+            transition: &CompiledTransition,
+        ) -> Result<Option<OmegaRow>, OmegaOverflow> {
+            if !transition
+                .pre()
+                .iter()
+                .all(|&(p, c)| row[p as usize].at_least(c))
+            {
+                return Ok(None);
+            }
+            let mut next = row.to_vec();
+            for &(p, c) in transition.pre() {
+                next[p as usize] = next[p as usize].checked_sub(c)?;
+            }
+            for &(p, c) in transition.post() {
+                next[p as usize] = next[p as usize].checked_add(c)?;
+            }
+            if next.contains(&OmegaValue::Finite(u64::MAX)) {
+                return Err(OmegaOverflow);
+            }
+            Ok(Some(next))
+        }
+
+        fn accelerate(row: &mut [OmegaValue], ancestor: &[OmegaValue]) {
+            for (mine, theirs) in row.iter_mut().zip(ancestor) {
+                if let (OmegaValue::Finite(m), OmegaValue::Finite(t)) = (*mine, *theirs) {
+                    if m > t {
+                        *mine = OmegaValue::Omega;
+                    }
+                }
+            }
+        }
+
+        struct BranchNode {
+            row: OmegaRow,
+            parent: BranchLink,
+        }
+
+        type BranchLink = Option<Rc<BranchNode>>;
+
+        fn ancestor_rows(link: &BranchLink) -> impl Iterator<Item = &OmegaRow> {
+            std::iter::successors(link.as_deref(), |node| node.parent.as_deref())
+                .map(|node| &node.row)
+        }
+
+        struct Expansion {
+            subsumed: bool,
+            children: Vec<OmegaRow>,
+            overflowed: bool,
+        }
+
+        fn expand_node(
+            transitions: &[CompiledTransition],
+            row: &OmegaRow,
+            parent: &BranchLink,
+        ) -> Expansion {
+            if ancestor_rows(parent).any(|a| row_le(row, a)) {
+                return Expansion {
+                    subsumed: true,
+                    children: Vec::new(),
+                    overflowed: false,
+                };
+            }
+            let chain: Vec<&OmegaRow> = ancestor_rows(parent).collect();
+            let mut children = Vec::new();
+            let mut overflowed = false;
+            for transition in transitions {
+                match fire_row(row, transition) {
+                    Ok(Some(mut next)) => {
+                        for ancestor in chain.iter().rev().copied().chain(std::iter::once(row)) {
+                            if row_le(ancestor, &next) && ancestor != &next {
+                                accelerate(&mut next, ancestor);
+                            }
+                        }
+                        children.push(next);
+                    }
+                    Ok(None) => {}
+                    Err(OmegaOverflow) => overflowed = true,
+                }
+            }
+            Expansion {
+                subsumed: false,
+                children,
+                overflowed,
+            }
+        }
+
+        /// The markings in admission order, the completion and the number
+        /// of expanded nodes.
+        pub(super) fn build<P: Clone + Ord>(
+            engine: &CompiledNet<P>,
+            initial: &Multiset<P>,
+            max_nodes: usize,
+        ) -> (Vec<OmegaMarking<P>>, Completion, usize) {
+            let root: OmegaRow = engine
+                .to_dense(initial)
+                .expect("initial fits")
+                .into_iter()
+                .map(OmegaValue::Finite)
+                .collect();
+            let mut rows: Vec<OmegaRow> = Vec::new();
+            let mut trunc = KmTruncation::default();
+            let mut expanded = 0;
+            let mut wave: Vec<(OmegaRow, BranchLink)> = vec![(root, None)];
+            'build: while !wave.is_empty() {
+                let mut next = Vec::new();
+                for (row, parent) in wave {
+                    if rows.len() == max_nodes {
+                        trunc.budget = true;
+                        break 'build;
+                    }
+                    let expansion = expand_node(engine.transitions(), &row, &parent);
+                    expanded += 1;
+                    if expansion.subsumed {
+                        continue;
+                    }
+                    trunc.overflow |= expansion.overflowed;
+                    rows.push(row.clone());
+                    let node = Rc::new(BranchNode { row, parent });
+                    next.extend(
+                        expansion
+                            .children
+                            .into_iter()
+                            .map(|child| (child, Some(node.clone()))),
+                    );
+                }
+                wave = next;
+            }
+            let markings = rows
+                .into_iter()
+                .map(|row| OmegaMarking {
+                    values: engine
+                        .places()
+                        .iter()
+                        .cloned()
+                        .zip(row)
+                        .filter(|&(_, value)| value != OmegaValue::Finite(0))
+                        .collect(),
+                })
+                .collect();
+            (markings, trunc.completion(), expanded)
+        }
     }
 
     #[test]
@@ -733,71 +813,44 @@ mod tests {
     #[test]
     fn budget_cut_expands_only_admissible_nodes() {
         // binary-threshold(6)/18 at 20 000 nodes: the cut lands inside a
-        // wave of 83 026 candidates, none of which may be expanded once
-        // the budget is full.
+        // wave, and no pair after it may be expanded once the budget is
+        // full.
         let (net, start) = binary_threshold_6(18);
         let engine = CompiledNet::compile(&net);
         let max_nodes = 20_000;
         let (tree, expanded) = KarpMillerTree::build_counting(&engine, &start, max_nodes);
         assert_eq!(tree.markings().len(), max_nodes);
         assert_eq!(tree.completion(), Completion::ConfigBudget);
-        // Reference: the classical one-node-at-a-time breadth-first loop,
-        // which expands exactly the admitted nodes plus the subsumed ones
-        // ahead of the cut.
-        let root: OmegaRow = engine
-            .to_dense(&start)
-            .expect("initial fits")
-            .into_iter()
-            .map(OmegaValue::Finite)
-            .collect();
-        let mut queue = std::collections::VecDeque::from([(root, None)]);
-        let (mut admitted, mut subsumed) = (0usize, 0usize);
-        while let Some((row, parent)) = queue.pop_front() {
-            if admitted == max_nodes {
-                break;
-            }
-            let expansion = expand_node(engine.transitions(), &row, &parent);
-            if expansion.subsumed {
-                subsumed += 1;
-                continue;
-            }
-            admitted += 1;
-            let node = Rc::new(BranchNode { row, parent });
-            queue.extend(
-                expansion
-                    .children
-                    .into_iter()
-                    .map(|child| (child, Some(node.clone()))),
-            );
-        }
-        assert_eq!(admitted, max_nodes);
-        assert_eq!(expanded, admitted + subsumed);
+        // Reference: the eager builder, which expands exactly the admitted
+        // nodes plus the subsumed ones ahead of the cut.
+        let (markings, completion, reference_expanded) = oracle::build(&engine, &start, max_nodes);
+        assert!(tree.markings().iter().eq(markings));
+        assert_eq!(tree.completion(), completion);
+        assert_eq!(expanded, reference_expanded);
         assert_eq!(expanded, 23_790);
     }
 
     #[test]
-    fn deep_branch_chains_drop_without_recursion() {
-        // A 100k-deep non-branching ancestor chain (what an
-        // acceleration-free net builds) must drop iteratively: the
-        // default recursive drop would blow a 512 KiB stack long before
-        // that depth. Run in a small-stack thread so a regression shows
-        // up at any default stack size.
+    fn deep_chains_build_on_a_small_stack() {
+        // x -> y from DEPTH·x is one non-branching, acceleration-free
+        // chain of DEPTH + 1 nodes. Neither building nor dropping it may
+        // recurse: run it on a 512 KiB stack so a regression shows up at
+        // any default stack size.
+        const DEPTH: u64 = 3_000;
         std::thread::Builder::new()
             .stack_size(512 * 1024)
             .spawn(|| {
-                let mut chain: BranchLink = None;
-                for depth in 0..100_000u64 {
-                    chain = Some(Rc::new(BranchNode {
-                        row: vec![OmegaValue::Finite(depth)],
-                        parent: chain,
-                    }));
-                }
-                assert_eq!(ancestor_rows(&chain).count(), 100_000);
-                drop(chain);
+                let net =
+                    PetriNet::from_transitions([Transition::new(ms(&[("x", 1)]), ms(&[("y", 1)]))]);
+                let tree = build(&net, &ms(&[("x", DEPTH)]), usize::MAX);
+                assert!(tree.is_complete());
+                assert_eq!(tree.markings().len() as u64, DEPTH + 1);
+                assert!(tree.covers(&ms(&[("y", DEPTH)])));
+                drop(tree);
             })
             .expect("spawn small-stack thread")
             .join()
-            .expect("deep chain drop must not overflow the stack");
+            .expect("a deep chain must build and drop without overflowing the stack");
     }
 
     #[test]
@@ -814,7 +867,7 @@ mod tests {
     fn omega_marking_order_and_cover() {
         let finite = OmegaMarking::from_config(&ms(&[("a", 2)]));
         let mut omega = finite.clone();
-        omega.set("a", OmegaValue::Omega);
+        omega.values.insert("a", OmegaValue::Omega);
         assert!(finite.le(&omega));
         assert!(!omega.le(&finite));
         assert!(omega.covers(&ms(&[("a", 1_000)])));
@@ -845,66 +898,62 @@ mod tests {
     }
 
     #[test]
-    fn packed_store_promotes_a_single_place_width() {
-        let mut store = PackedOmegaStore::new(3, 2, true);
-        // u8 cells to start with: the initial max cell is 2.
-        assert_eq!(store.widths, vec![CellWidth::U8; 3]);
-        store.push(&[
-            OmegaValue::Finite(2),
-            OmegaValue::Finite(0),
-            OmegaValue::Finite(0),
-        ]);
-        // ω is a sentinel, not a promotion: widths stay u8.
-        store.push(&[
-            OmegaValue::Finite(1),
-            OmegaValue::Omega,
-            OmegaValue::Finite(3),
-        ]);
-        assert_eq!(store.widths, vec![CellWidth::U8; 3]);
-        // A finite 300 at place 2 promotes *only* place 2 to u16, and the
-        // earlier rows (including the ω sentinel) re-encode correctly.
-        store.push(&[
-            OmegaValue::Finite(1),
-            OmegaValue::Omega,
-            OmegaValue::Finite(300),
-        ]);
+    fn count_reaching_u64_max_reports_omega_overflow() {
+        // u64::MAX is the ω sentinel of a tree row, so no finite count may
+        // take it: reaching it is an overflow, one below it is a count.
+        let net = PetriNet::from_transitions([Transition::new(
+            ms(&[("x", 1)]),
+            ms(&[("y", 1), ("z", 1)]),
+        )]);
+        let below = build(&net, &ms(&[("x", 1), ("z", u64::MAX - 2)]), 10_000);
+        assert_eq!(below.completion(), Completion::Complete);
+        assert_eq!(below.markings().len(), 2);
         assert_eq!(
-            store.widths,
-            vec![CellWidth::U8, CellWidth::U8, CellWidth::U16]
+            below.markings().get(1).get(&"z"),
+            OmegaValue::Finite(u64::MAX - 1)
         );
+        assert!(below.is_bounded());
+        let reaching = build(&net, &ms(&[("x", 1), ("z", u64::MAX - 1)]), 10_000);
+        assert_eq!(reaching.completion(), Completion::OmegaOverflow);
+        assert_eq!(reaching.markings().len(), 1, "only the root is admitted");
+        assert!(!reaching.covers(&ms(&[("y", 1)])));
+        // A root that already holds the sentinel admits nothing.
+        let root = build(&net, &ms(&[("z", u64::MAX)]), 10_000);
+        assert_eq!(root.completion(), Completion::OmegaOverflow);
+        assert!(root.markings().is_empty());
+    }
+
+    #[test]
+    fn markings_view_decodes_rows_in_admission_order() {
+        let net = PetriNet::from_transitions([Transition::new(
+            ms(&[("a", 1)]),
+            ms(&[("a", 1), ("b", 1)]),
+        )]);
+        let start = ms(&[("a", 1)]);
+        let tree = build(&net, &start, 10_000);
+        let markings = tree.markings();
+        assert_eq!(markings.len(), 2);
+        assert!(!markings.is_empty());
+        assert_eq!(markings.get(0), OmegaMarking::from_config(&start));
+        assert_eq!(markings.get(1).get(&"a"), OmegaValue::Finite(1));
+        assert_eq!(markings.get(1).get(&"b"), OmegaValue::Omega);
         assert_eq!(
-            store.decode(1),
-            vec![
-                OmegaValue::Finite(1),
-                OmegaValue::Omega,
-                OmegaValue::Finite(3)
-            ]
+            markings.iter().collect::<Vec<_>>(),
+            [markings.get(0), markings.get(1)]
         );
-        assert_eq!(
-            store.decode(2),
-            vec![
-                OmegaValue::Finite(1),
-                OmegaValue::Omega,
-                OmegaValue::Finite(300)
-            ]
-        );
-        // The one unpackable count — finite u64::MAX collides with the
-        // u64 ω sentinel — round-trips through the side store.
-        let extreme = vec![
-            OmegaValue::Finite(u64::MAX),
-            OmegaValue::Omega,
-            OmegaValue::Finite(0),
-        ];
-        store.push(&extreme);
-        assert_eq!(store.decode(3), extreme);
-        assert_eq!(store.len(), 4);
+        // Equality compares markings, not cell layouts: an engine over a
+        // wider place universe stores other rows for the same tree.
+        let wider = CompiledNet::compile_with_places(&net, ["c"]);
+        let (widened, _) = KarpMillerTree::build_counting(&wider, &start, 10_000);
+        assert_eq!(widened.markings(), markings);
+        assert_ne!(build(&net, &start, 1).markings(), markings);
     }
 
     #[test]
     fn width_promotion_preserves_the_tree() {
         // x -> y + 300 z: the first admitted child already carries a count
-        // over u8's sentinel, so the store promotes mid-build; the
-        // resulting markings must match the u64-cells reference build.
+        // over a u8 cell's range. The tree always stores u64 cells, so a
+        // session opened with u64 rows must build the same markings.
         let net = PetriNet::from_transitions([Transition::new(
             ms(&[("x", 1)]),
             ms(&[("y", 1), ("z", 300)]),
@@ -938,5 +987,60 @@ mod tests {
         assert!(!tree.is_complete());
         assert!(tree.covers(&ms(&[("z", huge)])));
         assert!(!tree.covers(&ms(&[("y", 2)])));
+    }
+
+    /// Small random nets, agent-creating ones (which produce ω) included,
+    /// under budgets that often cut mid-wave; a third of the cases put a
+    /// count near `u64::MAX` in the initial marking and another third
+    /// give a transition a post count whose second firing overflows.
+    fn arb_case() -> impl proptest::prelude::Strategy<Value = (PetriNet<u8>, Multiset<u8>, usize)> {
+        use proptest::collection::{btree_map, vec};
+        use proptest::prelude::Strategy;
+        (1u8..=4).prop_flat_map(|places| {
+            let side = move || btree_map(0..places, 1u64..=3, 0..3);
+            (
+                vec((side(), side()), 1..6),
+                (btree_map(0..places, 1u64..=3, 1..4), 0usize..=60),
+                (0u8..3, 0usize..6, (0..places, 0u64..4)),
+            )
+                .prop_map(
+                    |(mut transitions, (mut initial, budget), (extreme, at, (place, offset)))| {
+                        match extreme {
+                            1 => {
+                                initial.insert(place, u64::MAX - 1 - offset);
+                            }
+                            2 => {
+                                let at = at % transitions.len();
+                                transitions[at].1.insert(place, u64::MAX / 2 + offset);
+                            }
+                            _ => {}
+                        }
+                        let net = PetriNet::from_transitions(transitions.into_iter().map(
+                            |(pre, post)| {
+                                Transition::new(
+                                    Multiset::from_pairs(pre),
+                                    Multiset::from_pairs(post),
+                                )
+                            },
+                        ));
+                        (net, Multiset::from_pairs(initial), budget)
+                    },
+                )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn flat_builder_matches_the_rc_chain_oracle((net, initial, budget) in arb_case()) {
+            let engine =
+                CompiledNet::compile_with_places(&net, initial.iter().map(|(&p, _)| p));
+            let (tree, expanded) = KarpMillerTree::build_counting(&engine, &initial, budget);
+            let (markings, completion, reference_expanded) =
+                oracle::build(&engine, &initial, budget);
+            proptest::prop_assert_eq!(tree.markings().iter().collect::<Vec<_>>(), markings);
+            proptest::prop_assert_eq!(tree.completion(), completion);
+            proptest::prop_assert_eq!(expanded, reference_expanded);
+        }
     }
 }
