@@ -706,7 +706,7 @@ mod tests {
                 panic!("{axis:?}: reachability applies to a net with an initial configuration");
             };
             let width = graph.row_layout().uniform_width();
-            assert_eq!(width != Some(CellWidth::U64), packed, "{axis:?}: {width:?}");
+            assert_eq!(width != CellWidth::U64, packed, "{axis:?}: {width:?}");
         }
     }
 

@@ -11,7 +11,8 @@
 //! over `u32` slots compares cached row hashes, and only a hash match
 //! costs a slice comparison. Configurations are identified by compact
 //! [`ConfigId`]s (`u32`); a reachability graph's edge is a
-//! `(transition, target)` pair of `usize`s, sixteen bytes.
+//! `(transition, target)` pair of `u32`s, eight bytes, in one flat array
+//! per graph.
 //!
 //! Arenas are *layout-aware*: rows are stored in the packed word format
 //! of a [`RowLayout`] (one `u64` per place in

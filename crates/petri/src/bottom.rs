@@ -196,7 +196,8 @@ where
         let mut verdicts: BTreeMap<(BTreeSet<P>, Multiset<P>), Option<usize>> = BTreeMap::new();
         for alpha_id in graph.ids() {
             let alpha = graph.node(alpha_id);
-            for &beta_id in graph.reachable_from(alpha_id).iter() {
+            let reachable = graph.reachable_from(alpha_id);
+            for beta_id in graph.ids().filter(|&id| reachable[id]) {
                 if beta_id == alpha_id {
                     continue;
                 }
@@ -381,7 +382,8 @@ mod tests {
         let start = graph.id_of(rho)?;
         let mut checked = 0;
         for alpha_id in graph.ids() {
-            for &beta_id in graph.reachable_from(alpha_id).iter() {
+            let reachable = graph.reachable_from(alpha_id);
+            for beta_id in graph.ids().filter(|&id| reachable[id]) {
                 let (alpha, beta) = (graph.node(alpha_id), graph.node(beta_id));
                 if beta_id == alpha_id || !alpha.le(beta) || alpha == beta {
                     continue;

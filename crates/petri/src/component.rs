@@ -191,7 +191,7 @@ pub fn reach_bottom_in<P: Clone + Ord>(
     let mut is_bottom_scc = vec![true; sccs.len()];
     for id in graph.ids() {
         for &(_, to) in graph.successors(id) {
-            if component_index[to] != component_index[id] {
+            if component_index[to as usize] != component_index[id] {
                 is_bottom_scc[component_index[id]] = false;
             }
         }

@@ -314,7 +314,6 @@ pub(crate) fn forward_covering_word<P: Clone + Ord>(
             limits.effective_max_configurations(),
         )
         .uniform_width()
-        .expect("exploration layouts are uniform")
         .max(CellWidth::fitting(
             dense_target.iter().copied().max().unwrap_or(0),
         ));

@@ -229,6 +229,12 @@ impl<P: Clone + Ord> CompiledNet<P> {
         net: &PetriNet<P>,
         extra_places: I,
     ) -> Self {
+        // Edges store transition indices as `u32`
+        // (`ReachabilityGraph::successors`); checked once, here.
+        assert!(
+            u32::try_from(net.transitions().len()).is_ok(),
+            "transition count fits u32"
+        );
         let mut universe: BTreeSet<P> = net.places().clone();
         universe.extend(extra_places);
         let places: Vec<P> = universe.into_iter().collect();
@@ -624,12 +630,7 @@ mod tests {
         let engine = CompiledNet::compile(&net);
         assert_eq!(engine.max_step_creation(), 0);
         let budget = 250_000usize;
-        let w = |total, cap| {
-            engine
-                .row_layout(total, cap, budget)
-                .uniform_width()
-                .unwrap()
-        };
+        let w = |total, cap| engine.row_layout(total, cap, budget).uniform_width();
         assert_eq!(w(10, None), CellWidth::U8);
         assert_eq!(w(255, None), CellWidth::U8);
         assert_eq!(w(256, None), CellWidth::U16);
@@ -639,21 +640,11 @@ mod tests {
         // fired-but-refused rows.
         let mut engine = CompiledNet::compile(&sample_net());
         assert_eq!(engine.max_step_creation(), 1);
-        let w = |total, cap| {
-            engine
-                .row_layout(total, cap, budget)
-                .uniform_width()
-                .unwrap()
-        };
+        let w = |total, cap| engine.row_layout(total, cap, budget).uniform_width();
         assert_eq!(w(10, None), CellWidth::U32, "10 + 1 x 250000 needs u32");
         assert_eq!(w(10, Some(254)), CellWidth::U8);
         assert_eq!(w(10, Some(255)), CellWidth::U16, "cap + creation = 256");
-        let tiny = |total, budget| {
-            engine
-                .row_layout(total, None, budget)
-                .uniform_width()
-                .unwrap()
-        };
+        let tiny = |total, budget| engine.row_layout(total, None, budget).uniform_width();
         assert_eq!(tiny(10, 200), CellWidth::U8, "10 + 1 x 200 fits a byte");
         assert_eq!(tiny(10, 246), CellWidth::U16, "10 + 1 x 246 overflows it");
         assert_eq!(
@@ -664,7 +655,7 @@ mod tests {
         // An unpacked engine always gets the uncompressed reference layout.
         engine.packed = false;
         let layout = engine.row_layout(10, Some(254), budget);
-        assert_eq!(layout.uniform_width(), Some(CellWidth::U64));
+        assert_eq!(layout.uniform_width(), CellWidth::U64);
     }
 
     #[test]
@@ -676,7 +667,7 @@ mod tests {
             PetriNet::from_transitions([Transition::new(ms(&[("a", 300)]), ms(&[("b", 300)]))]);
         let engine = CompiledNet::compile(&net);
         let layout = engine.row_layout(2, None, 1_000);
-        assert_eq!(layout.uniform_width(), Some(CellWidth::U16));
+        assert_eq!(layout.uniform_width(), CellWidth::U16);
         let packed = engine.packed_transitions(&layout);
         assert_eq!(packed.len(), 1);
     }

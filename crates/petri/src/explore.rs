@@ -143,10 +143,12 @@ impl ExplorationLimits {
 pub struct ReachabilityGraph<P: Ord> {
     engine: Arc<CompiledNet<P>>,
     arena: ConfigArena,
-    /// Sparse views of the arena rows, converted lazily on first access
-    /// (many callers only need ids, lengths or dense rows).
-    sparse_views: Vec<OnceLock<Multiset<P>>>,
-    edges: EdgeLists,
+    /// Sparse views of the arena rows: the per-node cells are allocated
+    /// on the first [`node`](Self::node) call and each view is converted
+    /// on first access (many callers only need ids, totals or dense rows,
+    /// and never pay for either).
+    sparse_views: OnceLock<Vec<OnceLock<Multiset<P>>>>,
+    edges: Edges,
     initial: Vec<usize>,
     completion: Completion,
     /// The limits the graph was (last) built under; [`resume`](Self::resume)
@@ -169,11 +171,34 @@ pub struct ReachabilityGraph<P: Ord> {
     pub(crate) fingerprint: OnceLock<u64>,
 }
 
-/// Outgoing adjacency lists: per node, `(transition index, successor id)`,
-/// each in one exact-size allocation. Expansion collects a node's edges in
-/// a reused scratch `Vec` and stores them once, so growing a list costs no
-/// reallocations and a stored list carries no spare capacity.
-type EdgeLists = Vec<Box<[(usize, usize)]>>;
+/// The outgoing edges of every node in one flat array of
+/// `(transition index, successor id)` pairs, eight bytes each.
+///
+/// Node `id`'s list is `pairs[spans[id].0..spans[id].1]`. Expansion
+/// appends a node's list at the end of `pairs` and points its span there,
+/// so a cold build lays the lists out in id order. Re-expanding a dirty
+/// node on [`ReachabilityGraph::resume`] appends its new list and repoints
+/// the span; the superseded list stays behind as dead space, at most one
+/// old list per re-expanded node per resume. Every reader goes through
+/// the spans, never over `pairs` directly.
+#[derive(Debug, Clone, Default)]
+struct Edges {
+    pairs: Vec<(u32, u32)>,
+    spans: Vec<(usize, usize)>,
+}
+
+impl Edges {
+    /// Registers a freshly interned node, with no edges yet.
+    fn push_node(&mut self) {
+        self.spans.push((0, 0));
+    }
+
+    /// The outgoing edges of node `id`.
+    fn of(&self, id: usize) -> &[(u32, u32)] {
+        let (start, end) = self.spans[id];
+        &self.pairs[start..end]
+    }
+}
 
 /// One entry of the dirty frontier: a node stored but not fully expanded,
 /// plus the arena length at the moment the build moved past it.
@@ -224,19 +249,20 @@ impl Truncation {
     }
 }
 
-/// The reused buffers of [`expand_one`]: the source row, the successor
-/// row, and the node's edge list before it is stored exact-size.
+/// The reused buffers of [`expand_one`]: the source row and the
+/// successor row.
 #[derive(Default)]
 struct ExpandScratch {
     src: Vec<u64>,
     succ: Vec<u64>,
-    list: Vec<(usize, usize)>,
 }
 
 /// Expands one node in the sequential interning order: rebuilds its edge
 /// list from scratch (fire every transition in index order, resolve each
-/// successor by dedup lookup or a budgeted intern). Returns `true` when the
-/// configuration budget refused some successor — the node stays dirty.
+/// successor by dedup lookup or a budgeted intern), appending it to the
+/// flat edge array and pointing the node's span at it. Returns `true`
+/// when the configuration budget refused some successor — the node stays
+/// dirty.
 ///
 /// This single body is the semantic definition of "expanding a node"; the
 /// cold sequential build, the resume replay and the resume continuation all
@@ -245,7 +271,7 @@ struct ExpandScratch {
 fn expand_one(
     transitions: &[PackedTransition],
     arena: &mut ConfigArena,
-    edges: &mut EdgeLists,
+    edges: &mut Edges,
     depths: &mut Vec<u32>,
     id: usize,
     depth: u32,
@@ -253,18 +279,20 @@ fn expand_one(
     trunc: &mut Truncation,
     scratch: &mut ExpandScratch,
 ) -> bool {
-    let ExpandScratch { src, succ, list } = scratch;
+    let ExpandScratch { src, succ } = scratch;
     src.clear();
     src.extend_from_slice(arena.row(ConfigId(id as u32)));
-    list.clear();
+    let start = edges.pairs.len();
     let mut blocked = false;
-    for (t, transition) in transitions.iter().enumerate() {
+    // `CompiledNet` checks at compile time that transition indices fit
+    // `u32`, so the counter cannot overflow.
+    for (t, transition) in (0u32..).zip(transitions) {
         if !transition.is_enabled_words(src) {
             continue;
         }
         transition.fire_words(src, succ);
         let to = match arena.entry(succ) {
-            Entry::Occupied(existing) => existing.index(),
+            Entry::Occupied(existing) => existing.0,
             Entry::Vacant(vacant) if vacant.next_id() >= cap => {
                 trunc.config = true;
                 blocked = true;
@@ -272,14 +300,14 @@ fn expand_one(
             }
             Entry::Vacant(vacant) => {
                 let fresh = vacant.insert();
-                edges.push(Box::default());
+                edges.push_node();
                 depths.push(depth + 1);
-                fresh.index()
+                fresh.0
             }
         };
-        list.push((t, to));
+        edges.pairs.push((t, to));
     }
-    edges[id] = list.as_slice().into();
+    edges.spans[id] = (start, edges.pairs.len());
     blocked
 }
 
@@ -293,7 +321,7 @@ fn expand_one(
 fn scan_expand(
     transitions: &[PackedTransition],
     arena: &mut ConfigArena,
-    edges: &mut EdgeLists,
+    edges: &mut Edges,
     depths: &mut Vec<u32>,
     dirty: &mut Vec<DirtyNode>,
     trunc: &mut Truncation,
@@ -382,7 +410,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             limits.effective_max_configurations(),
         );
         let mut arena = ConfigArena::with_layout(layout);
-        let mut edges: EdgeLists = Vec::new();
+        let mut edges = Edges::default();
         let mut initial: Vec<usize> = Vec::new();
         let mut depths: Vec<u32> = Vec::new();
         let mut pending_initials: Vec<Vec<u64>> = Vec::new();
@@ -400,7 +428,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 }
                 Entry::Vacant(vacant) => {
                     let id = vacant.insert();
-                    edges.push(Box::default());
+                    edges.push_node();
                     depths.push(0);
                     Some(id.index())
                 }
@@ -437,11 +465,10 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             dirty.windows(2).all(|w| w[0].id < w[1].id),
             "dirty ids ascend"
         );
-        let sparse_views = (0..arena.len()).map(|_| OnceLock::new()).collect();
         ReachabilityGraph {
             engine,
             arena,
-            sparse_views,
+            sparse_views: OnceLock::new(),
             edges,
             initial,
             completion: trunc.completion(limits),
@@ -653,7 +680,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 Entry::Vacant(vacant) if vacant.next_id() >= cap => None,
                 Entry::Vacant(vacant) => {
                     let id = vacant.insert();
-                    self.edges.push(Box::default());
+                    self.edges.push_node();
                     self.depths.push(0);
                     Some(id.index())
                 }
@@ -675,9 +702,11 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         // cold build expands them in — rebuilding each node's edge list
         // from scratch (deterministic, so recorded edges are reproduced
         // and the refused ones appear exactly where a cold build puts
-        // them). Nodes still over a cap keep their old watermark (their
-        // hole, if any, stays closed); re-marked nodes get the current
-        // arena length, exactly as a cold build would record it.
+        // them). The rebuilt list is appended to the flat edge array and
+        // the node's span repointed; its old list becomes dead space.
+        // Nodes still over a cap keep their old watermark (their hole, if
+        // any, stays closed); re-marked nodes get the current arena
+        // length, exactly as a cold build would record it.
         let old_dirty = std::mem::take(&mut self.dirty);
         let mut dirty: Vec<DirtyNode> = Vec::new();
         let mut scratch = ExpandScratch::default();
@@ -749,8 +778,9 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         self.dirty = dirty;
         self.limits = *limits;
         self.completion = trunc.completion(limits);
-        self.sparse_views
-            .resize_with(self.arena.len(), OnceLock::new);
+        if let Some(views) = self.sparse_views.get_mut() {
+            views.resize_with(self.arena.len(), OnceLock::new);
+        }
         debug_assert_eq!(self.depths.len(), self.arena.len(), "one depth per node");
     }
 
@@ -761,7 +791,22 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// Panics if `id` is out of bounds.
     #[must_use]
     pub fn node(&self, id: usize) -> &Multiset<P> {
-        self.sparse_views[id].get_or_init(|| self.engine.to_sparse(&self.dense_node(id)))
+        let views = self
+            .sparse_views
+            .get_or_init(|| (0..self.len()).map(|_| OnceLock::new()).collect());
+        views[id].get_or_init(|| self.engine.to_sparse(&self.dense_node(id)))
+    }
+
+    /// The number of agents in node `id` (cached by the arena, so no row
+    /// is decoded).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of bounds.
+    #[must_use]
+    pub fn total(&self, id: usize) -> u64 {
+        self.arena
+            .total(ConfigId(u32::try_from(id).expect("node id fits u32")))
     }
 
     /// The node id of `config`, if it was reached.
@@ -783,14 +828,16 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         &self.initial
     }
 
-    /// Outgoing edges of node `id` as `(transition index, successor id)`.
+    /// Outgoing edges of node `id` as `(transition index, successor id)`
+    /// pairs, in transition index order: a view into the graph's one flat
+    /// edge array.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of bounds.
     #[must_use]
-    pub fn successors(&self, id: usize) -> &[(usize, usize)] {
-        &self.edges[id]
+    pub fn successors(&self, id: usize) -> &[(u32, u32)] {
+        self.edges.of(id)
     }
 
     /// Returns `true` if `self` and `other` are the same graph node for
@@ -829,56 +876,81 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         0..self.arena.len()
     }
 
-    /// The reverse adjacency lists (predecessor ids per node).
-    #[must_use]
-    pub fn predecessor_lists(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.arena.len()];
-        for (from, edges) in self.edges.iter().enumerate() {
-            for &(_, to) in edges {
-                preds[to].push(from);
-            }
-        }
-        preds
-    }
-
-    /// The set of nodes reachable from `from` (including `from` itself).
+    /// Marks the nodes reachable from `from`, `from` itself included:
+    /// `marks[id]` is `true` exactly for those ids, so scanning the marks
+    /// in index order visits them in ascending id order. One depth-first
+    /// walk over the flat edge array, O(nodes + edges).
     ///
     /// # Panics
     ///
     /// Panics if `from` is out of bounds.
     #[must_use]
-    pub fn reachable_from(&self, from: usize) -> BTreeSet<usize> {
-        assert!(from < self.arena.len(), "node id out of bounds");
-        let mut seen = BTreeSet::from([from]);
-        let mut queue = VecDeque::from([from]);
-        while let Some(id) = queue.pop_front() {
-            for &(_, to) in &self.edges[id] {
-                if seen.insert(to) {
-                    queue.push_back(to);
+    pub fn reachable_from(&self, from: usize) -> Vec<bool> {
+        assert!(from < self.len(), "node id out of bounds");
+        let mut marks = vec![false; self.len()];
+        marks[from] = true;
+        let mut stack = vec![from];
+        while let Some(id) = stack.pop() {
+            for &(_, to) in self.edges.of(id) {
+                if !std::mem::replace(&mut marks[to as usize], true) {
+                    stack.push(to as usize);
                 }
             }
         }
-        seen
+        marks
     }
 
-    /// The set of nodes from which some node satisfying `goal` is reachable.
+    /// Marks the nodes from which some node satisfying `goal` is
+    /// reachable: `marks[id]` is `true` exactly for those ids. `goal` is
+    /// asked once per node, in ascending id order.
+    ///
+    /// The predecessors of every node are counting-sorted into one flat
+    /// array, then a walk from the goal nodes follows them backwards, so
+    /// the query is O(nodes + edges) and allocates nothing per node.
     #[must_use]
-    pub fn nodes_that_can_reach<F: FnMut(usize) -> bool>(&self, mut goal: F) -> BTreeSet<usize> {
-        let preds = self.predecessor_lists();
-        let mut seen: BTreeSet<usize> = self.ids().filter(|&id| goal(id)).collect();
-        let mut queue: VecDeque<usize> = seen.iter().copied().collect();
-        while let Some(id) = queue.pop_front() {
-            for &p in &preds[id] {
-                if seen.insert(p) {
-                    queue.push_back(p);
+    pub fn nodes_that_can_reach<F: FnMut(usize) -> bool>(&self, goal: F) -> Vec<bool> {
+        let n = self.len();
+        let mut marks: Vec<bool> = (0..n).map(goal).collect();
+        // `starts[v]` first counts the in-edges of every node up to `v`;
+        // each predecessor is then placed by decrementing its target's
+        // counter, which leaves `v`'s predecessors at
+        // `preds[starts[v]..starts[v + 1]]`.
+        let mut starts = vec![0usize; n + 1];
+        for id in 0..n {
+            for &(_, to) in self.edges.of(id) {
+                starts[to as usize] += 1;
+            }
+        }
+        for v in 1..=n {
+            starts[v] += starts[v - 1];
+        }
+        let mut preds = vec![0u32; starts[n]];
+        for id in 0..n {
+            for &(_, to) in self.edges.of(id) {
+                let slot = &mut starts[to as usize];
+                *slot -= 1;
+                // Node ids fit `u32`: the arena hands out `u32` ids.
+                preds[*slot] = id as u32;
+            }
+        }
+        let mut stack: Vec<usize> = (0..n).filter(|&id| marks[id]).collect();
+        while let Some(id) = stack.pop() {
+            for &p in &preds[starts[id]..starts[id + 1]] {
+                if !std::mem::replace(&mut marks[p as usize], true) {
+                    stack.push(p as usize);
                 }
             }
         }
-        seen
+        marks
     }
 
     /// A shortest transition word from node `from` to some node satisfying
     /// `goal`, if one exists within the graph.
+    ///
+    /// Breadth-first over the flat edge array, with one parent edge per
+    /// node: among the shortest words it returns the one the search meets
+    /// first, scanning nodes in discovery order and edges in transition
+    /// order.
     ///
     /// # Panics
     ///
@@ -889,31 +961,37 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         from: usize,
         mut goal: F,
     ) -> Option<(usize, Vec<usize>)> {
-        assert!(from < self.arena.len(), "node id out of bounds");
+        assert!(from < self.len(), "node id out of bounds");
         if goal(from) {
             return Some((from, Vec::new()));
         }
-        let mut parents: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-        let mut queue = VecDeque::from([from]);
-        let mut seen = BTreeSet::from([from]);
-        while let Some(id) = queue.pop_front() {
-            for &(t, to) in &self.edges[id] {
-                if seen.insert(to) {
-                    parents.insert(to, (id, t));
-                    if goal(to) {
-                        // Reconstruct the word.
-                        let mut word = Vec::new();
-                        let mut cur = to;
-                        while cur != from {
-                            let (parent, transition) = parents[&cur];
-                            word.push(transition);
-                            cur = parent;
-                        }
-                        word.reverse();
-                        return Some((to, word));
-                    }
-                    queue.push_back(to);
+        // `parent[id]` is the `(node, transition)` edge that discovered
+        // `id`. No node id reaches `u32::MAX` (the arena holds at most
+        // `u32::MAX` rows), so it marks the undiscovered nodes.
+        const UNSEEN: (u32, u32) = (u32::MAX, u32::MAX);
+        let mut parent = vec![UNSEEN; self.len()];
+        parent[from] = (from as u32, 0);
+        let mut queue = vec![from as u32];
+        let mut head = 0;
+        while let Some(&id) = queue.get(head) {
+            head += 1;
+            for &(t, to) in self.edges.of(id as usize) {
+                if parent[to as usize] != UNSEEN {
+                    continue;
                 }
+                parent[to as usize] = (id, t);
+                if goal(to as usize) {
+                    let mut word = Vec::new();
+                    let mut cur = to;
+                    while cur as usize != from {
+                        let (prev, transition) = parent[cur as usize];
+                        word.push(transition as usize);
+                        cur = prev;
+                    }
+                    word.reverse();
+                    return Some((to as usize, word));
+                }
+                queue.push(to);
             }
         }
         None
@@ -921,10 +999,11 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
 
     /// Strongly connected components of the graph, in reverse topological
     /// order (every edge leaving a component goes to an earlier component in
-    /// the returned list). Uses an iterative Tarjan algorithm.
+    /// the returned list). Uses an iterative Tarjan algorithm over the flat
+    /// edge array, O(nodes + edges).
     #[must_use]
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.arena.len();
+        let n = self.len();
         let mut index = vec![usize::MAX; n];
         let mut low = vec![0usize; n];
         let mut on_stack = vec![false; n];
@@ -937,15 +1016,16 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             node: usize,
             edge: usize,
         }
+        let mut call_stack: Vec<Frame> = Vec::new();
 
         for start in 0..n {
             if index[start] != usize::MAX {
                 continue;
             }
-            let mut call_stack = vec![Frame {
+            call_stack.push(Frame {
                 node: start,
                 edge: 0,
-            }];
+            });
             index[start] = next_index;
             low[start] = next_index;
             next_index += 1;
@@ -954,8 +1034,8 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
 
             while let Some(frame) = call_stack.last_mut() {
                 let node = frame.node;
-                if frame.edge < self.edges[node].len() {
-                    let (_, to) = self.edges[node][frame.edge];
+                if let Some(&(_, to)) = self.edges.of(node).get(frame.edge) {
+                    let to = to as usize;
                     frame.edge += 1;
                     if index[to] == usize::MAX {
                         index[to] = next_index;
@@ -1119,11 +1199,11 @@ mod tests {
 
     /// One-shot build through the session API, cloned out of the session's
     /// `Arc` because several tests resume or mutate the graph in place.
-    fn build<I: IntoIterator<Item = Multiset<&'static str>>>(
-        net: &PetriNet<&'static str>,
+    fn build<P: Clone + Ord, I: IntoIterator<Item = Multiset<P>>>(
+        net: &PetriNet<P>,
         initials: I,
         limits: &ExplorationLimits,
-    ) -> ReachabilityGraph<&'static str> {
+    ) -> ReachabilityGraph<P> {
         Analysis::new(net)
             .reachability(initials)
             .limits(*limits)
@@ -1225,10 +1305,15 @@ mod tests {
         let start = graph.initial_ids()[0];
         let all = graph.reachable_from(start);
         assert_eq!(all.len(), graph.len());
+        assert!(all.iter().all(|&reached| reached));
         let sink = graph.id_of(&ms(&[("b", 3)])).unwrap();
-        assert_eq!(graph.reachable_from(sink), BTreeSet::from([sink]));
+        let from_sink = graph.reachable_from(sink);
+        assert_eq!(
+            graph.ids().filter(|&id| from_sink[id]).collect::<Vec<_>>(),
+            [sink]
+        );
         let can_reach_sink = graph.nodes_that_can_reach(|id| id == sink);
-        assert_eq!(can_reach_sink.len(), graph.len());
+        assert!(can_reach_sink.iter().all(|&can_reach| can_reach));
     }
 
     #[test]
@@ -1260,7 +1345,7 @@ mod tests {
         let first = &sccs[0];
         for &id in first {
             for &(_, to) in graph.successors(id) {
-                assert!(first.contains(&to));
+                assert!(first.contains(&(to as usize)));
             }
         }
     }
@@ -1426,7 +1511,7 @@ mod tests {
         assert_eq!(graph.depth_of(graph.initial_ids()[0]), 0);
         for id in graph.ids() {
             for &(_, to) in graph.successors(id) {
-                assert!(graph.depth_of(to) <= graph.depth_of(id) + 1);
+                assert!(graph.depth_of(to as usize) <= graph.depth_of(id) + 1);
             }
         }
     }
@@ -1442,5 +1527,345 @@ mod tests {
         assert_eq!(graph.initial_ids().len(), 2);
         assert!(graph.id_of(&ms(&[("b", 2)])).is_some());
         assert!(graph.id_of(&ms(&[("a", 1), ("b", 1)])).is_some());
+    }
+
+    /// The graph queries as they were before the flat edge store
+    /// (`BTreeSet` marks, `VecDeque` queues, `BTreeMap` parents, Tarjan
+    /// over one `Vec` per node), run over successor lists rebuilt from the
+    /// sparse net: the oracle for the flat store and its queries.
+    struct ReferenceGraph {
+        edges: Vec<Vec<(usize, usize)>>,
+    }
+
+    impl ReferenceGraph {
+        /// Per node, the edges an exploration under `graph`'s limits
+        /// records: none for a node at the depth cap or over the agent
+        /// cap, otherwise every enabled transition, in index order, whose
+        /// successor is stored. A successor the budget refused is never
+        /// stored later, since interning stops once the budget is full.
+        fn of<P: Clone + Ord>(net: &PetriNet<P>, graph: &ReachabilityGraph<P>) -> Self {
+            let limits = graph.limits();
+            let edges = graph
+                .ids()
+                .map(|id| {
+                    let capped = limits.max_depth.is_some_and(|d| graph.depth_of(id) >= d)
+                        || limits
+                            .max_agents
+                            .is_some_and(|a| graph.node(id).total() > a);
+                    if capped {
+                        return Vec::new();
+                    }
+                    net.successors(graph.node(id))
+                        .into_iter()
+                        .filter_map(|(t, next)| graph.id_of(&next).map(|to| (t, to)))
+                        .collect()
+                })
+                .collect();
+            ReferenceGraph { edges }
+        }
+
+        fn reachable_from(&self, from: usize) -> BTreeSet<usize> {
+            let mut seen = BTreeSet::from([from]);
+            let mut queue = VecDeque::from([from]);
+            while let Some(id) = queue.pop_front() {
+                for &(_, to) in &self.edges[id] {
+                    if seen.insert(to) {
+                        queue.push_back(to);
+                    }
+                }
+            }
+            seen
+        }
+
+        fn nodes_that_can_reach(&self, goal: impl Fn(usize) -> bool) -> BTreeSet<usize> {
+            let mut preds = vec![Vec::new(); self.edges.len()];
+            for (from, edges) in self.edges.iter().enumerate() {
+                for &(_, to) in edges {
+                    preds[to].push(from);
+                }
+            }
+            let mut seen: BTreeSet<usize> = (0..self.edges.len()).filter(|&id| goal(id)).collect();
+            let mut queue: VecDeque<usize> = seen.iter().copied().collect();
+            while let Some(id) = queue.pop_front() {
+                for &p in &preds[id] {
+                    if seen.insert(p) {
+                        queue.push_back(p);
+                    }
+                }
+            }
+            seen
+        }
+
+        fn path_to(
+            &self,
+            from: usize,
+            goal: impl Fn(usize) -> bool,
+        ) -> Option<(usize, Vec<usize>)> {
+            if goal(from) {
+                return Some((from, Vec::new()));
+            }
+            let mut parents: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
+            let mut queue = VecDeque::from([from]);
+            let mut seen = BTreeSet::from([from]);
+            while let Some(id) = queue.pop_front() {
+                for &(t, to) in &self.edges[id] {
+                    if seen.insert(to) {
+                        parents.insert(to, (id, t));
+                        if goal(to) {
+                            let mut word = Vec::new();
+                            let mut cur = to;
+                            while cur != from {
+                                let (parent, transition) = parents[&cur];
+                                word.push(transition);
+                                cur = parent;
+                            }
+                            word.reverse();
+                            return Some((to, word));
+                        }
+                        queue.push_back(to);
+                    }
+                }
+            }
+            None
+        }
+
+        fn sccs(&self) -> Vec<Vec<usize>> {
+            let n = self.edges.len();
+            let mut index = vec![usize::MAX; n];
+            let mut low = vec![0usize; n];
+            let mut on_stack = vec![false; n];
+            let mut stack: Vec<usize> = Vec::new();
+            let mut next_index = 0usize;
+            let mut components: Vec<Vec<usize>> = Vec::new();
+            for start in 0..n {
+                if index[start] != usize::MAX {
+                    continue;
+                }
+                // Frames are `(node, next edge)`.
+                let mut call_stack = vec![(start, 0usize)];
+                index[start] = next_index;
+                low[start] = next_index;
+                next_index += 1;
+                stack.push(start);
+                on_stack[start] = true;
+                while let Some(frame) = call_stack.last_mut() {
+                    let node = frame.0;
+                    if frame.1 < self.edges[node].len() {
+                        let (_, to) = self.edges[node][frame.1];
+                        frame.1 += 1;
+                        if index[to] == usize::MAX {
+                            index[to] = next_index;
+                            low[to] = next_index;
+                            next_index += 1;
+                            stack.push(to);
+                            on_stack[to] = true;
+                            call_stack.push((to, 0));
+                        } else if on_stack[to] {
+                            low[node] = low[node].min(index[to]);
+                        }
+                    } else {
+                        call_stack.pop();
+                        if let Some(&(parent, _)) = call_stack.last() {
+                            low[parent] = low[parent].min(low[node]);
+                        }
+                        if low[node] == index[node] {
+                            let mut component = Vec::new();
+                            loop {
+                                let v = stack.pop().expect("tarjan stack underflow");
+                                on_stack[v] = false;
+                                component.push(v);
+                                if v == node {
+                                    break;
+                                }
+                            }
+                            component.sort_unstable();
+                            components.push(component);
+                        }
+                    }
+                }
+            }
+            components
+        }
+    }
+
+    /// Checks the flat store and every query of `graph` against
+    /// [`ReferenceGraph`]: successor lists, marks, ascending
+    /// `reachable_from` order, `path_to` words and `sccs`. Queries start
+    /// from at most about 64 nodes spread over the id range.
+    fn assert_matches_reference<P: Clone + Ord>(net: &PetriNet<P>, graph: &ReachabilityGraph<P>) {
+        let reference = ReferenceGraph::of(net, graph);
+        let n = graph.len();
+        for id in graph.ids() {
+            let flat: Vec<(usize, usize)> = graph
+                .successors(id)
+                .iter()
+                .map(|&(t, to)| (t as usize, to as usize))
+                .collect();
+            assert_eq!(flat, reference.edges[id], "successors of node {id}");
+        }
+        let is_sink = |id: usize| reference.edges[id].is_empty();
+        let every_third = |id: usize| id % 3 == 1;
+        let last = |id: usize| id + 1 == n;
+        let goals: [&dyn Fn(usize) -> bool; 3] = [&is_sink, &every_third, &last];
+        let marked = |marks: &[bool]| -> Vec<usize> {
+            assert_eq!(marks.len(), n, "one mark per node");
+            graph.ids().filter(|&id| marks[id]).collect()
+        };
+        for goal in goals {
+            let flat = graph.nodes_that_can_reach(goal);
+            let expected: Vec<usize> = reference.nodes_that_can_reach(goal).into_iter().collect();
+            assert_eq!(marked(&flat), expected, "nodes_that_can_reach");
+        }
+        for from in graph.ids().step_by((n / 64).max(1)) {
+            let expected: Vec<usize> = reference.reachable_from(from).into_iter().collect();
+            assert_eq!(
+                marked(&graph.reachable_from(from)),
+                expected,
+                "reachable_from({from})"
+            );
+            for goal in goals {
+                assert_eq!(
+                    graph.path_to(from, goal),
+                    reference.path_to(from, goal),
+                    "path_to from {from}"
+                );
+            }
+        }
+        assert_eq!(graph.sccs(), reference.sccs(), "sccs");
+    }
+
+    /// Builds `initials` under the first limits of `chain`, then resumes
+    /// the same graph through the rest. Every stop must be `identical_to`
+    /// its cold build and agree with the reference, and so must the cold
+    /// builds.
+    fn assert_chain_matches_reference<P: Clone + Ord>(
+        net: &PetriNet<P>,
+        initials: &[Multiset<P>],
+        chain: &[ExplorationLimits],
+    ) {
+        let mut resumed = build(net, initials.iter().cloned(), &chain[0]);
+        assert_matches_reference(net, &resumed);
+        for limits in &chain[1..] {
+            resumed.resume(limits);
+            let cold = build(net, initials.iter().cloned(), limits);
+            assert!(resumed.identical_to(&cold), "resumed to {limits:?}");
+            assert_matches_reference(net, &resumed);
+            assert_matches_reference(net, &cold);
+        }
+    }
+
+    /// Raises `limits` by `(budget, agents, depth)` steps; a cap step of 3
+    /// lifts the cap.
+    fn raised(
+        limits: ExplorationLimits,
+        (budget, agents, depth): (usize, u64, usize),
+    ) -> ExplorationLimits {
+        ExplorationLimits {
+            max_configurations: limits.max_configurations + budget,
+            max_agents: limits.max_agents.filter(|_| agents < 3).map(|a| a + agents),
+            max_depth: limits.max_depth.filter(|_| depth < 3).map(|d| d + depth),
+        }
+    }
+
+    /// Small random nets, agent-creating ones included, with one or two
+    /// initial configurations, under a budget, an optional agent cap and an
+    /// optional depth cap (0 draws no cap), raised twice.
+    #[allow(clippy::type_complexity)]
+    fn arb_chain() -> impl proptest::prelude::Strategy<
+        Value = (PetriNet<u8>, Vec<Multiset<u8>>, [ExplorationLimits; 3]),
+    > {
+        use proptest::collection::{btree_map, vec};
+        use proptest::prelude::Strategy;
+        (1u8..=4).prop_flat_map(|places| {
+            let side = move || btree_map(0..places, 1u64..=2, 0..3);
+            let step = || (0usize..25, 0u64..4, 0usize..4);
+            (
+                (
+                    vec((side(), side()), 1..6),
+                    vec(btree_map(0..places, 1u64..=3, 1..4), 1..3),
+                ),
+                (0usize..30, 0u64..8, 0usize..6),
+                (step(), step()),
+            )
+                .prop_map(
+                    |((transitions, initials), (budget, agents, depth), (first, second))| {
+                        let net = PetriNet::from_transitions(transitions.into_iter().map(
+                            |(pre, post)| {
+                                Transition::new(
+                                    Multiset::from_pairs(pre),
+                                    Multiset::from_pairs(post),
+                                )
+                            },
+                        ));
+                        let initials = initials.into_iter().map(Multiset::from_pairs).collect();
+                        let base = ExplorationLimits {
+                            max_configurations: budget,
+                            max_agents: (agents > 0).then_some(agents),
+                            max_depth: (depth > 0).then_some(depth),
+                        };
+                        let middle = raised(base, first);
+                        (net, initials, [base, middle, raised(middle, second)])
+                    },
+                )
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        #[test]
+        fn flat_store_and_queries_match_the_reference((net, initials, chain) in arb_chain()) {
+            assert_chain_matches_reference(&net, &initials, &chain);
+        }
+    }
+
+    #[test]
+    fn catalog_flat_store_and_queries_match_the_reference() {
+        use pp_protocols::{flock, leaders_n, threshold};
+        for (protocol, agents) in [
+            (flock::flock_of_birds_unary(4), 14u64),
+            (threshold::binary_threshold_with_leader(4), 12),
+            (leaders_n::example_4_2(3), 12),
+        ] {
+            // `pp_protocols` links its own build of this crate, so the net
+            // is copied into this build's types, places and transition
+            // order included.
+            let mut net = PetriNet::new();
+            for place in protocol.net().places() {
+                net.add_place(*place);
+            }
+            for t in protocol.net().transitions() {
+                net.add_transition(Transition::new(t.pre().clone(), t.post().clone()));
+            }
+            let initials = [protocol.initial_config_with_count(agents)];
+            let full = build(
+                &net,
+                initials.iter().cloned(),
+                &ExplorationLimits::default(),
+            );
+            assert!(full.is_complete(), "{}", protocol.name());
+            let n = full.len();
+            let by_budget = |budget: usize| ExplorationLimits::with_max_configurations(budget);
+            let by_depth = |depth: usize| ExplorationLimits {
+                max_depth: Some(depth),
+                ..ExplorationLimits::default()
+            };
+            let total = initials[0].total();
+            let by_agents = |cap: u64| ExplorationLimits::with_max_agents(cap);
+            for chain in [
+                [
+                    by_budget(n / 3),
+                    by_budget(2 * n / 3),
+                    ExplorationLimits::default(),
+                ],
+                [by_depth(2), by_depth(5), ExplorationLimits::default()],
+                [
+                    by_agents(total - 1),
+                    by_agents(total),
+                    ExplorationLimits::default(),
+                ],
+            ] {
+                assert_chain_matches_reference(&net, &initials, &chain);
+            }
+        }
     }
 }

@@ -135,8 +135,8 @@ fn hash_reachability<P: Clone + Ord>(graph: &ReachabilityGraph<P>) -> u64 {
         let successors = graph.successors(id);
         h.write_usize(successors.len());
         for &(transition, target) in successors {
-            h.write_usize(transition);
-            h.write_usize(target);
+            h.write_usize(transition as usize);
+            h.write_usize(target as usize);
         }
     }
     h.finish()

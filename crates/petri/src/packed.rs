@@ -174,60 +174,19 @@ pub fn row_le_words(a: &[u64], b: &[u64], width: CellWidth) -> bool {
         .all(|(&wa, &wb)| lanes_lt_mask(wb, wa, width) == 0)
 }
 
-/// How the place counts of one net are laid out in a packed word buffer.
+/// How the place counts of one net are laid out in a packed word buffer:
+/// every place in a cell of the same width, the layout of the
+/// exploration and coverability engines, eligible for the SWAR fast path.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RowLayout {
     places: usize,
-    kind: LayoutKind,
-}
-
-/// Uniform (whole-net) vs per-place cell widths.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum LayoutKind {
-    /// Every place uses the same width — the exploration-engine layout,
-    /// eligible for the SWAR fast path.
-    Uniform(CellWidth),
-    /// Each place has its own width — the Karp–Miller store layout, where
-    /// ω forces individual places wide without inflating the whole row.
-    PerPlace {
-        widths: Vec<CellWidth>,
-        /// Byte offset of each place's cell, aligned to the cell's width.
-        offsets: Vec<usize>,
-        /// Total payload bytes (before padding to a word boundary).
-        bytes: usize,
-    },
+    width: CellWidth,
 }
 
 impl RowLayout {
     /// A layout storing every place at the same width.
     pub fn uniform(places: usize, width: CellWidth) -> RowLayout {
-        RowLayout {
-            places,
-            kind: LayoutKind::Uniform(width),
-        }
-    }
-
-    /// A layout with an individual width per place.
-    ///
-    /// Cells are placed in place order at the next offset aligned to
-    /// their own width, so no cell straddles a word boundary.
-    pub fn per_place(widths: Vec<CellWidth>) -> RowLayout {
-        let mut offsets = Vec::with_capacity(widths.len());
-        let mut at = 0usize;
-        for &w in &widths {
-            let align = w.bytes();
-            at = at.next_multiple_of(align);
-            offsets.push(at);
-            at += align;
-        }
-        RowLayout {
-            places: widths.len(),
-            kind: LayoutKind::PerPlace {
-                widths,
-                offsets,
-                bytes: at,
-            },
-        }
+        RowLayout { places, width }
     }
 
     /// Number of places (cells) per row.
@@ -240,34 +199,19 @@ impl RowLayout {
     /// place), which is bit-identical to the historical representation.
     #[inline]
     pub fn is_u64_uniform(&self) -> bool {
-        matches!(self.kind, LayoutKind::Uniform(CellWidth::U64))
+        self.width == CellWidth::U64
     }
 
-    /// The uniform cell width, or `None` for per-place layouts.
+    /// The cell width every place is stored at.
     #[inline]
-    pub fn uniform_width(&self) -> Option<CellWidth> {
-        match self.kind {
-            LayoutKind::Uniform(w) => Some(w),
-            LayoutKind::PerPlace { .. } => None,
-        }
-    }
-
-    /// The width of one place's cell.
-    #[inline]
-    pub fn width_of(&self, place: usize) -> CellWidth {
-        match &self.kind {
-            LayoutKind::Uniform(w) => *w,
-            LayoutKind::PerPlace { widths, .. } => widths[place],
-        }
+    pub fn uniform_width(&self) -> CellWidth {
+        self.width
     }
 
     /// Payload bytes per row (excluding padding up to a word boundary).
     #[inline]
     pub fn payload_bytes(&self) -> usize {
-        match &self.kind {
-            LayoutKind::Uniform(w) => self.places * w.bytes(),
-            LayoutKind::PerPlace { bytes, .. } => *bytes,
-        }
+        self.places * self.width.bytes()
     }
 
     /// Stored `u64` words per row (payload rounded up to whole words).
@@ -283,36 +227,26 @@ impl RowLayout {
         self.words_per_row() * 8
     }
 
-    /// Byte offset of a place's cell within the row.
-    #[inline]
-    fn offset_of(&self, place: usize) -> usize {
-        match &self.kind {
-            LayoutKind::Uniform(w) => place * w.bytes(),
-            LayoutKind::PerPlace { offsets, .. } => offsets[place],
-        }
-    }
-
     /// Reads one place's count from a packed row.
     #[inline]
     pub fn get(&self, row: &[u64], place: usize) -> u64 {
-        let width = self.width_of(place);
-        let offset = self.offset_of(place);
+        let offset = place * self.width.bytes();
         let shift = (offset % 8) as u32 * 8;
-        (row[offset / 8] >> shift) & width.cell_max()
+        (row[offset / 8] >> shift) & self.width.cell_max()
     }
 
     /// Writes one place's count into a packed row.
     ///
     /// # Panics
-    /// If `value` does not fit the place's cell width.
+    /// If `value` does not fit the cell width.
     #[inline]
     pub fn set(&self, row: &mut [u64], place: usize, value: u64) {
-        let width = self.width_of(place);
+        let width = self.width;
         assert!(
             value <= width.cell_max(),
             "packed cell overflow: value {value} exceeds {width:?} at place {place}"
         );
-        let offset = self.offset_of(place);
+        let offset = place * width.bytes();
         let shift = (offset % 8) as u32 * 8;
         let word = &mut row[offset / 8];
         *word = (*word & !(width.cell_max() << shift)) | (value << shift);
@@ -327,7 +261,7 @@ impl RowLayout {
         let start = out.len();
         out.resize(start + self.words_per_row(), 0);
         for (place, &value) in cells.iter().enumerate() {
-            if value > self.width_of(place).cell_max() {
+            if value > self.width.cell_max() {
                 out.truncate(start);
                 return false;
             }
@@ -392,21 +326,19 @@ pub struct PackedTransition {
 
 impl PackedTransition {
     /// Compiles sparse `(place, count)` pre/post multisets against a
-    /// uniform layout.
+    /// layout.
     ///
     /// # Panics
-    /// If the layout is per-place, or a transition count exceeds the
-    /// layout's cell width (the width-selection bound covers every
-    /// transition count by construction, so this is a compile-time
-    /// programming error, not a runtime condition).
+    /// If a transition count exceeds the layout's cell width (the
+    /// width-selection bound covers every transition count by
+    /// construction, so this is a compile-time programming error, not a
+    /// runtime condition).
     pub fn compile(
         layout: &RowLayout,
         pre: &[(u32, u64)],
         post: &[(u32, u64)],
     ) -> PackedTransition {
-        let width = layout
-            .uniform_width()
-            .expect("packed transitions require a uniform layout");
+        let width = layout.uniform_width();
         let words = layout.words_per_row();
         let pack_sparse = |entries: &[(u32, u64)]| -> Vec<u64> {
             let mut packed = vec![0u64; words];
@@ -612,22 +544,6 @@ mod tests {
         let cells = [u64::MAX, 0, 42, 7];
         assert_eq!(layout.pack(&cells), cells);
         assert_eq!(layout.words_per_row(), 4);
-    }
-
-    #[test]
-    fn per_place_layout_aligns_and_round_trips() {
-        let layout = RowLayout::per_place(vec![
-            CellWidth::U8,
-            CellWidth::U32, // must skip to offset 4
-            CellWidth::U8,
-            CellWidth::U16, // must skip to offset 10
-            CellWidth::U64, // must skip to offset 16
-        ]);
-        assert_eq!(layout.payload_bytes(), 24);
-        assert_eq!(layout.words_per_row(), 3);
-        let cells = [255u64, u32::MAX as u64, 9, u16::MAX as u64, u64::MAX];
-        let packed = layout.pack(&cells);
-        assert_eq!(layout.unpack(&packed), cells);
     }
 
     #[test]

@@ -106,7 +106,7 @@ impl ProtocolStability {
             .reachability([config.clone()])
             .limits(*limits)
             .run();
-        let reaches_empty = graph.ids().any(|id| graph.node(id).is_empty());
+        let reaches_empty = graph.ids().any(|id| graph.total(id) == 0);
         if reaches_empty {
             Some(false)
         } else if graph.is_complete() {

@@ -148,7 +148,7 @@ fn verdict_from_graph(
         };
     }
     let mut stability_session = analysis.clone();
-    let mut stable_nodes = Vec::new();
+    let mut stable = vec![false; graph.len()];
     let mut undecided = false;
     for id in graph.ids() {
         match stability.is_output_stable_in(
@@ -158,20 +158,20 @@ fn verdict_from_graph(
             expected,
             limits,
         ) {
-            Some(true) => stable_nodes.push(id),
+            Some(true) => stable[id] = true,
             Some(false) => {}
             None => undecided = true,
         }
     }
-    let good = graph.nodes_that_can_reach(|id| stable_nodes.contains(&id));
-    if good.len() == graph.len() {
+    let good = graph.nodes_that_can_reach(|id| stable[id]);
+    let Some(witness_id) = good.iter().position(|&can_reach| !can_reach) else {
         return InputReport {
             input: input.clone(),
             expected,
             verdict: Verdict::Correct,
             explored_configurations: graph.len(),
         };
-    }
+    };
     if undecided {
         // A node might actually be stable but we could not prove it.
         return InputReport {
@@ -181,10 +181,6 @@ fn verdict_from_graph(
             explored_configurations: graph.len(),
         };
     }
-    let witness_id = graph
-        .ids()
-        .find(|id| !good.contains(id))
-        .expect("some node cannot reach a stable node");
     InputReport {
         input: input.clone(),
         expected,

@@ -2,12 +2,11 @@
 //!
 //! The packed layer must be a lossless bijection between dense `u64`
 //! count rows and stored words — for every cell width, at every boundary
-//! (0, the cell max, and one past it), for uniform and per-place layouts
-//! alike (including the Karp–Miller ω sentinel, which is simply a cell
-//! stored *at* its max). On top of the round-trips, the row representation
-//! must not change any graph: a `u64`-rows session build is `identical_to`
-//! the packed build of the same inputs, on a toy net and on catalog
-//! protocols, and the catalog graphs store at most half the bytes per node.
+//! (0, the cell max, and one past it). On top of the round-trips, the row
+//! representation must not change any graph: a `u64`-rows session build
+//! is `identical_to` the packed build of the same inputs, on a toy net and
+//! on catalog protocols, and the catalog graphs store at most half the
+//! bytes per node.
 
 use pp_multiset::Multiset;
 use pp_petri::{Analysis, CellWidth, ExplorationLimits, PetriNet, RowLayout, Transition};
@@ -80,32 +79,6 @@ proptest! {
         let mut out = vec![0xDEAD_BEEFu64; 3];
         prop_assert!(!layout.try_pack_into(&cells, &mut out));
         prop_assert_eq!(out, vec![0xDEAD_BEEFu64; 3]);
-    }
-
-    // Per-place layouts (the Karp–Miller store shape) round-trip with
-    // every width mixed, including cells stored *at* their max — the ω
-    // sentinel encoding.
-    #[test]
-    fn per_place_round_trip_with_omega_sentinels(
-        width_indices in proptest::collection::vec(0usize..4, 0usize..12),
-        at_max in any::<u64>(),
-    ) {
-        let widths: Vec<CellWidth> = width_indices.iter().map(|&i| WIDTHS[i]).collect();
-        let layout = RowLayout::per_place(widths.clone());
-        let cells: Vec<u64> = widths
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                if at_max >> (i % 64) & 1 == 1 {
-                    w.cell_max()
-                } else {
-                    (i as u64) % 7
-                }
-            })
-            .collect();
-        let packed = layout.pack(&cells);
-        prop_assert_eq!(packed.len(), layout.words_per_row());
-        prop_assert_eq!(layout.unpack(&packed), cells.clone());
     }
 }
 
