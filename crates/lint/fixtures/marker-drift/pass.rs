@@ -1,14 +1,9 @@
-// Passes marker-drift (linted as a determinism-critical module): the
-// marker still suppresses a live nondet-iteration finding, so it is
-// earning its keep.
-use std::collections::HashMap;
+// Passes marker-drift (linted as packed.rs): the marker still
+// suppresses a live exact-wrap finding, so it is earning its keep.
 
-fn total(map: &HashMap<u32, u32>) -> u32 {
-    let mut total = 0;
-    // pp-lint: allow(nondet-iteration) — summing with `+` is commutative,
-    // so the traversal order cannot reach the result
-    for value in map.values() {
-        total += value;
-    }
-    total
+/// Mixes a seed into a row hash.
+pub fn mix(seed: u64) -> u64 {
+    // pp-lint: allow(exact-wrap) — a hash mixer: wrap-around is the
+    // intended arithmetic, not a lane overflow
+    seed.wrapping_add(0x9e37_79b9_7f4a_7c15)
 }

@@ -1,8 +1,9 @@
 // Trips marker-drift: the allow marker below suppresses nothing — the
-// hash traversal it once justified is long gone — so the suppression
+// Relaxed load it once justified now uses Acquire — so the suppression
 // itself is now the finding.
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn tidy() -> u32 {
-    // pp-lint: allow(nondet-iteration) — this fold used to traverse a HashMap
-    42
+fn peek(counter: &AtomicUsize) -> usize {
+    // pp-lint: allow(relaxed-ordering-audit) — this load used to be Relaxed
+    counter.load(Ordering::Acquire)
 }

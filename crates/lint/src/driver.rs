@@ -1,6 +1,5 @@
 //! The workspace driver: file discovery, the rule pipeline with
-//! per-rule timing, suppression + marker-drift accounting, and the
-//! workspace-level gate-registry cross-check.
+//! per-rule timing, and suppression + marker-drift accounting.
 //!
 //! The driver walks `crates/`, `tests/`, `examples/` and `src/` under
 //! the workspace root, lints every `.rs` file, and skips exactly three
@@ -18,8 +17,7 @@
 //! JSON schema exposes.
 
 use crate::graph::{ParsedFile, Workspace};
-use crate::lexer::{lex, TokenKind};
-use crate::rules::{self, Finding, Rule, GATES_MODULE};
+use crate::rules::{self, Finding, Rule};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,7 +53,7 @@ pub struct Report {
 }
 
 /// Lints the whole workspace rooted at `root`: every discovered file
-/// through [`lint_files`], plus the registry-vs-README cross-check.
+/// through [`lint_files`].
 ///
 /// # Errors
 /// Propagates filesystem errors from the walk (an unreadable workspace
@@ -76,9 +74,6 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
         sources.push((file, source));
     }
     let mut report = lint_files(sources);
-    report.findings.extend(cross_check_gates(root)?);
-    report.findings.sort();
-    report.findings.dedup();
     report.wall_ms = u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX);
     Ok(report)
 }
@@ -135,9 +130,6 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
         };
     type PerFilePass = fn(&rules::File, &mut Vec<Finding>);
     let per_file: &[(Rule, PerFilePass)] = &[
-        (Rule::NondetIteration, rules::nondet_iteration),
-        (Rule::PanicInWorker, rules::panic_in_worker),
-        (Rule::GateRegistry, rules::gate_registry),
         (Rule::RelaxedOrderingAudit, rules::relaxed_ordering_audit),
         (Rule::ExactWrap, rules::exact_wrap),
     ];
@@ -149,18 +141,9 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
         });
     }
 
-    // Workspace rules over the call graph. `worker-panic-reach` sees
-    // the lexical `panic-in-worker` findings so one marker covers a
-    // site both rules flag.
-    let prior = findings.clone();
-    run(Rule::WorkerPanicReach, &mut findings, &mut |out| {
-        rules::worker_panic_reach(&ws, &prior, out);
-    });
+    // The workspace rule over the call graph.
     run(Rule::LockOrder, &mut findings, &mut |out| {
         rules::lock_order(&ws, out);
-    });
-    run(Rule::CompletionWildcard, &mut findings, &mut |out| {
-        rules::completion_wildcard(&ws, out);
     });
 
     // Suppression: a marker eats its rule's findings at its effective
@@ -330,121 +313,4 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// The workspace half of the `gate-registry` rule: every `PP_*` gate
-/// the registry module defines must appear in the README gate table,
-/// and every `PP_*` the README names must be a registered gate — so
-/// neither the code nor the docs can rot alone.
-fn cross_check_gates(root: &Path) -> io::Result<Vec<Finding>> {
-    let gates_path = root.join(GATES_MODULE);
-    let readme_path = root.join("README.md");
-    if !gates_path.is_file() || !readme_path.is_file() {
-        // Fixture roots without the engine: nothing to cross-check.
-        return Ok(Vec::new());
-    }
-    let mut findings = Vec::new();
-
-    let gates_src = fs::read(&gates_path)?;
-    let defined = gate_literals(&gates_src);
-    let readme = fs::read_to_string(&readme_path)?;
-    let documented = readme_gates(&readme);
-
-    for (gate, line) in &defined {
-        if !documented.iter().any(|(g, _)| g == gate) {
-            findings.push(Finding {
-                file: GATES_MODULE.to_string(),
-                line: *line,
-                rule: Rule::GateRegistry,
-                message: format!(
-                    "gate `{gate}` is registered but missing from the README \
-                     \"Environment gates\" table"
-                ),
-            });
-        }
-    }
-    for (gate, line) in &documented {
-        if !defined.iter().any(|(g, _)| g == gate) {
-            findings.push(Finding {
-                file: "README.md".to_string(),
-                line: *line,
-                rule: Rule::GateRegistry,
-                message: format!(
-                    "README names gate `{gate}` but `pp_petri::gates` does not \
-                     register it"
-                ),
-            });
-        }
-    }
-    Ok(findings)
-}
-
-/// `PP_*` string literals defining gate-name constants in the gates
-/// module — only `const NAME: &str = "PP_…"` initializers count, so
-/// test fixtures exercising unregistered names do not read as gates.
-fn gate_literals(src: &[u8]) -> Vec<(String, u32)> {
-    let tokens = lex(src);
-    let code: Vec<usize> = tokens
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| !t.is_trivia())
-        .map(|(i, _)| i)
-        .collect();
-    let text = |k: usize| code.get(k).map_or("", |&i| tokens[i].text(src));
-    let mut gates = Vec::new();
-    for k in 0..code.len() {
-        // const <IDENT> : & str = "PP_…"
-        if text(k) != "const"
-            || text(k + 2) != ":"
-            || text(k + 3) != "&"
-            || text(k + 4) != "str"
-            || text(k + 5) != "="
-        {
-            continue;
-        }
-        let Some(&raw) = code.get(k + 6) else {
-            continue;
-        };
-        if tokens[raw].kind != TokenKind::Str {
-            continue;
-        }
-        let inner = tokens[raw]
-            .text(src)
-            .trim_start_matches('"')
-            .trim_end_matches('"');
-        if inner.starts_with("PP_")
-            && inner.len() > 3
-            && inner
-                .chars()
-                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-            && !gates.iter().any(|(g, _)| g == inner)
-        {
-            gates.push((inner.to_string(), tokens[raw].line));
-        }
-    }
-    gates
-}
-
-/// `` `PP_*` `` mentions in the README (any mention counts as
-/// documentation — and must therefore be a registered gate).
-fn readme_gates(readme: &str) -> Vec<(String, u32)> {
-    let mut gates: Vec<(String, u32)> = Vec::new();
-    for (idx, line) in readme.lines().enumerate() {
-        let mut rest = line;
-        while let Some(at) = rest.find("`PP_") {
-            rest = &rest[at + 1..];
-            let Some(end) = rest.find('`') else { break };
-            let name = &rest[..end];
-            if name.len() > 3
-                && name
-                    .chars()
-                    .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
-                && !gates.iter().any(|(g, _)| g == name)
-            {
-                gates.push((name.to_string(), idx as u32 + 1));
-            }
-            rest = &rest[end..];
-        }
-    }
-    gates
 }

@@ -1,14 +1,14 @@
 //! Workspace symbol table and conservative call graph.
 //!
-//! The interprocedural rules (`worker-panic-reach`, `lock-order`) need
-//! to answer "which functions can this closure reach?" without a
-//! compiler. This module builds the cheapest graph that is still *sound
-//! for those rules*: every function and closure item from every file
+//! The interprocedural rule (`lock-order`) needs to answer "which locks
+//! can this call take?" without a compiler. This module builds the
+//! cheapest graph that is still *sound for that rule*: every function
+//! and closure item from every file
 //! becomes a node, and a call site is resolved **by name** to every
 //! workspace function that could match — no types, no trait dispatch,
 //! no `use` resolution. Over-approximation
 //! is the point: an edge too many costs a justified marker during
-//! burn-down; an edge too few silently exempts code from the rules.
+//! burn-down; an edge too few silently exempts code from the rule.
 //!
 //! Name resolution, precisely:
 //!
@@ -18,8 +18,9 @@
 //! * `recv.name(…)` and bare `name(…)` — every fn named `name` in the
 //!   caller's crate if any, else every fn named `name` workspace-wide.
 //! * A closure literal in a function body — an edge from the enclosing
-//!   node to the closure's node (closures run where they're called, and
-//!   the rules that care track *where the values flow* separately).
+//!   node to the closure's node (a closure built in a function is
+//!   treated as running there — inside a `catch_unwind(…)` argument
+//!   too, since a lock taken under it is still ordered).
 //! * `name!(…)` — macro invocations are not calls (their bodies were
 //!   already parsed in place by [`crate::syntax`]).
 //!
@@ -113,8 +114,7 @@ pub struct FnNode {
 }
 
 /// What a call site names, before resolution.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Callee {
+enum Callee {
     /// `name(…)` with no qualifier or receiver.
     Free(String),
     /// `recv.name(…)`. `self_recv` is true when the receiver is
@@ -129,23 +129,14 @@ pub enum Callee {
     /// `Qual::name(…)` — `qual` is the last path segment before the
     /// final `::` (a type, module, or `Self`).
     Qualified(String, String),
-    /// A closure literal appearing in the body; the payload is the
-    /// closure's node id (already resolved).
-    Closure(usize),
 }
 
 /// One call site inside a node's own tokens.
 pub struct CallSite {
-    /// What the site names.
-    pub callee: Callee,
     /// Raw token index of the name (or the closure head).
     pub at: usize,
     /// 1-based line.
     pub line: u32,
-    /// Inside the argument region of a `catch_unwind(…)` call — the
-    /// panic-containment protocol; `worker-panic-reach` does not follow
-    /// contained edges.
-    pub contained: bool,
     /// Node ids the site resolves to (sorted, deduplicated).
     pub resolved: Vec<usize>,
 }
@@ -159,10 +150,6 @@ pub struct Workspace {
     pub nodes: Vec<FnNode>,
     /// `calls[id]` — node `id`'s call sites, in token order.
     pub calls: Vec<Vec<CallSite>>,
-    /// `catch_regions[id]` — raw-index ranges of `catch_unwind(…)`
-    /// argument regions inside node `id`'s own tokens (panic sites in
-    /// them are contained by construction).
-    pub catch_regions: Vec<Vec<Range<usize>>>,
     /// `(krate, name)` → fn-node ids (closures excluded).
     by_name: BTreeMap<(String, String), Vec<usize>>,
     /// `name` → fn-node ids across all crates.
@@ -182,7 +169,6 @@ impl Workspace {
             files,
             nodes: Vec::new(),
             calls: Vec::new(),
-            catch_regions: Vec::new(),
             by_name: BTreeMap::new(),
             by_name_global: BTreeMap::new(),
             by_impl: BTreeMap::new(),
@@ -210,11 +196,7 @@ impl Workspace {
                     .push(id);
             }
         }
-        for id in 0..ws.nodes.len() {
-            let (sites, regions) = ws.collect_calls(id);
-            ws.calls.push(sites);
-            ws.catch_regions.push(regions);
-        }
+        ws.calls = (0..ws.nodes.len()).map(|id| ws.collect_calls(id)).collect();
         ws
     }
 
@@ -316,9 +298,8 @@ impl Workspace {
         out
     }
 
-    /// Scans one node's own tokens for call sites and resolves them;
-    /// also returns the node's `catch_unwind(…)` argument regions.
-    fn collect_calls(&self, id: usize) -> (Vec<CallSite>, Vec<Range<usize>>) {
+    /// Scans one node's own tokens for call sites and resolves them.
+    fn collect_calls(&self, id: usize) -> Vec<CallSite> {
         let n = &self.nodes[id];
         let file = &self.files[n.file];
         let own = self.own_tokens(id);
@@ -330,19 +311,6 @@ impl Workspace {
             .map(|c| c.id)
             .collect();
 
-        // `catch_unwind(…)` argument regions, as raw-index ranges.
-        let mut contained_ranges: Vec<Range<usize>> = Vec::new();
-        for (k, &i) in own.iter().enumerate() {
-            if file.text(i) == "catch_unwind"
-                && own.get(k + 1).is_some_and(|&j| file.text(j) == "(")
-            {
-                if let Some(close) = self.matching_close_raw(n.file, own[k + 1], n.body.end) {
-                    contained_ranges.push(own[k + 1]..close);
-                }
-            }
-        }
-        let contained = |i: usize| contained_ranges.iter().any(|r| r.contains(&i));
-
         let mut sites = Vec::new();
         // Closure children are edges at their head position — a closure
         // literal only ever appears where a value is built, and the
@@ -350,10 +318,8 @@ impl Workspace {
         for &c in &closures {
             let at = self.nodes[c].span.start;
             sites.push(CallSite {
-                callee: Callee::Closure(c),
                 at,
                 line: self.nodes[c].line,
-                contained: contained(at),
                 resolved: vec![c],
             });
         }
@@ -396,15 +362,13 @@ impl Workspace {
             };
             let resolved = self.resolve(n, &callee);
             sites.push(CallSite {
-                callee,
                 at: i,
                 line: file.line(i),
-                contained: contained(i),
                 resolved,
             });
         }
         sites.sort_by_key(|s| s.at);
-        (sites, contained_ranges)
+        sites
     }
 
     /// Resolves a callee name to candidate fn nodes. See the module
@@ -557,7 +521,6 @@ impl Workspace {
             "zip",
         ];
         let mut out = match callee {
-            Callee::Closure(c) => vec![*c],
             Callee::Qualified(q, name) => {
                 let q = if q == "Self" {
                     caller.impl_type.clone().unwrap_or_else(|| q.clone())
@@ -633,60 +596,6 @@ impl Workspace {
         self.by_name_global.get(name).cloned().unwrap_or_default()
     }
 
-    /// Raw index of the delimiter closing the opener at raw index
-    /// `open` (trivia-transparent), scanning no further than `hi`.
-    fn matching_close_raw(&self, f: usize, open: usize, hi: usize) -> Option<usize> {
-        let file = &self.files[f];
-        let (o, c) = match file.text(open) {
-            "(" => ("(", ")"),
-            "[" => ("[", "]"),
-            "{" => ("{", "}"),
-            _ => return None,
-        };
-        let mut depth = 0usize;
-        for i in open..hi.min(file.tokens.len()) {
-            let t = file.text(i);
-            if t == o {
-                depth += 1;
-            } else if t == c {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-        }
-        None
-    }
-
-    /// All node ids reachable from `roots` over resolved call edges.
-    /// `follow_contained = false` stops at `catch_unwind` boundaries
-    /// (the worker-panic-reach policy). The result is sorted.
-    #[must_use]
-    pub fn reachable(&self, roots: &[usize], follow_contained: bool) -> Vec<usize> {
-        let mut seen = vec![false; self.nodes.len()];
-        let mut stack: Vec<usize> = Vec::new();
-        for &r in roots {
-            if !seen[r] {
-                seen[r] = true;
-                stack.push(r);
-            }
-        }
-        while let Some(id) = stack.pop() {
-            for site in &self.calls[id] {
-                if site.contained && !follow_contained {
-                    continue;
-                }
-                for &t in &site.resolved {
-                    if !seen[t] {
-                        seen[t] = true;
-                        stack.push(t);
-                    }
-                }
-            }
-        }
-        (0..self.nodes.len()).filter(|&i| seen[i]).collect()
-    }
-
     /// A stable, human-readable dump of the whole graph — nodes then
     /// edges, in deterministic order. `tests/graph_determinism.rs`
     /// asserts two independent builds render identically.
@@ -708,13 +617,7 @@ impl Workspace {
         for (id, sites) in self.calls.iter().enumerate() {
             for site in sites {
                 for &t in &site.resolved {
-                    out.push_str(&format!(
-                        "edge {} -> {} @{}{}\n",
-                        id,
-                        t,
-                        site.line,
-                        if site.contained { " [contained]" } else { "" },
-                    ));
+                    out.push_str(&format!("edge {} -> {} @{}\n", id, t, site.line));
                 }
             }
         }
@@ -745,6 +648,22 @@ mod tests {
                 .map(|(p, s)| ParsedFile::new((*p).to_string(), s.as_bytes().to_vec()))
                 .collect(),
         )
+    }
+
+    /// Whether `to` is reachable from `from` over resolved call edges.
+    fn reaches(w: &Workspace, from: usize, to: usize) -> bool {
+        let mut seen = vec![false; w.nodes.len()];
+        let mut stack = vec![from];
+        seen[from] = true;
+        while let Some(id) = stack.pop() {
+            for &t in w.calls[id].iter().flat_map(|site| &site.resolved) {
+                if !seen[t] {
+                    seen[t] = true;
+                    stack.push(t);
+                }
+            }
+        }
+        seen[to]
     }
 
     #[test]
@@ -790,22 +709,22 @@ mod tests {
             .find(|n| n.kind == ItemKind::Closure)
             .unwrap()
             .id;
-        let reach = w.reachable(&[f], true);
-        assert!(reach.contains(&closure));
-        assert!(reach.contains(&target));
+        assert!(reaches(&w, f, closure));
+        assert!(reaches(&w, f, target));
     }
 
     #[test]
     fn catch_unwind_contains_edges() {
+        // A `catch_unwind(…)` argument is ordinary code to the graph: a
+        // lock taken under it still orders against the caller's locks.
         let w = ws(&[(
             "crates/a/src/lib.rs",
-            "fn may_panic() { panic!(\"x\") }\n\
-             fn guarded() { let _ = catch_unwind(AssertUnwindSafe(|| may_panic())); }",
+            "fn locks(m: &M) { m.jobs.lock(); }\n\
+             fn guarded(m: &M) { let _ = catch_unwind(AssertUnwindSafe(|| locks(m))); }",
         )]);
         let guarded = w.nodes.iter().find(|n| n.name == "guarded").unwrap().id;
-        let may_panic = w.nodes.iter().find(|n| n.name == "may_panic").unwrap().id;
-        assert!(!w.reachable(&[guarded], false).contains(&may_panic));
-        assert!(w.reachable(&[guarded], true).contains(&may_panic));
+        let locks = w.nodes.iter().find(|n| n.name == "locks").unwrap().id;
+        assert!(reaches(&w, guarded, locks));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The lexer is the foundation every `pp_lint` rule stands on: rules
 //! never see raw source, only the token stream, so string literals and
-//! comments can never masquerade as code (`"unwrap("` inside a test
-//! string must not trip `panic-in-worker`). Two properties are load
+//! comments can never masquerade as code (`"Ordering::Relaxed"` inside
+//! a test string must not trip `relaxed-ordering-audit`). Two properties are load
 //! bearing and property-tested (`tests/lexer_props.rs`):
 //!
 //! * **Totality** — the lexer accepts *arbitrary bytes* (not just valid

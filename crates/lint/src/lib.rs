@@ -1,24 +1,24 @@
 //! `pp_lint` — the determinism-invariant static-analysis pass.
 //!
 //! Every guarantee this suite makes — bit-identical reachability and
-//! Karp–Miller graphs for every worker count, packed-vs-unpacked
+//! Karp–Miller graphs at every thread count, packed-vs-unpacked
 //! bit-identity, resume ≡ cold rebuild — rests on a handful of code
-//! rules: no nondeterministic hash iteration in result paths, no panics
-//! inside parallel workers, every environment gate routed through one
-//! audited module, every `Relaxed` atomic and wrapping word-arithmetic
-//! use justified in place. The runtime test suites check the guarantees;
-//! `pp_lint` pins the *rules that preserve them*, so the class of bug
-//! that PRs 3 (worker panic → poison) and 6 (id exhaustion → refusal)
-//! each fixed once cannot silently reappear.
+//! rules. Those the toolchain can state live in the root `clippy.toml`
+//! and in crate-root lint levels (no hash collections, every environment
+//! read through `pp_petri::gates`, no wildcard arms in `pp_petri`). This
+//! pass keeps the three it cannot: lock acquisition order stays acyclic
+//! across the call graph, every `Relaxed` atomic is justified in place,
+//! and every wrapping word-arithmetic use in `packed.rs` cites the
+//! width-bound invariant. The runtime test suites check the guarantees;
+//! `pp_lint` pins the *rules that preserve them*.
 //!
 //! The pass is a workspace-aware driver ([`driver::lint_workspace`])
 //! over a hand-rolled total lexer ([`lexer`]), a brace-matched item
 //! tree ([`syntax`]), a conservative workspace call graph ([`graph`]),
 //! and a catalog of rules ([`rules`]), with an inline justification
-//! marker
-//! (`// pp-lint: allow(<rule>) — <reason>`) as the only suppression.
-//! No third-party dependencies, per the workspace's offline-vendor
-//! rule. Run it as:
+//! marker (`// pp-lint: allow(<rule>) — <reason>`) as the only
+//! suppression. No third-party dependencies, per the workspace's
+//! offline-vendor rule. Run it as:
 //!
 //! ```text
 //! cargo run -p pp_lint -- --check

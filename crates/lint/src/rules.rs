@@ -1,11 +1,14 @@
-//! The repo-specific rule catalog.
+//! The repo-specific rule catalog: the rules clippy and rustc cannot
+//! state (DESIGN.md, "Static analysis", maps every retired rule to the
+//! toolchain lint that replaced it).
 //!
-//! Each rule is a pure function over one file's token stream (plus its
-//! workspace-relative path, which gates the module-scoped rules). Rules
-//! are *lexical approximations* of semantic invariants — they trade
-//! full type knowledge for zero dependencies and total determinism —
-//! and every approximation is documented on the rule. The escape hatch
-//! for a justified exception is an inline marker:
+//! `relaxed-ordering-audit` and `exact-wrap` are pure functions over one
+//! file's token stream (plus its workspace-relative path, which scopes
+//! `exact-wrap` to `packed.rs`); `lock-order` runs over the workspace
+//! call graph. Rules are *lexical approximations* of semantic
+//! invariants — they trade full type knowledge for zero dependencies
+//! and total determinism — and every approximation is documented on the
+//! rule. The escape hatch for a justified exception is an inline marker:
 //!
 //! ```text
 //! // pp-lint: allow(<rule>) — <reason>
@@ -18,23 +21,11 @@
 
 use crate::graph::{ParsedFile, Workspace};
 use crate::lexer::{Token, TokenKind};
-use crate::syntax::ItemKind;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The rules `pp_lint` enforces; see each variant for the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// No iteration over `HashMap`/`HashSet`/`FxHashMap`/`FxHashSet` in
-    /// determinism-critical modules unless the traversal feeds a sort.
-    NondetIteration,
-    /// No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!`/
-    /// `unimplemented!` inside closures spawned within a
-    /// `std::thread::scope` region (workers must use the poison /
-    /// refusal paths).
-    PanicInWorker,
-    /// `std::env::var` only inside `pp_petri::gates`, and the gate
-    /// registry must agree with the README gate table.
-    GateRegistry,
     /// Every `Ordering::Relaxed` carries a `// relaxed:` justification.
     RelaxedOrderingAudit,
     /// `wrapping_add`/`wrapping_sub` in `packed.rs` only inside
@@ -44,20 +35,10 @@ pub enum Rule {
     /// A malformed `pp-lint: allow(...)` marker (unknown rule or
     /// missing reason).
     BadAllow,
-    /// Interprocedural extension of `panic-in-worker`: no panicking
-    /// call in any function transitively reachable (over the
-    /// [`crate::graph`] call graph) from a closure handed to
-    /// `scope.spawn`, unless the spawn's panics are joined back
-    /// (`resume_unwind`) or contained (`catch_unwind`).
-    WorkerPanicReach,
     /// The aggregated lock-acquisition-order graph (per-fn `Mutex` /
     /// arena spin-lock sequences, propagated over the call graph) must
     /// be acyclic — a cycle is a potential deadlock.
     LockOrder,
-    /// A `match` on `Completion` in a determinism-critical module must
-    /// not have a `_` arm: a new completion variant must break the
-    /// build, not silently fall through.
-    CompletionWildcard,
     /// An allow marker whose rule no longer fires at its site —
     /// suppressions must not rot. This rule is itself unsuppressible.
     MarkerDrift,
@@ -67,15 +48,10 @@ impl Rule {
     /// Every rule, in report order. The JSON schema's `rules` array
     /// follows this order.
     pub const ALL: &'static [Rule] = &[
-        Rule::NondetIteration,
-        Rule::PanicInWorker,
-        Rule::GateRegistry,
         Rule::RelaxedOrderingAudit,
         Rule::ExactWrap,
         Rule::BadAllow,
-        Rule::WorkerPanicReach,
         Rule::LockOrder,
-        Rule::CompletionWildcard,
         Rule::MarkerDrift,
     ];
 
@@ -83,15 +59,10 @@ impl Rule {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Rule::NondetIteration => "nondet-iteration",
-            Rule::PanicInWorker => "panic-in-worker",
-            Rule::GateRegistry => "gate-registry",
             Rule::RelaxedOrderingAudit => "relaxed-ordering-audit",
             Rule::ExactWrap => "exact-wrap",
             Rule::BadAllow => "bad-allow",
-            Rule::WorkerPanicReach => "worker-panic-reach",
             Rule::LockOrder => "lock-order",
-            Rule::CompletionWildcard => "completion-wildcard",
             Rule::MarkerDrift => "marker-drift",
         }
     }
@@ -101,14 +72,9 @@ impl Rule {
     #[must_use]
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
-            "nondet-iteration" => Some(Rule::NondetIteration),
-            "panic-in-worker" => Some(Rule::PanicInWorker),
-            "gate-registry" => Some(Rule::GateRegistry),
             "relaxed-ordering-audit" => Some(Rule::RelaxedOrderingAudit),
             "exact-wrap" => Some(Rule::ExactWrap),
-            "worker-panic-reach" => Some(Rule::WorkerPanicReach),
             "lock-order" => Some(Rule::LockOrder),
-            "completion-wildcard" => Some(Rule::CompletionWildcard),
             _ => None,
         }
     }
@@ -118,31 +84,6 @@ impl Rule {
     #[must_use]
     pub fn doc(self) -> &'static str {
         match self {
-            Rule::NondetIteration => {
-                "No storage-order iteration over hash collections (HashMap/HashSet/\
-                 FxHashMap/FxHashSet) in determinism-critical modules, unless the \
-                 traversal feeds a sort or an ordered container. Hash order varies \
-                 across runs and platforms; anything it leaks into the reachability \
-                 or Karp-Miller results breaks the bit-identity guarantee. Fix: sort \
-                 the traversal's output, collect into a BTreeMap/BTreeSet, or justify \
-                 the site with an allow marker."
-            }
-            Rule::PanicInWorker => {
-                "No unwrap/expect/panic!/unreachable!/todo!/unimplemented! inside a \
-                 closure literal passed to spawn(...) within a thread::scope region. \
-                 A worker panic deadlocks siblings at the level barrier or poisons \
-                 shared locks; workers must route failures through the poison / \
-                 refusal protocol instead. Lexical: only closure literals directly at \
-                 the spawn site are checked — worker-panic-reach covers the rest of \
-                 the call graph."
-            }
-            Rule::GateRegistry => {
-                "std::env reads (var/var_os/vars/vars_os) are only allowed inside the \
-                 audited gate registry (pp_petri::gates); the driver also cross-checks \
-                 that the registry's PP_* constants and the README gate table agree in \
-                 both directions. One module owns every behaviour knob, so the docs \
-                 cannot rot and tests can enumerate the configuration space."
-            }
             Rule::RelaxedOrderingAudit => {
                 "Every Ordering::Relaxed use carries a `// relaxed:` comment in the \
                  same statement justifying why no cross-thread ordering is needed. \
@@ -161,16 +102,6 @@ impl Rule {
                  `// pp-lint: allow(<rule>) — <reason>`. A malformed marker is a \
                  finding, never a silent suppression."
             }
-            Rule::WorkerPanicReach => {
-                "Interprocedural panic-in-worker: starting from every closure handed \
-                 to spawn(...), walk the workspace call graph (conservative name \
-                 resolution — see DESIGN.md) and flag panicking calls in any function \
-                 reached. Two containment protocols exempt a spawn: panics joined \
-                 back to the spawning thread (resume_unwind in the spawning \
-                 function), and bodies wrapped in catch_unwind (the poison \
-                 protocol). Findings point at the panic site and print the call path \
-                 from the worker closure."
-            }
             Rule::LockOrder => {
                 "Potential-deadlock detection: each function's lock-acquisition \
                  sequence (Mutex .lock() receivers, identified by field name) is \
@@ -180,13 +111,6 @@ impl Rule {
                  the same locks in opposite orders and deadlock; the finding prints \
                  the witness cycle with one provenance site per edge. Fix the order, \
                  don't suppress the cycle."
-            }
-            Rule::CompletionWildcard => {
-                "A match on a Completion value in a determinism-critical module must \
-                 enumerate every variant: no `_` arm. Completion variants encode why \
-                 an exploration stopped (budget, id-space, omega overflow, ...); a \
-                 wildcard arm let new variants slip through refund and resume logic \
-                 silently before — new variants must break the build."
             }
             Rule::MarkerDrift => {
                 "An allow marker whose rule no longer fires at its effective line is \
@@ -211,66 +135,13 @@ pub struct Finding {
     pub message: String,
 }
 
-/// File stems whose contents are determinism-critical: exploration
-/// results must not depend on hash-iteration order anywhere in these
-/// modules (the engine's bit-identity guarantees flow through them).
-const CRITICAL_STEMS: &[&str] = &[
-    "explore",
-    "cover",
-    "karp_miller",
-    "arena",
-    "packed",
-    "batch",
-    "session",
-];
-
-const HASH_TYPES: &[&str] = &["HashMap", "HashSet", "FxHashMap", "FxHashSet"];
-
-/// Methods that traverse a collection in storage order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "into_iter",
-    "keys",
-    "into_keys",
-    "values",
-    "values_mut",
-    "into_values",
-    "drain",
-];
-
-/// Tokens whose appearance downstream of a hash traversal makes the
-/// result order-independent again: an explicit sort, or collection into
-/// an ordered container.
-const SORT_TOKENS: &[&str] = &[
-    "sort",
-    "sort_unstable",
-    "sort_by",
-    "sort_by_key",
-    "sort_by_cached_key",
-    "sort_unstable_by",
-    "sort_unstable_by_key",
-    "sorted",
-    "BTreeMap",
-    "BTreeSet",
-    "BinaryHeap",
-];
-
-const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-const PANIC_METHODS: &[&str] = &["unwrap", "expect"];
-
-/// The only module allowed to read the environment; every other
-/// `std::env::var` call must route through it (rule `gate-registry`).
-pub const GATES_MODULE: &str = "crates/petri/src/gates.rs";
-
 /// Lints one file as a one-file workspace: every rule runs (the
 /// interprocedural rules see a call graph of just this file), and
 /// findings suppressed by well-formed allow markers are subtracted —
 /// including the `marker-drift` check on the markers themselves.
 ///
 /// `path` is the workspace-relative path; it gates the module-scoped
-/// rules (`nondet-iteration` on determinism-critical stems,
-/// `exact-wrap` on `packed.rs`, the `gates.rs` exemption).
+/// rule (`exact-wrap` applies to `packed.rs` only).
 #[must_use]
 pub fn lint_source(path: &str, source: &[u8]) -> Vec<Finding> {
     crate::driver::lint_files(vec![(path.to_string(), source.to_vec())]).findings
@@ -467,333 +338,7 @@ fn effective_line(f: &File, comment_idx: usize) -> u32 {
 }
 
 // ---------------------------------------------------------------------
-// Rule 1: nondet-iteration
-// ---------------------------------------------------------------------
-
-/// Flags storage-order traversals of hash collections in
-/// determinism-critical modules.
-///
-/// Approximation: a name is considered hash-typed when the file declares
-/// it with a `: …Hash{Map,Set}…` annotation (struct field, `let`, or
-/// parameter) or binds it via `let x = …Hash{Map,Set}::…`. A traversal
-/// is an `ITER_METHODS` call on such a name, or a `for … in` whose
-/// iterated expression is (a reference to) such a name. The finding is
-/// waived when a sort-family token or ordered-container collect appears
-/// within the same or the immediately following statement — traversals
-/// that feed a sort are order-independent by construction.
-pub(crate) fn nondet_iteration(f: &File, findings: &mut Vec<Finding>) {
-    if !f.stem_is(CRITICAL_STEMS) {
-        return;
-    }
-    let hash_names = collect_hash_names(f);
-    if hash_names.is_empty() {
-        return;
-    }
-    let n = f.code.len();
-    for k in 0..n {
-        // `name.iter_method(` — receiver must be a known hash name.
-        if hash_names.iter().any(|h| h == f.t(k))
-            && f.kind(k) == Some(TokenKind::Ident)
-            && f.t(k + 1) == "."
-            && ITER_METHODS.contains(&f.t(k + 2))
-            && f.t(k + 3) == "("
-            && !feeds_sort(f, k)
-        {
-            findings.push(f.finding(
-                f.line(k + 2),
-                Rule::NondetIteration,
-                format!(
-                    "iteration over hash collection `{}.{}()` in a determinism-critical \
-                     module: hash order is nondeterministic — sort the result, use an \
-                     ordered container, or justify with an allow marker",
-                    f.t(k),
-                    f.t(k + 2),
-                ),
-            ));
-        }
-        // `for pat in [&][mut] name {` — direct traversal of the map.
-        if f.t(k) == "for" {
-            if let Some(violation) = for_over_hash(f, k, &hash_names) {
-                if !feeds_sort(f, violation) {
-                    findings.push(f.finding(
-                        f.line(violation),
-                        Rule::NondetIteration,
-                        format!(
-                            "`for` loop over hash collection `{}` in a determinism-critical \
-                             module: hash order is nondeterministic — sort the result, use \
-                             an ordered container, or justify with an allow marker",
-                            f.t(violation),
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-/// Collects names the file declares with a hash-collection type.
-fn collect_hash_names(f: &File) -> Vec<String> {
-    let mut names = Vec::new();
-    let n = f.code.len();
-    for k in 0..n {
-        if f.kind(k) != Some(TokenKind::Ident) {
-            continue;
-        }
-        // `name : … HashX …` up to the next top-level `, ; ) = {`.
-        if f.t(k + 1) == ":" && f.t(k + 2) != ":" && (k == 0 || f.t(k - 1) != ":") {
-            if window_has_hash_type(f, k + 2) {
-                names.push(f.t(k).to_string());
-            }
-            continue;
-        }
-        // `let [mut] name = … HashX :: …` within the statement.
-        if f.t(k) == "let" {
-            let name_at = if f.t(k + 1) == "mut" { k + 2 } else { k + 1 };
-            if f.kind(name_at) == Some(TokenKind::Ident) && f.t(name_at + 1) == "=" {
-                for j in name_at + 2..(name_at + 40).min(n) {
-                    if f.t(j) == ";" {
-                        break;
-                    }
-                    if HASH_TYPES.contains(&f.t(j)) && f.seq(j + 1, &[":", ":"]) {
-                        names.push(f.t(name_at).to_string());
-                        break;
-                    }
-                }
-            }
-        }
-    }
-    names.sort();
-    names.dedup();
-    names
-}
-
-/// Whether a type annotation window starting at `start` mentions a hash
-/// collection before the annotation plausibly ends (a `, ; ) = {` at
-/// zero paren/angle depth).
-fn window_has_hash_type(f: &File, start: usize) -> bool {
-    let mut angle = 0i32;
-    let mut paren = 0i32;
-    for k in start..(start + 40).min(f.code.len()) {
-        let t = f.t(k);
-        match t {
-            "<" => angle += 1,
-            ">" => angle = (angle - 1).max(0),
-            "(" | "[" => paren += 1,
-            ")" | "]" if paren > 0 => paren -= 1,
-            "," | ";" | "=" | "{" | ")" | "]" if angle == 0 && paren == 0 => return false,
-            _ => {
-                if HASH_TYPES.contains(&t) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-/// For a `for` at code index `k`, returns the code index of the hash
-/// name when the loop iterates a bare (referenced) hash collection.
-fn for_over_hash(f: &File, k: usize, hash_names: &[String]) -> Option<usize> {
-    // Find the `in` at zero delimiter depth (patterns may hold parens).
-    let mut depth = 0i32;
-    let mut in_at = None;
-    for j in k + 1..(k + 30).min(f.code.len()) {
-        match f.t(j) {
-            "(" | "[" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "in" if depth == 0 => {
-                in_at = Some(j);
-                break;
-            }
-            "{" | ";" => return None,
-            _ => {}
-        }
-    }
-    let in_at = in_at?;
-    // The iterated expression: flag only the simple `[&][mut] name` /
-    // `[&][mut] self . name` shapes — anything with calls or indexing is
-    // left to the method-site check.
-    let mut j = in_at + 1;
-    while matches!(f.t(j), "&" | "mut") {
-        j += 1;
-    }
-    if f.seq(j, &["self", "."]) {
-        j += 2;
-    }
-    let is_hash = hash_names.iter().any(|h| h == f.t(j));
-    (is_hash && f.t(j + 1) == "{").then_some(j)
-}
-
-/// Whether a traversal starting at code index `k` feeds a sort: a
-/// sort-family token or ordered-container collect within the same or
-/// the immediately following statement (at the traversal's block
-/// level).
-fn feeds_sort(f: &File, k: usize) -> bool {
-    let mut brace = 0i32;
-    let mut paren = 0i32;
-    let mut semis = 0;
-    for j in k..(k + 160).min(f.code.len()) {
-        let t = f.t(j);
-        match t {
-            "{" => brace += 1,
-            "}" => {
-                brace -= 1;
-                if brace < 0 {
-                    return false;
-                }
-            }
-            "(" | "[" => paren += 1,
-            ")" | "]" => paren -= 1,
-            ";" if brace == 0 && paren <= 0 => {
-                semis += 1;
-                if semis >= 2 {
-                    return false;
-                }
-            }
-            _ => {
-                if SORT_TOKENS.contains(&t) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
-}
-
-// ---------------------------------------------------------------------
-// Rule 2: panic-in-worker
-// ---------------------------------------------------------------------
-
-/// Flags panicking calls inside closures spawned within a
-/// `std::thread::scope` region.
-///
-/// Approximation: only closure *literals* passed to a `spawn(...)` call
-/// lexically inside the `thread::scope(...)` argument are analysed — a
-/// closure bound to a variable first (`scope.spawn(work)`) is out of
-/// lexical reach, as is code behind a function call. Worker bodies must
-/// route failures through the poison / refusal protocol (see PRs 3 and
-/// 6) instead of unwinding: a panic inside a worker either deadlocks
-/// sibling workers at the level barrier or poisons shared locks.
-pub(crate) fn panic_in_worker(f: &File, findings: &mut Vec<Finding>) {
-    let n = f.code.len();
-    for k in 0..n {
-        if !(f.seq(k, &["thread", ":", ":", "scope"]) && f.t(k + 4) == "(") {
-            continue;
-        }
-        let Some(close) = f.matching_close(k + 4) else {
-            continue;
-        };
-        scan_scope_region(f, k + 5, close, findings);
-    }
-}
-
-/// Scans one `thread::scope(...)` argument region for spawned closure
-/// literals and flags panicking calls inside their bodies.
-fn scan_scope_region(f: &File, start: usize, end: usize, findings: &mut Vec<Finding>) {
-    for k in start..end {
-        if !(f.t(k) == "spawn" && f.t(k + 1) == "(") {
-            continue;
-        }
-        let Some(spawn_close) = f.matching_close(k + 1) else {
-            continue;
-        };
-        let mut j = k + 2;
-        if f.t(j) == "move" {
-            j += 1;
-        }
-        if f.t(j) != "|" {
-            continue; // not a closure literal: out of lexical reach
-        }
-        let Some(params_close) = closing_pipe(f, j + 1, spawn_close) else {
-            continue;
-        };
-        // Braced body → to its matching brace; expression body → to the
-        // token closing the spawn call.
-        let body_start = params_close + 1;
-        let body_end = if f.t(body_start) == "{" {
-            f.matching_close(body_start).unwrap_or(spawn_close)
-        } else {
-            spawn_close
-        };
-        flag_panics(f, body_start, body_end, findings);
-    }
-}
-
-/// Finds the `|` closing a closure parameter list opened just before
-/// `start`, scanning no further than `limit`.
-fn closing_pipe(f: &File, start: usize, limit: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for j in start..limit {
-        match f.t(j) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "|" if depth == 0 => return Some(j),
-            _ => {}
-        }
-    }
-    None
-}
-
-fn flag_panics(f: &File, start: usize, end: usize, findings: &mut Vec<Finding>) {
-    for k in start..end {
-        let t = f.t(k);
-        if f.t(k - 1) == "." && PANIC_METHODS.contains(&t) && f.t(k + 1) == "(" {
-            findings.push(f.finding(
-                f.line(k),
-                Rule::PanicInWorker,
-                format!(
-                    "`.{t}()` inside a thread::scope worker closure: a worker panic \
-                     deadlocks or poisons the build — propagate through the poison / \
-                     refusal path instead"
-                ),
-            ));
-        }
-        if PANIC_MACROS.contains(&t) && f.t(k + 1) == "!" && (k == 0 || f.t(k - 1) != ".") {
-            findings.push(f.finding(
-                f.line(k),
-                Rule::PanicInWorker,
-                format!(
-                    "`{t}!` inside a thread::scope worker closure: a worker panic \
-                     deadlocks or poisons the build — propagate through the poison / \
-                     refusal path instead"
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 3: gate-registry (per-file half)
-// ---------------------------------------------------------------------
-
-/// Flags direct environment reads outside the audited gates module.
-/// The registry-vs-README cross-check is workspace-level and lives in
-/// the driver ([`crate::driver`]).
-pub(crate) fn gate_registry(f: &File, findings: &mut Vec<Finding>) {
-    if f.path.ends_with(GATES_MODULE) {
-        return;
-    }
-    let n = f.code.len();
-    for k in 0..n {
-        if f.seq(k, &["env", ":", ":"])
-            && matches!(f.t(k + 3), "var" | "var_os" | "vars" | "vars_os")
-        {
-            findings.push(f.finding(
-                f.line(k),
-                Rule::GateRegistry,
-                format!(
-                    "direct `env::{}` read outside `pp_petri::gates`: declare the knob \
-                     in the gate registry and read it via `gates::read` so the README \
-                     gate table stays complete",
-                    f.t(k + 3),
-                ),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 4: relaxed-ordering-audit
+// Rule: relaxed-ordering-audit
 // ---------------------------------------------------------------------
 
 /// Flags `Ordering::Relaxed` uses without a `// relaxed:` justification
@@ -847,7 +392,7 @@ fn has_relaxed_comment(f: &File, raw: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Rule 5: exact-wrap
+// Rule: exact-wrap
 // ---------------------------------------------------------------------
 
 /// Flags `wrapping_add`/`wrapping_sub` in `packed.rs` outside functions
@@ -995,7 +540,7 @@ fn attr_context(f: &File, i: usize) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Rule 7: worker-panic-reach (workspace-level)
+// Rule: lock-order (workspace-level)
 // ---------------------------------------------------------------------
 
 /// A borrowed view of one node's own tokens, with `File`-style helpers
@@ -1025,236 +570,7 @@ impl<'a> NodeView<'a> {
     fn raw(&self, k: usize) -> usize {
         self.own.get(k).copied().unwrap_or(usize::MAX)
     }
-
-    fn line(&self, k: usize) -> u32 {
-        self.own.get(k).map_or(0, |&i| self.file.line(i))
-    }
 }
-
-/// Flags panicking calls in any function transitively reachable from a
-/// closure handed to `spawn(…)`.
-///
-/// Exemptions, matching the engine's two containment protocols:
-///
-/// * **join-propagated** — the spawning function (or an enclosing
-///   fn/closure) re-raises worker panics on the spawning thread:
-///   either `resume_unwind` or the `.join().expect(…)` /
-///   `.join().unwrap()` shape appears in its body. The panic is
-///   surfaced deliberately, so the spawn is not a silent-deadlock
-///   risk.
-/// * **contained** — call edges and panic sites inside a
-///   `catch_unwind(…)` argument region (the poison protocol).
-/// * **test spawns** — a `#[cfg(test)]` closure handed to `spawn` is
-///   not a root: `thread::scope` re-raises worker panics at the end of
-///   the scope, so a panicking test worker fails its own test, which
-///   is the assertion working as intended.
-///
-/// Panic sites located in `#[cfg(test)]` code are also skipped (tests
-/// are allowed to fail loudly; the blast radius is one test run).
-/// Findings already reported by the lexical `panic-in-worker` rule at
-/// the same site are not duplicated, so one marker covers both rules.
-pub(crate) fn worker_panic_reach(ws: &Workspace, prior: &[Finding], findings: &mut Vec<Finding>) {
-    // 1. Roots: closures handed to a `spawn(…)` call, minus exempt
-    //    spawns. Both the literal (`spawn(move || …)`) and the
-    //    let-bound (`let work = || …; spawn(work)`) shapes count.
-    let mut roots: Vec<usize> = Vec::new();
-    for n in &ws.nodes {
-        let v = NodeView::new(ws, n.id);
-        for k in 0..v.own.len() {
-            if v.t(k) != "spawn" || v.t(k + 1) != "(" {
-                continue;
-            }
-            if n.is_test || join_exempt(ws, n.id) {
-                continue;
-            }
-            // Literal: a child closure whose span sits between the `(`
-            // and the next token this node owns.
-            let open_raw = v.raw(k + 1);
-            let next_raw = v.raw(k + 2);
-            let literal = ws
-                .nodes
-                .iter()
-                .find(|c| {
-                    c.parent == Some(n.id)
-                        && c.kind == ItemKind::Closure
-                        && c.span.start > open_raw
-                        && c.span.start < next_raw
-                })
-                .map(|c| c.id);
-            if let Some(c) = literal {
-                roots.push(c);
-                continue;
-            }
-            // Let-bound: `spawn(name)` where `name` was bound to a
-            // closure literal in this function or an enclosing one.
-            if v.kind(k + 2) == Some(TokenKind::Ident) && v.t(k + 3) == ")" {
-                if let Some(c) = resolve_closure_binding(ws, n.id, v.t(k + 2)) {
-                    roots.push(c);
-                }
-            }
-        }
-    }
-    roots.sort_unstable();
-    roots.dedup();
-
-    // 2. BFS over non-contained call edges, recording predecessors for
-    //    the witness path.
-    let mut pred: Vec<Option<usize>> = vec![None; ws.nodes.len()];
-    let mut seen = vec![false; ws.nodes.len()];
-    let mut queue: std::collections::VecDeque<usize> = roots.iter().copied().collect();
-    for &r in &roots {
-        seen[r] = true;
-    }
-    while let Some(id) = queue.pop_front() {
-        for site in &ws.calls[id] {
-            if site.contained {
-                continue;
-            }
-            for &t in &site.resolved {
-                if !seen[t] {
-                    seen[t] = true;
-                    pred[t] = Some(id);
-                    queue.push_back(t);
-                }
-            }
-        }
-    }
-
-    // 3. Panic sites in every reached node's own tokens, outside its
-    //    catch_unwind regions.
-    let lexical: BTreeSet<(String, u32)> = prior
-        .iter()
-        .filter(|f| f.rule == Rule::PanicInWorker)
-        .map(|f| (f.file.clone(), f.line))
-        .collect();
-    let mut reported: BTreeSet<(String, u32)> = BTreeSet::new();
-    for (id, &reached) in seen.iter().enumerate() {
-        if !reached || ws.nodes[id].is_test {
-            continue;
-        }
-        let n = &ws.nodes[id];
-        let v = NodeView::new(ws, id);
-        let contained = |raw: usize| ws.catch_regions[id].iter().any(|r| r.contains(&raw));
-        for k in 0..v.own.len() {
-            let t = v.t(k);
-            let is_panic =
-                (PANIC_METHODS.contains(&t) && v.t(k + 1) == "(" && k > 0 && v.t(k - 1) == ".")
-                    || (PANIC_MACROS.contains(&t)
-                        && v.t(k + 1) == "!"
-                        && (k == 0 || v.t(k - 1) != "."));
-            if !is_panic || contained(v.raw(k)) {
-                continue;
-            }
-            let file = &ws.files[n.file];
-            let key = (file.path.clone(), v.line(k));
-            if lexical.contains(&key) || !reported.insert(key.clone()) {
-                continue;
-            }
-            let path = witness_path(ws, &pred, &roots, id);
-            findings.push(Finding {
-                file: key.0,
-                line: key.1,
-                rule: Rule::WorkerPanicReach,
-                message: format!(
-                    "`{t}` is reachable from a worker closure ({path}): a panic here \
-                     unwinds inside a spawned worker — route the failure through the \
-                     poison / refusal path, or justify with an allow marker"
-                ),
-            });
-        }
-    }
-}
-
-/// Whether the node or an enclosing fn/closure joins worker panics back:
-/// `resume_unwind` anywhere in its body (children included), or the
-/// `.join().expect(…)` / `.join().unwrap()` re-raise shape.
-fn join_exempt(ws: &Workspace, id: usize) -> bool {
-    let mut cur = Some(id);
-    while let Some(p) = cur {
-        let n = &ws.nodes[p];
-        let file = &ws.files[n.file];
-        let code: Vec<usize> = n
-            .body
-            .clone()
-            .filter(|&i| file.tokens.get(i).is_some_and(|t| !t.is_trivia()))
-            .collect();
-        for (k, &i) in code.iter().enumerate() {
-            if file.text(i) == "resume_unwind" {
-                return true;
-            }
-            let t = |d: usize| code.get(k + d).map_or("", |&j| file.text(j));
-            if file.text(i) == "join"
-                && t(1) == "("
-                && t(2) == ")"
-                && t(3) == "."
-                && matches!(t(4), "expect" | "unwrap")
-            {
-                return true;
-            }
-        }
-        cur = n.parent;
-    }
-    false
-}
-
-/// Resolves `spawn(name)` to the closure bound as `let name = |…| …`
-/// in `id` or an enclosing fn/closure.
-fn resolve_closure_binding(ws: &Workspace, id: usize, name: &str) -> Option<usize> {
-    let mut cur = Some(id);
-    while let Some(p) = cur {
-        for c in ws.nodes.iter().filter(|c| c.parent == Some(p)) {
-            if c.kind != ItemKind::Closure {
-                continue;
-            }
-            // Walk back over trivia from the closure head: expect
-            // `let [mut] <name> [: …] =` directly before it.
-            let file = &ws.files[c.file];
-            let mut before: Vec<&str> = Vec::new();
-            let mut i = c.span.start;
-            while i > 0 && before.len() < 6 {
-                i -= 1;
-                if file.tokens[i].is_trivia() {
-                    continue;
-                }
-                before.push(file.text(i));
-            }
-            if before.first() == Some(&"=") && before.contains(&name) && before.contains(&"let") {
-                return Some(c.id);
-            }
-        }
-        cur = ws.nodes[p].parent;
-    }
-    None
-}
-
-/// Renders the BFS call path from the nearest root to `id`:
-/// `<closure@97> -> run_job -> unwrap`.
-fn witness_path(ws: &Workspace, pred: &[Option<usize>], roots: &[usize], id: usize) -> String {
-    let mut chain = vec![id];
-    let mut cur = id;
-    while let Some(p) = pred[cur] {
-        chain.push(p);
-        cur = p;
-        if chain.len() > 32 {
-            break;
-        }
-    }
-    chain.reverse();
-    let root = chain[0];
-    let root_file = &ws.files[ws.nodes[root].file];
-    let labels: Vec<String> = chain.iter().map(|&n| ws.node_label(n)).collect();
-    let via = labels.join(" -> ");
-    let origin = if roots.contains(&root) {
-        format!("spawned at {}:{}", root_file.path, ws.nodes[root].line)
-    } else {
-        "spawn".to_string()
-    };
-    format!("{origin}, via {via}")
-}
-
-// ---------------------------------------------------------------------
-// Rule 8: lock-order (workspace-level)
-// ---------------------------------------------------------------------
 
 /// One aggregated lock-order edge with its first-seen provenance.
 struct LockEdge {
@@ -1569,95 +885,6 @@ fn report_lock_cycles(edges: &BTreeMap<(String, String), LockEdge>, findings: &m
             stack.pop();
             if let Some(p) = path.pop() {
                 on_path.remove(p);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Rule 9: completion-wildcard (workspace-level)
-// ---------------------------------------------------------------------
-
-/// Flags `_` arms in `match`es over `Completion` values inside
-/// determinism-critical modules.
-///
-/// A match is "over Completion" when its scrutinee mentions the
-/// identifier `Completion` or `completion` (`self.completion`,
-/// `Completion::…`), or is `self` inside an `impl Completion` block.
-/// Only a bare `_` arm at the match's own depth trips — `_` inside
-/// tuple or struct subpatterns is fine.
-pub(crate) fn completion_wildcard(ws: &Workspace, findings: &mut Vec<Finding>) {
-    for (fi, pf) in ws.files.iter().enumerate() {
-        let f = File::from_parsed(pf);
-        if !f.stem_is(CRITICAL_STEMS) {
-            continue;
-        }
-        for k in 0..f.code.len() {
-            if f.t(k) != "match" {
-                continue;
-            }
-            // Scrutinee: tokens to the body `{` at zero group depth.
-            let mut depth = 0i32;
-            let mut open = None;
-            let mut mentions = false;
-            let mut bare_self = true;
-            for j in k + 1..f.code.len() {
-                match f.t(j) {
-                    "(" | "[" => depth += 1,
-                    ")" | "]" => depth -= 1,
-                    "{" if depth == 0 => {
-                        open = Some(j);
-                        break;
-                    }
-                    "self" => {}
-                    t => {
-                        bare_self = false;
-                        if matches!(t, "Completion" | "completion") {
-                            mentions = true;
-                        }
-                    }
-                }
-                if j > k + 48 {
-                    break; // scrutinees are short; stop scanning runaways
-                }
-            }
-            let Some(open) = open else { continue };
-            if !mentions && bare_self {
-                // `match self { … }`: Completion only when the
-                // enclosing impl is `impl Completion`.
-                let raw = f.code[k];
-                mentions = ws.nodes.iter().any(|n| {
-                    n.file == fi
-                        && n.body.contains(&raw)
-                        && n.impl_type.as_deref() == Some("Completion")
-                });
-            }
-            if !mentions {
-                continue;
-            }
-            let Some(close) = f.matching_close(open) else {
-                continue;
-            };
-            let mut arm_depth = 0i32;
-            for j in open + 1..close {
-                match f.t(j) {
-                    "{" | "(" | "[" => arm_depth += 1,
-                    "}" | ")" | "]" => arm_depth -= 1,
-                    "_" if arm_depth == 0 && f.t(j + 1) == "=" && f.t(j + 2) == ">" => {
-                        findings.push(
-                            f.finding(
-                                f.line(j),
-                                Rule::CompletionWildcard,
-                                "wildcard `_` arm on a `Completion` match in a \
-                             determinism-critical module: enumerate every variant so \
-                             a new completion reason breaks the build instead of \
-                             falling through"
-                                    .to_string(),
-                            ),
-                        );
-                    }
-                    _ => {}
-                }
             }
         }
     }

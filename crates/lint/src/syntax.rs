@@ -2,9 +2,9 @@
 //!
 //! `pp_lint` v1 rules ran directly on the flat token stream, which
 //! stops every analysis at the first syntactic question it cannot
-//! answer locally ("is this `unwrap` inside a function that a worker
-//! closure calls?"). This layer parses the stream into a tree of the
-//! four item shapes the interprocedural rules need — **modules**,
+//! answer locally ("which locks does the function this call names
+//! take?"). This layer parses the stream into a tree of the four item
+//! shapes the interprocedural rule needs — **modules**,
 //! **functions**, **impl blocks** and **closures** — by brace matching,
 //! without building expressions or types. It inherits the lexer's two
 //! load-bearing guarantees, and both are property-tested in
@@ -24,8 +24,8 @@
 //! type grammar, `use` resolution, macro expansion. Tokens inside an
 //! unexpanded `macro_rules!` body are parsed like ordinary code (brace
 //! regions are walked transparently), which is exactly the conservative
-//! behaviour the rules want — a closure spawned from inside a macro
-//! body is still a closure.
+//! behaviour the rules want — a closure built inside a macro body is
+//! still a closure.
 
 use crate::lexer::{lex, Token, TokenKind};
 use std::ops::Range;

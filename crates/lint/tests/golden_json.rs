@@ -19,15 +19,10 @@ use std::path::{Path, PathBuf};
 /// satisfies its rule's module scoping, all linted as ONE workspace so
 /// the call graph and marker machinery run across the whole corpus.
 const CORPUS: &[(&str, &str)] = &[
-    ("nondet-iteration", "crates/petri/src/explore.rs"),
-    ("panic-in-worker", "crates/petri/src/worker.rs"),
-    ("gate-registry", "crates/petri/src/parallel.rs"),
     ("relaxed-ordering-audit", "crates/petri/src/counters.rs"),
     ("exact-wrap", "crates/petri/src/packed.rs"),
     ("markers", "crates/petri/src/session.rs"),
-    ("worker-panic-reach", "crates/petri/src/worker_pool.rs"),
     ("lock-order", "crates/petri/src/arena.rs"),
-    ("completion-wildcard", "crates/petri/src/batch.rs"),
     ("marker-drift", "crates/petri/src/karp_miller.rs"),
 ];
 

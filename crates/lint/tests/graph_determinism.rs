@@ -1,8 +1,9 @@
 //! The call graph is itself subject to the determinism discipline it
 //! polices: two independent builds over the same sources must render
 //! byte-identically, regardless of input file order. A nondeterministic
-//! graph would make lint findings flap between CI runs — the exact
-//! failure mode `nondet-iteration` exists to prevent.
+//! graph would make lint findings flap between CI runs — the failure
+//! mode the workspace's hash-collection ban (`clippy.toml`) exists to
+//! prevent.
 
 use pp_lint::graph::{ParsedFile, Workspace};
 

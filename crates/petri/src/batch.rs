@@ -304,7 +304,11 @@ impl<P: Clone + Ord> BatchJob<P> {
     pub fn demand(&self) -> usize {
         match self.query {
             BatchQuery::Coverability { .. } => 0,
-            _ => self.limits.max_configurations.min(MAX_GRAPH_CONFIGURATIONS),
+            BatchQuery::Reachability { .. }
+            | BatchQuery::KarpMiller { .. }
+            | BatchQuery::CoveringWord { .. } => {
+                self.limits.max_configurations.min(MAX_GRAPH_CONFIGURATIONS)
+            }
         }
     }
 }
@@ -328,7 +332,9 @@ impl<P: Ord> BatchOutcome<P> {
     pub fn as_reachability(&self) -> Option<&Arc<ReachabilityGraph<P>>> {
         match self {
             BatchOutcome::Reachability(graph) => Some(graph),
-            _ => None,
+            BatchOutcome::Coverability(_)
+            | BatchOutcome::KarpMiller(_)
+            | BatchOutcome::CoveringWord(_) => None,
         }
     }
 
@@ -337,7 +343,9 @@ impl<P: Ord> BatchOutcome<P> {
     pub fn as_coverability(&self) -> Option<&Arc<CoverabilityOracle<P>>> {
         match self {
             BatchOutcome::Coverability(oracle) => Some(oracle),
-            _ => None,
+            BatchOutcome::Reachability(_)
+            | BatchOutcome::KarpMiller(_)
+            | BatchOutcome::CoveringWord(_) => None,
         }
     }
 
@@ -346,7 +354,9 @@ impl<P: Ord> BatchOutcome<P> {
     pub fn as_karp_miller(&self) -> Option<&Arc<KarpMillerTree<P>>> {
         match self {
             BatchOutcome::KarpMiller(tree) => Some(tree),
-            _ => None,
+            BatchOutcome::Reachability(_)
+            | BatchOutcome::Coverability(_)
+            | BatchOutcome::CoveringWord(_) => None,
         }
     }
 
@@ -355,7 +365,9 @@ impl<P: Ord> BatchOutcome<P> {
     pub fn as_covering_word(&self) -> Option<&CoveringWordOutcome> {
         match self {
             BatchOutcome::CoveringWord(outcome) => Some(outcome),
-            _ => None,
+            BatchOutcome::Reachability(_)
+            | BatchOutcome::Coverability(_)
+            | BatchOutcome::KarpMiller(_) => None,
         }
     }
 }
@@ -844,7 +856,9 @@ impl<P: Clone + Ord> JobState<P> {
                     BatchQuery::CoveringWord { .. } => 0,
                     // Exact and unbudgeted: nothing was granted.
                     BatchQuery::Coverability { .. } => 0,
-                    _ => self.granted.saturating_sub(self.used),
+                    BatchQuery::Reachability { .. } | BatchQuery::KarpMiller { .. } => {
+                        self.granted.saturating_sub(self.used)
+                    }
                 }
             }
         };
@@ -974,7 +988,9 @@ fn run_one<P: Clone + Ord>(job: &BatchJob<P>, state: &mut JobState<P>) {
                 .run();
             state.completion = match outcome {
                 CoveringWordOutcome::Truncated => Completion::ConfigBudget,
-                _ => Completion::Complete,
+                CoveringWordOutcome::Covered(_) | CoveringWordOutcome::NotCoverable => {
+                    Completion::Complete
+                }
             };
             state.used = state.granted;
             state.outcome = Some(BatchOutcome::CoveringWord(outcome));

@@ -270,7 +270,7 @@ impl CoveringWordOutcome {
     pub fn into_word(self) -> Option<Vec<usize>> {
         match self {
             CoveringWordOutcome::Covered(word) => Some(word),
-            _ => None,
+            CoveringWordOutcome::NotCoverable | CoveringWordOutcome::Truncated => None,
         }
     }
 }

@@ -3,12 +3,13 @@
 //! Every behavioural knob the suite reads from the environment is
 //! declared here, and every read goes through [`read`] — this module is
 //! the *only* place in the workspace allowed to call [`std::env::var`]
-//! (enforced by `pp_lint`'s `gate-registry` rule). Routing the reads
-//! through one module buys three things:
+//! (the root `clippy.toml` lists the `std::env` readers under
+//! `disallowed-methods`, and [`read`] is the one `#[expect]`ed site).
+//! Routing the reads through one module buys three things:
 //!
-//! * **Discoverability** — [`GATES`] is the complete list of knobs; the
-//!   README's gate table is cross-checked against it by the lint, so the
-//!   docs cannot silently rot.
+//! * **Discoverability** — [`GATES`] is the complete list of knobs; a
+//!   unit test cross-checks the README's gate table against it in both
+//!   directions, so the docs cannot silently rot.
 //! * **Auditability** — a gate that influences query results would be a
 //!   determinism bug (every answer is bit-identical at every thread count
 //!   and packing mode); keeping the reads in one ~100-line module makes
@@ -54,8 +55,9 @@ pub struct Gate {
 /// Every environment gate the suite reads, in registration order.
 ///
 /// Adding a gate means adding a row here, a `pub const` name above, and
-/// a row in the README's "Environment gates" table — `pp_lint` fails CI
-/// if the three drift apart.
+/// a row in the README's "Environment gates" table — the
+/// `readme_gate_table_matches_the_registry` test fails if the three drift
+/// apart.
 pub const GATES: &[Gate] = &[
     Gate {
         name: PP_PETRI_THREADS,
@@ -91,6 +93,10 @@ pub const GATES: &[Gate] = &[
 /// reading an unregistered gate is a programming error, the registry
 /// exists precisely so no knob can bypass it.
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the audited registry is the one module that reads the environment"
+)]
 pub fn read(name: &str) -> Option<String> {
     debug_assert!(
         GATES.iter().any(|gate| gate.name == name),
@@ -112,6 +118,61 @@ mod tests {
                 GATES[..i].iter().all(|earlier| earlier.name != gate.name),
                 "duplicate gate {}",
                 gate.name
+            );
+        }
+    }
+
+    /// `PP_*` names in `text` written as `` `PP_NAME` ``, in order of
+    /// first mention.
+    fn backticked_gates(text: &str) -> Vec<&str> {
+        let mut names: Vec<&str> = Vec::new();
+        for (at, _) in text.match_indices("`PP_") {
+            let rest = &text[at + 1..];
+            let Some(end) = rest.find('`') else { break };
+            let name = &rest[..end];
+            let well_formed = name
+                .chars()
+                .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_');
+            if name.len() > 3 && well_formed && !names.contains(&name) {
+                names.push(name);
+            }
+        }
+        names
+    }
+
+    #[test]
+    fn readme_gate_table_matches_the_registry() {
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+        let readme = std::fs::read_to_string(root.join("../../README.md")).expect("README.md");
+        let source = std::fs::read_to_string(root.join("src/gates.rs")).expect("gates.rs");
+        let registered: Vec<&str> = GATES.iter().map(|gate| gate.name).collect();
+
+        // Registry → README: every `PP_*` name constant of this module is
+        // in `GATES` and has its own row in the README gate table.
+        let constants: Vec<&str> = source
+            .lines()
+            .filter(|line| line.starts_with("pub const PP_"))
+            .filter_map(|line| line.split('"').nth(1))
+            .collect();
+        assert_eq!(
+            constants.len(),
+            registered.len(),
+            "{constants:?} vs {registered:?}"
+        );
+        for name in constants {
+            assert!(registered.contains(&name), "`{name}` is not in GATES");
+            assert!(
+                readme.contains(&format!("| `{name}` |")),
+                "gate `{name}` is registered but has no row in the README \"Environment gates\" table"
+            );
+        }
+
+        // README → registry: every `PP_*` name the README mentions is a
+        // registered gate.
+        for name in backticked_gates(&readme) {
+            assert!(
+                registered.contains(&name),
+                "README names gate `{name}` but pp_petri::gates does not register it"
             );
         }
     }

@@ -51,6 +51,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A new enum variant (a completion reason, a query kind) must break the
+// build at every `match` that refunds, resumes or reports on it, not fall
+// through a `_` arm.
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod arena;
 pub mod batch;

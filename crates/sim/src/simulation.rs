@@ -8,7 +8,14 @@ use pp_population::stable::ProtocolStability;
 use pp_population::{Output, Protocol, StateId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
+
+/// Stability answers per configuration; `None` when undecided. Only
+/// point lookups touch it, so its storage order never reaches a result.
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only memo: never iterated outside a one-entry test"
+)]
+type StabilityCache = std::collections::HashMap<Multiset<StateId>, Option<bool>>;
 
 /// The result of one simulation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,8 +101,7 @@ pub struct Simulation<'p> {
     config: DenseConfig,
     rng: StdRng,
     steps: u64,
-    /// Stability answers per configuration; `None` when undecided.
-    stability_cache: HashMap<Multiset<StateId>, Option<bool>>,
+    stability_cache: StabilityCache,
 }
 
 impl<'p> Simulation<'p> {
@@ -112,7 +118,7 @@ impl<'p> Simulation<'p> {
             stability: ProtocolStability::new(protocol),
             rng: StdRng::seed_from_u64(seed),
             steps: 0,
-            stability_cache: HashMap::new(),
+            stability_cache: StabilityCache::new(),
             protocol,
         }
     }
