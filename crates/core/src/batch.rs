@@ -37,9 +37,7 @@
 //! ```
 //!
 //! The experiments drive the full catalog of `pp-protocols` through this
-//! layer (`pp_protocols::batch`, `tests/batch_fairness.rs`); the
-//! exhaustive verifier of `pp-population` batches its per-input graphs
-//! through the same net-level scheduler.
+//! layer (`pp_protocols::batch`, `tests/batch_fairness.rs`).
 
 use pp_multiset::Multiset;
 use pp_petri::batch::{Batch, BatchJob, CancelToken};

@@ -71,18 +71,16 @@
 //! hence results, coincide) share one compiled engine: the first job of a
 //! group compiles, the rest are *compile cache hits*. A consumer that
 //! already holds a session for a net seeds it with
-//! [`Batch::seed_session`], making even the first job a hit — this is how
-//! `pp_population`'s verifier batches its per-input graphs without ever
-//! recompiling the protocol. In unpooled batches, jobs that are outright
-//! identical (same net, query, and limits) are additionally collapsed to
-//! one execution whose result `Arc` they share (*result cache hits*);
-//! pooled batches keep every job separate so fair-share grants stay
-//! per-job.
+//! [`Batch::seed_session`], making even the first job a hit. In unpooled
+//! batches, jobs that are outright identical (same net, query, and limits)
+//! are additionally collapsed to one execution whose result `Arc` they
+//! share (*result cache hits*); pooled batches keep every job separate so
+//! fair-share grants stay per-job.
 //!
 //! # Concurrency
 //!
-//! [`Batch::parallelism`] fans jobs of one round out over cooperating OS
-//! threads ([`Parallelism::Parallel`]); each job runs on one thread.
+//! [`Batch::parallelism`] fans the jobs of one round out through
+//! [`Parallelism::map`]; each job runs on one thread, on its own state.
 //! Results are identical across all runner modes — the engines are
 //! deterministic and rounds are barriers — so the runner parallelism is
 //! purely a speed knob.
@@ -123,8 +121,8 @@ use crate::session::{Analysis, Completion};
 use crate::PetriNet;
 use pp_multiset::Multiset;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A shared cancellation flag for one batch job.
@@ -639,23 +637,21 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
         }
 
         // ---- Per-job scheduler state ------------------------------------
-        let states: Vec<Mutex<JobState<P>>> = jobs
+        let mut states: Vec<JobState<P>> = jobs
             .iter()
             .enumerate()
-            .map(|(index, job)| {
-                Mutex::new(JobState {
-                    session: groups[group_of[index]].base.clone(),
-                    granted: 0,
-                    demand: job.demand(),
-                    settled: false,
-                    rounds: 0,
-                    elapsed: Duration::ZERO,
-                    used: 0,
-                    refunded: 0,
-                    completion: Completion::Complete,
-                    outcome: None,
-                    cancelled: false,
-                })
+            .map(|(index, job)| JobState {
+                session: groups[group_of[index]].base.clone(),
+                granted: 0,
+                demand: job.demand(),
+                settled: false,
+                rounds: 0,
+                elapsed: Duration::ZERO,
+                used: 0,
+                refunded: 0,
+                completion: Completion::Complete,
+                outcome: None,
+                cancelled: false,
             })
             .collect();
         let representatives: Vec<usize> = (0..jobs.len()).filter(|&j| rep_of[j] == j).collect();
@@ -671,7 +667,7 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
             // by this very round); one that never ran will run once at a
             // zero grant so it still reports an outcome.
             for &j in &representatives {
-                let mut state = states[j].lock().expect("job state");
+                let state = &mut states[j];
                 let orphaned = jobs[j]
                     .cancel
                     .as_ref()
@@ -692,7 +688,7 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
             let to_run: Vec<usize> = if pool.is_none() {
                 // Unpooled: a single round at each job's own limits.
                 for &j in &representatives {
-                    let mut state = states[j].lock().expect("job state");
+                    let state = &mut states[j];
                     state.granted = state.demand;
                 }
                 representatives.clone()
@@ -703,9 +699,9 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
                 let wants: Vec<usize> = representatives
                     .iter()
                     .copied()
-                    .filter(|&j| states[j].lock().expect("job state").demand > 0)
+                    .filter(|&j| states[j].demand > 0)
                     .collect();
-                fair_share(&mut remaining, &wants, &states);
+                fair_share(&mut remaining, &wants, &mut states);
                 representatives.clone()
             } else {
                 // Later rounds: redistribute what is left to the jobs that
@@ -713,23 +709,17 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
                 let active: Vec<usize> = representatives
                     .iter()
                     .copied()
-                    .filter(|&j| {
-                        let state = states[j].lock().expect("job state");
-                        !state.settled && state.granted < state.demand
-                    })
+                    .filter(|&j| !states[j].settled && states[j].granted < states[j].demand)
                     .collect();
                 if active.is_empty() || remaining == 0 {
                     rounds -= 1;
                     break;
                 }
-                let before: Vec<usize> = active
-                    .iter()
-                    .map(|&j| states[j].lock().expect("job state").granted)
-                    .collect();
-                fair_share(&mut remaining, &active, &states);
+                let before: Vec<usize> = active.iter().map(|&j| states[j].granted).collect();
+                fair_share(&mut remaining, &active, &mut states);
                 let mut grew: Vec<usize> = Vec::new();
                 for (&j, before) in active.iter().zip(before) {
-                    if states[j].lock().expect("job state").granted > before {
+                    if states[j].granted > before {
                         grew.push(j);
                     }
                 }
@@ -740,10 +730,19 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
                 grew
             };
 
-            run_round(&jobs, &states, &to_run, parallelism);
+            // `to_run` is ascending, so one pass pairs each job with its
+            // own state, and the round's jobs run as one fan-out.
+            let round: Vec<_> = jobs
+                .iter()
+                .zip(&mut states)
+                .enumerate()
+                .filter(|(j, _)| to_run.binary_search(j).is_ok())
+                .map(|(_, pair)| pair)
+                .collect();
+            parallelism.map(round, |(job, state)| run_one(job, state));
 
             for &j in &to_run {
-                let mut state = states[j].lock().expect("job state");
+                let state = &mut states[j];
                 let refund = state.settle(&jobs[j].query);
                 remaining += refund;
                 refunded_total += refund;
@@ -761,15 +760,12 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
         // refunded. With the pool's leftovers this partitions the total.
         let granted_total: usize = representatives
             .iter()
-            .map(|&j| {
-                let state = states[j].lock().expect("job state");
-                state.granted - state.refunded
-            })
+            .map(|&j| states[j].granted - states[j].refunded)
             .sum();
         let mut reports: Vec<JobReport<P>> = Vec::with_capacity(jobs.len());
         for (index, job) in jobs.iter().enumerate() {
             let rep = rep_of[index];
-            let state = states[rep].lock().expect("job state");
+            let state = &states[rep];
             let aliased = rep != index;
             reports.push(JobReport {
                 name: job.name.clone(),
@@ -885,61 +881,19 @@ impl<P: Clone + Ord> JobState<P> {
 /// Splits `remaining` tokens evenly over the `wants` jobs (each capped at
 /// its own remaining demand), remainder tokens going to the
 /// lowest-indexed jobs — fully deterministic.
-fn fair_share<P: Clone + Ord>(
-    remaining: &mut usize,
-    wants: &[usize],
-    states: &[Mutex<JobState<P>>],
-) {
+fn fair_share<P: Clone + Ord>(remaining: &mut usize, wants: &[usize], states: &mut [JobState<P>]) {
     if wants.is_empty() || *remaining == 0 {
         return;
     }
     let share = *remaining / wants.len();
     let extra = *remaining % wants.len();
     for (rank, &j) in wants.iter().enumerate() {
-        let mut state = states[j].lock().expect("job state");
+        let state = &mut states[j];
         let offer = share + usize::from(rank < extra);
         let take = offer.min(state.demand - state.granted);
         state.granted += take;
         *remaining -= take;
     }
-}
-
-/// Runs the given jobs of one round, fanning out over `parallelism`
-/// worker threads (the calling thread included). Jobs are independent, so
-/// any interleaving produces the same results.
-fn run_round<P: Clone + Ord + Send + Sync>(
-    jobs: &[BatchJob<P>],
-    states: &[Mutex<JobState<P>>],
-    to_run: &[usize],
-    parallelism: Parallelism,
-) {
-    let workers = parallelism.workers().min(to_run.len()).max(1);
-    if workers == 1 {
-        for &j in to_run {
-            run_one(&jobs[j], &mut states[j].lock().expect("job state"));
-        }
-        return;
-    }
-    let cursor = AtomicUsize::new(0);
-    let work = || loop {
-        // relaxed: pure work-claiming counter — atomicity alone keeps the
-        // claims disjoint, and jobs are independent, so no claim order
-        // needs to be observed by anyone.
-        let k = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&j) = to_run.get(k) else { break };
-        run_one(&jobs[j], &mut states[j].lock().expect("job state"));
-    };
-    std::thread::scope(|scope| {
-        // The closure captures only shared references, so it is `Copy`:
-        // every worker gets its own copy of the same claiming loop.
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
-        work();
-        for handle in handles {
-            handle
-                .join()
-                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        }
-    });
 }
 
 /// Runs (or resumes) one job at its current grant on its own session.
@@ -1390,8 +1344,7 @@ mod tests {
     #[test]
     fn round_hook_observes_every_round() {
         let net = doubling_net();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
+        let (sink, rounds) = std::sync::mpsc::channel();
         let report = Batch::new()
             .job(
                 BatchJob::reachability("small", net.clone(), [ms(&[("a", 4)])])
@@ -1402,9 +1355,9 @@ mod tests {
                     .limits(ExplorationLimits::with_max_configurations(100)),
             )
             .pool(24)
-            .on_round(move |round| sink.lock().expect("sink").push(round))
+            .on_round(move |round| sink.send(round).expect("receiver is alive"))
             .run();
-        let seen = seen.lock().expect("sink").clone();
+        let seen: Vec<usize> = rounds.try_iter().collect();
         assert_eq!(seen.len(), report.rounds);
         assert!(seen.iter().copied().eq(1..=report.rounds));
     }

@@ -39,51 +39,14 @@ pub const PP_SERVE_ADDR: &str = "PP_SERVE_ADDR";
 /// unparsable values fall back to the default cap of 64.
 pub const PP_SERVE_THREADS: &str = "PP_SERVE_THREADS";
 
-/// One registered environment gate: its name plus the one-line contract
-/// the README gate table repeats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Gate {
-    /// The environment variable name (always `PP_*`).
-    pub name: &'static str,
-    /// Accepted values, in the shorthand the README table uses.
-    pub values: &'static str,
-    /// What the gate does. Gates are performance/representation levers
-    /// only: none may change the *result* of any query.
-    pub effect: &'static str,
-}
-
 /// Every environment gate the suite reads, in registration order.
 ///
-/// Adding a gate means adding a row here, a `pub const` name above, and
-/// a row in the README's "Environment gates" table — the
+/// Adding a gate means adding its name here, a `pub const` name above, and
+/// a row in the README's "Environment gates" table, which is the one place
+/// its values and effect are described — the
 /// `readme_gate_table_matches_the_registry` test fails if the three drift
 /// apart.
-pub const GATES: &[Gate] = &[
-    Gate {
-        name: PP_PETRI_THREADS,
-        values: "`0` | `n ≥ 1` | unset/garbage",
-        effect: "threads for independent work at `Parallelism::auto()` (batch \
-                 jobs, verifier inputs); each query runs on one thread: `0` \
-                 forces `Sequential`, `n` forces `Parallel(n)`, anything else \
-                 auto-detects. Results are bit-identical across all values.",
-    },
-    Gate {
-        name: PP_SERVE_ADDR,
-        values: "`host:port` | unset",
-        effect: "default address of the `pp_serve` CLI when `--addr` is absent: \
-                 `serve` binds it, `submit`/`ping` connect to it. Falls back to \
-                 `127.0.0.1:7929`. A deployment knob only: it cannot change the \
-                 result of any analysis.",
-    },
-    Gate {
-        name: PP_SERVE_THREADS,
-        values: "`n ≥ 1` | unset/garbage",
-        effect: "cap on concurrent `pp_serve` client connections (one reader + \
-                 one executor thread each); connections beyond the cap are \
-                 refused with a `server-busy` frame. Default 64. Responses are \
-                 bit-identical at every cap.",
-    },
-];
+pub const GATES: &[&str] = &[PP_PETRI_THREADS, PP_SERVE_ADDR, PP_SERVE_THREADS];
 
 /// Reads a registered gate from the environment.
 ///
@@ -99,7 +62,7 @@ pub const GATES: &[Gate] = &[
 )]
 pub fn read(name: &str) -> Option<String> {
     debug_assert!(
-        GATES.iter().any(|gate| gate.name == name),
+        GATES.contains(&name),
         "environment gate {name:?} is not registered in pp_petri::gates::GATES"
     );
     std::env::var(name).ok()
@@ -112,13 +75,8 @@ mod tests {
     #[test]
     fn registry_names_are_prefixed_and_unique() {
         for (i, gate) in GATES.iter().enumerate() {
-            assert!(gate.name.starts_with("PP_"), "{}", gate.name);
-            assert!(!gate.values.is_empty() && !gate.effect.is_empty());
-            assert!(
-                GATES[..i].iter().all(|earlier| earlier.name != gate.name),
-                "duplicate gate {}",
-                gate.name
-            );
+            assert!(gate.starts_with("PP_"), "{gate}");
+            assert!(!GATES[..i].contains(gate), "duplicate gate {gate}");
         }
     }
 
@@ -145,7 +103,6 @@ mod tests {
         let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
         let readme = std::fs::read_to_string(root.join("../../README.md")).expect("README.md");
         let source = std::fs::read_to_string(root.join("src/gates.rs")).expect("gates.rs");
-        let registered: Vec<&str> = GATES.iter().map(|gate| gate.name).collect();
 
         // Registry → README: every `PP_*` name constant of this module is
         // in `GATES` and has its own row in the README gate table.
@@ -154,13 +111,9 @@ mod tests {
             .filter(|line| line.starts_with("pub const PP_"))
             .filter_map(|line| line.split('"').nth(1))
             .collect();
-        assert_eq!(
-            constants.len(),
-            registered.len(),
-            "{constants:?} vs {registered:?}"
-        );
+        assert_eq!(constants.len(), GATES.len(), "{constants:?} vs {GATES:?}");
         for name in constants {
-            assert!(registered.contains(&name), "`{name}` is not in GATES");
+            assert!(GATES.contains(&name), "`{name}` is not in GATES");
             assert!(
                 readme.contains(&format!("| `{name}` |")),
                 "gate `{name}` is registered but has no row in the README \"Environment gates\" table"
@@ -171,7 +124,7 @@ mod tests {
         // registered gate.
         for name in backticked_gates(&readme) {
             assert!(
-                registered.contains(&name),
+                GATES.contains(&name),
                 "README names gate `{name}` but pp_petri::gates does not register it"
             );
         }

@@ -87,3 +87,22 @@ pub use packed::{CellWidth, RowLayout};
 pub use parallel::Parallelism;
 pub use session::{Analysis, Completion};
 pub use transition::Transition;
+
+#[cfg(test)]
+mod tests {
+    use super::Parallelism;
+
+    #[test]
+    fn parallel_map_preserves_order() {
+        let input: Vec<u64> = (0..200).collect();
+        let expected: Vec<u64> = input.iter().map(|x| x * 3).collect();
+        let output = Parallelism::Parallel(4).map(input, |x| x * 3);
+        assert_eq!(output, expected);
+    }
+
+    #[test]
+    fn empty_input_yields_empty_output() {
+        let output = Parallelism::Parallel(4).map(Vec::<u8>::new(), |x| x);
+        assert!(output.is_empty());
+    }
+}

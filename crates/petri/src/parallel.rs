@@ -4,13 +4,15 @@
 //! Karp–Miller, a resume — runs on one thread: the breadth-first fixpoints
 //! number their discoveries in scan order, and splitting one scan over
 //! workers cost more in coordination than it saved. Cores are spent where
-//! the work is independent instead: across the jobs of one round in
-//! [`Batch`](crate::batch::Batch)'s runner, and across inputs in
-//! `pp_population::verify`. [`Parallelism`] is the knob for those runners:
+//! the work is independent instead, and [`Parallelism::map`] is the one
+//! fan-out that spends them: across the jobs of one round in
+//! [`Batch`](crate::batch::Batch)'s runner, across inputs in
+//! `pp_population::verify`, and across trials in `pp_sim`'s convergence
+//! experiments. [`Parallelism`] says how many threads it may use:
 //!
-//! * [`Parallelism::Sequential`] — the calling thread runs every job.
+//! * [`Parallelism::Sequential`] — the calling thread runs every item.
 //! * [`Parallelism::Parallel`]`(n)` — up to `n` threads (the calling thread
-//!   included) claim independent jobs; `Parallel(1)` behaves like
+//!   included) claim independent items; `Parallel(1)` behaves like
 //!   `Sequential`.
 //!
 //! Results never depend on the choice. [`Parallelism::auto`] picks
@@ -19,6 +21,8 @@
 //! overrides the detected count: `0` forces `Sequential`, `n ≥ 1` forces
 //! `Parallel(n)`, and anything that does not parse as an integer (after
 //! trimming whitespace) falls back to hardware detection.
+
+use std::sync::Mutex;
 
 /// How many threads may work on independent jobs at once.
 ///
@@ -80,6 +84,52 @@ impl Parallelism {
             Parallelism::Parallel(n) => n.max(1),
         }
     }
+
+    /// Maps `f` over `items` on up to [`workers`](Self::workers) threads and
+    /// returns the results in input order.
+    ///
+    /// The calling thread is one of the workers, and each worker claims one
+    /// item at a time, so one slow item never holds up a fixed share of the
+    /// rest. No thread is spawned for a single worker or for at most one
+    /// item. A panic in `f` is re-raised on the caller once every worker
+    /// has stopped.
+    pub fn map<T: Send, R: Send>(self, items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+        let workers = self.workers().min(items.len());
+        if workers <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let queue = Mutex::new(items.into_iter().enumerate());
+        // Captures only shared references, so it is `Copy`: every worker
+        // runs its own copy of the same claiming loop.
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // The guard is a temporary of this statement, so the queue
+                // is unlocked before `f` runs and no panic can poison it.
+                let next = queue
+                    .lock()
+                    .expect("the queue is never held across `f`")
+                    .next();
+                let Some((index, item)) = next else {
+                    return done;
+                };
+                done.push((index, f(item)));
+            }
+        };
+        let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut done = work();
+            for handle in handles {
+                let theirs = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                done.extend(theirs);
+            }
+            done
+        });
+        done.sort_unstable_by_key(|&(index, _)| index);
+        done.into_iter().map(|(_, result)| result).collect()
+    }
 }
 
 #[cfg(test)]
@@ -120,6 +170,72 @@ mod tests {
             Parallelism::from_env_value("16"),
             Some(Parallelism::Parallel(16))
         );
+    }
+
+    const MODES: [Parallelism; 4] = [
+        Parallelism::Sequential,
+        Parallelism::Parallel(1),
+        Parallelism::Parallel(3),
+        Parallelism::Parallel(64),
+    ];
+
+    #[test]
+    fn map_keeps_input_order_in_every_mode() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::time::{Duration, Instant};
+        for parallelism in MODES {
+            for len in [0u64, 1, 200] {
+                // The first `workers` items wait until all of them have
+                // started, so each runs on its own worker and every worker
+                // hands back results of its own.
+                let workers = parallelism.workers().min(len as usize) as u64;
+                let started = AtomicU64::new(0);
+                let deadline = Instant::now() + Duration::from_secs(10);
+                let items: Vec<u64> = (0..len).collect();
+                let expected: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
+                let mapped = parallelism.map(items, |x| {
+                    if x < workers {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        while started.load(Ordering::SeqCst) < workers {
+                            assert!(
+                                Instant::now() < deadline,
+                                "{parallelism:?} did not run {workers} items at once"
+                            );
+                            std::thread::yield_now();
+                        }
+                    }
+                    x * 3 + 1
+                });
+                assert_eq!(mapped, expected, "{parallelism:?} on {len} items");
+            }
+        }
+    }
+
+    #[test]
+    fn map_calls_f_exactly_once_per_item() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for parallelism in MODES {
+            let calls: Vec<AtomicUsize> = (0..200).map(|_| AtomicUsize::new(0)).collect();
+            let indices: Vec<usize> = (0..calls.len()).collect();
+            // relaxed: each counter is read only after `map` has joined
+            // every worker, and the join orders those reads after the adds.
+            let _ = parallelism.map(indices, |i| calls[i].fetch_add(1, Ordering::Relaxed));
+            for (i, count) in calls.iter().enumerate() {
+                // relaxed: see above; every worker has been joined.
+                let count = count.load(Ordering::Relaxed);
+                assert_eq!(count, 1, "{parallelism:?}: item {i} mapped {count} times");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "item 17")]
+    fn map_reraises_a_panic_on_the_caller() {
+        let items: Vec<usize> = (0..200).collect();
+        let _ = Parallelism::Parallel(3).map(items, |i| {
+            assert!(i != 17, "item 17");
+            i
+        });
     }
 
     #[test]

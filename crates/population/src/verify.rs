@@ -19,10 +19,7 @@ use crate::predicate::Predicate;
 use crate::protocol::{Protocol, StateId};
 use crate::stable::ProtocolStability;
 use pp_multiset::Multiset;
-use pp_petri::batch::{Batch, BatchJob, BatchOutcome};
-use pp_petri::{Analysis, ExplorationLimits, Parallelism, ReachabilityGraph};
-use rayon::prelude::*;
-use std::sync::Arc;
+use pp_petri::{ExplorationLimits, Parallelism};
 
 /// Verdict categories for a single input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,7 +96,12 @@ impl VerificationReport {
     }
 }
 
-/// Verifies a single input exactly (within `limits`).
+/// Verifies a single input exactly (within `limits`): build the input's
+/// reachability graph, mark the expected-output-stable nodes with the exact
+/// oracles, and check that every node can reach one.
+///
+/// The graph and every per-node stability exploration run on one clone of
+/// the stability checker's session (an `Arc` bump, no recompile).
 #[must_use]
 pub fn verify_input(
     protocol: &Protocol,
@@ -109,50 +111,25 @@ pub fn verify_input(
     limits: &ExplorationLimits,
 ) -> InputReport {
     let expected = predicate.eval(input);
-    let Ok(initial) = protocol.initial_config(input) else {
-        return InputReport {
-            input: input.clone(),
-            expected,
-            verdict: Verdict::Unknown,
-            explored_configurations: 0,
-        };
+    let report = |verdict, explored_configurations| InputReport {
+        input: input.clone(),
+        expected,
+        verdict,
+        explored_configurations,
     };
-    // The stability checker already holds the compiled net: clone its
-    // session (an `Arc` bump, no recompile) for this input's exploration.
+    let Ok(initial) = protocol.initial_config(input) else {
+        return report(Verdict::Unknown, 0);
+    };
     let mut analysis = stability.analysis().clone();
     let graph = analysis.reachability([initial]).limits(*limits).run();
-    verdict_from_graph(
-        &analysis, protocol, stability, input, expected, &graph, limits,
-    )
-}
-
-/// The verdict for one input, given its (already-built) reachability
-/// graph: mark the expected-output-stable nodes with the exact oracles and
-/// check that every node can reach one. Per-node stability explorations
-/// run on a clone of `analysis` (one engine, shared by all of them).
-fn verdict_from_graph(
-    analysis: &Analysis<StateId>,
-    protocol: &Protocol,
-    stability: &ProtocolStability,
-    input: &Multiset<String>,
-    expected: bool,
-    graph: &ReachabilityGraph<StateId>,
-    limits: &ExplorationLimits,
-) -> InputReport {
     if !graph.is_complete() {
-        return InputReport {
-            input: input.clone(),
-            expected,
-            verdict: Verdict::Unknown,
-            explored_configurations: graph.len(),
-        };
+        return report(Verdict::Unknown, graph.len());
     }
-    let mut stability_session = analysis.clone();
     let mut stable = vec![false; graph.len()];
     let mut undecided = false;
     for id in graph.ids() {
         match stability.is_output_stable_in(
-            &mut stability_session,
+            &mut analysis,
             protocol,
             graph.node(id),
             expected,
@@ -164,51 +141,26 @@ fn verdict_from_graph(
         }
     }
     let good = graph.nodes_that_can_reach(|id| stable[id]);
-    let Some(witness_id) = good.iter().position(|&can_reach| !can_reach) else {
-        return InputReport {
-            input: input.clone(),
-            expected,
-            verdict: Verdict::Correct,
-            explored_configurations: graph.len(),
-        };
-    };
-    if undecided {
+    let verdict = match good.iter().position(|&can_reach| !can_reach) {
+        None => Verdict::Correct,
         // A node might actually be stable but we could not prove it.
-        return InputReport {
-            input: input.clone(),
-            expected,
-            verdict: Verdict::Unknown,
-            explored_configurations: graph.len(),
-        };
-    }
-    InputReport {
-        input: input.clone(),
-        expected,
-        verdict: Verdict::Incorrect {
+        Some(_) if undecided => Verdict::Unknown,
+        Some(witness_id) => Verdict::Incorrect {
             witness: graph.node(witness_id).clone(),
         },
-        explored_configurations: graph.len(),
-    }
+    };
+    report(verdict, graph.len())
 }
 
 /// Verifies a family of explicit inputs.
 ///
-/// One [`Analysis`] session backs the whole family: the protocol's net is
-/// compiled exactly once (inside the [`ProtocolStability`] checker) and
-/// every input's exploration — and every per-node stability exploration —
-/// runs on a cheap clone of that session instead of recompiling.
-///
-/// The verifier is a client of the batch service layer
-/// ([`pp_petri::batch`]): every input becomes one reachability job on the
-/// protocol's net, the batch runner dedups the compile behind the
-/// stability checker's seeded session (and outright shares the result of
-/// duplicated inputs), and the per-input verdicts are then computed from
-/// the returned graphs.
-///
-/// Inputs are independent, so the verifier fans the batch (and the verdict
-/// pass) out across inputs at [`Parallelism::auto`], each input exploring
-/// on one thread. The per-input verdicts and the order of the returned
-/// reports do not depend on the thread count.
+/// The protocol's net is compiled exactly once (inside the
+/// [`ProtocolStability`] checker), and each input is one
+/// [`verify_input`] call on a clone of that session. Inputs are
+/// independent, so they fan out through [`Parallelism::map`] at
+/// [`Parallelism::auto`], each input on one thread; each input's graph is
+/// dropped as soon as its verdict is known. The verdicts and the order of
+/// the returned reports do not depend on the thread count.
 #[must_use]
 pub fn verify_inputs<I>(
     protocol: &Protocol,
@@ -221,79 +173,9 @@ where
 {
     let stability = ProtocolStability::new(protocol);
     let inputs: Vec<Multiset<String>> = inputs.into_iter().collect();
-
-    // Phase 1 — one batch builds every input's reachability graph on the
-    // stability checker's compiled engine (inputs over unknown states get
-    // no job and stay Unknown).
-    let mut batch = Batch::new()
-        .seed_session(stability.analysis())
-        .parallelism(Parallelism::auto());
-    let mut job_of: Vec<Option<usize>> = Vec::with_capacity(inputs.len());
-    let mut job_count = 0usize;
-    for (index, input) in inputs.iter().enumerate() {
-        match protocol.initial_config(input) {
-            Ok(initial) => {
-                batch = batch.job(
-                    BatchJob::reachability(
-                        format!("input-{index}"),
-                        protocol.net().clone(),
-                        [initial],
-                    )
-                    .limits(*limits),
-                );
-                job_of.push(Some(job_count));
-                job_count += 1;
-            }
-            Err(_) => job_of.push(None),
-        }
-    }
-    let batch_report = batch.run();
-    // Pull each job's graph out of the consumed report so phase 2 owns the
-    // only `Arc` per input and releases it the moment its verdict is done:
-    // the whole-family peak exists only at this phase boundary, not for
-    // the duration of the verdict pass.
-    let mut outcomes: Vec<Option<Arc<ReachabilityGraph<StateId>>>> = batch_report
-        .jobs
-        .into_iter()
-        .map(|job| match job.outcome {
-            BatchOutcome::Reachability(graph) => Some(graph),
-            _ => None,
-        })
-        .collect();
-
-    // Phase 2 — verdicts from the graphs, fanned out across inputs like
-    // the batch above. Each task drops its input's graph as
-    // soon as the verdict is computed.
-    type VerdictTask = (Multiset<String>, Option<Arc<ReachabilityGraph<StateId>>>);
-    let tasks: Vec<VerdictTask> = inputs
-        .into_iter()
-        .zip(job_of)
-        .map(|(input, job)| {
-            let graph = job.and_then(|index| outcomes[index].take());
-            (input, graph)
-        })
-        .collect();
-    let verdict_of = |(input, graph): VerdictTask| {
-        let expected = predicate.eval(&input);
-        let Some(graph) = graph else {
-            return InputReport {
-                input,
-                expected,
-                verdict: Verdict::Unknown,
-                explored_configurations: 0,
-            };
-        };
-        verdict_from_graph(
-            stability.analysis(),
-            protocol,
-            &stability,
-            &input,
-            expected,
-            &graph,
-            limits,
-        )
-    };
-    let reports: Vec<InputReport> = tasks.into_par_iter().map(verdict_of).collect();
+    let reports = Parallelism::auto().map(inputs, |input| {
+        verify_input(protocol, &stability, predicate, &input, limits)
+    });
     VerificationReport {
         protocol_name: protocol.name().to_owned(),
         predicate: predicate.to_string(),

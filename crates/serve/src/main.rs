@@ -2,7 +2,6 @@
 //!
 //! ```text
 //! pp_serve serve    [--addr HOST:PORT] [--pool TOKENS] [--max-conns N]
-//!                   [--runner N]
 //! pp_serve submit   [--addr HOST:PORT] --protocol FAMILY [--n N]
 //!                   [--agents N] [--query QUERY] [--budget N]
 //!                   [--target PLACE=COUNT[,PLACE=COUNT…]]
@@ -14,10 +13,10 @@
 //! `QUERY` is one of `reachability` (default), `coverability`,
 //! `karp-miller`, `covering-word`. The default address honors the
 //! `PP_SERVE_ADDR` gate; `serve` also honors `PP_SERVE_THREADS` for its
-//! connection cap. Every server frame is printed as one JSON line, so
+//! connection cap. A flag the command does not take is an error, as is a
+//! `--max-conns` below 1. Every server frame is printed as one JSON line, so
 //! the output composes with line-oriented tooling exactly like the wire.
 
-use pp_petri::Parallelism;
 use pp_serve::json::Json;
 use pp_serve::server::{addr_from_gates, Server, ServerConfig};
 use pp_serve::Client;
@@ -51,7 +50,7 @@ fn main() -> ExitCode {
 }
 
 const USAGE: &str = "usage:
-  pp_serve serve    [--addr HOST:PORT] [--pool TOKENS] [--max-conns N] [--runner N]
+  pp_serve serve    [--addr HOST:PORT] [--pool TOKENS] [--max-conns N]
   pp_serve submit   [--addr HOST:PORT] --protocol FAMILY [--n N] [--agents N]
                     [--query reachability|coverability|karp-miller|covering-word]
                     [--budget N] [--target PLACE=COUNT[,PLACE=COUNT...]]
@@ -59,14 +58,18 @@ const USAGE: &str = "usage:
   pp_serve ping     [--addr HOST:PORT]
   pp_serve shutdown [--addr HOST:PORT]";
 
-/// A single pass over `--flag value` pairs; every flag takes a value.
-fn parse_flags(args: &[String]) -> Result<Vec<(&str, &str)>, String> {
+/// A single pass over `--flag value` pairs; every flag takes a value, and
+/// only the flags in `known` are accepted.
+fn parse_flags<'a>(args: &'a [String], known: &[&str]) -> Result<Vec<(&'a str, &'a str)>, String> {
     let mut flags = Vec::new();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
         let Some(name) = flag.strip_prefix("--") else {
             return Err(format!("expected a --flag, found {flag:?}"));
         };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag --{name}\n{USAGE}"));
+        }
         let Some(value) = iter.next() else {
             return Err(format!("--{name} needs a value"));
         };
@@ -94,7 +97,7 @@ fn addr_of(flags: &[(&str, &str)]) -> String {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr", "pool", "max-conns"])?;
     let mut config = ServerConfig::from_gates();
     if let Some(addr) = lookup(&flags, "addr") {
         config.addr = addr.to_string();
@@ -104,9 +107,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
     if let Some(cap) = lookup(&flags, "max-conns") {
         config.max_connections = parse_number(cap, "--max-conns")?;
-    }
-    if let Some(runner) = lookup(&flags, "runner") {
-        config.runner = parallelism_of(runner, "--runner")?;
+        if config.max_connections == 0 {
+            return Err("--max-conns must be at least 1".to_string());
+        }
     }
     let server = Server::bind(config).map_err(|err| format!("bind failed: {err}"))?;
     eprintln!("pp_serve: listening on {}", server.local_addr());
@@ -115,17 +118,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn parallelism_of(value: &str, what: &str) -> Result<Parallelism, String> {
-    let workers: usize = parse_number(value, what)?;
-    Ok(if workers <= 1 {
-        Parallelism::Sequential
-    } else {
-        Parallelism::Parallel(workers)
-    })
-}
-
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "addr", "protocol", "n", "agents", "query", "budget", "target",
+        ],
+    )?;
     let Some(family) = lookup(&flags, "protocol") else {
         return Err("submit needs --protocol FAMILY".to_string());
     };
@@ -176,7 +175,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_resume(args: &[String]) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr", "session", "budget"])?;
     let Some(session) = lookup(&flags, "session") else {
         return Err("resume needs --session TOKEN".to_string());
     };
@@ -201,7 +200,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_roundtrip(args: &[String], cmd: &str) -> Result<(), String> {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["addr"])?;
     let mut client = connect(&flags)?;
     let frame = Json::object([("cmd".to_string(), Json::str(cmd))]);
     let reply = client.roundtrip(&frame).map_err(|err| err.to_string())?;

@@ -20,8 +20,8 @@
 //! as a single-job [`Batch`] at an explicit budget; the response reports
 //! that budget back as `final_limits` plus a [fingerprint](pp_petri::fingerprint)
 //! of the result, and the batch layer guarantees the result is
-//! bit-identical to a solo run at those limits — under any runner, any
-//! packing mode, any number of concurrent clients. What concurrency *can*
+//! bit-identical to a solo run at those limits — under any packing mode
+//! and any number of concurrent clients. What concurrency *can*
 //! change is only how many tokens a capped pool grants a particular
 //! request (and therefore which budget gets reported); never the result
 //! at a reported budget.
@@ -105,8 +105,6 @@ pub struct ServerConfig {
     /// of configurations the server holds in memory, session cache
     /// included.
     pub pool: Option<usize>,
-    /// Runner parallelism of each job's batch (a speed knob).
-    pub runner: Parallelism,
     /// Budget used when a submit frame names none.
     pub default_budget: usize,
 }
@@ -117,7 +115,6 @@ impl Default for ServerConfig {
             addr: DEFAULT_ADDR.to_string(),
             max_connections: DEFAULT_MAX_CONNECTIONS,
             pool: None,
-            runner: Parallelism::Sequential,
             default_budget: ExplorationLimits::default().max_configurations,
         }
     }
@@ -955,7 +952,7 @@ where
             max_configurations: budget,
             ..stored.base_limits
         };
-        let mut batch = Batch::new().parallelism(core.config.runner).job(
+        let mut batch = Batch::new().job(
             BatchJob {
                 name: stored.name.clone(),
                 net: stored.net.clone(),

@@ -1,11 +1,11 @@
 //! End-to-end tests: a real server on an ephemeral port, real TCP
 //! clients, and the central contract checked over the wire — every
 //! response bit-identical (by fingerprint) to a solo [`Batch`] run at the
-//! reported `final_limits`, under sequential and parallel runners, with
-//! one and several concurrent clients, across truncate-then-resume.
+//! reported `final_limits`, with one and several concurrent clients,
+//! across truncate-then-resume.
 
 use pp_petri::fingerprint::{hex, outcome_fingerprint};
-use pp_petri::{Batch, BatchJob, ExplorationLimits, Parallelism};
+use pp_petri::{Batch, BatchJob, ExplorationLimits};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
@@ -88,7 +88,6 @@ fn direct_catalog_fingerprint(
     query: &str,
     target: &[(&str, u64)],
     limits: ExplorationLimits,
-    runner: Parallelism,
 ) -> String {
     let entry = catalog::all(n)
         .into_iter()
@@ -111,10 +110,7 @@ fn direct_catalog_fingerprint(
         "covering-word" => BatchJob::covering_word("d", net.clone(), initial, resolve(target)),
         other => panic!("query {other:?}"),
     };
-    let report = Batch::new()
-        .parallelism(runner)
-        .job(job.limits(limits))
-        .run();
+    let report = Batch::new().job(job.limits(limits)).run();
     let places: Vec<StateId> = net.places().iter().copied().collect();
     hex(outcome_fingerprint(&report.jobs[0].outcome, &places))
 }
@@ -231,46 +227,40 @@ fn unknown_protocols_places_and_bad_parameters_are_typed_errors() {
 
 #[test]
 fn every_query_shape_is_bit_identical_to_a_direct_batch_run() {
-    for runner in [Parallelism::Sequential, Parallelism::Parallel(2)] {
-        let handle = spawn(ServerConfig {
-            runner,
-            ..ServerConfig::default()
-        });
-        let mut client = connect(&handle);
-        type Case<'a> = (&'a str, &'a [(&'a str, Json)], &'a [(&'a str, u64)]);
-        let cases: [Case; 4] = [
-            ("reachability", &[], &[]),
-            ("karp-miller", &[], &[]),
-            (
-                "coverability",
-                &[("target", obj(&[("b", Json::uint(2))]))],
-                &[("b", 2)],
-            ),
-            (
-                "covering-word",
-                &[("target", obj(&[("b", Json::uint(2))]))],
-                &[("b", 2)],
-            ),
-        ];
-        for (query, extra, target) in cases {
-            let mut fields = vec![("query", Json::str(query))];
-            fields.extend(extra.iter().cloned());
-            let answer = client
-                .submit(&submit_catalog("majority", 2, 6, &fields))
-                .expect("submit");
-            assert_ok(&answer.result);
-            let limits = final_limits_of(&answer.result);
-            let direct =
-                direct_catalog_fingerprint("majority", 2, 6, query, target, limits, runner);
-            assert_eq!(
-                str_field(&answer.result, "fingerprint"),
-                direct,
-                "query {query} under {runner:?}: {}",
-                answer.result
-            );
-        }
-        handle.shutdown();
+    let handle = spawn(ServerConfig::default());
+    let mut client = connect(&handle);
+    type Case<'a> = (&'a str, &'a [(&'a str, Json)], &'a [(&'a str, u64)]);
+    let cases: [Case; 4] = [
+        ("reachability", &[], &[]),
+        ("karp-miller", &[], &[]),
+        (
+            "coverability",
+            &[("target", obj(&[("b", Json::uint(2))]))],
+            &[("b", 2)],
+        ),
+        (
+            "covering-word",
+            &[("target", obj(&[("b", Json::uint(2))]))],
+            &[("b", 2)],
+        ),
+    ];
+    for (query, extra, target) in cases {
+        let mut fields = vec![("query", Json::str(query))];
+        fields.extend(extra.iter().cloned());
+        let answer = client
+            .submit(&submit_catalog("majority", 2, 6, &fields))
+            .expect("submit");
+        assert_ok(&answer.result);
+        let limits = final_limits_of(&answer.result);
+        let direct = direct_catalog_fingerprint("majority", 2, 6, query, target, limits);
+        assert_eq!(
+            str_field(&answer.result, "fingerprint"),
+            direct,
+            "query {query}: {}",
+            answer.result
+        );
     }
+    handle.shutdown();
 }
 
 /// The per-client job list of the concurrency test: `(family, n, agents)`
@@ -287,133 +277,99 @@ const WORKLOAD: [(&str, u64, u64); 6] = [
 
 #[test]
 fn concurrent_clients_all_get_the_direct_run_answer() {
-    for runner in [Parallelism::Sequential, Parallelism::Parallel(2)] {
-        for clients in [1usize, 3] {
-            let handle = spawn(ServerConfig {
-                runner,
-                ..ServerConfig::default()
-            });
-            let addr = handle.addr();
-            // Concurrent clients share job identities: the session cache
-            // must never cross-contaminate them.
-            let threads: Vec<_> = (0..clients)
-                .map(|_| {
-                    std::thread::spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect");
-                        WORKLOAD.map(|(family, n, agents)| {
-                            let answer = client
-                                .submit(&submit_catalog(family, n, agents, &[]))
-                                .expect("submit");
-                            assert_ok(&answer.result);
-                            (
-                                final_limits_of(&answer.result),
-                                str_field(&answer.result, "fingerprint").to_string(),
-                            )
-                        })
+    for clients in [1usize, 3] {
+        let handle = spawn(ServerConfig::default());
+        let addr = handle.addr();
+        // Concurrent clients share job identities: the session cache
+        // must never cross-contaminate them.
+        let threads: Vec<_> = (0..clients)
+            .map(|_| {
+                std::thread::spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    WORKLOAD.map(|(family, n, agents)| {
+                        let answer = client
+                            .submit(&submit_catalog(family, n, agents, &[]))
+                            .expect("submit");
+                        assert_ok(&answer.result);
+                        (
+                            final_limits_of(&answer.result),
+                            str_field(&answer.result, "fingerprint").to_string(),
+                        )
                     })
                 })
-                .collect();
-            for thread in threads {
-                let answers = thread.join().expect("client thread");
-                for ((family, n, agents), (limits, fingerprint)) in
-                    WORKLOAD.into_iter().zip(answers)
-                {
-                    let direct = direct_catalog_fingerprint(
-                        family,
-                        n,
-                        agents,
-                        "reachability",
-                        &[],
-                        limits,
-                        runner,
-                    );
-                    assert_eq!(
-                        fingerprint, direct,
-                        "{family}(n={n})[{agents}] under {runner:?} with {clients} clients"
-                    );
-                }
+            })
+            .collect();
+        for thread in threads {
+            let answers = thread.join().expect("client thread");
+            for ((family, n, agents), (limits, fingerprint)) in WORKLOAD.into_iter().zip(answers) {
+                let direct =
+                    direct_catalog_fingerprint(family, n, agents, "reachability", &[], limits);
+                assert_eq!(
+                    fingerprint, direct,
+                    "{family}(n={n})[{agents}] with {clients} clients"
+                );
             }
-            handle.shutdown();
         }
+        handle.shutdown();
     }
 }
 
 #[test]
 fn truncation_reports_a_watermark_and_resume_is_bit_identical_to_cold() {
-    for runner in [Parallelism::Sequential, Parallelism::Parallel(2)] {
-        for resume_budget in [10_000u64, 100_000] {
-            let handle = spawn(ServerConfig {
-                runner,
-                ..ServerConfig::default()
-            });
-            let mut client = connect(&handle);
+    for resume_budget in [10_000u64, 100_000] {
+        let handle = spawn(ServerConfig::default());
+        let mut client = connect(&handle);
 
-            // A budget far below the reachable space: the job truncates,
-            // reports the watermark it ran at, and is resumable.
-            let answer = client
-                .submit(&submit_catalog(
-                    "flock-unary",
-                    4,
-                    8,
-                    &[("budget", Json::uint(5))],
-                ))
-                .expect("submit");
-            assert_ok(&answer.result);
-            assert_eq!(str_field(&answer.result, "completion"), "config-budget");
-            assert_eq!(field(&answer.result, "resumable"), &Json::Bool(true));
-            let truncated_limits = final_limits_of(&answer.result);
-            assert_eq!(truncated_limits.max_configurations, 5);
-            let direct = direct_catalog_fingerprint(
+        // A budget far below the reachable space: the job truncates,
+        // reports the watermark it ran at, and is resumable.
+        let answer = client
+            .submit(&submit_catalog(
                 "flock-unary",
                 4,
                 8,
-                "reachability",
-                &[],
-                truncated_limits,
-                runner,
-            );
-            assert_eq!(str_field(&answer.result, "fingerprint"), direct);
-            let session = str_field(&answer.result, "session").to_string();
+                &[("budget", Json::uint(5))],
+            ))
+            .expect("submit");
+        assert_ok(&answer.result);
+        assert_eq!(str_field(&answer.result, "completion"), "config-budget");
+        assert_eq!(field(&answer.result, "resumable"), &Json::Bool(true));
+        let truncated_limits = final_limits_of(&answer.result);
+        assert_eq!(truncated_limits.max_configurations, 5);
+        let direct =
+            direct_catalog_fingerprint("flock-unary", 4, 8, "reachability", &[], truncated_limits);
+        assert_eq!(str_field(&answer.result, "fingerprint"), direct);
+        let session = str_field(&answer.result, "session").to_string();
 
-            // Resume at a generous budget: the server extends the *cached*
-            // graph in place, and the extended result is bit-identical to a
-            // cold direct run at the final limits — the resume-equals-cold
-            // contract.
-            let resume = obj(&[
-                ("cmd", Json::str("resume")),
-                ("session", Json::str(&session)),
-                ("budget", Json::uint(resume_budget)),
-            ]);
-            let answer = client.submit(&resume).expect("resume");
-            assert_ok(&answer.result);
-            assert_eq!(str_field(&answer.result, "completion"), "complete");
-            assert_eq!(
-                field(&answer.result, "cache"),
-                &obj(&[("seeded", Json::Bool(true))]),
-                "resume must hit the cached session"
-            );
-            let limits = final_limits_of(&answer.result);
-            let direct = direct_catalog_fingerprint(
-                "flock-unary",
-                4,
-                8,
-                "reachability",
-                &[],
-                limits,
-                runner,
-            );
-            assert_eq!(str_field(&answer.result, "fingerprint"), direct);
+        // Resume at a generous budget: the server extends the *cached*
+        // graph in place, and the extended result is bit-identical to a
+        // cold direct run at the final limits — the resume-equals-cold
+        // contract.
+        let resume = obj(&[
+            ("cmd", Json::str("resume")),
+            ("session", Json::str(&session)),
+            ("budget", Json::uint(resume_budget)),
+        ]);
+        let answer = client.submit(&resume).expect("resume");
+        assert_ok(&answer.result);
+        assert_eq!(str_field(&answer.result, "completion"), "complete");
+        assert_eq!(
+            field(&answer.result, "cache"),
+            &obj(&[("seeded", Json::Bool(true))]),
+            "resume must hit the cached session"
+        );
+        let limits = final_limits_of(&answer.result);
+        let direct = direct_catalog_fingerprint("flock-unary", 4, 8, "reachability", &[], limits);
+        assert_eq!(str_field(&answer.result, "fingerprint"), direct);
 
-            // Resuming a token nobody issued is a typed error.
-            let bogus = obj(&[
-                ("cmd", Json::str("resume")),
-                ("session", Json::str("c:0000000000000000")),
-                ("budget", Json::uint(10)),
-            ]);
-            let answer = client.submit(&bogus).expect("resume");
-            assert_error(&answer.result, "unknown-session");
-            handle.shutdown();
-        }
+        // Resuming a token nobody issued is a typed error.
+        let bogus = obj(&[
+            ("cmd", Json::str("resume")),
+            ("session", Json::str("c:0000000000000000")),
+            ("budget", Json::uint(10)),
+        ]);
+        let answer = client.submit(&bogus).expect("resume");
+        assert_error(&answer.result, "unknown-session");
+        handle.shutdown();
     }
 }
 

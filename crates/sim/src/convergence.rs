@@ -4,14 +4,16 @@ use crate::scheduler::SchedulerKind;
 use crate::simulation::{RunOutcome, Simulation};
 use crate::stats::Summary;
 use pp_multiset::Multiset;
+use pp_petri::Parallelism;
 use pp_population::{Output, Protocol, StateId};
 
 /// A convergence-time experiment: repeated simulations of one protocol from
 /// one initial configuration, with statistics over the step counts.
 ///
-/// Trials run on multiple OS threads (scoped, no unsafe, no shared mutable
-/// state beyond the join handles); each trial uses an independent seed derived
-/// from the experiment seed.
+/// Trials fan out through [`Parallelism::map`], up to
+/// [`threads`](Self::threads) at a time; each trial uses an independent seed
+/// derived from the experiment seed and its index, so the statistics do not
+/// depend on the thread count.
 ///
 /// # Examples
 ///
@@ -152,38 +154,15 @@ impl<'p> ConvergenceExperiment<'p> {
     }
 
     fn run_trials(&self) -> Vec<RunOutcome> {
-        let per_thread = self.trials.div_ceil(self.threads.min(self.trials));
-        let chunks: Vec<Vec<u64>> = (0..self.trials as u64)
-            .collect::<Vec<_>>()
-            .chunks(per_thread)
-            .map(<[u64]>::to_vec)
-            .collect();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|trial_ids| {
-                    scope.spawn(move || {
-                        trial_ids
-                            .iter()
-                            .map(|&trial| {
-                                let mut sim = Simulation::new(
-                                    self.protocol,
-                                    &self.initial,
-                                    self.seed
-                                        .wrapping_add(trial)
-                                        .wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                                )
-                                .with_scheduler(self.scheduler);
-                                sim.run(self.max_steps)
-                            })
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("simulation thread panicked"))
-                .collect()
+        let trials: Vec<u64> = (0..self.trials as u64).collect();
+        Parallelism::Parallel(self.threads).map(trials, |trial| {
+            let seed = self
+                .seed
+                .wrapping_add(trial)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut sim =
+                Simulation::new(self.protocol, &self.initial, seed).with_scheduler(self.scheduler);
+            sim.run(self.max_steps)
         })
     }
 }
@@ -240,6 +219,37 @@ mod tests {
         assert_eq!(stats.inconclusive, 0);
         assert!(stats.steps.is_none());
         assert_eq!(stats.consensus, None);
+    }
+
+    #[test]
+    fn stats_do_not_depend_on_the_thread_count() {
+        let protocol = flock_of_birds_doubling(2);
+        let initial = protocol.initial_config_with_count(5);
+        let run = |threads| {
+            ConvergenceExperiment::new(&protocol, &initial)
+                .trials(7)
+                .max_steps(100_000)
+                .seed(13)
+                .threads(threads)
+                .run()
+        };
+        let (one, three) = (run(1), run(3));
+        assert_eq!(one.converged, 7);
+        assert_eq!(
+            (
+                one.converged,
+                one.exhausted,
+                one.inconclusive,
+                one.consensus
+            ),
+            (
+                three.converged,
+                three.exhausted,
+                three.inconclusive,
+                three.consensus
+            )
+        );
+        assert_eq!(one.steps, three.steps);
     }
 
     #[test]

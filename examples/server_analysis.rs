@@ -7,7 +7,7 @@
 //! Run with: `cargo run --example server_analysis`
 
 use pp_petri::fingerprint::{hex, outcome_fingerprint};
-use pp_petri::{Batch, BatchJob, ExplorationLimits, Parallelism};
+use pp_petri::{Batch, BatchJob, ExplorationLimits};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
@@ -21,12 +21,11 @@ fn frame(pairs: &[(&str, Json)]) -> Json {
 
 fn main() {
     // ---- 1. Boot the daemon ---------------------------------------------
-    // An ephemeral port, a 2-way-parallel runner and a shared token pool:
+    // An ephemeral port and a shared token pool:
     // at most 200k configurations held in memory across all tenants and
     // the session cache combined.
     let handle = Server::spawn(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        runner: Parallelism::Parallel(2),
         pool: Some(200_000),
         ..ServerConfig::default()
     })

@@ -30,9 +30,8 @@ fn counting_catalog_is_correct_for_small_thresholds() {
 
 #[test]
 fn single_input_verdicts_match_the_batched_verifier() {
-    // `verify_input` explores one input on a clone of the stability
-    // checker's session; `verify_inputs` runs every input as a job of one
-    // batch. Both must reach the same verdict from the same graph.
+    // `verify_inputs` fans `verify_input` out across inputs at
+    // `Parallelism::auto()`; each of its reports must match a direct call.
     let limits = ExplorationLimits::default();
     for entry in counting_entries(2) {
         let protocol = &entry.protocol;
