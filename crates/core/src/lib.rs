@@ -18,21 +18,16 @@
 //! * [`pipeline`] — the Section 8 analysis pipeline run on *concrete*
 //!   protocols: bottom witness (Theorem 6.1), control-state component, total
 //!   cycle (Lemma 7.2) and multicycle shrinking (Lemma 7.3), reported as an
-//!   inspectable structure;
-//! * [`batch`] — the multi-protocol batch service layer: fleets of analysis
-//!   jobs over many protocols, deduplicated behind shared compiled sessions
-//!   and scheduled under one fair-shared token budget.
+//!   inspectable structure.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ackermann;
-pub mod batch;
 pub mod bounds;
 pub mod pipeline;
 pub mod section8;
 
-pub use batch::ProtocolBatch;
 pub use bounds::{
     bej_upper_bound_states, corollary_4_4_min_states, leaderless_upper_bound_states,
     theorem_4_3_bound, theorem_4_3_bound_for_protocol, theorem_4_3_exponent,

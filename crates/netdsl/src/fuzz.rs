@@ -23,13 +23,14 @@
 //! shrunk definition as a self-contained `.pnet` repro (the coverability
 //! target rides along in the `target` stanza).
 //!
-//! `--inject-fault` flips
+//! `--inject-fault` flips the thread-local
 //! [`fault_injection::SKIP_FIRST_DIRTY_ON_RESUME`](pp_petri::explore)
-//! around the resume-axis runs. The hook makes the resume leave its first
-//! re-expandable dirty node unexpanded, so a graph resumed from a
-//! budget-truncated half-budget build loses edges the cold baseline has —
-//! an observable engine fault that CI uses to prove the harness actually
-//! catches and shrinks divergences (the run *fails* if nothing is caught).
+//! around the resume-axis runs, which run on the fuzzer's own thread. The
+//! hook makes the resume leave its first re-expandable dirty node
+//! unexpanded, so a graph resumed from a budget-truncated half-budget
+//! build loses edges the cold baseline has — an observable engine fault
+//! that CI uses to prove the harness actually catches and shrinks
+//! divergences (the run *fails* if nothing is caught).
 
 use crate::ast::NetDef;
 use crate::eval::{concretize, instantiate, EvalError, NetSpec};
@@ -40,7 +41,6 @@ use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{Analysis, Batch, BatchJob, BatchOutcome, ExplorationLimits, Parallelism, PetriNet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::atomic::Ordering;
 
 /// The queries every case is checked under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,17 +226,15 @@ struct EngineModeGuard;
 
 impl EngineModeGuard {
     fn set(mode: RunMode) -> EngineModeGuard {
-        fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.store(
-            mode.inject_fault && matches!(mode.axis, Some(Axis::Resume)),
-            Ordering::SeqCst,
-        );
+        fault_injection::SKIP_FIRST_DIRTY_ON_RESUME
+            .set(mode.inject_fault && matches!(mode.axis, Some(Axis::Resume)));
         EngineModeGuard
     }
 }
 
 impl Drop for EngineModeGuard {
     fn drop(&mut self) {
-        fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.store(false, Ordering::SeqCst);
+        fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.set(false);
     }
 }
 
@@ -596,15 +594,9 @@ pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
 mod tests {
     use super::*;
     use pp_petri::CellWidth;
-    use std::sync::Mutex;
-
-    /// The fault hook is process-global; tests that run the fuzzer must
-    /// not interleave.
-    static ENGINE_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn a_healthy_engine_survives_a_small_run() {
-        let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let outcome = run_fuzz(&FuzzOptions {
             cases: 12,
             seed: 0xFEED,
@@ -626,7 +618,6 @@ mod tests {
 
     #[test]
     fn the_resume_axis_reaches_the_in_place_resume() {
-        let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // The CLI's default budget and seed 1, as in CI's self-test.
         let outcome = run_fuzz(&FuzzOptions {
             cases: 8,
@@ -644,7 +635,6 @@ mod tests {
 
     #[test]
     fn injected_faults_are_caught_and_shrunk() {
-        let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         // The CLI's default budget, as in CI's self-test: the fault sits
         // in the in-place resume, so it shows only where the truncated
         // build keeps the full build's row layout.
@@ -683,7 +673,6 @@ mod tests {
     /// axis runs on the `u64` reference rows.
     #[test]
     fn only_the_packed_axis_runs_on_u64_rows() {
-        let _lock = ENGINE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let def = crate::parse::parse_str(
             "place a b\ninit 4*a\ntrans 2*a -> a + b\ntrans a + b -> 2*b\n",
         )

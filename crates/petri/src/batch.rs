@@ -50,7 +50,8 @@
 //! `tests/batch_fairness.rs` property-tests this for the sequential and
 //! the parallel runner alike.
 //!
-//! Token accounting per query shape:
+//! Token accounting per query shape (a settled job refunds its grant
+//! minus [`QueryRun::used`]):
 //!
 //! * **Reachability** — demands `limits.max_configurations`; truncated
 //!   graphs stay *running* and are resumed in place when the pool grants
@@ -69,9 +70,7 @@
 //! Jobs whose nets are equal (same transitions in the same insertion
 //! order — the condition under which compiled transition indices, and
 //! hence results, coincide) share one compiled engine: the first job of a
-//! group compiles, the rest are *compile cache hits*. A consumer that
-//! already holds a session for a net seeds it with
-//! [`Batch::seed_session`], making even the first job a hit. In unpooled
+//! group compiles, the rest are *compile cache hits*. In unpooled
 //! batches, jobs that are outright identical (same net, query, and limits)
 //! are additionally collapsed to one execution whose result `Arc` they
 //! share (*result cache hits*); pooled batches keep every job separate so
@@ -85,33 +84,14 @@
 //! deterministic and rounds are barriers — so the runner parallelism is
 //! purely a speed knob.
 //!
-//! # Cancellation and orphaned jobs
+//! # One executor
 //!
-//! Serving-shaped consumers have clients that vanish mid-job. A job built
-//! with [`BatchJob::cancel_token`] can be abandoned through its
-//! [`CancelToken`] at any time; the scheduler *observes* the token only at
-//! round barriers, so cancellation never perturbs a run in flight:
-//!
-//! * a job cancelled before its first run executes once at a **zero**
-//!   grant (so it still reports an outcome — bit-identical to a solo run
-//!   at budget 0) and takes nothing from the pool;
-//! * a job cancelled after a run keeps its last result and settles
-//!   immediately, refunding `granted − used` tokens to the pool exactly
-//!   like a completed job — the refund is redistributed to still-running
-//!   jobs in the same round.
-//!
-//! Either way the orphan's [`JobReport`] carries
-//! [`cancelled`](JobReport::cancelled)` = true` and its outcome remains
-//! bit-identical to a solo run at its reported
-//! [`final_limits`](JobReport::final_limits): cancellation changes *when a
-//! job stops asking for tokens*, never what any budget produces.
-//! Cancelled jobs are excluded from unpooled result aliasing so an
-//! abandoned job can never speak for a live one.
-//!
-//! [`Batch::on_round`] registers a barrier-synchronous observer (called on
-//! the scheduler thread after each round's settlements) — the hook serving
-//! layers use to watch grant progress, and what makes mid-batch
-//! cancellation deterministically testable.
+//! Every run of a job, in any round, is one call of
+//! [`BatchQuery::run_on`]: the query on a session at given limits,
+//! returning a [`QueryRun`] (outcome, [`Completion`], tokens used).
+//! Consumers that keep their own session — `pp_serve` runs each request
+//! on the session it cached for that request's identity — call it
+//! directly, so a query runs the same way inside and outside a batch.
 
 use crate::cover::{CoverabilityOracle, CoveringWordOutcome};
 use crate::explore::{ExplorationLimits, ReachabilityGraph, MAX_GRAPH_CONFIGURATIONS};
@@ -121,38 +101,8 @@ use crate::session::{Analysis, Completion};
 use crate::PetriNet;
 use pp_multiset::Multiset;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// A shared cancellation flag for one batch job.
-///
-/// Clone the token, hand one clone to [`BatchJob::cancel_token`] and keep
-/// the other; calling [`cancel`](Self::cancel) from any thread marks the
-/// job as orphaned. The scheduler observes the flag at round barriers
-/// only — see the [module documentation](self#cancellation-and-orphaned-jobs)
-/// for the exact settlement and refund contract.
-#[derive(Debug, Clone, Default)]
-pub struct CancelToken(Arc<AtomicBool>);
-
-impl CancelToken {
-    /// A fresh, uncancelled token.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the job as cancelled. Idempotent; safe from any thread.
-    pub fn cancel(&self) {
-        self.0.store(true, Ordering::Release);
-    }
-
-    /// Returns `true` once [`cancel`](Self::cancel) has been called.
-    #[must_use]
-    pub fn is_cancelled(&self) -> bool {
-        self.0.load(Ordering::Acquire)
-    }
-}
 
 /// The query shape of one batch job.
 ///
@@ -186,6 +136,96 @@ pub enum BatchQuery<P: Ord> {
     },
 }
 
+/// What one run of a [`BatchQuery`] produced (see [`BatchQuery::run_on`]).
+#[derive(Debug, Clone)]
+pub struct QueryRun<P: Ord> {
+    /// The result payload.
+    pub outcome: BatchOutcome<P>,
+    /// Why (and whether) the run stopped short.
+    pub completion: Completion,
+    /// The tokens the run used: the stored configurations (or
+    /// Karp–Miller nodes) of its result, the basis size of a coverability
+    /// oracle, or the whole budget of a covering-word search, whose arena
+    /// is not exposed.
+    pub used: usize,
+}
+
+impl<P: Clone + Ord> BatchQuery<P> {
+    /// The token demand of the query at a budget of `max_configurations`:
+    /// the budget itself (clamped to [`MAX_GRAPH_CONFIGURATIONS`]), and zero
+    /// for the unbudgeted backward-coverability shape.
+    #[must_use]
+    pub fn demand(&self, max_configurations: usize) -> usize {
+        match self {
+            BatchQuery::Coverability { .. } => 0,
+            BatchQuery::Reachability { .. }
+            | BatchQuery::KarpMiller { .. }
+            | BatchQuery::CoveringWord { .. } => max_configurations.min(MAX_GRAPH_CONFIGURATIONS),
+        }
+    }
+
+    /// Runs the query on `session` at `limits`, reusing or resuming what
+    /// the session has cached. This is the one executor of a query:
+    /// [`Batch::run`] calls it for every job in every round, and so does
+    /// any consumer that keeps its own session.
+    ///
+    /// A reachability re-run at raised limits extends the session's cached
+    /// graph in place when the caller holds no other handle on it (drop
+    /// the previous [`QueryRun`] first); otherwise the graph is copied
+    /// before it is extended.
+    pub fn run_on(&self, session: &mut Analysis<P>, limits: ExplorationLimits) -> QueryRun<P> {
+        match self {
+            BatchQuery::Reachability { initials } => {
+                let graph = session
+                    .reachability(initials.iter().cloned())
+                    .limits(limits)
+                    .run();
+                QueryRun {
+                    completion: graph.completion(),
+                    used: graph.len(),
+                    outcome: BatchOutcome::Reachability(graph),
+                }
+            }
+            BatchQuery::Coverability { target } => {
+                let oracle = session.coverability(target.clone()).run();
+                QueryRun {
+                    completion: Completion::Complete,
+                    used: oracle.basis().len(),
+                    outcome: BatchOutcome::Coverability(oracle),
+                }
+            }
+            BatchQuery::KarpMiller { initial } => {
+                let tree = session
+                    .karp_miller(initial.clone())
+                    .max_nodes(limits.max_configurations)
+                    .run();
+                QueryRun {
+                    completion: tree.completion(),
+                    used: tree.markings().len(),
+                    outcome: BatchOutcome::KarpMiller(tree),
+                }
+            }
+            BatchQuery::CoveringWord { from, target } => {
+                let outcome = session
+                    .covering_word(from.clone(), target.clone())
+                    .limits(limits)
+                    .run();
+                let completion = match outcome {
+                    CoveringWordOutcome::Truncated => Completion::ConfigBudget,
+                    CoveringWordOutcome::Covered(_) | CoveringWordOutcome::NotCoverable => {
+                        Completion::Complete
+                    }
+                };
+                QueryRun {
+                    completion,
+                    used: limits.max_configurations,
+                    outcome: BatchOutcome::CoveringWord(outcome),
+                }
+            }
+        }
+    }
+}
+
 /// One unit of batch work: a net, a query shape, and limits.
 ///
 /// Build one with the shape constructors ([`reachability`](Self::reachability),
@@ -210,10 +250,6 @@ pub struct BatchJob<P: Ord> {
     /// The job's own limits. Under a shared pool, `max_configurations` is
     /// the job's *demand*; the pool decides how much of it is granted.
     pub limits: ExplorationLimits,
-    /// Cancellation flag, observed at round barriers (see
-    /// [`BatchJob::cancel_token`]). `None` means the job cannot be
-    /// orphaned.
-    pub cancel: Option<CancelToken>,
 }
 
 impl<P: Clone + Ord> BatchJob<P> {
@@ -224,7 +260,6 @@ impl<P: Clone + Ord> BatchJob<P> {
             extra_places: Vec::new(),
             query,
             limits: ExplorationLimits::default(),
-            cancel: None,
         }
     }
 
@@ -276,15 +311,6 @@ impl<P: Clone + Ord> BatchJob<P> {
         self
     }
 
-    /// Attaches a cancellation token: cancelling it abandons the job at
-    /// the next round barrier, refunding its unused pool tokens (see the
-    /// [module documentation](self#cancellation-and-orphaned-jobs)).
-    #[must_use]
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Adds places to the job's compiled universe (see
     /// [`Analysis::with_places`]).
     #[must_use]
@@ -293,21 +319,6 @@ impl<P: Clone + Ord> BatchJob<P> {
         self.extra_places.sort();
         self.extra_places.dedup();
         self
-    }
-
-    /// The job's token demand under a shared pool: the configuration (or
-    /// Karp–Miller node) budget it asks for; zero for the unbudgeted
-    /// backward-coverability shape.
-    #[must_use]
-    pub fn demand(&self) -> usize {
-        match self.query {
-            BatchQuery::Coverability { .. } => 0,
-            BatchQuery::Reachability { .. }
-            | BatchQuery::KarpMiller { .. }
-            | BatchQuery::CoveringWord { .. } => {
-                self.limits.max_configurations.min(MAX_GRAPH_CONFIGURATIONS)
-            }
-        }
     }
 }
 
@@ -384,12 +395,12 @@ pub struct JobReport<P: Ord> {
     /// determinism contract, which `tests/batch_fairness.rs` checks on the
     /// catalog.
     pub final_limits: ExplorationLimits,
-    /// Stored configurations / tree nodes of the final result (the tokens
-    /// the job actually consumed; coverability and covering-word jobs
-    /// report their basis size and granted budget respectively).
+    /// The tokens the final run used ([`QueryRun::used`]): stored
+    /// configurations or tree nodes, a coverability job's basis size, or
+    /// a covering-word job's granted budget.
     pub explored: usize,
-    /// `true` if the job reused a compiled engine (another job's, or a
-    /// seeded session's) instead of compiling its net.
+    /// `true` if the job reused another job's compiled engine instead of
+    /// compiling its net.
     pub shared_compile: bool,
     /// `true` if the job shared another identical job's result `Arc`
     /// outright (unpooled batches only).
@@ -399,18 +410,6 @@ pub struct JobReport<P: Ord> {
     pub rounds: u32,
     /// Wall-clock time spent running this job, summed over its rounds.
     pub elapsed: Duration,
-    /// `true` if the job was abandoned through its [`CancelToken`]. The
-    /// outcome is still bit-identical to a solo run at
-    /// [`final_limits`](Self::final_limits) — cancellation only stops the
-    /// job from receiving further tokens.
-    pub cancelled: bool,
-    /// The job's post-run session: it shares the compiled engine with
-    /// every other job of the group and caches this job's (possibly
-    /// truncated, hence *resumable*) result. Long-lived consumers store it
-    /// and hand it to a later [`Batch::seed_session`] so a follow-up job on
-    /// the same net resumes the cached result instead of re-exploring —
-    /// this is the server-side session-cache hook.
-    pub session: Analysis<P>,
 }
 
 impl<P: Ord + fmt::Debug> fmt::Debug for JobReport<P> {
@@ -424,7 +423,6 @@ impl<P: Ord + fmt::Debug> fmt::Debug for JobReport<P> {
             .field("result_cache_hit", &self.result_cache_hit)
             .field("rounds", &self.rounds)
             .field("elapsed", &self.elapsed)
-            .field("cancelled", &self.cancelled)
             .finish_non_exhaustive()
     }
 }
@@ -452,7 +450,7 @@ pub struct PoolReport {
 pub struct BatchReport<P: Ord> {
     /// Per-job reports, in the order the jobs were added.
     pub jobs: Vec<JobReport<P>>,
-    /// Distinct compiled engines the batch used (after dedup and seeding).
+    /// Distinct compiled engines the batch used (after dedup).
     pub distinct_nets: usize,
     /// Jobs that reused a compiled engine instead of compiling their net.
     pub compile_cache_hits: usize,
@@ -489,8 +487,6 @@ pub struct Batch<P: Ord> {
     jobs: Vec<BatchJob<P>>,
     pool: Option<usize>,
     parallelism: Parallelism,
-    seeds: Vec<Analysis<P>>,
-    on_round: Option<Arc<dyn Fn(usize) + Send + Sync>>,
 }
 
 impl<P: Clone + Ord> Default for Batch<P> {
@@ -506,8 +502,6 @@ impl<P: Clone + Ord> Batch<P> {
             jobs: Vec::new(),
             pool: None,
             parallelism: Parallelism::Sequential,
-            seeds: Vec::new(),
-            on_round: None,
         }
     }
 
@@ -537,24 +531,6 @@ impl<P: Clone + Ord> Batch<P> {
         self.parallelism = parallelism;
         self
     }
-
-    /// Seeds the net-dedup table with an existing session: jobs on the
-    /// seed's net (and no extra places) clone it instead of compiling.
-    pub fn seed_session(mut self, session: &Analysis<P>) -> Self {
-        self.seeds.push(session.clone());
-        self
-    }
-
-    /// Registers a barrier-synchronous round observer: `hook(round)` runs
-    /// on the scheduler thread after round `round` (1-based) has settled
-    /// its jobs, before the next round's grants are computed. The hook
-    /// observes, it cannot perturb results — grants depend only on
-    /// deterministic quantities, so anything it does (including cancelling
-    /// a token) takes effect at a well-defined barrier.
-    pub fn on_round(mut self, hook: impl Fn(usize) + Send + Sync + 'static) -> Self {
-        self.on_round = Some(Arc::new(hook));
-        self
-    }
 }
 
 impl<P: Clone + Ord + Send + Sync> Batch<P> {
@@ -569,13 +545,10 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
             jobs,
             pool,
             parallelism,
-            seeds,
-            on_round,
         } = self;
 
         // ---- Dedup: group jobs by (net, extra places) -------------------
-        // Group bases come from a matching seed session when available;
-        // only the first job of an unseeded group pays the compile.
+        // Only the first job of a group pays the compile.
         struct Group<P: Ord> {
             net: PetriNet<P>,
             extra: Vec<P>,
@@ -593,40 +566,22 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
                 shared_compile.push(true);
                 continue;
             }
-            let seed = if job.extra_places.is_empty() {
-                seeds.iter().find(|seed| *seed.net() == job.net)
-            } else {
-                None
-            };
-            let (base, compiled_fresh) = match seed {
-                Some(seed) => (seed.clone(), false),
-                None => (
-                    Analysis::with_places(&job.net, job.extra_places.iter().cloned()),
-                    true,
-                ),
-            };
-            shared_compile.push(!compiled_fresh);
+            shared_compile.push(false);
             groups.push(Group {
                 net: job.net.clone(),
                 extra: job.extra_places.clone(),
-                base,
+                base: Analysis::with_places(&job.net, job.extra_places.iter().cloned()),
             });
             group_of.push(groups.len() - 1);
         }
 
         // ---- Result aliasing (unpooled only): identical jobs share one
         // execution. With a pool, grants are per-job, so jobs stay apart.
-        // Cancellable jobs also stay apart: an orphaned job settling at a
-        // reduced budget must never speak for a live one.
         let mut rep_of: Vec<usize> = (0..jobs.len()).collect();
         if pool.is_none() {
             for index in 0..jobs.len() {
-                if jobs[index].cancel.is_some() {
-                    continue;
-                }
                 if let Some(rep) = (0..index).find(|&rep| {
                     rep_of[rep] == rep
-                        && jobs[rep].cancel.is_none()
                         && group_of[rep] == group_of[index]
                         && jobs[rep].query == jobs[index].query
                         && jobs[rep].limits == jobs[index].limits
@@ -643,15 +598,12 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
             .map(|(index, job)| JobState {
                 session: groups[group_of[index]].base.clone(),
                 granted: 0,
-                demand: job.demand(),
+                demand: job.query.demand(job.limits.max_configurations),
                 settled: false,
                 rounds: 0,
                 elapsed: Duration::ZERO,
-                used: 0,
                 refunded: 0,
-                completion: Completion::Complete,
-                outcome: None,
-                cancelled: false,
+                run: None,
             })
             .collect();
         let representatives: Vec<usize> = (0..jobs.len()).filter(|&j| rep_of[j] == j).collect();
@@ -662,29 +614,6 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
         let mut rounds = 0usize;
         loop {
             rounds += 1;
-            // Barrier-observe cancellations: an orphaned job that already
-            // ran settles now and refunds its unused grant (redistributed
-            // by this very round); one that never ran will run once at a
-            // zero grant so it still reports an outcome.
-            for &j in &representatives {
-                let state = &mut states[j];
-                let orphaned = jobs[j]
-                    .cancel
-                    .as_ref()
-                    .is_some_and(CancelToken::is_cancelled);
-                if state.settled || !orphaned {
-                    continue;
-                }
-                state.cancelled = true;
-                if state.outcome.is_some() {
-                    state.settled = true;
-                    let refund = state.abandon(&jobs[j].query);
-                    remaining += refund;
-                    refunded_total += refund;
-                } else {
-                    state.demand = 0;
-                }
-            }
             let to_run: Vec<usize> = if pool.is_none() {
                 // Unpooled: a single round at each job's own limits.
                 for &j in &representatives {
@@ -739,16 +668,12 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
                 .filter(|(j, _)| to_run.binary_search(j).is_ok())
                 .map(|(_, pair)| pair)
                 .collect();
-            parallelism.map(round, |(job, state)| run_one(job, state));
+            parallelism.map(round, |(job, state)| state.execute(job));
 
             for &j in &to_run {
-                let state = &mut states[j];
-                let refund = state.settle(&jobs[j].query);
+                let refund = states[j].settle();
                 remaining += refund;
                 refunded_total += refund;
-            }
-            if let Some(hook) = &on_round {
-                hook(rounds);
             }
             if pool.is_none() {
                 break;
@@ -766,19 +691,20 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
         for (index, job) in jobs.iter().enumerate() {
             let rep = rep_of[index];
             let state = &states[rep];
+            let run = state
+                .run
+                .as_ref()
+                .expect("every representative job ran at least once");
             let aliased = rep != index;
             reports.push(JobReport {
                 name: job.name.clone(),
-                outcome: state
-                    .outcome
-                    .clone()
-                    .expect("every representative job ran at least once"),
-                completion: state.completion,
+                outcome: run.outcome.clone(),
+                completion: run.completion,
                 final_limits: ExplorationLimits {
                     max_configurations: state.granted,
                     ..job.limits
                 },
-                explored: state.used,
+                explored: run.used,
                 shared_compile: shared_compile[index] || aliased,
                 result_cache_hit: aliased,
                 rounds: if aliased { 0 } else { state.rounds },
@@ -787,8 +713,6 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
                 } else {
                     state.elapsed
                 },
-                cancelled: state.cancelled,
-                session: state.session.clone(),
             });
         }
         let compile_cache_hits = shared_compile.iter().filter(|&&shared| shared).count();
@@ -818,18 +742,31 @@ struct JobState<P: Ord> {
     settled: bool,
     rounds: u32,
     elapsed: Duration,
-    used: usize,
     refunded: usize,
-    completion: Completion,
-    outcome: Option<BatchOutcome<P>>,
-    cancelled: bool,
+    run: Option<QueryRun<P>>,
 }
 
 impl<P: Clone + Ord> JobState<P> {
+    /// Runs (or resumes) `job` at the current grant on the job's session.
+    fn execute(&mut self, job: &BatchJob<P>) {
+        let timer = Instant::now();
+        // Drop the previous result first, so a raised grant extends the
+        // session's cached graph in place instead of copying it.
+        self.run = None;
+        let limits = ExplorationLimits {
+            max_configurations: self.granted,
+            ..job.limits
+        };
+        self.run = Some(job.query.run_on(&mut self.session, limits));
+        self.rounds += 1;
+        self.elapsed += timer.elapsed();
+    }
+
     /// Decides, after a run, whether the job is settled and how many
     /// unused tokens it refunds to the pool.
-    fn settle(&mut self, query: &BatchQuery<P>) -> usize {
-        let refund = match self.completion {
+    fn settle(&mut self) -> usize {
+        let run = self.run.as_ref().expect("a job settles after it ran");
+        let refund = match run.completion {
             Completion::ConfigBudget | Completion::IdSpace => {
                 // Still running (more budget could extend the result) —
                 // unless the job already got everything it asked for.
@@ -846,31 +783,7 @@ impl<P: Clone + Ord> JobState<P> {
             | Completion::DepthCap
             | Completion::OmegaOverflow => {
                 self.settled = true;
-                match query {
-                    // The forward search arena is not exposed, so the
-                    // spend cannot be measured: charge the grant in full.
-                    BatchQuery::CoveringWord { .. } => 0,
-                    // Exact and unbudgeted: nothing was granted.
-                    BatchQuery::Coverability { .. } => 0,
-                    BatchQuery::Reachability { .. } | BatchQuery::KarpMiller { .. } => {
-                        self.granted.saturating_sub(self.used)
-                    }
-                }
-            }
-        };
-        self.refunded += refund;
-        refund
-    }
-
-    /// Settles an orphaned job that has already run: its last result
-    /// stands (bit-identical to a solo run at its last grant) and the
-    /// unused part of the grant goes back to the pool, under the same
-    /// per-shape accounting as a completed job.
-    fn abandon(&mut self, query: &BatchQuery<P>) -> usize {
-        let refund = match query {
-            BatchQuery::CoveringWord { .. } | BatchQuery::Coverability { .. } => 0,
-            BatchQuery::Reachability { .. } | BatchQuery::KarpMiller { .. } => {
-                self.granted.saturating_sub(self.used)
+                self.granted.saturating_sub(run.used)
             }
         };
         self.refunded += refund;
@@ -894,64 +807,6 @@ fn fair_share<P: Clone + Ord>(remaining: &mut usize, wants: &[usize], states: &m
         state.granted += take;
         *remaining -= take;
     }
-}
-
-/// Runs (or resumes) one job at its current grant on its own session.
-fn run_one<P: Clone + Ord>(job: &BatchJob<P>, state: &mut JobState<P>) {
-    let timer = Instant::now();
-    let limits = ExplorationLimits {
-        max_configurations: state.granted,
-        ..job.limits
-    };
-    match &job.query {
-        BatchQuery::Reachability { initials } => {
-            // Drop our result Arc first so a raised-budget re-query can
-            // resume the session's cached graph in place instead of
-            // cloning it.
-            state.outcome = None;
-            let graph = state
-                .session
-                .reachability(initials.iter().cloned())
-                .limits(limits)
-                .run();
-            state.completion = graph.completion();
-            state.used = graph.len();
-            state.outcome = Some(BatchOutcome::Reachability(graph));
-        }
-        BatchQuery::Coverability { target } => {
-            let oracle = state.session.coverability(target.clone()).run();
-            state.completion = Completion::Complete;
-            state.used = oracle.basis().len();
-            state.outcome = Some(BatchOutcome::Coverability(oracle));
-        }
-        BatchQuery::KarpMiller { initial } => {
-            let tree = state
-                .session
-                .karp_miller(initial.clone())
-                .max_nodes(state.granted)
-                .run();
-            state.completion = tree.completion();
-            state.used = tree.markings().len();
-            state.outcome = Some(BatchOutcome::KarpMiller(tree));
-        }
-        BatchQuery::CoveringWord { from, target } => {
-            let outcome = state
-                .session
-                .covering_word(from.clone(), target.clone())
-                .limits(limits)
-                .run();
-            state.completion = match outcome {
-                CoveringWordOutcome::Truncated => Completion::ConfigBudget,
-                CoveringWordOutcome::Covered(_) | CoveringWordOutcome::NotCoverable => {
-                    Completion::Complete
-                }
-            };
-            state.used = state.granted;
-            state.outcome = Some(BatchOutcome::CoveringWord(outcome));
-        }
-    }
-    state.rounds += 1;
-    state.elapsed += timer.elapsed();
 }
 
 #[cfg(test)]
@@ -1035,20 +890,6 @@ mod tests {
             .run();
         assert_eq!(report.distinct_nets, 2);
         assert_eq!(report.compile_cache_hits, 0);
-    }
-
-    #[test]
-    fn seeded_sessions_skip_the_compile() {
-        let net = doubling_net();
-        let session = Analysis::new(&net);
-        let report = Batch::new()
-            .seed_session(&session)
-            .job(BatchJob::reachability("seeded", net, [ms(&[("a", 4)])]))
-            .run();
-        assert_eq!(report.compile_cache_hits, 1);
-        assert!(report.jobs[0].shared_compile);
-        // The seeded engine is the very one the session holds.
-        assert_eq!(report.distinct_nets, 1);
     }
 
     #[test]
@@ -1186,183 +1027,6 @@ mod tests {
     }
 
     #[test]
-    fn cancelled_before_run_takes_nothing_and_redistributes() {
-        let net = doubling_net();
-        let token = CancelToken::new();
-        token.cancel();
-        let report = Batch::new()
-            .job(
-                BatchJob::reachability("orphan", net.clone(), [ms(&[("a", 8)])])
-                    .limits(ExplorationLimits::with_max_configurations(9))
-                    .cancel_token(token),
-            )
-            .job(
-                BatchJob::reachability("live", net.clone(), [ms(&[("a", 8)])])
-                    .limits(ExplorationLimits::with_max_configurations(9)),
-            )
-            .pool(9)
-            .run();
-        let orphan = report.job("orphan").unwrap();
-        assert!(orphan.cancelled);
-        assert_eq!(orphan.explored, 0);
-        assert_eq!(orphan.final_limits.max_configurations, 0);
-        assert_eq!(orphan.completion, Completion::ConfigBudget);
-        // The whole pool went to the live job, which completes.
-        let live = report.job("live").unwrap();
-        assert!(!live.cancelled);
-        assert!(live.completion.is_complete());
-        assert_eq!(live.final_limits.max_configurations, 9);
-        // Both outcomes are still bit-identical to solo runs at their
-        // reported final limits — the orphan's at budget zero.
-        for job in [orphan, live] {
-            let solo = Analysis::new(&net)
-                .reachability([ms(&[("a", 8)])])
-                .limits(job.final_limits)
-                .run();
-            assert!(
-                job.outcome.as_reachability().unwrap().identical_to(&solo),
-                "{} != solo",
-                job.name
-            );
-        }
-    }
-
-    #[test]
-    fn mid_batch_cancellation_stops_token_draw_deterministically() {
-        let net = doubling_net();
-        let start = ms(&[("a", 30)]); // 31 configurations when complete
-        let job = |name: &str, token: Option<CancelToken>| {
-            let job = BatchJob::reachability(name, net.clone(), [start.clone()])
-                .limits(ExplorationLimits::with_max_configurations(31));
-            match token {
-                Some(token) => job.cancel_token(token),
-                None => job,
-            }
-        };
-        let token = CancelToken::new();
-        let donor = BatchJob::reachability("donor", net.clone(), [ms(&[("a", 4)])])
-            .limits(ExplorationLimits::with_max_configurations(20));
-        let cancel_at_round_1 = {
-            let token = token.clone();
-            move |round: usize| {
-                if round == 1 {
-                    token.cancel();
-                }
-            }
-        };
-        // Round 1: fair share 30/3 = 10 each; the donor completes with 5
-        // stored configurations and refunds 5, while orphan and live are
-        // both budget-truncated at 10. The orphan is cancelled at the
-        // round-1 barrier, so round 2 hands the donor's refund to "live"
-        // alone (without the cancellation it would be split 3/2 between
-        // orphan and live).
-        let report = Batch::new()
-            .job(donor)
-            .job(job("orphan", Some(token)))
-            .job(job("live", None))
-            .pool(30)
-            .on_round(cancel_at_round_1)
-            .run();
-        let orphan = report.job("orphan").unwrap();
-        let live = report.job("live").unwrap();
-        let donor = report.job("donor").unwrap();
-        assert!(donor.completion.is_complete());
-        assert_eq!(donor.explored, 5);
-        assert!(orphan.cancelled);
-        // The orphan keeps its round-1 result and draws nothing more.
-        assert_eq!(orphan.final_limits.max_configurations, 10);
-        assert_eq!(orphan.completion, Completion::ConfigBudget);
-        assert_eq!(orphan.rounds, 1);
-        // The live job alone absorbs the donor's refund: 10 + 5 = 15.
-        assert_eq!(live.final_limits.max_configurations, 15);
-        assert!(live.rounds >= 2);
-        // Pool accounting still partitions the total.
-        let pool = report.pool.unwrap();
-        assert_eq!(pool.total, 30);
-        assert_eq!(pool.total, pool.granted + pool.unspent);
-        // Bit-identity at every reported final budget, orphan included.
-        for job in [orphan, live] {
-            let solo = Analysis::new(&net)
-                .reachability([start.clone()])
-                .limits(job.final_limits)
-                .run();
-            assert!(
-                job.outcome.as_reachability().unwrap().identical_to(&solo),
-                "{} != solo at {:?}",
-                job.name,
-                job.final_limits
-            );
-        }
-    }
-
-    #[test]
-    fn cancellable_jobs_never_alias_identical_live_jobs() {
-        let net = doubling_net();
-        let token = CancelToken::new();
-        token.cancel();
-        let job = || BatchJob::reachability("same", net.clone(), [ms(&[("a", 5)])]);
-        let report = Batch::new().job(job().cancel_token(token)).job(job()).run();
-        assert_eq!(report.result_cache_hits, 0);
-        assert!(report.jobs[0].cancelled);
-        assert_eq!(report.jobs[0].explored, 0);
-        assert!(!report.jobs[1].cancelled);
-        assert!(report.jobs[1].completion.is_complete());
-        assert_eq!(report.jobs[1].explored, 6);
-    }
-
-    #[test]
-    fn job_reports_export_resumable_sessions() {
-        let net = doubling_net();
-        let start = ms(&[("a", 8)]);
-        let truncated = Batch::new()
-            .job(
-                BatchJob::reachability("first", net.clone(), [start.clone()])
-                    .limits(ExplorationLimits::with_max_configurations(4)),
-            )
-            .run();
-        let session = truncated.jobs[0].session.clone();
-        assert_eq!(truncated.jobs[0].explored, 4);
-        // Seeding a later batch with the exported session resumes the
-        // cached truncated graph instead of recompiling or re-exploring.
-        let resumed = Batch::new()
-            .seed_session(&session)
-            .job(
-                BatchJob::reachability("second", net.clone(), [start.clone()])
-                    .limits(ExplorationLimits::with_max_configurations(9)),
-            )
-            .run();
-        assert_eq!(resumed.compile_cache_hits, 1);
-        assert!(resumed.jobs[0].completion.is_complete());
-        let solo = Analysis::new(&net)
-            .reachability([start])
-            .limits(resumed.jobs[0].final_limits)
-            .run();
-        let graph = resumed.jobs[0].outcome.as_reachability().unwrap();
-        assert!(graph.identical_to(&solo));
-    }
-
-    #[test]
-    fn round_hook_observes_every_round() {
-        let net = doubling_net();
-        let (sink, rounds) = std::sync::mpsc::channel();
-        let report = Batch::new()
-            .job(
-                BatchJob::reachability("small", net.clone(), [ms(&[("a", 4)])])
-                    .limits(ExplorationLimits::with_max_configurations(20)),
-            )
-            .job(
-                BatchJob::reachability("big", net, [ms(&[("a", 30)])])
-                    .limits(ExplorationLimits::with_max_configurations(100)),
-            )
-            .pool(24)
-            .on_round(move |round| sink.send(round).expect("receiver is alive"))
-            .run();
-        let seen: Vec<usize> = rounds.try_iter().collect();
-        assert_eq!(seen.len(), report.rounds);
-        assert!(seen.iter().copied().eq(1..=report.rounds));
-    }
-
-    #[test]
     fn covering_word_jobs_retry_under_redistributed_budget() {
         let net = doubling_net();
         // Finding 8 b's from 8 a's needs 8 interned configurations (the
@@ -1389,5 +1053,33 @@ mod tests {
         ));
         assert_eq!(word.rounds, 2);
         assert_eq!(word.final_limits.max_configurations, 11, "7 + 4 refunded");
+    }
+
+    #[test]
+    fn a_raised_budget_rerun_extends_the_graph_it_returned() {
+        let net = doubling_net();
+        let start = ms(&[("a", 8)]); // 9 configurations when complete
+        let query = BatchQuery::Reachability {
+            initials: vec![start.clone()],
+        };
+        let mut session = Analysis::new(&net);
+        let truncated = query.run_on(&mut session, ExplorationLimits::with_max_configurations(4));
+        assert_eq!(truncated.completion, Completion::ConfigBudget);
+        assert_eq!(truncated.used, 4);
+        let before = Arc::as_ptr(truncated.outcome.as_reachability().unwrap());
+        // The caller drops its only other handle: the session's cached
+        // graph is extended in place, not copied.
+        drop(truncated);
+        let limits = ExplorationLimits::with_max_configurations(9);
+        let resumed = query.run_on(&mut session, limits);
+        assert!(resumed.completion.is_complete());
+        assert_eq!(resumed.used, 9);
+        let graph = resumed.outcome.as_reachability().unwrap();
+        assert_eq!(Arc::as_ptr(graph), before, "the same graph, extended");
+        let cold = Analysis::new(&net)
+            .reachability([start])
+            .limits(limits)
+            .run();
+        assert!(graph.identical_to(&cold));
     }
 }

@@ -779,20 +779,6 @@ mod tests {
     }
 
     #[test]
-    fn covering_word_in_prebuilt_graph() {
-        let net = example_4_2_net();
-        let start = ms(&[("i", 2), ("i_bar", 2)]);
-        let word = Analysis::new(&net)
-            .covering_word(start.clone(), ms(&[("q", 1)]))
-            .in_reachability_graph()
-            .run()
-            .into_word()
-            .expect("coverable");
-        let reached = net.fire_word(&start, &word).unwrap();
-        assert!(ms(&[("q", 1)]).le(&reached));
-    }
-
-    #[test]
     fn non_conservative_net_with_creation() {
         // A single agent can spawn unboundedly many b's: b^k coverable for all k.
         let net = PetriNet::from_transitions([Transition::new(

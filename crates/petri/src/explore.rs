@@ -15,7 +15,6 @@ use crate::session::Completion;
 use crate::PetriNet;
 use pp_multiset::Multiset;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
 /// The largest number of configurations any exploration can store: the
@@ -32,17 +31,20 @@ pub const MAX_GRAPH_CONFIGURATIONS: usize = u32::MAX as usize;
 /// Hidden from the documented API: `pp_netdsl fuzz --inject-fault` sets
 /// [`SKIP_FIRST_DIRTY_ON_RESUME`](fault_injection::SKIP_FIRST_DIRTY_ON_RESUME)
 /// around its resume-axis runs to prove that the differential harness
-/// catches, shrinks and reports an engine fault.
+/// catches, shrinks and reports an engine fault. The flag is per thread:
+/// it affects only resumes on the thread that set it.
 #[doc(hidden)]
 pub mod fault_injection {
-    use std::sync::atomic::AtomicBool;
+    use std::cell::Cell;
 
-    /// When `true`, phase 2 of [`ReachabilityGraph::resume`](super::ReachabilityGraph::resume)
-    /// leaves the first dirty node it would re-expand as it is: its
-    /// recorded edge list stays, and it leaves the dirty frontier. A
-    /// graph resumed from a budget-truncated build then differs from the
-    /// cold build at the raised budget.
-    pub static SKIP_FIRST_DIRTY_ON_RESUME: AtomicBool = AtomicBool::new(false);
+    thread_local! {
+        /// When `true`, phase 2 of [`ReachabilityGraph::resume`](super::ReachabilityGraph::resume)
+        /// leaves the first dirty node it would re-expand as it is: its
+        /// recorded edge list stays, and it leaves the dirty frontier. A
+        /// graph resumed from a budget-truncated build then differs from
+        /// the cold build at the raised budget.
+        pub static SKIP_FIRST_DIRTY_ON_RESUME: Cell<bool> = const { Cell::new(false) };
+    }
 }
 
 /// Limits for forward exploration.
@@ -710,8 +712,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         let old_dirty = std::mem::take(&mut self.dirty);
         let mut dirty: Vec<DirtyNode> = Vec::new();
         let mut scratch = ExpandScratch::default();
-        // relaxed: test-only fault flag, set before the resume starts.
-        let mut skip_fault = fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.load(Ordering::Relaxed);
+        let mut skip_fault = fault_injection::SKIP_FIRST_DIRTY_ON_RESUME.get();
         for node in old_dirty {
             let id = node.id;
             let depth = self.depths[id as usize];

@@ -79,7 +79,7 @@ mod net;
 mod transition;
 
 pub use arena::{ConfigArena, ConfigId};
-pub use batch::{Batch, BatchJob, BatchOutcome, BatchQuery, BatchReport, CancelToken, JobReport};
+pub use batch::{Batch, BatchJob, BatchOutcome, BatchQuery, BatchReport, JobReport, QueryRun};
 pub use engine::{CompiledNet, CompiledTransition, DenseConfig};
 pub use explore::{ExplorationLimits, ReachabilityGraph};
 pub use net::PetriNet;

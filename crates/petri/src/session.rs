@@ -263,6 +263,18 @@ impl<P: Clone + Ord> Analysis<P> {
         &self.net
     }
 
+    /// The configurations and Karp–Miller nodes stored by the session's
+    /// cached results (oracle bases are not counted): what keeping the
+    /// session alive holds in memory, in the token unit of a batch pool.
+    #[must_use]
+    pub fn cached_nodes(&self) -> usize {
+        self.reach.as_ref().map_or(0, |cache| cache.graph.len())
+            + self
+                .karp_miller
+                .as_ref()
+                .map_or(0, |cache| cache.tree.markings().len())
+    }
+
     /// Drops every cached result (the compiled engine is kept).
     pub fn clear_cache(&mut self) {
         self.reach = None;
@@ -357,10 +369,8 @@ impl<P: Clone + Ord> Analysis<P> {
     /// A shortest-covering-word query: the minimal transition word `σ` with
     /// `from --σ--> β ≥ target`.
     ///
-    /// Defaults: [`ExplorationLimits::default`], a dedicated forward
-    /// breadth-first search (see
-    /// [`CoveringWordQuery::in_reachability_graph`] for the variant that
-    /// searches the session's cached graph).
+    /// Defaults: [`ExplorationLimits::default`]. The search is a dedicated
+    /// budgeted forward breadth-first search; nothing is cached.
     ///
     /// # Examples
     ///
@@ -395,7 +405,6 @@ impl<P: Clone + Ord> Analysis<P> {
             from,
             target,
             limits: ExplorationLimits::default(),
-            in_graph: false,
         }
     }
 
@@ -595,34 +604,20 @@ impl<P: Clone + Ord> KarpMillerQuery<'_, P> {
     }
 }
 
-/// A configured covering-word query (see [`Analysis::covering_word`]).
-///
-/// The default is a budgeted forward BFS with an explicit
-/// [`CoveringWordOutcome`];
-/// [`in_reachability_graph`](Self::in_reachability_graph) searches the
-/// session's (cached, resumable) reachability graph instead.
+/// A configured covering-word query (see [`Analysis::covering_word`]): a
+/// budgeted forward BFS with an explicit [`CoveringWordOutcome`].
 #[must_use = "a query does nothing until run"]
 pub struct CoveringWordQuery<'a, P: Ord> {
     analysis: &'a mut Analysis<P>,
     from: Multiset<P>,
     target: Multiset<P>,
     limits: ExplorationLimits,
-    in_graph: bool,
 }
 
 impl<P: Clone + Ord> CoveringWordQuery<'_, P> {
     /// Sets the exploration limits of the search.
     pub fn limits(mut self, limits: ExplorationLimits) -> Self {
         self.limits = limits;
-        self
-    }
-
-    /// Searches the session's reachability graph from `from` (building or
-    /// resuming it under the query limits) instead of running a dedicated
-    /// forward BFS. Useful when the graph is wanted anyway: the covering
-    /// word comes at the cost of one BFS over cached edges.
-    pub fn in_reachability_graph(mut self) -> Self {
-        self.in_graph = true;
         self
     }
 
@@ -633,21 +628,9 @@ impl<P: Clone + Ord> CoveringWordQuery<'_, P> {
             from,
             target,
             limits,
-            in_graph,
         } = self;
         if target.le(&from) {
             return CoveringWordOutcome::Covered(Vec::new());
-        }
-        if in_graph {
-            let graph = analysis.reachability([from.clone()]).limits(limits).run();
-            let Some(&start) = graph.initial_ids().first() else {
-                return CoveringWordOutcome::Truncated;
-            };
-            return match graph.path_to(start, |id| target.le(graph.node(id))) {
-                Some((_, word)) => CoveringWordOutcome::Covered(word),
-                None if graph.completion().is_complete() => CoveringWordOutcome::NotCoverable,
-                None => CoveringWordOutcome::Truncated,
-            };
         }
         let engine = if analysis.fits([&from, &target]) {
             analysis.engine.clone()
@@ -830,33 +813,6 @@ mod tests {
         assert_eq!(
             analysis
                 .covering_word(ms(&[("a", 2)]), ms(&[("b", 3)]))
-                .run(),
-            CoveringWordOutcome::NotCoverable
-        );
-    }
-
-    #[test]
-    fn covering_word_in_reachability_graph_reuses_the_cache() {
-        let net = doubling_net();
-        let mut analysis = Analysis::new(&net);
-        let graph = analysis.reachability([ms(&[("a", 4)])]).run();
-        assert!(graph.completion().is_complete());
-        let outcome = analysis
-            .covering_word(ms(&[("a", 4)]), ms(&[("b", 4)]))
-            .in_reachability_graph()
-            .run();
-        let CoveringWordOutcome::Covered(word) = outcome else {
-            panic!("4b is coverable from 4a");
-        };
-        assert_eq!(word.len(), 4);
-        // The graph the query searched is the cached one.
-        let again = analysis.reachability([ms(&[("a", 4)])]).run();
-        assert!(Arc::ptr_eq(&graph, &again));
-        // Uncoverable target, complete graph: an exact negative.
-        assert_eq!(
-            analysis
-                .covering_word(ms(&[("a", 4)]), ms(&[("b", 5)]))
-                .in_reachability_graph()
                 .run(),
             CoveringWordOutcome::NotCoverable
         );

@@ -1,25 +1,27 @@
 //! The catalog as a batch workload.
 //!
-//! The batch service layer (`pp_petri::batch`, fronted for protocols by
-//! `pp_statecomplexity::batch`) wants realistic multi-net job fleets;
-//! the catalog *is* one. This module turns [`catalog::all`] into job
-//! lists and runs the whole catalog as a single batch — the entry point
-//! behind the `batch_analysis` example.
+//! The batch service layer (`pp_petri::batch`) wants realistic multi-net
+//! job fleets; the catalog *is* one. This module turns [`catalog::all`]
+//! into job lists, with every protocol's net taken from
+//! [`Protocol::net`] as is.
 //!
 //! ```
-//! use pp_petri::Parallelism;
+//! use pp_petri::{Batch, ExplorationLimits};
+//! use pp_protocols::batch::catalog_jobs;
 //!
 //! // The full catalog for n = 2, every protocol explored from 4 agents,
 //! // as one batch on one runner thread.
-//! let report = pp_protocols::batch::run_catalog(2, 4, None, Parallelism::Sequential);
+//! let report = Batch::new()
+//!     .jobs(catalog_jobs(2, 4, ExplorationLimits::default()))
+//!     .run();
 //! assert!(report.jobs.len() >= 6);
 //! assert!(report.all_complete());
 //! ```
 
 use crate::catalog;
 use pp_multiset::Multiset;
-use pp_petri::batch::{Batch, BatchJob, BatchReport};
-use pp_petri::{ExplorationLimits, Parallelism};
+use pp_petri::batch::BatchJob;
+use pp_petri::ExplorationLimits;
 use pp_population::{Protocol, StateId};
 
 /// The initial configuration `ρ_L + agents` input agents, spread as
@@ -66,40 +68,17 @@ pub fn catalog_jobs(n: u64, agents: u64, limits: ExplorationLimits) -> Vec<Batch
         .collect()
 }
 
-/// Runs the full catalog for threshold `n` as one batch: one reachability
-/// job per entry at `agents` agents, optionally under a shared budget
-/// `pool`, with the given runner [`Parallelism`].
-///
-/// Every job's result is bit-identical to a solo run at its final budget
-/// (the batch layer's determinism contract, checked on the catalog by
-/// `tests/batch_fairness.rs`).
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-#[must_use]
-pub fn run_catalog(
-    n: u64,
-    agents: u64,
-    pool: Option<usize>,
-    parallelism: Parallelism,
-) -> BatchReport<StateId> {
-    let mut batch = Batch::new()
-        .jobs(catalog_jobs(n, agents, ExplorationLimits::default()))
-        .parallelism(parallelism);
-    if let Some(tokens) = pool {
-        batch = batch.pool(tokens);
-    }
-    batch.run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::leaders_n::example_4_2;
+    use pp_petri::{Analysis, Batch, Completion, Parallelism};
 
     #[test]
     fn the_catalog_runs_as_one_batch() {
-        let report = run_catalog(2, 4, None, Parallelism::Sequential);
+        let report = Batch::new()
+            .jobs(catalog_jobs(2, 4, ExplorationLimits::default()))
+            .run();
         assert_eq!(report.jobs.len(), catalog::all(2).len());
         assert!(report.all_complete());
         // Protocols are distinct, but two entries may share an id-identical
@@ -114,9 +93,15 @@ mod tests {
 
     #[test]
     fn a_pooled_catalog_batch_is_deterministic_across_runners() {
-        let pool = Some(200);
-        let sequential = run_catalog(2, 6, pool, Parallelism::Sequential);
-        let parallel = run_catalog(2, 6, pool, Parallelism::Parallel(3));
+        let run = |parallelism| {
+            Batch::new()
+                .jobs(catalog_jobs(2, 6, ExplorationLimits::default()))
+                .pool(200)
+                .parallelism(parallelism)
+                .run()
+        };
+        let sequential = run(Parallelism::Sequential);
+        let parallel = run(Parallelism::Parallel(3));
         for (s, p) in sequential.jobs.iter().zip(&parallel.jobs) {
             assert_eq!(s.final_limits, p.final_limits, "{}", s.name);
             let (a, b) = (
@@ -124,6 +109,80 @@ mod tests {
                 p.outcome.as_reachability().unwrap(),
             );
             assert!(a.identical_to(b), "{}", s.name);
+        }
+    }
+
+    #[test]
+    fn a_mixed_protocol_batch_reports_every_shape() {
+        let protocol = example_4_2(1);
+        let net = protocol.net().clone();
+        let i = protocol.state_id("i").unwrap();
+        let p = protocol.state_id("p").unwrap();
+        let q = protocol.state_id("q").unwrap();
+        let report = Batch::new()
+            .job(BatchJob::reachability(
+                "reach",
+                net.clone(),
+                [protocol.initial_config_with_count(3)],
+            ))
+            .job(BatchJob::coverability(
+                "cover",
+                net.clone(),
+                Multiset::from_pairs([(p, 1u64), (q, 1)]),
+            ))
+            .job(
+                BatchJob::karp_miller("km", net.clone(), protocol.initial_config_with_count(2))
+                    .limits(ExplorationLimits::with_max_configurations(10_000)),
+            )
+            .job(BatchJob::covering_word(
+                "word",
+                net,
+                protocol.initial_config_with_count(2),
+                Multiset::unit(p),
+            ))
+            .run();
+        assert_eq!(report.jobs.len(), 4);
+        assert_eq!(report.distinct_nets, 1, "one compile for the whole batch");
+        assert_eq!(report.compile_cache_hits, 3);
+        assert!(report.all_complete());
+        let reach = report.job("reach").unwrap();
+        assert!(reach.outcome.as_reachability().unwrap().len() > 1);
+        let km = report.job("km").unwrap();
+        assert!(km.outcome.as_karp_miller().unwrap().place_is_bounded(&i));
+    }
+
+    #[test]
+    fn pooled_protocol_jobs_stay_bit_identical_to_solo_runs() {
+        let protocol = crate::flock::flock_of_birds_unary(3);
+        let agents = [6u64, 7, 8];
+        let report = Batch::new()
+            .jobs(agents.iter().map(|&a| {
+                BatchJob::reachability(
+                    format!("flock[{a}]"),
+                    protocol.net().clone(),
+                    [protocol.initial_config_with_count(a)],
+                )
+            }))
+            .pool(60)
+            .run();
+        assert!(
+            report
+                .jobs
+                .iter()
+                .any(|job| job.completion == Completion::ConfigBudget),
+            "the pool is small enough that some job must be truncated"
+        );
+        for (job, &a) in report.jobs.iter().zip(&agents) {
+            let solo = Analysis::new(protocol.net())
+                .reachability([protocol.initial_config_with_count(a)])
+                .limits(job.final_limits)
+                .run();
+            assert!(
+                job.outcome.as_reachability().unwrap().identical_to(&solo),
+                "{} != solo at {:?}",
+                job.name,
+                job.final_limits
+            );
         }
     }
 }

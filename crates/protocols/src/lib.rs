@@ -24,8 +24,8 @@
 //! predicate it claims to compute (see [`catalog`], and [`catalog::all`] for
 //! the combined list); the claim is validated in tests by the exhaustive
 //! verifier of `pp-population`. The [`batch`] module turns the catalog into
-//! a batch workload: one analysis job per entry, scheduled as a single
-//! batch through the service layer of `pp-petri`.
+//! a batch workload: one reachability job per entry, for the batch layer
+//! of `pp-petri`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

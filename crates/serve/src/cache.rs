@@ -25,9 +25,9 @@ use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The re-runnable identity of a cached job: everything needed to rebuild
-/// a [`BatchJob`](pp_petri::BatchJob) at a new budget when a resume
-/// request arrives with only the session token.
+/// The re-runnable identity of a cached job: everything needed to re-run
+/// its query at a new budget when a resume request arrives with only the
+/// session token.
 pub struct StoredJob<P: Ord> {
     /// Display label echoed in response frames.
     pub name: String,

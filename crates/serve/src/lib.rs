@@ -1,14 +1,15 @@
-//! `pp_serve`: a deterministic multi-tenant analysis server on the batch
-//! layer.
+//! `pp_serve`: a deterministic multi-tenant analysis server over cached
+//! analysis sessions.
 //!
-//! The batch layer ([`pp_petri::batch`]) already schedules fleets of
-//! analyses over shared compiled nets and a fair-shared token pool, with
-//! every result bit-identical to a solo query. This crate puts a wire on
-//! it: a daemon ([`server::Server`]) speaking newline-delimited JSON
-//! frames over TCP, where any number of clients submit jobs — catalog
-//! protocols from [`pp_protocols::catalog`] or inline Petri-net literals
-//! — and get back completion reasons, `final_limits` watermarks and
-//! result [fingerprints](pp_petri::fingerprint) that a solo
+//! The batch layer ([`pp_petri::batch`]) already runs analyses over
+//! shared compiled nets and a fair-shared token pool, with every result
+//! bit-identical to a solo query. This crate puts a wire on its query
+//! executor ([`BatchQuery::run_on`](pp_petri::BatchQuery::run_on)): a
+//! daemon ([`server::Server`]) speaking newline-delimited JSON frames over
+//! TCP, where any number of clients submit jobs — catalog protocols from
+//! [`pp_protocols::catalog`] or inline Petri-net literals — and get back
+//! completion reasons, `final_limits` watermarks and result
+//! [fingerprints](pp_petri::fingerprint) that a solo
 //! [`Batch`](pp_petri::Batch) run at the same limits reproduces exactly.
 //!
 //! The moving parts, bottom-up:

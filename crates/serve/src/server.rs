@@ -1,4 +1,4 @@
-//! The analysis daemon: thread-per-connection TCP, batch-layer backend.
+//! The analysis daemon: thread-per-connection TCP over cached sessions.
 //!
 //! # Architecture
 //!
@@ -10,16 +10,18 @@
 //! next newline), and an *executor* that parses, dispatches and answers
 //! them in order. The split is what makes disconnects prompt: the reader
 //! notices EOF even while the executor is deep in a state-space build and
-//! flips the connection's [`CancelToken`], which the batch layer observes
-//! at its next round barrier — the orphaned job settles deterministically
-//! and its unused tokens return to the pool.
+//! sets the connection's disconnect flag, which the executor checks
+//! before a job starts and between its rounds — the orphaned job stops
+//! drawing tokens, its unused ones return to the pool, and its result is
+//! parked warm in the cache.
 //!
 //! # Determinism
 //!
-//! The server adds *no* result-affecting state of its own. Every job runs
-//! as a single-job [`Batch`] at an explicit budget; the response reports
+//! The server adds *no* result-affecting state of its own. Every round of
+//! a job is one [`BatchQuery::run_on`] — the batch layer's executor — on
+//! the job's cached session at an explicit budget; the response reports
 //! that budget back as `final_limits` plus a [fingerprint](pp_petri::fingerprint)
-//! of the result, and the batch layer guarantees the result is
+//! of the result, and the session layer guarantees the result is
 //! bit-identical to a solo run at those limits — under any packing mode
 //! and any number of concurrent clients. What concurrency *can*
 //! change is only how many tokens a capped pool grants a particular
@@ -29,7 +31,7 @@
 //! # Sessions and resume
 //!
 //! Results stay hot: each completed job parks its
-//! [`Analysis`](pp_petri::Analysis) session in
+//! [`Analysis`] session in
 //! a keyed [`SessionStore`], so an identical net+query submitted again —
 //! by anyone — reuses the compiled engine, and a raised budget *resumes*
 //! the cached graph instead of rebuilding it. Truncated responses carry
@@ -47,14 +49,10 @@ use crate::proto::{
     completion_wire_name, error_frame, limits_frame, parse_request, QuerySpec, Request, Source,
     Submission, WireConfig, WireError, MAX_FRAME_BYTES,
 };
-use pp_petri::batch::{BatchOutcome, BatchQuery, JobReport};
+use pp_petri::batch::{BatchOutcome, BatchQuery, QueryRun};
 use pp_petri::cover::CoveringWordOutcome;
-use pp_petri::explore::MAX_GRAPH_CONFIGURATIONS;
 use pp_petri::fingerprint::{hex, outcome_fingerprint, Fnv};
-use pp_petri::{
-    gates, Batch, BatchJob, CancelToken, Completion, ExplorationLimits, Parallelism, PetriNet,
-    Transition,
-};
+use pp_petri::{gates, Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, Transition};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
@@ -347,9 +345,14 @@ enum ReadEvent {
 
 /// Reads newline-delimited frames, forwarding them to the executor. On
 /// EOF or error: during a graceful shutdown the executor is simply left
-/// to drain; on a client disconnect the connection's cancel token flips,
-/// so an in-flight job is abandoned at the batch layer's next barrier.
-fn read_frames(stream: TcpStream, events: &Sender<ReadEvent>, cancel: &CancelToken, core: &Core) {
+/// to drain; on a client disconnect the connection's disconnect flag is
+/// set, so an in-flight job stops after its current round.
+fn read_frames(
+    stream: TcpStream,
+    events: &Sender<ReadEvent>,
+    disconnected: &AtomicBool,
+    core: &Core,
+) {
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     loop {
@@ -360,7 +363,7 @@ fn read_frames(stream: TcpStream, events: &Sender<ReadEvent>, cancel: &CancelTok
             .unwrap_or_default();
         if n == 0 {
             if !core.is_stopping() {
-                cancel.cancel();
+                disconnected.store(true, Ordering::SeqCst);
             }
             return;
         }
@@ -378,7 +381,7 @@ fn read_frames(stream: TcpStream, events: &Sender<ReadEvent>, cancel: &CancelTok
                     .unwrap_or_default();
                 if skipped == 0 {
                     if !core.is_stopping() {
-                        cancel.cancel();
+                        disconnected.store(true, Ordering::SeqCst);
                     }
                     return;
                 }
@@ -410,14 +413,14 @@ fn serve_connection(core: &Arc<Core>, stream: TcpStream) {
     if let Ok(clone) = stream.try_clone() {
         core.conns.lock().expect("conns").insert(conn_id, clone);
     }
-    let cancel = CancelToken::new();
+    let disconnected = Arc::new(AtomicBool::new(false));
     let (events_tx, events_rx): (Sender<ReadEvent>, Receiver<ReadEvent>) = mpsc::channel();
     let reader = match stream.try_clone() {
         Ok(read_half) => {
             let reader_core = core.clone();
-            let reader_cancel = cancel.clone();
+            let reader_disconnected = disconnected.clone();
             Some(std::thread::spawn(move || {
-                read_frames(read_half, &events_tx, &reader_cancel, &reader_core);
+                read_frames(read_half, &events_tx, &reader_disconnected, &reader_core);
             }))
         }
         Err(_) => None,
@@ -425,7 +428,7 @@ fn serve_connection(core: &Arc<Core>, stream: TcpStream) {
     if reader.is_some() {
         let mut writer = std::io::BufWriter::new(&stream);
         while let Ok(event) = events_rx.recv() {
-            match handle_event(core, &cancel, event, &mut writer) {
+            match handle_event(core, &disconnected, event, &mut writer) {
                 Flow::Continue => {}
                 Flow::Stop => break,
             }
@@ -455,7 +458,7 @@ fn write_frame(writer: &mut impl Write, frame: &Json) -> std::io::Result<()> {
 
 fn handle_event(
     core: &Arc<Core>,
-    cancel: &CancelToken,
+    disconnected: &AtomicBool,
     event: ReadEvent,
     writer: &mut impl Write,
 ) -> Flow {
@@ -497,28 +500,29 @@ fn handle_event(
         }
         Request::Submit(sub) => {
             let id = sub.id.clone().or(id);
+            let budget = sub.budget.unwrap_or(core.config.default_budget);
             let outcome = match &sub.source {
-                Source::Catalog { .. } => prepare_catalog(&sub).and_then(|(job, key, demand)| {
+                Source::Catalog { .. } => prepare_catalog(&sub).and_then(|(job, key)| {
                     run_prepared(
                         core,
                         &core.catalog_sessions,
                         job,
                         key,
-                        demand,
-                        cancel,
+                        budget,
+                        disconnected,
                         writer,
                         id.as_deref(),
                         received,
                     )
                 }),
-                Source::Inline { .. } => prepare_inline(&sub).and_then(|(job, key, demand)| {
+                Source::Inline { .. } => prepare_inline(&sub).and_then(|(job, key)| {
                     run_prepared(
                         core,
                         &core.inline_sessions,
                         job,
                         key,
-                        demand,
-                        cancel,
+                        budget,
+                        disconnected,
                         writer,
                         id.as_deref(),
                         received,
@@ -542,7 +546,7 @@ fn handle_event(
                     &core.catalog_sessions,
                     format!("c:{key}"),
                     budget,
-                    cancel,
+                    disconnected,
                     writer,
                     id.as_deref(),
                     received,
@@ -553,7 +557,7 @@ fn handle_event(
                     &core.inline_sessions,
                     format!("i:{key}"),
                     budget,
-                    cancel,
+                    disconnected,
                     writer,
                     id.as_deref(),
                     received,
@@ -659,7 +663,7 @@ fn key_of(prefix: &str, material: &Json) -> String {
     format!("{prefix}:{}", hex(h.finish()))
 }
 
-fn prepare_catalog(sub: &Submission) -> Result<(StoredJob<StateId>, String, usize), WireError> {
+fn prepare_catalog(sub: &Submission) -> Result<(StoredJob<StateId>, String), WireError> {
     let Source::Catalog { family, n, agents } = &sub.source else {
         return Err(WireError::bad("not a catalog submission"));
     };
@@ -718,14 +722,13 @@ fn prepare_catalog(sub: &Submission) -> Result<(StoredJob<StateId>, String, usiz
     let key = key_of("c", &Json::object(material));
     let net = protocol.net().clone();
     let places: Vec<StateId> = net.places().iter().copied().collect();
-    let demand = demand_of(sub, &query);
     let name = format!("{family}(n={n})[{agents}]/{}", sub.query.wire_name());
     let namer_protocol = protocol.clone();
     let job = StoredJob {
         name,
         net,
         query,
-        base_limits: base_limits(sub, demand),
+        base_limits: base_limits(sub),
         exploration: Parallelism::Sequential,
         places,
         namer: Arc::new(move |state: &StateId| namer_protocol.state_name(*state).to_string()),
@@ -735,10 +738,10 @@ fn prepare_catalog(sub: &Submission) -> Result<(StoredJob<StateId>, String, usiz
             ("agents".to_string(), Json::uint(*agents)),
         ],
     };
-    Ok((job, key, demand))
+    Ok((job, key))
 }
 
-fn prepare_inline(sub: &Submission) -> Result<(StoredJob<String>, String, usize), WireError> {
+fn prepare_inline(sub: &Submission) -> Result<(StoredJob<String>, String), WireError> {
     let Source::Inline {
         transitions,
         initials,
@@ -825,41 +828,30 @@ fn prepare_inline(sub: &Submission) -> Result<(StoredJob<String>, String, usize)
     }
     let key = key_of("i", &Json::object(material));
     let places: Vec<String> = net.places().iter().cloned().collect();
-    let demand = demand_of(sub, &query);
     let job = StoredJob {
         name: format!("inline/{}", sub.query.wire_name()),
         net,
         query,
-        base_limits: base_limits(sub, demand),
+        base_limits: base_limits(sub),
         exploration: Parallelism::Sequential,
         places,
         namer: Arc::new(|place: &String| place.clone()),
         meta: vec![("inline".to_string(), Json::Bool(true))],
     };
-    Ok((job, key, demand))
+    Ok((job, key))
 }
 
 fn multiset_of<P: Clone + Ord>(pairs: Vec<(P, u64)>) -> pp_multiset::Multiset<P> {
     pp_multiset::Multiset::from_pairs(pairs.into_iter().filter(|&(_, count)| count > 0))
 }
 
-fn demand_of<P: Ord>(sub: &Submission, query: &BatchQuery<P>) -> usize {
-    match query {
-        BatchQuery::Coverability { .. } => 0,
-        BatchQuery::Reachability { .. }
-        | BatchQuery::KarpMiller { .. }
-        | BatchQuery::CoveringWord { .. } => sub
-            .budget
-            .unwrap_or(ExplorationLimits::default().max_configurations)
-            .min(MAX_GRAPH_CONFIGURATIONS),
-    }
-}
-
-fn base_limits(sub: &Submission, demand: usize) -> ExplorationLimits {
+/// The submission's caps; each run replaces `max_configurations` with its
+/// budget.
+fn base_limits(sub: &Submission) -> ExplorationLimits {
     ExplorationLimits {
-        max_configurations: demand,
         max_agents: sub.max_agents,
         max_depth: sub.max_depth,
+        ..ExplorationLimits::default()
     }
 }
 
@@ -873,7 +865,7 @@ fn resume_prepared<P>(
     store: &Mutex<SessionStore<P>>,
     key: String,
     budget: usize,
-    cancel: &CancelToken,
+    disconnected: &AtomicBool,
     writer: &mut impl Write,
     id: Option<&str>,
     received: Instant,
@@ -887,8 +879,17 @@ where
             format!("no cached session {key:?} (expired or evicted)"),
         ));
     };
-    let demand = budget.min(MAX_GRAPH_CONFIGURATIONS);
-    run_prepared(core, store, job, key, demand, cancel, writer, id, received)
+    run_prepared(
+        core,
+        store,
+        job,
+        key,
+        budget,
+        disconnected,
+        writer,
+        id,
+        received,
+    )
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -897,8 +898,8 @@ fn run_prepared<P>(
     store: &Mutex<SessionStore<P>>,
     stored: StoredJob<P>,
     key: String,
-    demand: usize,
-    cancel: &CancelToken,
+    requested: usize,
+    disconnected: &AtomicBool,
     writer: &mut impl Write,
     id: Option<&str>,
     received: Instant,
@@ -906,42 +907,30 @@ fn run_prepared<P>(
 where
     P: Clone + Ord + Send + Sync + 'static,
 {
-    // Take custody of the cached entry (session + its held tokens),
-    // under one guard so an early-cancelled job can put it back without
-    // the entry ever being observable as missing.
-    let (mut session, held, seeded) = {
+    // Client already gone before the job started: leave the cache as it
+    // is and do nothing.
+    if disconnected.load(Ordering::SeqCst) && !core.is_stopping() {
+        return Ok(Flow::Stop);
+    }
+    // Take custody of the cached entry (session + its held tokens).
+    let entry = {
         let mut sessions = store.lock().expect("sessions");
-        match sessions.take(&key) {
-            Some(entry) => {
-                // Client already gone before the job started: put the
-                // entry back untouched and do nothing.
-                if cancel.is_cancelled() && !core.is_stopping() {
-                    sessions.put(key, entry);
-                    return Ok(Flow::Stop);
-                }
-                (Some(entry.session), entry.held, true)
-            }
-            None => {
-                if cancel.is_cancelled() && !core.is_stopping() {
-                    return Ok(Flow::Stop);
-                }
-                (None, 0, false)
-            }
-        }
+        sessions.take(&key)
     };
     let queue = received.elapsed();
     let wall_start = Instant::now();
-    let is_budgeted = matches!(
-        stored.query,
-        BatchQuery::Reachability { .. } | BatchQuery::KarpMiller { .. }
-    );
+    let (mut session, held, seeded) = match entry {
+        Some(entry) => (entry.session, entry.held, true),
+        None => (Analysis::new(&stored.net), 0, false),
+    };
+    let demand = stored.query.demand(requested);
     core.pool.begin();
     let mut drawn = 0usize;
     let mut budget = held.min(demand);
-    let mut server_rounds = 0u32;
+    let mut rounds = 0u32;
     let mut write_result: std::io::Result<()> = Ok(());
-    let job_report: JobReport<P> = loop {
-        server_rounds += 1;
+    let (run, limits) = loop {
+        rounds += 1;
         let want = demand.saturating_sub(budget);
         if want > 0 {
             let grant = core.acquire_tokens(store, &key, want);
@@ -952,31 +941,13 @@ where
             max_configurations: budget,
             ..stored.base_limits
         };
-        let mut batch = Batch::new().job(
-            BatchJob {
-                name: stored.name.clone(),
-                net: stored.net.clone(),
-                extra_places: Vec::new(),
-                query: stored.query.clone(),
-                limits,
-                cancel: None,
-            }
-            .cancel_token(cancel.clone()),
-        );
-        if let Some(seed) = &session {
-            batch = batch.seed_session(seed);
-        }
-        let mut report = batch.run();
-        let job = report.jobs.pop().expect("exactly one job was submitted");
-        session = Some(job.session.clone());
-        core.jobs_done.fetch_add(1, Ordering::SeqCst);
-        if job.cancelled || cancel.is_cancelled() {
-            break job;
+        let run = stored.query.run_on(&mut session, limits);
+        if disconnected.load(Ordering::SeqCst) {
+            break (run, limits);
         }
         // Pool-truncated and more tokens available now: stream a progress
-        // frame and extend (the batch layer resumes the cached graph, so
-        // the extension is incremental and stays bit-identical).
-        if is_budgeted && job.completion == Completion::ConfigBudget && budget < demand {
+        // frame and extend.
+        if run.completion == Completion::ConfigBudget && budget < demand {
             let grant = core.acquire_tokens(store, &key, demand - budget);
             if grant > 0 {
                 drawn += grant;
@@ -986,56 +957,43 @@ where
                     id,
                     &key,
                     &stored,
-                    &job,
+                    &run,
+                    &limits,
                     true,
                     seeded,
-                    server_rounds,
+                    rounds,
                     queue,
                     wall_start.elapsed(),
                 );
                 write_result = write_frame(writer, &frame);
                 if write_result.is_err() {
-                    break job;
+                    break (run, limits);
                 }
+                // The session now holds the only handle on its graph, so
+                // the next round extends it in place.
+                drop(run);
                 continue;
             }
         }
-        break job;
+        break (run, limits);
     };
-    // Tokens that stay checked out: the cached state-space of the entry
-    // we are about to park.
-    let kept = match &job_report.outcome {
-        BatchOutcome::Reachability(graph) => graph.len(),
-        BatchOutcome::KarpMiller(tree) => tree.markings().len(),
-        BatchOutcome::Coverability(_) | BatchOutcome::CoveringWord(_) => held,
-    };
+    core.jobs_done.fetch_add(1, Ordering::SeqCst);
+    // Tokens that stay checked out: the state space the parked session
+    // caches.
+    let kept = session.cached_nodes();
     core.pool.settle((held + drawn).saturating_sub(kept));
     let wall = wall_start.elapsed();
     // Park the session — even for an orphaned job, whose completed work
     // stays warm for whoever asks next.
-    if let Some(session) = session.take() {
-        let entry = Entry::new(stored.clone(), session, kept, job_report.final_limits);
-        let displaced = store.lock().expect("sessions").put(key.clone(), entry);
-        core.pool.release(displaced);
-    }
-    if job_report.cancelled || cancel.is_cancelled() {
+    let entry = Entry::new(stored.clone(), session, kept, limits);
+    let displaced = store.lock().expect("sessions").put(key.clone(), entry);
+    core.pool.release(displaced);
+    if disconnected.load(Ordering::SeqCst) || write_result.is_err() {
         return Ok(Flow::Stop);
     }
-    if write_result.is_err() {
-        return Ok(Flow::Stop);
-    }
-    let resumable = is_budgeted && job_report.completion == Completion::ConfigBudget;
+    let resumable = run.completion == Completion::ConfigBudget;
     let frame = job_frame(
-        "result",
-        id,
-        &key,
-        &stored,
-        &job_report,
-        resumable,
-        seeded,
-        server_rounds,
-        queue,
-        wall,
+        "result", id, &key, &stored, &run, &limits, resumable, seeded, rounds, queue, wall,
     );
     Ok(flow_of(write_frame(writer, &frame)))
 }
@@ -1046,10 +1004,11 @@ fn job_frame<P: Clone + Ord>(
     id: Option<&str>,
     key: &str,
     stored: &StoredJob<P>,
-    job: &JobReport<P>,
+    run: &QueryRun<P>,
+    limits: &ExplorationLimits,
     resumable: bool,
     seeded: bool,
-    server_rounds: u32,
+    rounds: u32,
     queue: Duration,
     wall: Duration,
 ) -> Json {
@@ -1064,21 +1023,21 @@ fn job_frame<P: Clone + Ord>(
         ),
         (
             "completion".to_string(),
-            Json::str(completion_wire_name(job.completion)),
+            Json::str(completion_wire_name(run.completion)),
         ),
-        ("explored".to_string(), Json::uint(job.explored as u64)),
-        ("final_limits".to_string(), limits_frame(&job.final_limits)),
-        ("watermark".to_string(), limits_frame(&job.final_limits)),
+        ("explored".to_string(), Json::uint(run.used as u64)),
+        ("final_limits".to_string(), limits_frame(limits)),
+        ("watermark".to_string(), limits_frame(limits)),
         ("resumable".to_string(), Json::Bool(resumable)),
         (
             "fingerprint".to_string(),
-            Json::str(hex(outcome_fingerprint(&job.outcome, &stored.places))),
+            Json::str(hex(outcome_fingerprint(&run.outcome, &stored.places))),
         ),
         (
             "cache".to_string(),
             Json::object([("seeded".to_string(), Json::Bool(seeded))]),
         ),
-        ("rounds".to_string(), Json::uint(u64::from(server_rounds))),
+        ("rounds".to_string(), Json::uint(u64::from(rounds))),
         ("queue_us".to_string(), Json::uint(duration_us(queue))),
         ("wall_us".to_string(), Json::uint(duration_us(wall))),
     ];
@@ -1088,7 +1047,7 @@ fn job_frame<P: Clone + Ord>(
     for (name, value) in &stored.meta {
         fields.push((name.clone(), value.clone()));
     }
-    match &job.outcome {
+    match &run.outcome {
         BatchOutcome::Reachability(graph) => {
             fields.push(("nodes".to_string(), Json::uint(graph.len() as u64)));
             fields.push((
@@ -1148,5 +1107,46 @@ fn query_wire_name<P: Ord>(query: &BatchQuery<P>) -> &'static str {
         BatchQuery::Coverability { .. } => "coverability",
         BatchQuery::KarpMiller { .. } => "karp-miller",
         BatchQuery::CoveringWord { .. } => "covering-word",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    #[test]
+    fn a_job_that_streams_progress_counts_once_in_jobs_done() {
+        let handle = Server::spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            pool: Some(100),
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        // Another tenant's open draw halves every fair share: the job
+        // below gets 50 of its 60 tokens, is truncated, draws the other
+        // 10 and streams one `progress` frame before its result.
+        handle.core.pool.begin();
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        // The chain `p -> p + q` never ends, so every run is truncated.
+        let submit = parse(
+            br#"{"cmd":"submit","budget":60,"initials":[{"p":1}],
+                "net":{"transitions":[{"pre":{"p":1},"post":{"p":1,"q":1}}]}}"#,
+        )
+        .expect("a valid frame");
+        let answer = client.submit(&submit).expect("submit");
+        let budget = |frame: &Json| {
+            frame
+                .get("final_limits")
+                .and_then(|limits| limits.get("max_configurations"))
+                .and_then(Json::as_u64)
+        };
+        assert_eq!(answer.progress.len(), 1, "{:?}", answer.progress);
+        assert_eq!(budget(&answer.progress[0]), Some(50));
+        assert_eq!(budget(&answer.result), Some(60), "{}", answer.result);
+        let pong = client.ping().expect("ping");
+        assert_eq!(pong.get("jobs_done").and_then(Json::as_u64), Some(1));
+        handle.core.pool.settle(0);
+        handle.shutdown();
     }
 }

@@ -1,17 +1,16 @@
 //! Batch analysis: run a fleet of protocol queries as one scheduled batch.
 //!
-//! The batch service layer (`pp_statecomplexity::batch`, on top of
-//! `pp_petri::batch`) is the front door for many-query workloads: jobs
-//! over equal nets share one compiled engine, identical jobs share one
-//! result, a shared token pool is fair-shared and redistributed, and every
-//! job's result is bit-identical to a solo run at its final budget.
+//! The batch layer (`pp_petri::batch`) is the front door for many-query
+//! workloads: jobs over equal nets share one compiled engine, identical
+//! jobs share one result, a shared token pool is fair-shared and
+//! redistributed, and every job's result is bit-identical to a solo run at
+//! its final budget. A protocol's job is a `BatchJob` on `protocol.net()`.
 //!
 //! Run with: `cargo run --example batch_analysis`
 
-use pp_petri::{ExplorationLimits, Parallelism};
+use pp_petri::{Batch, BatchJob, ExplorationLimits, Parallelism};
 use pp_protocols::leaders_n::example_4_2;
-use pp_protocols::{batch::run_catalog, flock};
-use pp_statecomplexity::batch::ProtocolBatch;
+use pp_protocols::{batch::catalog_jobs, flock};
 
 fn main() {
     // ---- 1. A mixed batch over two protocol families --------------------
@@ -19,17 +18,36 @@ fn main() {
     // jobs (and the coverability job) compile exactly one engine; the
     // flock family brings a second net. One `run()` answers everything.
     let e42 = example_4_2(2);
+    let e43 = example_4_2(3);
     let flock = flock::flock_of_birds_unary(4);
     let p = e42.state_id("p").unwrap();
     let q = e42.state_id("q").unwrap();
     let both = pp_multiset::Multiset::from_pairs([(p, 1u64), (q, 1)]);
+    let reach = |protocol: &pp_population::Protocol, agents: u64| {
+        BatchJob::reachability(
+            format!("{}/reach[{agents}]", protocol.name()),
+            protocol.net().clone(),
+            [protocol.initial_config_with_count(agents)],
+        )
+    };
 
-    let report = ProtocolBatch::new()
-        .reachability(&e42, 6)
-        .reachability(&example_4_2(3), 6) // same net, other leader count
-        .reachability(&flock, 8)
-        .coverability(&e42, both)
-        .karp_miller(&flock, 6, 50_000)
+    let report = Batch::new()
+        .job(reach(&e42, 6))
+        .job(reach(&e43, 6)) // same net, other leader count
+        .job(reach(&flock, 8))
+        .job(BatchJob::coverability(
+            format!("{}/cover[{}]", e42.name(), e42.display_config(&both)),
+            e42.net().clone(),
+            both,
+        ))
+        .job(
+            BatchJob::karp_miller(
+                format!("{}/km[6]", flock.name()),
+                flock.net().clone(),
+                flock.initial_config_with_count(6),
+            )
+            .limits(ExplorationLimits::with_max_configurations(50_000)),
+        )
         .run();
 
     println!("## Mixed batch\n");
@@ -55,14 +73,13 @@ fn main() {
     // smallest completes below its fair share and refunds tokens; the
     // others pick them up in the next round, each result still
     // bit-identical to a solo run at its final budget.
-    let mut pooled = ProtocolBatch::new()
-        .limits(ExplorationLimits::with_max_configurations(100_000))
+    let pooled = Batch::new()
+        .jobs([3, 9, 10].map(|agents| {
+            reach(&flock, agents).limits(ExplorationLimits::with_max_configurations(100_000))
+        }))
         .pool(120)
-        .parallelism(Parallelism::Parallel(2));
-    for agents in [3, 9, 10] {
-        pooled = pooled.reachability(&flock, agents);
-    }
-    let pooled = pooled.run();
+        .parallelism(Parallelism::Parallel(2))
+        .run();
     println!("\n## Pooled batch (120 tokens over three jobs)\n");
     let pool = pooled.pool.expect("pooled run");
     println!(
@@ -79,7 +96,10 @@ fn main() {
     // ---- 3. The full catalog as one batch -------------------------------
     // Every construction of the catalog for n = 4, explored from 6 agents,
     // scheduled as a single batch.
-    let catalog = run_catalog(4, 6, None, Parallelism::Parallel(2));
+    let catalog = Batch::new()
+        .jobs(catalog_jobs(4, 6, ExplorationLimits::default()))
+        .parallelism(Parallelism::Parallel(2))
+        .run();
     println!("\n## Catalog batch (n = 4, 6 agents)\n");
     for job in &catalog.jobs {
         println!(

@@ -1,10 +1,10 @@
 //! Fairness of the batch layer's shared budget pool.
 //!
-//! The acceptance contract of `pp_petri::batch` (and the protocol front
-//! door `pp_statecomplexity::batch`): under a shared token pool, every
-//! job's final budget is a deterministic function of the job set and the
-//! pool, and its result is **bit-identical** to a solo run at that final
-//! budget — for the sequential and the parallel batch runner alike. The
+//! The acceptance contract of `pp_petri::batch`: under a shared token
+//! pool, every job's final budget is a deterministic function of the job
+//! set and the pool, and its result is **bit-identical** to a solo run at
+//! that final budget — for the sequential and the parallel batch runner
+//! alike. The
 //! property tests here drive a batch of N identical jobs (the fair-share
 //! shape: everyone must end at the same grant, ±1 remainder token) and
 //! mixed batches where completed jobs refund budget that still-running
@@ -15,7 +15,6 @@ use pp_petri::batch::{Batch, BatchJob, BatchQuery, BatchReport};
 use pp_petri::{Analysis, ExplorationLimits, Parallelism, PetriNet, Transition};
 use pp_population::StateId;
 use pp_protocols::batch::catalog_jobs;
-use pp_statecomplexity::batch::ProtocolBatch;
 use proptest::prelude::*;
 
 fn doubling_net() -> PetriNet<&'static str> {
@@ -123,19 +122,24 @@ proptest! {
     }
 }
 
-/// The protocol-level front door under a pool: N identical catalog jobs
-/// split fairly and match solo session queries, for both runner modes.
+/// Protocol jobs under a pool: N identical jobs on `protocol.net()` split
+/// fairly and match solo session queries, for both runner modes.
 #[test]
 fn protocol_batch_fair_share_matches_solo_runs() {
     let protocol = pp_protocols::flock::flock_of_birds_unary(3);
     let agents = 8u64;
     let jobs = 4usize;
     for runner in RUNNERS {
-        let mut batch = ProtocolBatch::new().pool(60).parallelism(runner);
-        for _ in 0..jobs {
-            batch = batch.reachability(&protocol, agents);
-        }
-        let report = batch.run();
+        let job = BatchJob::reachability(
+            format!("{}/reach[{agents}]", protocol.name()),
+            protocol.net().clone(),
+            [protocol.initial_config_with_count(agents)],
+        );
+        let report = Batch::new()
+            .jobs(std::iter::repeat_n(job, jobs))
+            .pool(60)
+            .parallelism(runner)
+            .run();
         assert_eq!(report.jobs.len(), jobs);
         assert_eq!(report.distinct_nets, 1);
         for job in &report.jobs {
