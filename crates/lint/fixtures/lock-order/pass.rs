@@ -19,4 +19,12 @@ impl Shared {
         let states = self.states.lock();
         drop((jobs, states));
     }
+
+    // The `let` binds what the guard returned, not the guard: it drops
+    // at the `;`, so locking `jobs` again is no re-entry.
+    fn take_then_relock(&self) {
+        let first = self.jobs.lock().expect("jobs").pop();
+        let rest = self.jobs.lock().expect("jobs");
+        drop((first, rest));
+    }
 }

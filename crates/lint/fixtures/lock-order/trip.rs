@@ -19,4 +19,12 @@ impl Shared {
         let jobs = self.jobs.lock();
         drop((states, jobs));
     }
+
+    // A bound guard lives to the end of its block: locking `jobs` again
+    // while it does blocks forever.
+    fn relock(&self) {
+        let jobs = self.jobs.lock().expect("jobs");
+        let again = self.jobs.lock().expect("jobs");
+        drop((jobs, again));
+    }
 }

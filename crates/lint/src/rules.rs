@@ -587,7 +587,9 @@ struct LockEdge {
 /// owns `.lock()`) — same-named locks on different types merge, which over-approximates.
 /// Per function, a held-set simulation walks the statements: guards
 /// bound by `let` stay held to the end of their block, temporaries die
-/// at the statement end, and all acquisitions within one statement are
+/// at the statement end (a `let` binds the guard only when its
+/// initializer ends with the lock chain, see [`lock_chain_ends`]), and
+/// all acquisitions within one statement are
 /// unordered among themselves (argument evaluation order is not part
 /// of the contract). Calls propagate the callee's transitive lock set
 /// as `via_call` edges; a `via_call` self-loop is suppressed (the
@@ -637,10 +639,9 @@ pub(crate) fn lock_order(ws: &Workspace, findings: &mut Vec<Finding>) {
     report_lock_cycles(&edges, findings);
 }
 
-/// Lock acquisitions in one node's own tokens:
-/// `(label, raw_index, starts_with_let_statement)` in token order. The
-/// `let` flag is filled by the simulation (which tracks statements);
-/// here it is always `false`.
+/// Lock acquisitions in one node's own tokens: `(label, raw_index,
+/// chain_ends)` in token order, where `chain_ends` is
+/// [`lock_chain_ends`] at the acquisition.
 fn node_acquisitions(ws: &Workspace, id: usize) -> Vec<(String, usize, bool)> {
     let v = NodeView::new(ws, id);
     let mut out = Vec::new();
@@ -649,11 +650,33 @@ fn node_acquisitions(ws: &Workspace, id: usize) -> Vec<(String, usize, bool)> {
         // index/call groups skipped: `self.shards[i].lock()` → `shards`.
         if v.t(k) == "lock" && v.t(k + 1) == "(" && k >= 2 && v.t(k - 1) == "." {
             if let Some(l) = receiver_label(&v, k - 2) {
-                out.push((l, v.raw(k), false));
+                out.push((l, v.raw(k), lock_chain_ends(&v, k)));
             }
         }
     }
     out
+}
+
+/// Whether the `.lock()` call whose `lock` token is at code index `lock`
+/// ends its expression: only `.expect(..)`, `.unwrap()` or `?` may
+/// follow it before a `;` or `else`. Only then does a `let` bind the
+/// guard itself; `let entry = m.lock().expect("m").take(&key);` binds
+/// what the guard returned, and the guard drops at the `;`.
+fn lock_chain_ends(v: &NodeView<'_>, lock: usize) -> bool {
+    let mut depth = 0usize;
+    let mut k = lock + 1;
+    loop {
+        match v.t(k) {
+            "" => return false,
+            "(" => depth += 1,
+            ")" if depth > 0 => depth -= 1,
+            _ if depth > 0 => {}
+            "?" => {}
+            "." if matches!(v.t(k + 1), "expect" | "unwrap") => k += 1,
+            t => return t == ";" || t == "else",
+        }
+        k += 1;
+    }
 }
 
 /// Walks a receiver chain backwards from code index `k` (the token just
@@ -702,7 +725,10 @@ fn simulate_node(
     let v = NodeView::new(ws, id);
     let file = &ws.files[ws.nodes[id].file];
     let holder = ws.node_label(id);
-    let acq_at: BTreeMap<usize, &str> = acqs.iter().map(|(l, raw, _)| (*raw, l.as_str())).collect();
+    let acq_at: BTreeMap<usize, (&str, bool)> = acqs
+        .iter()
+        .map(|(l, raw, chain_ends)| (*raw, (l.as_str(), *chain_ends)))
+        .collect();
     let call_at: BTreeMap<usize, &crate::graph::CallSite> =
         ws.calls[id].iter().map(|s| (s.at, s)).collect();
 
@@ -710,7 +736,7 @@ fn simulate_node(
     let mut depth = 0i32;
     let mut group = 0i32; // paren/bracket depth — `;` inside `[0; 8]` is not a statement end
     let mut stmt_let = false;
-    let mut stmt_acqs: Vec<(String, usize)> = Vec::new();
+    let mut stmt_acqs: Vec<(String, usize, bool)> = Vec::new();
     let mut stmt_called: Vec<(String, usize)> = Vec::new();
 
     let emit = |edges: &mut BTreeMap<(String, String), LockEdge>,
@@ -734,7 +760,7 @@ fn simulate_node(
     macro_rules! flush_stmt {
         () => {{
             for (h, _) in &held {
-                for (a, raw) in &stmt_acqs {
+                for (a, raw, _) in &stmt_acqs {
                     emit(edges, h, a, *raw, false);
                 }
                 for (l, raw) in &stmt_called {
@@ -744,14 +770,16 @@ fn simulate_node(
             // Same-statement acquisitions are held across the
             // statement's own calls (`run_one(&mut m.lock())` runs with
             // the guard live), but unordered among themselves.
-            for (a, _) in &stmt_acqs {
+            for (a, _, _) in &stmt_acqs {
                 for (l, raw) in &stmt_called {
                     emit(edges, a, l, *raw, true);
                 }
             }
             if stmt_let {
-                for (a, _) in stmt_acqs.drain(..) {
-                    held.push((a, depth));
+                for (a, _, chain_ends) in stmt_acqs.drain(..) {
+                    if chain_ends {
+                        held.push((a, depth));
+                    }
                 }
             } else {
                 stmt_acqs.clear();
@@ -781,8 +809,8 @@ fn simulate_node(
             ")" | "]" => group = (group - 1).max(0),
             _ => {}
         }
-        if let Some(l) = acq_at.get(&raw) {
-            stmt_acqs.push(((*l).to_string(), raw));
+        if let Some(&(l, chain_ends)) = acq_at.get(&raw) {
+            stmt_acqs.push((l.to_string(), raw, chain_ends));
         }
         if let Some(site) = call_at.get(&raw) {
             let mut callee_labels: BTreeSet<&str> = BTreeSet::new();

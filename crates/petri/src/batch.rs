@@ -2,10 +2,10 @@
 //!
 //! The [`Analysis`] session made *one* net cheap
 //! to query repeatedly; serving-shaped consumers go one step further and
-//! run *fleets* of queries — possibly over several nets — under one
-//! resource budget. A [`Batch`] takes a set of [`BatchJob`]s (net + query
-//! shape + limits), deduplicates identical nets behind shared compiled
-//! sessions, runs the jobs concurrently under the existing
+//! run *fleets* of queries, possibly over several nets. A [`Batch`] takes
+//! a set of [`BatchJob`]s (net + query shape + limits), deduplicates
+//! identical nets behind shared compiled sessions, runs each distinct job
+//! once at its own [`ExplorationLimits`] under the existing
 //! [`Parallelism`] knob, and reports every result through a structured
 //! [`BatchReport`] (per-job [`Completion`], timings, cache-hit counts).
 //!
@@ -26,72 +26,33 @@
 //! assert!(report.all_complete());
 //! ```
 //!
-//! # The shared budget pool
-//!
-//! Without a pool every job runs at its own [`ExplorationLimits`]. With
-//! [`Batch::pool`], the batch owns a single token budget (one token = one
-//! stored configuration / Karp–Miller node) that is **fair-shared**: each
-//! round, the remaining tokens are split evenly over the jobs that still
-//! want budget (ties broken by job index, so the split is deterministic),
-//! every such job runs — or *resumes* — at its cumulative grant, and jobs
-//! that finish below their grant refund the unused tokens to the pool,
-//! where the next round redistributes them to the still-running jobs.
-//! The loop ends when the pool is dry or every job is settled.
-//!
-//! Because rounds are barriers and every grant is computed from
-//! deterministic quantities (graph sizes and [`Completion`]s do not depend
-//! on thread interleaving), each job's **final budget is deterministic**,
-//! and its result is bit-identical to a solo run at that budget: raising
-//! only the configuration budget keeps
-//! [`ReachabilityGraph::resume`](crate::explore::ReachabilityGraph::resume)
-//! on its in-place path, whose extension contract is exactly
-//! "indistinguishable from a cold build at the final limits"
-//! ([`identical_to`](crate::explore::ReachabilityGraph::identical_to)).
-//! `tests/batch_fairness.rs` property-tests this for the sequential and
-//! the parallel runner alike.
-//!
-//! Token accounting per query shape (a settled job refunds its grant
-//! minus [`QueryRun::used`]):
-//!
-//! * **Reachability** — demands `limits.max_configurations`; truncated
-//!   graphs stay *running* and are resumed in place when the pool grants
-//!   more; settled jobs refund `granted − len()`.
-//! * **Karp–Miller** — demands `limits.max_configurations` (the node
-//!   budget); rebuilt (not resumed) at raised grants; refunds like
-//!   reachability.
-//! * **Covering word** — demands `limits.max_configurations` for its
-//!   forward search; re-searched at raised grants; never refunds (the
-//!   search arena is not exposed, so the spend is charged in full).
-//! * **Coverability** — the backward algorithm is exact and unbudgeted: it
-//!   runs in the first round and charges nothing.
-//!
 //! # Dedup and cache hits
 //!
 //! Jobs whose nets are equal (same transitions in the same insertion
 //! order — the condition under which compiled transition indices, and
 //! hence results, coincide) share one compiled engine: the first job of a
-//! group compiles, the rest are *compile cache hits*. In unpooled
-//! batches, jobs that are outright identical (same net, query, and limits)
-//! are additionally collapsed to one execution whose result `Arc` they
-//! share (*result cache hits*); pooled batches keep every job separate so
-//! fair-share grants stay per-job.
+//! group compiles, the rest are *compile cache hits*. Jobs that are
+//! outright identical (same net, query, and limits) are additionally
+//! collapsed to one execution whose result `Arc` they share (*result
+//! cache hits*).
 //!
-//! # Concurrency
+//! # Determinism and concurrency
 //!
-//! [`Batch::parallelism`] fans the jobs of one round out through
-//! [`Parallelism::map`]; each job runs on one thread, on its own state.
-//! Results are identical across all runner modes — the engines are
-//! deterministic and rounds are barriers — so the runner parallelism is
+//! Every job's result is bit-identical to a solo query at the job's own
+//! limits: dedup shares only what equal nets compile identically, and the
+//! engines are deterministic. [`Batch::parallelism`] fans the distinct
+//! jobs out through [`Parallelism::map`]; each job runs on one thread, on
+//! its own clone of its group's session, so the runner parallelism is
 //! purely a speed knob.
 //!
 //! # One executor
 //!
-//! Every run of a job, in any round, is one call of
-//! [`BatchQuery::run_on`]: the query on a session at given limits,
-//! returning a [`QueryRun`] (outcome, [`Completion`], tokens used).
-//! Consumers that keep their own session — `pp_serve` runs each request
-//! on the session it cached for that request's identity — call it
-//! directly, so a query runs the same way inside and outside a batch.
+//! Every job runs as one call of [`BatchQuery::run_on`]: the query on a
+//! session at given limits, returning a [`QueryRun`] (outcome,
+//! [`Completion`], what the run stored). Consumers that keep their own
+//! session — `pp_serve` runs each request on the session it cached for
+//! that request's identity — call it directly, so a query runs the same
+//! way inside and outside a batch.
 
 use crate::cover::{CoverabilityOracle, CoveringWordOutcome};
 use crate::explore::{ExplorationLimits, ReachabilityGraph, MAX_GRAPH_CONFIGURATIONS};
@@ -143,17 +104,18 @@ pub struct QueryRun<P: Ord> {
     pub outcome: BatchOutcome<P>,
     /// Why (and whether) the run stopped short.
     pub completion: Completion,
-    /// The tokens the run used: the stored configurations (or
-    /// Karp–Miller nodes) of its result, the basis size of a coverability
-    /// oracle, or the whole budget of a covering-word search, whose arena
-    /// is not exposed.
+    /// What the run stored: the configurations (or Karp–Miller nodes)
+    /// of its result, the basis size of a coverability oracle, or the
+    /// whole budget of a covering-word search, whose arena is not
+    /// exposed.
     pub used: usize,
 }
 
 impl<P: Clone + Ord> BatchQuery<P> {
-    /// The token demand of the query at a budget of `max_configurations`:
+    /// The budget the query runs at when asked for `max_configurations`:
     /// the budget itself (clamped to [`MAX_GRAPH_CONFIGURATIONS`]), and zero
-    /// for the unbudgeted backward-coverability shape.
+    /// for the unbudgeted backward-coverability shape. [`Batch::run`] runs
+    /// every job at this budget; `pp_serve` draws this many pool tokens.
     #[must_use]
     pub fn demand(&self, max_configurations: usize) -> usize {
         match self {
@@ -166,7 +128,7 @@ impl<P: Clone + Ord> BatchQuery<P> {
 
     /// Runs the query on `session` at `limits`, reusing or resuming what
     /// the session has cached. This is the one executor of a query:
-    /// [`Batch::run`] calls it for every job in every round, and so does
+    /// [`Batch::run`] calls it once for every distinct job, and so does
     /// any consumer that keeps its own session.
     ///
     /// A reachability re-run at raised limits extends the session's cached
@@ -247,8 +209,8 @@ pub struct BatchJob<P: Ord> {
     pub extra_places: Vec<P>,
     /// The query to run.
     pub query: BatchQuery<P>,
-    /// The job's own limits. Under a shared pool, `max_configurations` is
-    /// the job's *demand*; the pool decides how much of it is granted.
+    /// The limits the job runs at (`max_configurations` clamped as in
+    /// [`BatchQuery::demand`]).
     pub limits: ExplorationLimits,
 }
 
@@ -303,8 +265,7 @@ impl<P: Clone + Ord> BatchJob<P> {
         Self::new(name, net, BatchQuery::CoveringWord { from, target })
     }
 
-    /// Sets the job's exploration limits (its budget *demand* under a
-    /// shared pool).
+    /// Sets the limits the job runs at.
     #[must_use]
     pub fn limits(mut self, limits: ExplorationLimits) -> Self {
         self.limits = limits;
@@ -390,25 +351,18 @@ pub struct JobReport<P: Ord> {
     pub outcome: BatchOutcome<P>,
     /// Why (and whether) the job's analysis stopped.
     pub completion: Completion,
-    /// The limits of the job's *final* run. A solo query at exactly these
-    /// limits produces a bit-identical result — this is the batch layer's
-    /// determinism contract, which `tests/batch_fairness.rs` checks on the
-    /// catalog.
-    pub final_limits: ExplorationLimits,
-    /// The tokens the final run used ([`QueryRun::used`]): stored
-    /// configurations or tree nodes, a coverability job's basis size, or
-    /// a covering-word job's granted budget.
+    /// What the run stored ([`QueryRun::used`]): configurations or tree
+    /// nodes, a coverability job's basis size, or a covering-word job's
+    /// budget.
     pub explored: usize,
     /// `true` if the job reused another job's compiled engine instead of
     /// compiling its net.
     pub shared_compile: bool,
     /// `true` if the job shared another identical job's result `Arc`
-    /// outright (unpooled batches only).
+    /// outright.
     pub result_cache_hit: bool,
-    /// How many rounds the job ran or resumed in (0 for pure result cache
-    /// hits).
-    pub rounds: u32,
-    /// Wall-clock time spent running this job, summed over its rounds.
+    /// Wall-clock time spent running this job (zero for a result cache
+    /// hit, which did not run).
     pub elapsed: Duration,
 }
 
@@ -417,32 +371,12 @@ impl<P: Ord + fmt::Debug> fmt::Debug for JobReport<P> {
         f.debug_struct("JobReport")
             .field("name", &self.name)
             .field("completion", &self.completion)
-            .field("final_limits", &self.final_limits)
             .field("explored", &self.explored)
             .field("shared_compile", &self.shared_compile)
             .field("result_cache_hit", &self.result_cache_hit)
-            .field("rounds", &self.rounds)
             .field("elapsed", &self.elapsed)
             .finish_non_exhaustive()
     }
-}
-
-/// Budget-pool accounting of a pooled batch run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolReport {
-    /// The tokens the pool started with.
-    pub total: usize,
-    /// Tokens actually consumed: grants net of refunds. Always
-    /// `total == granted + unspent`. (A settled job's
-    /// [`final_limits`](JobReport::final_limits) keeps its full grant —
-    /// the budget its last run used — so the sum of final budgets can
-    /// exceed this number by exactly `refunded`.)
-    pub granted: usize,
-    /// Tokens refunded by jobs that settled below their grant (these were
-    /// available for redistribution).
-    pub refunded: usize,
-    /// Tokens never granted to any job.
-    pub unspent: usize,
 }
 
 /// The structured result of a [`Batch::run`].
@@ -456,10 +390,6 @@ pub struct BatchReport<P: Ord> {
     pub compile_cache_hits: usize,
     /// Jobs that shared an identical job's result outright.
     pub result_cache_hits: usize,
-    /// Fair-share rounds the scheduler ran (1 for unpooled batches).
-    pub rounds: usize,
-    /// Pool accounting, when the batch ran under [`Batch::pool`].
-    pub pool: Option<PoolReport>,
     /// Wall-clock time of the whole batch run.
     pub elapsed: Duration,
 }
@@ -485,7 +415,6 @@ impl<P: Ord> BatchReport<P> {
 #[must_use = "a batch does nothing until run"]
 pub struct Batch<P: Ord> {
     jobs: Vec<BatchJob<P>>,
-    pool: Option<usize>,
     parallelism: Parallelism,
 }
 
@@ -496,11 +425,10 @@ impl<P: Clone + Ord> Default for Batch<P> {
 }
 
 impl<P: Clone + Ord> Batch<P> {
-    /// An empty batch (sequential runner, no shared pool).
+    /// An empty batch on the sequential runner.
     pub fn new() -> Self {
         Batch {
             jobs: Vec::new(),
-            pool: None,
             parallelism: Parallelism::Sequential,
         }
     }
@@ -517,16 +445,8 @@ impl<P: Clone + Ord> Batch<P> {
         self
     }
 
-    /// Puts the batch under a shared token budget of `tokens` stored
-    /// configurations, fair-shared and redistributed as described in the
-    /// [module documentation](self).
-    pub fn pool(mut self, tokens: usize) -> Self {
-        self.pool = Some(tokens);
-        self
-    }
-
     /// Sets the runner parallelism: how many OS threads may work on
-    /// different jobs of one round concurrently. Purely a speed knob.
+    /// different jobs concurrently. Purely a speed knob.
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
         self.parallelism = parallelism;
         self
@@ -536,16 +456,12 @@ impl<P: Clone + Ord> Batch<P> {
 impl<P: Clone + Ord + Send + Sync> Batch<P> {
     /// Runs the batch and reports every job's result.
     ///
-    /// Results are deterministic: they do not depend on the runner
-    /// parallelism or on how pool rounds interleave — every job's outcome is bit-identical to a solo
-    /// query at its [`JobReport::final_limits`].
+    /// Results are deterministic: every job's outcome is bit-identical to
+    /// a solo query at the job's own limits, whatever the runner
+    /// parallelism.
     pub fn run(self) -> BatchReport<P> {
         let started = Instant::now();
-        let Batch {
-            jobs,
-            pool,
-            parallelism,
-        } = self;
+        let Batch { jobs, parallelism } = self;
 
         // ---- Dedup: group jobs by (net, extra places) -------------------
         // Only the first job of a group pays the compile.
@@ -575,237 +491,63 @@ impl<P: Clone + Ord + Send + Sync> Batch<P> {
             group_of.push(groups.len() - 1);
         }
 
-        // ---- Result aliasing (unpooled only): identical jobs share one
-        // execution. With a pool, grants are per-job, so jobs stay apart.
-        let mut rep_of: Vec<usize> = (0..jobs.len()).collect();
-        if pool.is_none() {
-            for index in 0..jobs.len() {
-                if let Some(rep) = (0..index).find(|&rep| {
-                    rep_of[rep] == rep
-                        && group_of[rep] == group_of[index]
-                        && jobs[rep].query == jobs[index].query
-                        && jobs[rep].limits == jobs[index].limits
-                }) {
-                    rep_of[index] = rep;
-                }
-            }
+        // ---- Result aliasing: identical jobs share one execution --------
+        // `representatives` are the jobs that run; job `j` reads its result
+        // from run number `run_of[j]`.
+        let mut representatives: Vec<usize> = Vec::new();
+        let mut run_of: Vec<usize> = Vec::with_capacity(jobs.len());
+        for (index, job) in jobs.iter().enumerate() {
+            let same = representatives.iter().position(|&rep| {
+                group_of[rep] == group_of[index]
+                    && jobs[rep].query == job.query
+                    && jobs[rep].limits == job.limits
+            });
+            run_of.push(same.unwrap_or_else(|| {
+                representatives.push(index);
+                representatives.len() - 1
+            }));
         }
 
-        // ---- Per-job scheduler state ------------------------------------
-        let mut states: Vec<JobState<P>> = jobs
+        // ---- One fan-out: each distinct job runs once at its own limits -
+        let work: Vec<(&BatchJob<P>, Analysis<P>)> = representatives
             .iter()
-            .enumerate()
-            .map(|(index, job)| JobState {
-                session: groups[group_of[index]].base.clone(),
-                granted: 0,
-                demand: job.query.demand(job.limits.max_configurations),
-                settled: false,
-                rounds: 0,
-                elapsed: Duration::ZERO,
-                refunded: 0,
-                run: None,
-            })
+            .map(|&j| (&jobs[j], groups[group_of[j]].base.clone()))
             .collect();
-        let representatives: Vec<usize> = (0..jobs.len()).filter(|&j| rep_of[j] == j).collect();
-
-        // ---- Fair-share rounds ------------------------------------------
-        let mut remaining = pool.unwrap_or(0);
-        let mut refunded_total = 0usize;
-        let mut rounds = 0usize;
-        loop {
-            rounds += 1;
-            let to_run: Vec<usize> = if pool.is_none() {
-                // Unpooled: a single round at each job's own limits.
-                for &j in &representatives {
-                    let state = &mut states[j];
-                    state.granted = state.demand;
-                }
-                representatives.clone()
-            } else if rounds == 1 {
-                // First pooled round: fair-share the pool over every
-                // budgeted job, then run *all* jobs (unbudgeted coverability
-                // jobs and zero-grant jobs included, so each has an outcome).
-                let wants: Vec<usize> = representatives
-                    .iter()
-                    .copied()
-                    .filter(|&j| states[j].demand > 0)
-                    .collect();
-                fair_share(&mut remaining, &wants, &mut states);
-                representatives.clone()
-            } else {
-                // Later rounds: redistribute what is left to the jobs that
-                // are still running and still want more.
-                let active: Vec<usize> = representatives
-                    .iter()
-                    .copied()
-                    .filter(|&j| !states[j].settled && states[j].granted < states[j].demand)
-                    .collect();
-                if active.is_empty() || remaining == 0 {
-                    rounds -= 1;
-                    break;
-                }
-                let before: Vec<usize> = active.iter().map(|&j| states[j].granted).collect();
-                fair_share(&mut remaining, &active, &mut states);
-                let mut grew: Vec<usize> = Vec::new();
-                for (&j, before) in active.iter().zip(before) {
-                    if states[j].granted > before {
-                        grew.push(j);
-                    }
-                }
-                if grew.is_empty() {
-                    rounds -= 1;
-                    break;
-                }
-                grew
+        let runs: Vec<(QueryRun<P>, Duration)> = parallelism.map(work, |(job, mut session)| {
+            let timer = Instant::now();
+            let limits = ExplorationLimits {
+                max_configurations: job.query.demand(job.limits.max_configurations),
+                ..job.limits
             };
-
-            // `to_run` is ascending, so one pass pairs each job with its
-            // own state, and the round's jobs run as one fan-out.
-            let round: Vec<_> = jobs
-                .iter()
-                .zip(&mut states)
-                .enumerate()
-                .filter(|(j, _)| to_run.binary_search(j).is_ok())
-                .map(|(_, pair)| pair)
-                .collect();
-            parallelism.map(round, |(job, state)| state.execute(job));
-
-            for &j in &to_run {
-                let refund = states[j].settle();
-                remaining += refund;
-                refunded_total += refund;
-            }
-            if pool.is_none() {
-                break;
-            }
-        }
+            let run = job.query.run_on(&mut session, limits);
+            (run, timer.elapsed())
+        });
 
         // ---- Assemble the report in job order ---------------------------
-        // Consumed tokens per representative: its final grant minus what it
-        // refunded. With the pool's leftovers this partitions the total.
-        let granted_total: usize = representatives
+        let reports: Vec<JobReport<P>> = jobs
             .iter()
-            .map(|&j| states[j].granted - states[j].refunded)
-            .sum();
-        let mut reports: Vec<JobReport<P>> = Vec::with_capacity(jobs.len());
-        for (index, job) in jobs.iter().enumerate() {
-            let rep = rep_of[index];
-            let state = &states[rep];
-            let run = state
-                .run
-                .as_ref()
-                .expect("every representative job ran at least once");
-            let aliased = rep != index;
-            reports.push(JobReport {
-                name: job.name.clone(),
-                outcome: run.outcome.clone(),
-                completion: run.completion,
-                final_limits: ExplorationLimits {
-                    max_configurations: state.granted,
-                    ..job.limits
-                },
-                explored: run.used,
-                shared_compile: shared_compile[index] || aliased,
-                result_cache_hit: aliased,
-                rounds: if aliased { 0 } else { state.rounds },
-                elapsed: if aliased {
-                    Duration::ZERO
-                } else {
-                    state.elapsed
-                },
-            });
-        }
-        let compile_cache_hits = shared_compile.iter().filter(|&&shared| shared).count();
-        let result_cache_hits = jobs.len() - representatives.len();
+            .enumerate()
+            .map(|(index, job)| {
+                let (run, elapsed) = &runs[run_of[index]];
+                let aliased = representatives[run_of[index]] != index;
+                JobReport {
+                    name: job.name.clone(),
+                    outcome: run.outcome.clone(),
+                    completion: run.completion,
+                    explored: run.used,
+                    shared_compile: shared_compile[index],
+                    result_cache_hit: aliased,
+                    elapsed: if aliased { Duration::ZERO } else { *elapsed },
+                }
+            })
+            .collect();
         BatchReport {
             jobs: reports,
             distinct_nets: groups.len(),
-            compile_cache_hits,
-            result_cache_hits,
-            rounds,
-            pool: pool.map(|total| PoolReport {
-                total,
-                granted: granted_total,
-                refunded: refunded_total,
-                unspent: remaining,
-            }),
+            compile_cache_hits: shared_compile.iter().filter(|&&shared| shared).count(),
+            result_cache_hits: jobs.len() - representatives.len(),
             elapsed: started.elapsed(),
         }
-    }
-}
-
-/// The mutable scheduler state of one (representative) job.
-struct JobState<P: Ord> {
-    session: Analysis<P>,
-    granted: usize,
-    demand: usize,
-    settled: bool,
-    rounds: u32,
-    elapsed: Duration,
-    refunded: usize,
-    run: Option<QueryRun<P>>,
-}
-
-impl<P: Clone + Ord> JobState<P> {
-    /// Runs (or resumes) `job` at the current grant on the job's session.
-    fn execute(&mut self, job: &BatchJob<P>) {
-        let timer = Instant::now();
-        // Drop the previous result first, so a raised grant extends the
-        // session's cached graph in place instead of copying it.
-        self.run = None;
-        let limits = ExplorationLimits {
-            max_configurations: self.granted,
-            ..job.limits
-        };
-        self.run = Some(job.query.run_on(&mut self.session, limits));
-        self.rounds += 1;
-        self.elapsed += timer.elapsed();
-    }
-
-    /// Decides, after a run, whether the job is settled and how many
-    /// unused tokens it refunds to the pool.
-    fn settle(&mut self) -> usize {
-        let run = self.run.as_ref().expect("a job settles after it ran");
-        let refund = match run.completion {
-            Completion::ConfigBudget | Completion::IdSpace => {
-                // Still running (more budget could extend the result) —
-                // unless the job already got everything it asked for.
-                if self.granted >= self.demand {
-                    self.settled = true;
-                }
-                0
-            }
-            // A raised budget cannot extend these: the run is done
-            // (`Complete`) or was cut by a cap budget tokens do not
-            // raise (`AgentCap`/`DepthCap`/`OmegaOverflow`).
-            Completion::Complete
-            | Completion::AgentCap
-            | Completion::DepthCap
-            | Completion::OmegaOverflow => {
-                self.settled = true;
-                self.granted.saturating_sub(run.used)
-            }
-        };
-        self.refunded += refund;
-        refund
-    }
-}
-
-/// Splits `remaining` tokens evenly over the `wants` jobs (each capped at
-/// its own remaining demand), remainder tokens going to the
-/// lowest-indexed jobs — fully deterministic.
-fn fair_share<P: Clone + Ord>(remaining: &mut usize, wants: &[usize], states: &mut [JobState<P>]) {
-    if wants.is_empty() || *remaining == 0 {
-        return;
-    }
-    let share = *remaining / wants.len();
-    let extra = *remaining % wants.len();
-    for (rank, &j) in wants.iter().enumerate() {
-        let state = &mut states[j];
-        let offer = share + usize::from(rank < extra);
-        let take = offer.min(state.demand - state.granted);
-        state.granted += take;
-        *remaining -= take;
     }
 }
 
@@ -851,8 +593,6 @@ mod tests {
         assert!(report.all_complete());
         assert_eq!(report.distinct_nets, 1);
         assert_eq!(report.compile_cache_hits, 3);
-        assert_eq!(report.rounds, 1);
-        assert!(report.pool.is_none());
         let graph = report.jobs[0].outcome.as_reachability().unwrap();
         assert_eq!(graph.len(), 7);
         let oracle = report.jobs[1].outcome.as_coverability().unwrap();
@@ -873,7 +613,8 @@ mod tests {
         let third = report.jobs[2].outcome.as_reachability().unwrap();
         assert!(Arc::ptr_eq(first, third));
         assert!(report.jobs[2].result_cache_hit);
-        assert_eq!(report.jobs[2].rounds, 0);
+        assert!(report.jobs[2].shared_compile);
+        assert_eq!(report.jobs[2].elapsed, Duration::ZERO);
         assert!(!report.jobs[0].result_cache_hit);
     }
 
@@ -893,124 +634,26 @@ mod tests {
     }
 
     #[test]
-    fn pooled_jobs_split_the_budget_fairly_and_match_solo_runs() {
-        let net = doubling_net();
-        let start = ms(&[("a", 8)]); // 9 configurations when complete
-        let job = |name: &str| {
-            BatchJob::reachability(name, net.clone(), [start.clone()])
-                .limits(ExplorationLimits::with_max_configurations(9))
-        };
-        // 12 tokens over 3 jobs: fair share 4 each, nobody completes, no
-        // refunds, pool dry.
-        let report = Batch::new()
-            .job(job("one"))
-            .job(job("two"))
-            .job(job("three"))
-            .pool(12)
-            .run();
-        let pool = report.pool.unwrap();
-        assert_eq!(pool.total, 12);
-        assert_eq!(pool.unspent, 0);
-        for job_report in &report.jobs {
-            assert_eq!(job_report.final_limits.max_configurations, 4);
-            assert_eq!(job_report.completion, Completion::ConfigBudget);
-            let solo = Analysis::new(&net)
-                .reachability([start.clone()])
-                .limits(job_report.final_limits)
-                .run();
-            let graph = job_report.outcome.as_reachability().unwrap();
-            assert!(graph.identical_to(&solo), "{} != solo", job_report.name);
-        }
-    }
-
-    #[test]
-    fn refunded_budget_is_redistributed_to_running_jobs() {
-        let net = doubling_net();
-        // Job "small" completes with 5 of its up-to-20 grant; job "big"
-        // wants the world. Pool 24: round 1 grants 12 + 12; small finishes
-        // with 5 used and refunds 7, which round 2 hands to big.
-        let report = Batch::new()
-            .job(
-                BatchJob::reachability("small", net.clone(), [ms(&[("a", 4)])])
-                    .limits(ExplorationLimits::with_max_configurations(20)),
-            )
-            .job(
-                BatchJob::reachability("big", net.clone(), [ms(&[("a", 30)])])
-                    .limits(ExplorationLimits::with_max_configurations(100)),
-            )
-            .pool(24)
-            .run();
-        let small = report.job("small").unwrap();
-        let big = report.job("big").unwrap();
-        assert!(small.completion.is_complete());
-        assert_eq!(small.explored, 5);
-        assert_eq!(big.final_limits.max_configurations, 19, "12 + 7 refunded");
-        assert_eq!(big.completion, Completion::ConfigBudget);
-        assert!(report.rounds >= 2);
-        let pool = report.pool.unwrap();
-        assert_eq!(pool.refunded, 7);
-        // Bit-identity at the redistributed final budget.
-        let solo = Analysis::new(&net)
-            .reachability([ms(&[("a", 30)])])
-            .limits(big.final_limits)
-            .run();
-        assert!(big.outcome.as_reachability().unwrap().identical_to(&solo));
-    }
-
-    #[test]
-    fn coverability_jobs_are_free_under_a_pool() {
-        let net = doubling_net();
-        let report = Batch::new()
-            .job(BatchJob::coverability(
-                "cover",
-                net.clone(),
-                ms(&[("b", 1)]),
-            ))
-            .job(
-                BatchJob::reachability("reach", net, [ms(&[("a", 5)])])
-                    .limits(ExplorationLimits::with_max_configurations(50)),
-            )
-            .pool(50)
-            .run();
-        // The reachability job got the whole pool; coverability cost nothing.
-        assert!(report.all_complete());
-        let reach = report.job("reach").unwrap();
-        assert_eq!(reach.final_limits.max_configurations, 50);
-        let pool = report.pool.unwrap();
-        assert_eq!(pool.refunded, 50 - reach.explored);
-    }
-
-    #[test]
-    fn zero_token_pools_truncate_every_budgeted_job() {
-        let net = doubling_net();
-        let report = Batch::new()
-            .job(BatchJob::reachability("starved", net, [ms(&[("a", 3)])]))
-            .pool(0)
-            .run();
-        let job = &report.jobs[0];
-        assert_eq!(job.completion, Completion::ConfigBudget);
-        assert_eq!(job.explored, 0);
-        assert_eq!(job.final_limits.max_configurations, 0);
-    }
-
-    #[test]
     fn runner_parallelism_does_not_change_results() {
         let net = doubling_net();
         let build = |parallelism| {
             Batch::new()
-                .job(BatchJob::reachability("r1", net.clone(), [ms(&[("a", 7)])]))
+                .job(
+                    BatchJob::reachability("r1", net.clone(), [ms(&[("a", 7)])])
+                        .limits(ExplorationLimits::with_max_configurations(5)),
+                )
                 .job(BatchJob::reachability("r2", net.clone(), [ms(&[("a", 6)])]))
                 .job(BatchJob::karp_miller("km", net.clone(), ms(&[("a", 4)])))
                 .job(BatchJob::coverability("cv", net.clone(), ms(&[("b", 3)])))
-                .pool(40)
                 .parallelism(parallelism)
                 .run()
         };
         let sequential = build(Parallelism::Sequential);
         let parallel = build(Parallelism::Parallel(3));
+        assert_eq!(sequential.jobs[0].completion, Completion::ConfigBudget);
         for (s, p) in sequential.jobs.iter().zip(&parallel.jobs) {
             assert_eq!(s.completion, p.completion, "{}", s.name);
-            assert_eq!(s.final_limits, p.final_limits, "{}", s.name);
+            assert_eq!(s.explored, p.explored, "{}", s.name);
             match (&s.outcome, &p.outcome) {
                 (BatchOutcome::Reachability(a), BatchOutcome::Reachability(b)) => {
                     assert!(a.identical_to(b), "{}", s.name);
@@ -1024,35 +667,6 @@ mod tests {
                 _ => panic!("outcome shapes diverged for {}", s.name),
             }
         }
-    }
-
-    #[test]
-    fn covering_word_jobs_retry_under_redistributed_budget() {
-        let net = doubling_net();
-        // Finding 8 b's from 8 a's needs 8 interned configurations (the
-        // covering successor is detected before interning). Pool 14 over
-        // two demand-40 jobs: round 1 grants 7 + 7, the word search comes
-        // up short (Truncated) while the donor completes with 3
-        // configurations and refunds 4 — round 2 re-searches at 11.
-        let report = Batch::new()
-            .job(
-                BatchJob::covering_word("word", net.clone(), ms(&[("a", 8)]), ms(&[("b", 8)]))
-                    .limits(ExplorationLimits::with_max_configurations(40)),
-            )
-            .job(
-                BatchJob::reachability("donor", net, [ms(&[("a", 2)])])
-                    .limits(ExplorationLimits::with_max_configurations(40)),
-            )
-            .pool(14)
-            .run();
-        let word = report.job("word").unwrap();
-        assert!(word.completion.is_complete(), "{:?}", word.completion);
-        assert!(matches!(
-            word.outcome.as_covering_word().unwrap(),
-            CoveringWordOutcome::Covered(_)
-        ));
-        assert_eq!(word.rounds, 2);
-        assert_eq!(word.final_limits.max_configurations, 11, "7 + 4 refunded");
     }
 
     #[test]

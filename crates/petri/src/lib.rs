@@ -26,10 +26,10 @@
 //! every query — forward exploration (with resumable budgets), backward
 //! coverability, Karp–Miller trees, covering words — on that shared
 //! substrate, still speaking sparse `Multiset` configurations at the
-//! boundary. Above the session sits the [`batch`] scheduler: fleets of
-//! jobs over many nets, deduplicated behind shared sessions and run under
-//! one fair-shared token budget, every result bit-identical to a solo
-//! query. See `DESIGN.md` ("The session layer", "The batch layer") for
+//! boundary. Above the session sits the [`batch`] runner: fleets of
+//! jobs over many nets, deduplicated behind shared sessions, each
+//! distinct job run once at its own limits, every result bit-identical to
+//! a solo query. See `DESIGN.md` ("The session layer", "The batch layer") for
 //! the architecture and `explore::sparse_reference_exploration` for the
 //! retained differential-testing baseline.
 //!

@@ -265,7 +265,8 @@ impl<P: Clone + Ord> Analysis<P> {
 
     /// The configurations and Karp–Miller nodes stored by the session's
     /// cached results (oracle bases are not counted): what keeping the
-    /// session alive holds in memory, in the token unit of a batch pool.
+    /// session alive holds in memory, in the token unit of `pp_serve`'s
+    /// pool.
     #[must_use]
     pub fn cached_nodes(&self) -> usize {
         self.reach.as_ref().map_or(0, |cache| cache.graph.len())

@@ -2,8 +2,8 @@
 //! analysis sessions.
 //!
 //! The batch layer ([`pp_petri::batch`]) already runs analyses over
-//! shared compiled nets and a fair-shared token pool, with every result
-//! bit-identical to a solo query. This crate puts a wire on its query
+//! shared compiled nets, with every result bit-identical to a solo
+//! query. This crate puts a wire on its query
 //! executor ([`BatchQuery::run_on`](pp_petri::BatchQuery::run_on)): a
 //! daemon ([`server::Server`]) speaking newline-delimited JSON frames over
 //! TCP, where any number of clients submit jobs — catalog protocols from

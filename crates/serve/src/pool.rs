@@ -1,24 +1,25 @@
-//! The server-side token pool: multi-tenant memory fairness.
+//! The server's token pool: multi-tenant memory fairness.
 //!
-//! The batch layer's pool fair-shares a budget across the jobs of *one*
-//! batch; the server generalizes the same currency — one token = one
-//! stored configuration (or Karp–Miller node) — across *connections*.
-//! Every in-flight job draws a fair share of the free tokens, and every
-//! graph kept hot in the session cache keeps its tokens checked out
-//! until the entry is evicted. The capacity therefore bounds the total
-//! number of configurations the server holds in memory at once,
-//! cache included:
+//! One token = one stored configuration (or Karp–Miller node). Every
+//! in-flight job draws a fair share of the free tokens, and every graph
+//! kept hot in a session store keeps its tokens checked out until the
+//! entry is evicted. The capacity therefore bounds the total number of
+//! configurations the server holds in memory at once, cache included:
 //!
 //! ```text
 //! capacity = free + Σ (outstanding job draws) + Σ (cache-held tokens)
 //! ```
 //!
+//! When a draw comes up short, the server evicts least-recently-used
+//! cache entries, from the job's own store first and then from the other,
+//! and draws again.
+//!
 //! Fairness, not determinism, is the pool's job: how many tokens a
-//! particular request is granted depends on what else is in flight, but
-//! whatever budget a job ends up running at is reported back as its
-//! `final_limits`, and the *result at that budget* is bit-identical to a
-//! solo run — the batch layer's contract, which the pool cannot weaken.
-//! An uncapped pool (capacity `None`) grants every draw in full.
+//! particular request is granted depends on what else is in flight or
+//! cached, but whatever budget a job ends up running at is reported back
+//! as its `final_limits`, and the *result at that budget* is
+//! bit-identical to a solo run at those limits, which the pool cannot
+//! change. An uncapped pool (capacity `None`) grants every draw in full.
 
 use std::sync::Mutex;
 
@@ -105,15 +106,6 @@ impl TokenPool {
         }
         let mut state = self.state.lock().expect("pool state");
         state.free += tokens;
-    }
-
-    /// Current free-token count (0 for uncapped pools).
-    #[must_use]
-    pub fn free(&self) -> usize {
-        if self.capacity.is_none() {
-            return 0;
-        }
-        self.state.lock().expect("pool state").free
     }
 
     /// A consistent snapshot for status frames.

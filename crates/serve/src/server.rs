@@ -38,6 +38,11 @@
 //! `"resumable": true` plus a `session` token; `{"cmd":"resume"}`
 //! re-runs the cached identity at a new budget.
 //!
+//! Cached graphs hold pool tokens. Under a capped pool, a draw that comes
+//! up short evicts least-recently-used sessions, first from the job's own
+//! store and then from the other one, so graphs parked in one store never
+//! starve a job of the other.
+//!
 //! Lock discipline: `catalog_sessions`, `inline_sessions`, `conns` and
 //! the pool's internal lock are each taken strictly one-at-a-time —
 //! every helper returns before the next lock is touched, so no ordering
@@ -170,9 +175,10 @@ impl Core {
     }
 
     /// Draws up to `want` tokens for the job under `key`, evicting
-    /// least-recently-used sessions from `store` (never `key` itself)
-    /// while the pool cannot cover the draw. Locks are taken one at a
-    /// time throughout.
+    /// least-recently-used sessions (never `key` itself) while the pool
+    /// cannot cover the draw: first from the job's own `store`, then from
+    /// the other store, so tokens parked in one never starve a job of the
+    /// other. Locks are taken one at a time throughout.
     fn acquire_tokens<P: Clone + Ord>(
         &self,
         store: &Mutex<SessionStore<P>>,
@@ -181,16 +187,31 @@ impl Core {
     ) -> usize {
         let mut grant = self.pool.draw(want);
         while grant < want {
-            let evicted = store.lock().expect("sessions").evict_lru(key);
-            match evicted {
-                Some(freed) => {
-                    self.pool.release(freed);
-                    grant += self.pool.draw(want - grant);
-                }
-                None => break,
-            }
+            let own = store.lock().expect("sessions").evict_lru(key);
+            let Some(freed) = own.or_else(|| self.evict_from_other_store(key)) else {
+                break;
+            };
+            self.pool.release(freed);
+            grant += self.pool.draw(want - grant);
         }
         grant
+    }
+
+    /// Evicts the least-recently-used session of the store that `key`
+    /// does not belong to (keys carry their store's `c:`/`i:` prefix),
+    /// returning the tokens it held.
+    fn evict_from_other_store(&self, key: &str) -> Option<usize> {
+        if key.starts_with("c:") {
+            self.inline_sessions
+                .lock()
+                .expect("sessions")
+                .evict_lru(key)
+        } else {
+            self.catalog_sessions
+                .lock()
+                .expect("sessions")
+                .evict_lru(key)
+        }
     }
 }
 
@@ -913,10 +934,7 @@ where
         return Ok(Flow::Stop);
     }
     // Take custody of the cached entry (session + its held tokens).
-    let entry = {
-        let mut sessions = store.lock().expect("sessions");
-        sessions.take(&key)
-    };
+    let entry = store.lock().expect("sessions").take(&key);
     let queue = received.elapsed();
     let wall_start = Instant::now();
     let (mut session, held, seeded) = match entry {

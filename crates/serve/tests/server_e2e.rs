@@ -1,8 +1,8 @@
 //! End-to-end tests: a real server on an ephemeral port, real TCP
 //! clients, and the central contract checked over the wire — every
 //! response bit-identical (by fingerprint) to a solo [`Batch`] run at the
-//! reported `final_limits`, with one and several concurrent clients,
-//! across truncate-then-resume.
+//! reported `final_limits`, with one and several concurrent clients, on
+//! an uncapped and a capped token pool, across truncate-then-resume.
 
 use pp_petri::fingerprint::{hex, outcome_fingerprint};
 use pp_petri::{Batch, BatchJob, ExplorationLimits};
@@ -77,6 +77,15 @@ fn final_limits_of(frame: &Json) -> ExplorationLimits {
         max_agents: limits.get("max_agents").and_then(Json::as_u64),
         max_depth: limits.get("max_depth").and_then(Json::as_usize),
     }
+}
+
+/// The pool's books from a `ping` frame: `(free, cache-held, active)`.
+fn pool_books(pong: &Json) -> (usize, usize, usize) {
+    let pool = field(pong, "pool");
+    let sessions = field(pong, "sessions");
+    let held = usize_field(field(sessions, "catalog"), "held")
+        + usize_field(field(sessions, "inline"), "held");
+    (usize_field(pool, "free"), held, usize_field(pool, "active"))
 }
 
 /// Runs the same catalog job directly on the batch layer at `limits` and
@@ -277,40 +286,65 @@ const WORKLOAD: [(&str, u64, u64); 6] = [
 
 #[test]
 fn concurrent_clients_all_get_the_direct_run_answer() {
-    for clients in [1usize, 3] {
-        let handle = spawn(ServerConfig::default());
-        let addr = handle.addr();
-        // Concurrent clients share job identities: the session cache
-        // must never cross-contaminate them.
-        let threads: Vec<_> = (0..clients)
-            .map(|_| {
-                std::thread::spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect");
-                    WORKLOAD.map(|(family, n, agents)| {
-                        let answer = client
-                            .submit(&submit_catalog(family, n, agents, &[]))
-                            .expect("submit");
-                        assert_ok(&answer.result);
-                        (
-                            final_limits_of(&answer.result),
-                            str_field(&answer.result, "fingerprint").to_string(),
-                        )
+    // A cap below flock-unary(3)[8]'s 65 configurations: on the capped
+    // server that job is truncated, and jobs evict each other's sessions.
+    let cap = 40usize;
+    let requested = ServerConfig::default().default_budget;
+    let capped = ServerConfig {
+        pool: Some(cap),
+        ..ServerConfig::default()
+    };
+    for config in [ServerConfig::default(), capped] {
+        for clients in [1usize, 3] {
+            let handle = spawn(config.clone());
+            let addr = handle.addr();
+            // Concurrent clients share job identities: the session cache
+            // must never cross-contaminate them.
+            let threads: Vec<_> = (0..clients)
+                .map(|_| {
+                    std::thread::spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        WORKLOAD.map(|(family, n, agents)| {
+                            let answer = client
+                                .submit(&submit_catalog(family, n, agents, &[]))
+                                .expect("submit");
+                            assert_ok(&answer.result);
+                            (
+                                final_limits_of(&answer.result),
+                                str_field(&answer.result, "fingerprint").to_string(),
+                            )
+                        })
                     })
                 })
-            })
-            .collect();
-        for thread in threads {
-            let answers = thread.join().expect("client thread");
-            for ((family, n, agents), (limits, fingerprint)) in WORKLOAD.into_iter().zip(answers) {
-                let direct =
-                    direct_catalog_fingerprint(family, n, agents, "reachability", &[], limits);
-                assert_eq!(
-                    fingerprint, direct,
-                    "{family}(n={n})[{agents}] with {clients} clients"
-                );
+                .collect();
+            let mut budgets = Vec::new();
+            for thread in threads {
+                let answers = thread.join().expect("client thread");
+                for ((family, n, agents), (limits, fingerprint)) in
+                    WORKLOAD.into_iter().zip(answers)
+                {
+                    let direct =
+                        direct_catalog_fingerprint(family, n, agents, "reachability", &[], limits);
+                    assert_eq!(
+                        fingerprint, direct,
+                        "{family}(n={n})[{agents}] with {clients} clients, pool {:?}",
+                        config.pool
+                    );
+                    budgets.push(limits.max_configurations);
+                }
             }
+            if config.pool.is_some() {
+                assert!(budgets.iter().all(|&budget| budget <= cap), "{budgets:?}");
+                assert!(
+                    budgets.iter().any(|&budget| budget < requested),
+                    "the cap must cut some budget: {budgets:?}"
+                );
+                let (free, held, active) = pool_books(&connect(&handle).ping().expect("ping"));
+                assert_eq!(active, 0, "{clients} clients");
+                assert_eq!(free + held, cap, "{clients} clients");
+            }
+            handle.shutdown();
         }
-        handle.shutdown();
     }
 }
 
@@ -620,13 +654,7 @@ fn disconnects_refund_tokens_and_the_pool_books_balance() {
     let mut client = connect(&handle);
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     loop {
-        let pong = client.ping().expect("ping");
-        let pool = field(&pong, "pool");
-        let sessions = field(&pong, "sessions");
-        let held = usize_field(field(sessions, "catalog"), "held")
-            + usize_field(field(sessions, "inline"), "held");
-        let free = usize_field(pool, "free");
-        let active = usize_field(pool, "active");
+        let (free, held, active) = pool_books(&client.ping().expect("ping"));
         if active == 0 && free + held == capacity && held > 0 {
             break;
         }
@@ -636,6 +664,65 @@ fn disconnects_refund_tokens_and_the_pool_books_balance() {
         );
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
+    handle.shutdown();
+}
+
+#[test]
+fn a_capped_pool_evicts_the_other_store_to_fund_a_job() {
+    let capacity = 100usize;
+    let handle = spawn(ServerConfig {
+        pool: Some(capacity),
+        ..ServerConfig::default()
+    });
+    let mut client = connect(&handle);
+    // The inline chain `p -> p + q` never ends: it runs at the whole pool
+    // and parks all of it in the inline store.
+    let chain = obj(&[
+        ("cmd", Json::str("submit")),
+        ("budget", Json::uint(100)),
+        (
+            "net",
+            obj(&[(
+                "transitions",
+                Json::Array(vec![obj(&[
+                    ("pre", obj(&[("p", Json::uint(1))])),
+                    ("post", obj(&[("p", Json::uint(1)), ("q", Json::uint(1))])),
+                ])]),
+            )]),
+        ),
+        ("initials", Json::Array(vec![obj(&[("p", Json::uint(1))])])),
+    ]);
+    let answer = client.submit(&chain).expect("submit");
+    assert_ok(&answer.result);
+    assert_eq!(pool_books(&client.ping().expect("ping")), (0, capacity, 0));
+
+    // A catalog job finds its own store empty: it must evict the inline
+    // entry, not run at zero.
+    let answer = client
+        .submit(&submit_catalog(
+            "flock-unary",
+            3,
+            6,
+            &[("budget", Json::uint(100))],
+        ))
+        .expect("submit");
+    assert_ok(&answer.result);
+    let limits = final_limits_of(&answer.result);
+    assert_eq!(limits.max_configurations, 100, "{}", answer.result);
+    assert_eq!(
+        str_field(&answer.result, "fingerprint"),
+        direct_catalog_fingerprint("flock-unary", 3, 6, "reachability", &[], limits)
+    );
+    let pong = client.ping().expect("ping");
+    let (free, held, active) = pool_books(&pong);
+    assert_eq!(active, 0);
+    assert_eq!(free + held, capacity);
+    let inline = field(field(&pong, "sessions"), "inline");
+    assert_eq!(
+        usize_field(inline, "entries"),
+        0,
+        "the inline entry was evicted"
+    );
     handle.shutdown();
 }
 

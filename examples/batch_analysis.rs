@@ -2,9 +2,9 @@
 //!
 //! The batch layer (`pp_petri::batch`) is the front door for many-query
 //! workloads: jobs over equal nets share one compiled engine, identical
-//! jobs share one result, a shared token pool is fair-shared and
-//! redistributed, and every job's result is bit-identical to a solo run at
-//! its final budget. A protocol's job is a `BatchJob` on `protocol.net()`.
+//! jobs share one result, and every job's result is bit-identical to a
+//! solo run at its own limits. A protocol's job is a `BatchJob` on
+//! `protocol.net()`.
 //!
 //! Run with: `cargo run --example batch_analysis`
 
@@ -52,11 +52,10 @@ fn main() {
 
     println!("## Mixed batch\n");
     println!(
-        "{} jobs, {} distinct nets, {} compile cache hits, {} rounds\n",
+        "{} jobs, {} distinct nets, {} compile cache hits\n",
         report.jobs.len(),
         report.distinct_nets,
         report.compile_cache_hits,
-        report.rounds,
     );
     for job in &report.jobs {
         println!(
@@ -68,32 +67,7 @@ fn main() {
         );
     }
 
-    // ---- 2. A shared budget pool: fair share + redistribution -----------
-    // Three flock explorations compete for 120 stored configurations. The
-    // smallest completes below its fair share and refunds tokens; the
-    // others pick them up in the next round, each result still
-    // bit-identical to a solo run at its final budget.
-    let pooled = Batch::new()
-        .jobs([3, 9, 10].map(|agents| {
-            reach(&flock, agents).limits(ExplorationLimits::with_max_configurations(100_000))
-        }))
-        .pool(120)
-        .parallelism(Parallelism::Parallel(2))
-        .run();
-    println!("\n## Pooled batch (120 tokens over three jobs)\n");
-    let pool = pooled.pool.expect("pooled run");
-    println!(
-        "granted {} / {} tokens ({} refunded and redistributed, {} unspent), {} rounds\n",
-        pool.granted, pool.total, pool.refunded, pool.unspent, pooled.rounds,
-    );
-    for job in &pooled.jobs {
-        println!(
-            "  {:<28} final budget {:>6}  explored {:>6}  ({})",
-            job.name, job.final_limits.max_configurations, job.explored, job.completion,
-        );
-    }
-
-    // ---- 3. The full catalog as one batch -------------------------------
+    // ---- 2. The full catalog as one batch -------------------------------
     // Every construction of the catalog for n = 4, explored from 6 agents,
     // scheduled as a single batch.
     let catalog = Batch::new()
