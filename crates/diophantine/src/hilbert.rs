@@ -79,6 +79,10 @@ impl BasisIndex {
         }
     }
 
+    fn is_empty(&self) -> bool {
+        self.elements.is_empty()
+    }
+
     fn insert(&mut self, b: &[u64]) {
         let id = self.elements.len() / self.cols;
         self.elements.extend_from_slice(b);
@@ -251,6 +255,17 @@ impl ChildSet {
     }
 }
 
+/// Where a run of [`LinearSystem::complete`] starts, how far it may go and
+/// when it stops.
+struct Search<'a> {
+    /// The coordinates whose unit vectors form the first level.
+    seeds: &'a [usize],
+    /// A coordinate-wise upper bound on every vector, if any.
+    bound: Option<&'a [u64]>,
+    /// Whether to stop after the first level that holds a solution.
+    first_layer: bool,
+}
+
 impl LinearSystem {
     /// Computes the Hilbert basis of the system: the set of minimal non-zero
     /// solutions of `A·x = 0` with `x ∈ N^n`.
@@ -303,6 +318,105 @@ impl LinearSystem {
     /// assert_eq!(basis, vec![vec![3, 2]]);
     /// ```
     pub fn hilbert_basis(&self, config: &HilbertConfig) -> Result<Vec<Vec<u64>>, HilbertError> {
+        let seeds: Vec<usize> = (0..self.cols()).collect();
+        self.complete(
+            &Search {
+                seeds: &seeds,
+                bound: None,
+                first_layer: false,
+            },
+            config,
+        )
+    }
+
+    /// The minimal solutions of lowest `ℓ₁` norm among those that lie in
+    /// the box `x ≤ bound` and are positive on some coordinate of `seeds`:
+    /// exactly the Hilbert-basis elements of that norm inside the box that
+    /// meet the seeds, sorted lexicographically. Empty iff no Hilbert-basis
+    /// element inside the box meets the seeds.
+    ///
+    /// This is the completion of [`LinearSystem::hilbert_basis`] with three
+    /// changes: it starts only from the unit vectors `e_s` of the seeds, it
+    /// never extends a vector out of the box, and it stops at the first
+    /// level that holds a solution. Every vector it visits is positive on a
+    /// seed, and it never meets a solution before that level, so it needs
+    /// no domination test.
+    ///
+    /// The result is complete: a Hilbert-basis element `b ≤ bound` positive
+    /// on a seed `s` is reached from `e_s` through vectors `t ≤ b`. For
+    /// `t ≤ b`, `t ≠ b`, `A·t ≠ 0` holds by minimality, and
+    /// `⟨A·t, A·(b − t)⟩ = −‖A·t‖² < 0`, so some `j` with `t_j < b_j`
+    /// passes the criterion `⟨A·t, a_j⟩ < 0` (Contejean and Devie, *Inf.
+    /// Comput.* 1994). That path stays inside the box, so `b` appears on the
+    /// level of its norm unless the search stopped earlier.
+    ///
+    /// The result is minimal: let `x` be a solution on the stopping level
+    /// and `x = y + z` with `y` and `z` non-zero solutions. Then `x` is a
+    /// sum of at least two Hilbert-basis elements, and `x` is positive on
+    /// some seed `s`, so one of them is positive on `s`, lies `≤ x ≤ bound`
+    /// and has a smaller norm than `x`. By completeness the search would
+    /// have stopped on an earlier level. So every solution returned is a
+    /// Hilbert-basis element, and [`crate::pottier_bound`] caps its norm.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`HilbertError`] if the configured node or norm budget is
+    /// exceeded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bound` does not have one entry per unknown, or a seed is
+    /// not a column of the system.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pp_diophantine::LinearSystem;
+    ///
+    /// // x + y = 2z: the basis is (0,2,1), (1,1,1), (2,0,1).
+    /// let system = LinearSystem::from_rows(vec![vec![1, 1, -2]]).unwrap();
+    /// let config = Default::default();
+    /// let through_x = system.lowest_minimal_solutions(&[0], &[2, 2, 2], &config).unwrap();
+    /// assert_eq!(through_x, vec![vec![1, 1, 1], vec![2, 0, 1]]);
+    /// let without_y = system.lowest_minimal_solutions(&[0], &[2, 0, 2], &config).unwrap();
+    /// assert_eq!(without_y, vec![vec![2, 0, 1]]);
+    /// let x_below_2 = system.lowest_minimal_solutions(&[0], &[1, 0, 2], &config).unwrap();
+    /// assert!(x_below_2.is_empty());
+    /// ```
+    pub fn lowest_minimal_solutions(
+        &self,
+        seeds: &[usize],
+        bound: &[u64],
+        config: &HilbertConfig,
+    ) -> Result<Vec<Vec<u64>>, HilbertError> {
+        assert_eq!(bound.len(), self.cols(), "one bound per unknown");
+        assert!(
+            seeds.iter().all(|&s| s < self.cols()),
+            "seeds are columns of the system"
+        );
+        let mut seeds = seeds.to_vec();
+        seeds.sort_unstable();
+        seeds.dedup();
+        self.complete(
+            &Search {
+                seeds: &seeds,
+                bound: Some(bound),
+                first_layer: true,
+            },
+            config,
+        )
+    }
+
+    /// The Contejean–Devie completion documented on
+    /// [`LinearSystem::hilbert_basis`], started from the unit vectors of
+    /// `search.seeds`, kept inside `search.bound` and, if
+    /// `search.first_layer`, stopped after the first level holding a
+    /// solution. Returns the solutions recorded, sorted and deduplicated.
+    fn complete(
+        &self,
+        search: &Search<'_>,
+        config: &HilbertConfig,
+    ) -> Result<Vec<Vec<u64>>, HilbertError> {
         let n = self.cols();
         let columns: Vec<Vec<i128>> = (0..n)
             .map(|j| self.column(j).into_iter().map(i128::from).collect())
@@ -316,16 +430,20 @@ impl LinearSystem {
                     .map(move |a_k| a_j.iter().zip(a_k).map(|(&x, &y)| x * y).sum())
             })
             .collect();
-        let mut basis = BasisIndex::new(n);
-        // Level 1: the unit vectors, whose Gram images are the rows of G.
-        let mut level = Level::new(n);
-        level.vectors.resize(n * n, 0);
-        for j in 0..n {
-            level.vectors[j * n + j] = 1;
-        }
-        level.grams.clone_from(&gram);
+        let within_bound = |t: &[u64], j: usize| search.bound.is_none_or(|u| t[j] < u[j]);
         let weights: Vec<u64> = (0..n).map(hash_weight).collect();
-        level.hashes.clone_from(&weights);
+        let mut basis = BasisIndex::new(n);
+        // Level 1: the seeds' unit vectors, whose Gram images are rows of G.
+        let mut level = Level::new(n);
+        for &j in search.seeds {
+            if search.bound.is_none_or(|u| u[j] > 0) {
+                let start = level.vectors.len();
+                level.vectors.resize(start + n, 0);
+                level.vectors[start + j] = 1;
+                level.grams.extend_from_slice(&gram[j * n..(j + 1) * n]);
+                level.hashes.push(weights[j]);
+            }
+        }
         let mut children = Level::new(n);
         let mut seen = ChildSet::default();
         let mut mask = vec![0u64; n.div_ceil(64)];
@@ -350,6 +468,9 @@ impl LinearSystem {
                     basis.insert(t);
                 }
             }
+            if search.first_layer && !basis.is_empty() {
+                break;
+            }
             children.clear();
             seen.clear();
             for (t, g, h) in level.nodes() {
@@ -359,7 +480,7 @@ impl LinearSystem {
                 support_mask(t, &mut mask);
                 for (j, (&g_j, gram_j)) in g.iter().zip(gram.chunks(n)).enumerate() {
                     // Contejean–Devie criterion: only move towards the kernel.
-                    if g_j >= 0 {
+                    if g_j >= 0 || !within_bound(t, j) {
                         continue;
                     }
                     let hash = h.wrapping_add(weights[j]);
@@ -643,6 +764,80 @@ mod tests {
         })
     }
 
+    /// A system of 1–3 rows and 2–6 columns with coefficients in −4..=4,
+    /// a seed set (a flag per column) and a box (a bound per column).
+    fn arb_targeted_search() -> impl Strategy<Value = (LinearSystem, Vec<usize>, Vec<u64>)> {
+        (1usize..=3, 2usize..=6).prop_flat_map(|(rows, cols)| {
+            (
+                proptest::collection::vec(proptest::collection::vec(-4i64..=4, cols), rows),
+                proptest::collection::vec(any::<bool>(), cols),
+                proptest::collection::vec(0u64..=6, cols),
+            )
+                .prop_map(|(m, flags, bound)| {
+                    let seeds = (0..flags.len()).filter(|&j| flags[j]).collect();
+                    (LinearSystem::from_rows(m).unwrap(), seeds, bound)
+                })
+        })
+    }
+
+    /// The oracle of [`LinearSystem::lowest_minimal_solutions`]: the basis
+    /// elements inside the box that meet the seeds, of the least norm
+    /// among them.
+    fn lowest_in_box(basis: &[Vec<u64>], seeds: &[usize], bound: &[u64]) -> Vec<Vec<u64>> {
+        let candidates: Vec<&Vec<u64>> = basis
+            .iter()
+            .filter(|b| b.iter().zip(bound).all(|(x, u)| x <= u))
+            .filter(|b| seeds.iter().any(|&s| b[s] > 0))
+            .collect();
+        let norm = |b: &Vec<u64>| b.iter().sum::<u64>();
+        let Some(least) = candidates.iter().map(|b| norm(b)).min() else {
+            return Vec::new();
+        };
+        candidates
+            .into_iter()
+            .filter(|b| norm(b) == least)
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn lowest_minimal_solutions_on_a_two_row_system() {
+        // x + 2y = 3z and 2x = y + z: the only minimal solution is (1, 1, 1).
+        let system = LinearSystem::from_rows(vec![vec![1, 2, -3], vec![2, -1, -1]]).unwrap();
+        let config = HilbertConfig::default();
+        let found = |seeds: &[usize], bound: &[u64]| {
+            system
+                .lowest_minimal_solutions(seeds, bound, &config)
+                .unwrap()
+        };
+        assert_eq!(found(&[2], &[1, 1, 1]), vec![vec![1, 1, 1]]);
+        assert_eq!(found(&[0, 0, 1], &[5, 5, 5]), vec![vec![1, 1, 1]]);
+        assert!(found(&[0], &[1, 1, 0]).is_empty());
+        assert!(found(&[], &[5, 5, 5]).is_empty());
+    }
+
+    #[test]
+    fn lowest_minimal_solutions_enforce_the_budgets() {
+        let system = LinearSystem::from_rows(vec![vec![97, -89]]).unwrap();
+        let bound = [100, 100];
+        assert_eq!(
+            system.lowest_minimal_solutions(&[0], &bound, &HilbertConfig::with_max_nodes(50)),
+            Err(HilbertError::NodeBudgetExceeded { budget: 50 })
+        );
+        let config = HilbertConfig {
+            max_norm: Some(10),
+            ..Default::default()
+        };
+        assert_eq!(
+            system.lowest_minimal_solutions(&[0], &bound, &config),
+            Err(HilbertError::NormBudgetExceeded { budget: 10 })
+        );
+        assert_eq!(
+            system.lowest_minimal_solutions(&[1], &bound, &HilbertConfig::default()),
+            Ok(vec![vec![89, 97]])
+        );
+    }
+
     #[test]
     fn matches_reference_across_mask_words() {
         // 70 columns: the support masks span two words, and the 65
@@ -742,6 +937,24 @@ mod tests {
                     prop_assert!(Nat::from(b.iter().sum::<u64>()) <= bound);
                 }
             }
+        }
+    }
+
+    proptest! {
+        // About a third of the cases have a non-empty answer.
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn lowest_minimal_solutions_are_the_lowest_basis_elements_in_the_box(
+            (system, seeds, bound) in arb_targeted_search(),
+        ) {
+            let config = HilbertConfig::with_max_nodes(200_000);
+            let basis = system.hilbert_basis(&config);
+            prop_assume!(basis.is_ok());
+            prop_assert_eq!(
+                system.lowest_minimal_solutions(&seeds, &bound, &config),
+                Ok(lowest_in_box(&basis.unwrap(), &seeds, &bound))
+            );
         }
     }
 }

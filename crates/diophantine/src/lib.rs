@@ -12,12 +12,15 @@
 //! \[12\]: every solution decomposes into a sum of *minimal* solutions, each of
 //! `ℓ₁` norm at most `(2 + Σ_{a∈A} ‖a‖∞)^d`.
 //!
-//! This crate provides the three ingredients:
+//! This crate provides the ingredients:
 //!
 //! * [`LinearSystem`] — a homogeneous system `A·x = 0` with integer
 //!   coefficients and non-negative unknowns;
 //! * [`LinearSystem::hilbert_basis`] — the set of minimal non-zero solutions
 //!   computed with the Contejean–Devie completion procedure;
+//! * [`LinearSystem::lowest_minimal_solutions`] — the same completion,
+//!   seeded from chosen coordinates, kept inside a box and stopped at the
+//!   lowest norm that holds a minimal solution (the picks of Lemma 7.3);
 //! * [`pottier_bound`] and [`decompose`] — Pottier's norm bound and the
 //!   decomposition of an arbitrary solution into minimal ones.
 //!

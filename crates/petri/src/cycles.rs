@@ -7,11 +7,18 @@
 //! passes through every edge that `Θ` uses at least `k` times. The proof goes
 //! through Pottier's theorem on the linear system (1); this module implements
 //! that construction executably on top of [`pp_diophantine`].
+//!
+//! The proof picks, for each frequent edge and each large place, a minimal
+//! solution of (1) inside the box `≤ (f, g)` that touches it. The
+//! construction finds each pick with one targeted search
+//! ([`LinearSystem::lowest_minimal_solutions`]) instead of computing the
+//! whole Hilbert basis of (1), and checks the guarantees of the result
+//! before returning it.
 
 use crate::control::ControlNet;
 use crate::euler::decompose_into_simple_cycles;
 use pp_bigint::Nat;
-use pp_diophantine::{decompose, HilbertConfig, LinearSystem};
+use pp_diophantine::{HilbertConfig, LinearSystem};
 use pp_multiset::SignedVec;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -21,15 +28,16 @@ use std::fmt;
 pub enum ShrinkError {
     /// The given Parikh image is not flow-balanced (it is not a multicycle).
     NotAMulticycle,
-    /// The Hilbert-basis computation exceeded its budget.
+    /// A targeted minimal-solution search exceeded its budget.
     HilbertBudget(pp_diophantine::HilbertError),
-    /// The Parikh image could not be decomposed over the Hilbert basis
-    /// (should not happen for genuine multicycles).
-    DecompositionFailed,
-    /// No basis element vanishing on the prescribed places covers the given
-    /// edge — the threshold `k` was too small for the lemma to apply.
+    /// The assembled multicycle fails the named guarantee of Lemma 7.3
+    /// (`signs_preserved`, `covers_frequent_edges` or `vanishes_on`); the
+    /// construction rules this out, so it signals a bug.
+    GuaranteeFailed(&'static str),
+    /// No minimal solution vanishing on the prescribed places covers the
+    /// given edge — the threshold `k` was too small for the lemma to apply.
     EdgeNotCoverable(usize),
-    /// No basis element vanishing on the prescribed places has a positive
+    /// No minimal solution vanishing on the prescribed places has a positive
     /// value on the given place index — the threshold `k` was too small.
     PlaceNotCoverable(usize),
 }
@@ -38,18 +46,18 @@ impl fmt::Display for ShrinkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShrinkError::NotAMulticycle => write!(f, "parikh image is not flow-balanced"),
-            ShrinkError::HilbertBudget(e) => write!(f, "hilbert basis budget exceeded: {e}"),
-            ShrinkError::DecompositionFailed => {
-                write!(
-                    f,
-                    "multicycle could not be decomposed over the hilbert basis"
-                )
+            ShrinkError::HilbertBudget(e) => write!(f, "hilbert search budget exceeded: {e}"),
+            ShrinkError::GuaranteeFailed(check) => {
+                write!(f, "shrunk multicycle fails its {check} guarantee")
             }
             ShrinkError::EdgeNotCoverable(e) => {
-                write!(f, "no zero-restricted basis element covers edge {e}")
+                write!(f, "no zero-restricted minimal solution covers edge {e}")
             }
             ShrinkError::PlaceNotCoverable(p) => {
-                write!(f, "no zero-restricted basis element covers place index {p}")
+                write!(
+                    f,
+                    "no zero-restricted minimal solution covers place index {p}"
+                )
             }
         }
     }
@@ -144,6 +152,159 @@ pub fn lemma_7_3_size_bound<P: Clone + Ord>(control: &ControlNet<P>) -> Nat {
     Nat::from(e + d) * base.pow(d) * Nat::from(d + 1)
 }
 
+/// System (1) of Lemma 7.3 for one multicycle `Θ`, with what assembling a
+/// shrunk multicycle from its solutions needs.
+///
+/// The unknowns are `(α, β) ∈ N^places × N^cycles`, `α` first, and the row
+/// of place `p` reads `s(p)·α(p) − Σ_c β(c)·Δ(c)(p) = 0`, where `s(p)` is
+/// the sign of `Δ(Θ)(p)` (`+1` when it is zero).
+struct Lemma73System<P: Ord> {
+    /// The net's places, in the order of the `α` unknowns.
+    places: Vec<P>,
+    /// The distinct simple cycles of `Θ`, in the order of the `β` unknowns.
+    simple_cycles: Vec<Vec<usize>>,
+    /// The edge Parikh image of each simple cycle.
+    cycle_parikhs: Vec<Vec<u64>>,
+    /// `Δ(Θ)`.
+    theta_displacement: SignedVec<P>,
+    system: LinearSystem,
+    /// The solution `(f, g)` that `Θ` itself gives: `f = |Δ(Θ)|` and `g`
+    /// counts each simple cycle.
+    fg: Vec<u64>,
+}
+
+impl<P: Clone + Ord> Lemma73System<P> {
+    /// Decomposes `Θ` into simple cycles and sets up system (1) over them.
+    fn new(control: &ControlNet<P>, theta_parikh: &[u64]) -> Result<Self, ShrinkError> {
+        let cycles_multiset = decompose_into_simple_cycles(control, theta_parikh)
+            .ok_or(ShrinkError::NotAMulticycle)?;
+        // Deduplicate simple cycles by their Parikh image, remembering counts.
+        let mut simple_cycles: Vec<Vec<usize>> = Vec::new();
+        let mut cycle_parikhs: Vec<Vec<u64>> = Vec::new();
+        let mut counts: Vec<u64> = Vec::new();
+        for cycle in cycles_multiset {
+            let parikh = control.parikh(&cycle);
+            match cycle_parikhs.iter().position(|c| *c == parikh) {
+                Some(i) => counts[i] += 1,
+                None => {
+                    simple_cycles.push(cycle);
+                    cycle_parikhs.push(parikh);
+                    counts.push(1);
+                }
+            }
+        }
+
+        let places: Vec<P> = control.net().places().iter().cloned().collect();
+        let theta_displacement = control.displacement_of_parikh(theta_parikh);
+        let cycle_displacements: Vec<SignedVec<P>> = simple_cycles
+            .iter()
+            .map(|c| control.displacement(c))
+            .collect();
+        let mut rows = Vec::with_capacity(places.len());
+        for (p_index, p) in places.iter().enumerate() {
+            let mut row = vec![0i64; places.len() + simple_cycles.len()];
+            row[p_index] = if theta_displacement.get(p) >= 0 {
+                1
+            } else {
+                -1
+            };
+            for (c_index, delta) in cycle_displacements.iter().enumerate() {
+                row[places.len() + c_index] = -delta.get(p);
+            }
+            rows.push(row);
+        }
+        let system = LinearSystem::from_rows(rows).expect("system has at least one place row");
+
+        let fg: Vec<u64> = places
+            .iter()
+            .map(|p| theta_displacement.get(p).unsigned_abs())
+            .chain(counts)
+            .collect();
+        debug_assert!(system.is_solution(&fg), "(f, g) must solve the system");
+        Ok(Lemma73System {
+            places,
+            simple_cycles,
+            cycle_parikhs,
+            theta_displacement,
+            system,
+            fg,
+        })
+    }
+
+    /// The box of `H0`: `≤ (f, g)`, which holds every element of a Pottier
+    /// decomposition of `(f, g)`, with `α` fixed at 0 on `zero_places`.
+    ///
+    /// The box is what preserves signs: a solution of (1) displaces each
+    /// place `p` by `s(p)·α(p)`, and `α ≤ f` is zero wherever `Δ(Θ)` is, so
+    /// a sum of solutions inside the box has the sign of `Δ(Θ)` on every
+    /// place, and vanishes on `zero_places`. A solution outside the box may
+    /// displace a place that `Θ` leaves unchanged.
+    fn h0_box(&self, zero_places: &BTreeSet<P>) -> Vec<u64> {
+        let mut bound = self.fg.clone();
+        for (p_index, p) in self.places.iter().enumerate() {
+            if zero_places.contains(p) {
+                bound[p_index] = 0;
+            }
+        }
+        bound
+    }
+
+    /// How often the cycles of the `β` part of `candidate` use `edge`.
+    fn edge_count(&self, candidate: &[u64], edge: usize) -> u64 {
+        let betas = &candidate[self.places.len()..];
+        betas
+            .iter()
+            .zip(&self.cycle_parikhs)
+            .map(|(&beta, parikh)| beta * parikh[edge])
+            .sum()
+    }
+
+    /// `Θ'`: the multicycle whose cycle multiplicities are the `β` part of
+    /// `selected`.
+    fn assemble(self, control: &ControlNet<P>, selected: &[u64]) -> ShrunkMulticycle<P> {
+        let multiplicities = selected[self.places.len()..].to_vec();
+        let mut parikh = vec![0u64; control.num_edges()];
+        let mut edge_length = 0u64;
+        for (cycle, &m) in self.simple_cycles.iter().zip(&multiplicities) {
+            edge_length += m * cycle.len() as u64;
+            for &e in cycle {
+                parikh[e] += m;
+            }
+        }
+        let displacement = control.displacement_of_parikh(&parikh);
+        ShrunkMulticycle {
+            cycle_count: multiplicities.iter().sum(),
+            simple_cycles: self.simple_cycles,
+            multiplicities,
+            parikh,
+            displacement,
+            original_displacement: self.theta_displacement,
+            edge_length,
+        }
+    }
+}
+
+/// The certificate of Lemma 7.3 on an assembled `Θ'`: its signs follow
+/// `Δ(Θ)` at threshold `k`, it uses every edge that `Θ` uses `k` times, and
+/// it vanishes on `zero_places`. Linear in the places and edges.
+fn check_guarantees<P: Clone + Ord>(
+    shrunk: &ShrunkMulticycle<P>,
+    theta_parikh: &[u64],
+    zero_places: &BTreeSet<P>,
+    k: u64,
+) -> Result<(), ShrinkError> {
+    if !shrunk.signs_preserved(k) {
+        return Err(ShrinkError::GuaranteeFailed("signs_preserved"));
+    }
+    if !shrunk.covers_frequent_edges(theta_parikh, k) {
+        return Err(ShrinkError::GuaranteeFailed("covers_frequent_edges"));
+    }
+    if !shrunk.vanishes_on(zero_places) {
+        return Err(ShrinkError::GuaranteeFailed("vanishes_on"));
+    }
+    Ok(())
+}
+
 /// Shrinks the multicycle with edge Parikh image `theta_parikh` following the
 /// construction of Lemma 7.3.
 ///
@@ -153,11 +314,31 @@ pub fn lemma_7_3_size_bound<P: Clone + Ord>(control: &ControlNet<P>) -> Nat {
 /// (positive) wherever `Δ(Θ)` is below `-k` (at least `k`), and the result
 /// passes through every edge used at least `k` times by `Θ`.
 ///
+/// The steps:
+/// 1. decompose `Θ` into simple cycles and count each distinct one;
+/// 2. set up system (1) over `(α, β)`, solved by `Θ`'s own `(f, g)`;
+/// 3. bound the picks by the box of `H0`: `≤ (f, g)`, with `α` zero on
+///    `zero_places`;
+/// 4. the targets are the edges `Θ` uses at least `k` times, in ascending
+///    order, then the places where `|Δ(Θ)| ≥ k`, in ascending order. A
+///    target that an earlier pick already touches is skipped. For each
+///    other target, one [`LinearSystem::lowest_minimal_solutions`] search,
+///    seeded from the target's unknowns (`β(c)` for each cycle `c` through
+///    the edge, or `α(p)` for the place) and kept inside the box, runs
+///    under `hilbert`; the lexicographically smallest solution of the
+///    lowest norm it finds is the pick. Each pick is a Hilbert-basis element
+///    of (1) in `H0` that touches its target, as the proof requires;
+/// 5. assemble `Θ'` from the sum of the picks' `β` parts, and check its
+///    guarantees.
+///
 /// # Errors
 ///
-/// Returns a [`ShrinkError`] when the Parikh image is not a multicycle, the
-/// Hilbert computation blows its budget, or `k` is too small for the lemma's
-/// covering argument to go through on this instance.
+/// Returns [`ShrinkError::NotAMulticycle`] when the Parikh image is not a
+/// multicycle, [`ShrinkError::HilbertBudget`] when a targeted search blows
+/// its `hilbert` budget, [`ShrinkError::EdgeNotCoverable`] or
+/// [`ShrinkError::PlaceNotCoverable`] when `k` is too small for the lemma's
+/// covering argument to go through on this instance, and
+/// [`ShrinkError::GuaranteeFailed`] if the result fails a guarantee.
 pub fn shrink_multicycle<P: Clone + Ord>(
     control: &ControlNet<P>,
     theta_parikh: &[u64],
@@ -165,147 +346,43 @@ pub fn shrink_multicycle<P: Clone + Ord>(
     k: u64,
     hilbert: &HilbertConfig,
 ) -> Result<ShrunkMulticycle<P>, ShrinkError> {
-    // 1. Decompose Θ into simple cycles.
-    let cycles_multiset =
-        decompose_into_simple_cycles(control, theta_parikh).ok_or(ShrinkError::NotAMulticycle)?;
-    // Deduplicate simple cycles by their Parikh image, remembering counts.
-    let mut simple_cycles: Vec<Vec<usize>> = Vec::new();
-    let mut cycle_parikhs: Vec<Vec<u64>> = Vec::new();
-    let mut counts: Vec<u64> = Vec::new();
-    for cycle in cycles_multiset {
-        let parikh = control.parikh(&cycle);
-        match cycle_parikhs.iter().position(|c| *c == parikh) {
-            Some(i) => counts[i] += 1,
-            None => {
-                simple_cycles.push(cycle);
-                cycle_parikhs.push(parikh);
-                counts.push(1);
-            }
-        }
-    }
-
-    // 2. Signs and absolute displacement of Θ.
-    let places: Vec<P> = control.net().places().iter().cloned().collect();
-    let theta_displacement = control.displacement_of_parikh(theta_parikh);
-    let sign = |p: &P| -> i64 {
-        if theta_displacement.get(p) >= 0 {
-            1
-        } else {
-            -1
-        }
+    let lemma = Lemma73System::new(control, theta_parikh)?;
+    let bound = lemma.h0_box(zero_places);
+    let lowest = |seeds: &[usize]| -> Result<Option<Vec<u64>>, ShrinkError> {
+        let solutions = lemma
+            .system
+            .lowest_minimal_solutions(seeds, &bound, hilbert)
+            .map_err(ShrinkError::HilbertBudget)?;
+        Ok(solutions.into_iter().next())
     };
-
-    // 3. Linear system (1): for each place p,
-    //    s(p)·α(p) − Σ_c β(c)·Δ(c)(p) = 0,
-    //    over variables (α ∈ N^places, β ∈ N^cycles).
-    let cycle_displacements: Vec<SignedVec<P>> = simple_cycles
-        .iter()
-        .map(|c| control.displacement(c))
-        .collect();
-    let mut rows = Vec::with_capacity(places.len());
-    for (p_index, p) in places.iter().enumerate() {
-        let mut row = vec![0i64; places.len() + simple_cycles.len()];
-        row[p_index] = sign(p);
-        for (c_index, delta) in cycle_displacements.iter().enumerate() {
-            row[places.len() + c_index] = -delta.get(p);
-        }
-        rows.push(row);
-    }
-    let system = LinearSystem::from_rows(rows).expect("system has at least one place row");
-
-    // 4. Hilbert basis and decomposition of (f, g).
-    let basis = system
-        .hilbert_basis(hilbert)
-        .map_err(ShrinkError::HilbertBudget)?;
-    let mut fg = vec![0u64; places.len() + simple_cycles.len()];
-    for (p_index, p) in places.iter().enumerate() {
-        fg[p_index] = theta_displacement.get(p).unsigned_abs();
-    }
-    for (c_index, &count) in counts.iter().enumerate() {
-        fg[places.len() + c_index] = count;
-    }
-    debug_assert!(system.is_solution(&fg), "(f, g) must solve the system");
-    // Pottier decomposition check: (f, g) is a sum of basis elements.
-    decompose(&fg, &basis).ok_or(ShrinkError::DecompositionFailed)?;
-
-    // 5. H0: basis elements whose α part vanishes on the zero places and that
-    //    lie in the box ≤ (f, g), which holds every element of a Pottier
-    //    decomposition of (f, g). The box is what preserves signs: a solution
-    //    of (1) displaces each place p by s(p)·α(p), and α ≤ f is zero
-    //    wherever Δ(Θ) is, so a sum of H0 elements has the sign of Δ(Θ) on
-    //    every place. A basis element outside the box may displace a place
-    //    that Θ leaves unchanged.
-    let in_h0 = |candidate: &[u64]| -> bool {
-        candidate.iter().zip(&fg).all(|(c, bound)| c <= bound)
-            && places
-                .iter()
-                .enumerate()
-                .all(|(p_index, p)| !zero_places.contains(p) || candidate[p_index] == 0)
-    };
-    let h0: Vec<&Vec<u64>> = basis.iter().filter(|b| in_h0(b)).collect();
-
-    // 6. Cover frequent edges and large-displacement places using H0.
-    let mut selected: Vec<u64> = vec![0u64; places.len() + simple_cycles.len()];
-    let add_candidate = |selected: &mut Vec<u64>, candidate: &[u64]| {
-        for (s, &c) in selected.iter_mut().zip(candidate) {
+    let add = |selected: &mut Vec<u64>, pick: Vec<u64>| {
+        for (s, c) in selected.iter_mut().zip(pick) {
             *s += c;
         }
     };
-    // Edge counts contributed by a candidate solution's β part.
-    let edge_count = |candidate: &[u64], edge: usize| -> u64 {
-        cycle_parikhs
-            .iter()
-            .enumerate()
-            .map(|(c_index, parikh)| candidate[places.len() + c_index] * parikh[edge])
-            .sum()
-    };
+    let d = lemma.places.len();
+    let mut selected = vec![0u64; lemma.fg.len()];
     for (edge, &edge_uses) in theta_parikh.iter().enumerate() {
-        if edge_uses < k {
+        if edge_uses < k || lemma.edge_count(&selected, edge) > 0 {
             continue;
         }
-        let found = h0.iter().find(|b| edge_count(b, edge) > 0);
-        match found {
-            Some(b) => add_candidate(&mut selected, b),
-            None => return Err(ShrinkError::EdgeNotCoverable(edge)),
-        }
+        let seeds: Vec<usize> = (0..lemma.cycle_parikhs.len())
+            .filter(|&c| lemma.cycle_parikhs[c][edge] > 0)
+            .map(|c| d + c)
+            .collect();
+        let pick = lowest(&seeds)?.ok_or(ShrinkError::EdgeNotCoverable(edge))?;
+        add(&mut selected, pick);
     }
-    for (p_index, p) in places.iter().enumerate() {
-        if theta_displacement.get(p).unsigned_abs() < k {
+    for (p_index, p) in lemma.places.iter().enumerate() {
+        if lemma.theta_displacement.get(p).unsigned_abs() < k || selected[p_index] > 0 {
             continue;
         }
-        let found = h0.iter().find(|b| b[p_index] > 0);
-        match found {
-            Some(b) => add_candidate(&mut selected, b),
-            None => return Err(ShrinkError::PlaceNotCoverable(p_index)),
-        }
+        let pick = lowest(&[p_index])?.ok_or(ShrinkError::PlaceNotCoverable(p_index))?;
+        add(&mut selected, pick);
     }
-
-    // 7. Assemble Θ'.
-    let multiplicities: Vec<u64> = (0..simple_cycles.len())
-        .map(|c_index| selected[places.len() + c_index])
-        .collect();
-    let mut parikh = vec![0u64; control.num_edges()];
-    let mut edge_length = 0u64;
-    for (c_index, cycle) in simple_cycles.iter().enumerate() {
-        let m = multiplicities[c_index];
-        if m == 0 {
-            continue;
-        }
-        edge_length += m * cycle.len() as u64;
-        for &e in cycle {
-            parikh[e] += m;
-        }
-    }
-    let displacement = control.displacement_of_parikh(&parikh);
-    Ok(ShrunkMulticycle {
-        simple_cycles,
-        multiplicities,
-        parikh,
-        displacement,
-        original_displacement: theta_displacement,
-        cycle_count: selected[places.len()..].iter().sum(),
-        edge_length,
-    })
+    let shrunk = lemma.assemble(control, &selected);
+    check_guarantees(&shrunk, theta_parikh, zero_places, k)?;
+    Ok(shrunk)
 }
 
 #[cfg(test)]
@@ -451,6 +528,161 @@ mod tests {
             err,
             ShrinkError::EdgeNotCoverable(_) | ShrinkError::PlaceNotCoverable(_)
         ));
+    }
+
+    /// The construction `shrink_multicycle` used before the targeted
+    /// searches: compute the whole Hilbert basis of system (1), check that
+    /// `(f, g)` decomposes over it, and pick for every target (none
+    /// skipped) the first basis element in the box of `H0` that touches it.
+    /// Kept as the reference the targeted construction is compared with.
+    fn reference_shrink_multicycle<P: Clone + Ord>(
+        control: &ControlNet<P>,
+        theta_parikh: &[u64],
+        zero_places: &BTreeSet<P>,
+        k: u64,
+        hilbert: &HilbertConfig,
+    ) -> Result<ShrunkMulticycle<P>, ShrinkError> {
+        let lemma = Lemma73System::new(control, theta_parikh)?;
+        let basis = lemma
+            .system
+            .hilbert_basis(hilbert)
+            .map_err(ShrinkError::HilbertBudget)?;
+        assert!(pp_diophantine::decompose(&lemma.fg, &basis).is_some());
+        let bound = lemma.h0_box(zero_places);
+        let h0: Vec<&Vec<u64>> = basis
+            .iter()
+            .filter(|b| b.iter().zip(&bound).all(|(x, u)| x <= u))
+            .collect();
+        let mut selected = vec![0u64; lemma.fg.len()];
+        let mut add = |pick: &[u64]| {
+            for (s, &c) in selected.iter_mut().zip(pick) {
+                *s += c;
+            }
+        };
+        for (edge, &edge_uses) in theta_parikh.iter().enumerate() {
+            if edge_uses >= k {
+                let pick = h0
+                    .iter()
+                    .find(|b| lemma.edge_count(b, edge) > 0)
+                    .ok_or(ShrinkError::EdgeNotCoverable(edge))?;
+                add(pick);
+            }
+        }
+        for (p_index, p) in lemma.places.iter().enumerate() {
+            if lemma.theta_displacement.get(p).unsigned_abs() >= k {
+                let pick = h0
+                    .iter()
+                    .find(|b| b[p_index] > 0)
+                    .ok_or(ShrinkError::PlaceNotCoverable(p_index))?;
+                add(pick);
+            }
+        }
+        Ok(lemma.assemble(control, &selected))
+    }
+
+    #[test]
+    fn targeted_picks_keep_the_guarantees_and_never_grow_on_the_catalog() {
+        use crate::bottom::find_bottom_witness_in;
+        use crate::Analysis;
+        use pp_protocols::{catalog, flock};
+
+        let limits = ExplorationLimits::default();
+        let protocols = (1..=5u64)
+            .flat_map(catalog::all)
+            .map(|entry| entry.protocol)
+            .chain([flock::flock_of_birds_unary(6)]);
+        let mut shrunk = 0;
+        for protocol in protocols {
+            // Step 4 of the Section 8 pipeline: 8 × the total cycle of the
+            // control net of the witness of T|P', with P' the non-initial
+            // states, at k = 4. `pp_protocols` links its own build of this
+            // crate, so each net is copied into this build's types, places
+            // and transition order included.
+            macro_rules! copy {
+                ($source:expr) => {{
+                    let source = $source;
+                    let mut net = PetriNet::new();
+                    for place in source.places() {
+                        net.add_place(*place);
+                    }
+                    for t in source.transitions() {
+                        net.add_transition(Transition::new(t.pre().clone(), t.post().clone()));
+                    }
+                    net
+                }};
+            }
+            let non_initial: BTreeSet<_> = protocol
+                .states()
+                .filter(|s| !protocol.initial_states().contains(s))
+                .collect();
+            let restricted = copy!(protocol.net().restrict(&non_initial));
+            let leaders = protocol.leaders().restrict(&non_initial);
+            let Some(witness) =
+                find_bottom_witness_in(&mut Analysis::new(&restricted), &leaders, &limits)
+            else {
+                continue;
+            };
+            let net = copy!(protocol.net());
+            let Some(control) =
+                ControlNet::from_component(&net, &witness.q_places, &witness.alpha, &limits)
+            else {
+                continue;
+            };
+            let Some(cycle) = control
+                .control_state_index(&witness.alpha)
+                .and_then(|anchor| control.total_cycle(anchor))
+            else {
+                continue;
+            };
+            let theta: Vec<u64> = control.parikh(&cycle).iter().map(|c| 8 * c).collect();
+            let (zero, k, config) = (BTreeSet::new(), 4, HilbertConfig::default());
+            let targeted = shrink_multicycle(&control, &theta, &zero, k, &config).unwrap();
+            let reference =
+                reference_shrink_multicycle(&control, &theta, &zero, k, &config).unwrap();
+            for result in [&targeted, &reference] {
+                assert_eq!(
+                    check_guarantees(result, &theta, &zero, k),
+                    Ok(()),
+                    "{}",
+                    protocol.name()
+                );
+            }
+            assert!(
+                targeted.cycle_count <= reference.cycle_count,
+                "{}: {} > {}",
+                protocol.name(),
+                targeted.cycle_count,
+                reference.cycle_count
+            );
+            shrunk += 1;
+        }
+        assert_eq!(shrunk, 27);
+    }
+
+    #[test]
+    fn the_certificate_rejects_a_flipped_sign() {
+        let control = counter_control();
+        let edge_by_transition = |t: usize| {
+            control
+                .edges()
+                .iter()
+                .position(|e| e.transition == t)
+                .unwrap()
+        };
+        let (e_x, e_plus_y) = (edge_by_transition(0), edge_by_transition(1));
+        // Θ = 20 copies of the loop producing x and y: Δ(Θ) = 20·x + 20·y.
+        let theta = parikh_of_cycles(&control, &[(vec![e_x, e_plus_y], 20)]);
+        let zero = BTreeSet::new();
+        let mut shrunk =
+            shrink_multicycle(&control, &theta, &zero, 5, &HilbertConfig::default()).unwrap();
+        assert_eq!(check_guarantees(&shrunk, &theta, &zero, 5), Ok(()));
+        // The same Θ' with its displacement on y negated.
+        let y = shrunk.displacement.get(&"y");
+        assert!(y > 0);
+        shrunk.displacement.set("y", -y);
+        let err = check_guarantees(&shrunk, &theta, &zero, 5).unwrap_err();
+        assert_eq!(err, ShrinkError::GuaranteeFailed("signs_preserved"));
+        assert!(err.to_string().contains("signs_preserved"));
     }
 
     #[test]
