@@ -8,20 +8,37 @@
 //! lint's own corpus of deliberately-tripping files). Discovery order
 //! is sorted, so output is byte-stable across filesystems.
 //!
-//! The pipeline ([`lint_files`]) runs in fixed phases: parse every file
-//! (lexer + item tree), build the workspace call graph, run each rule
-//! as a timed pass, then apply the allow markers — a marker suppresses
-//! its rule's findings at its effective line, and a marker that
-//! suppresses *nothing* becomes a `marker-drift` finding. The result is
-//! a [`Report`]: sorted findings plus the per-phase wall-time table the
-//! JSON schema exposes.
+//! The pipeline ([`lint_files`]) runs in fixed phases: lex every file,
+//! run each rule as a timed pass, then apply the allow markers — a
+//! marker suppresses its rule's findings at its effective line, and a
+//! marker that suppresses *nothing* becomes a `marker-drift` finding.
+//! The result is a [`Report`]: sorted findings plus the per-phase
+//! wall-time table the JSON schema exposes.
 
-use crate::graph::{ParsedFile, Workspace};
+use crate::lexer::{lex, Token};
 use crate::rules::{self, Finding, Rule};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+/// One lexed source file: the unit every rule reads.
+pub(crate) struct ParsedFile {
+    /// Workspace-relative path, `/`-separated.
+    pub(crate) path: String,
+    /// Raw bytes.
+    pub(crate) src: Vec<u8>,
+    /// The total lexer's token stream.
+    pub(crate) tokens: Vec<Token>,
+}
+
+impl ParsedFile {
+    /// Lexes one file.
+    fn new(path: String, src: Vec<u8>) -> Self {
+        let tokens = lex(&src);
+        ParsedFile { path, src, tokens }
+    }
+}
 
 /// Directories (workspace-relative) the driver scans for `.rs` files.
 pub const SCAN_ROOTS: &[&str] = &["crates", "tests", "examples", "src"];
@@ -29,10 +46,10 @@ pub const SCAN_ROOTS: &[&str] = &["crates", "tests", "examples", "src"];
 /// Workspace-relative path prefixes the driver never descends into.
 pub const SKIP_PREFIXES: &[&str] = &["vendor", "target", "crates/lint/fixtures"];
 
-/// Wall time and yield of one pipeline phase (a rule, or one of the
-/// `parse` / `call-graph` pseudo-phases).
+/// Wall time and yield of one pipeline phase (a rule, or the `parse`
+/// pseudo-phase).
 pub struct RuleTiming {
-    /// Phase name — a rule name, `"parse"`, or `"call-graph"`.
+    /// Phase name — a rule name or `"parse"`.
     pub rule: &'static str,
     /// Wall time of the phase, in microseconds.
     pub wall_us: u64,
@@ -78,30 +95,24 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     Ok(report)
 }
 
-/// Lints a set of in-memory files as one workspace: parse, call graph,
-/// every rule as a timed pass, then marker suppression and the
-/// `marker-drift` check. This is the whole pipeline minus file
-/// discovery — [`lint_workspace`] and `lint_source` both call it.
+/// Lints a set of in-memory files: lexing, every rule as a timed pass,
+/// then marker suppression and the `marker-drift` check. This is the
+/// whole pipeline minus file discovery — [`lint_workspace`] and
+/// `lint_source` both call it.
 #[must_use]
 pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
     let t0 = Instant::now();
     let mut timings = Vec::new();
 
     let t = Instant::now();
-    let parsed: Vec<ParsedFile> = sources
+    let mut parsed: Vec<ParsedFile> = sources
         .into_iter()
         .map(|(path, src)| ParsedFile::new(path, src))
         .collect();
+    parsed.sort_by(|a, b| a.path.cmp(&b.path));
+    let files: Vec<rules::File> = parsed.iter().map(rules::File::from_parsed).collect();
     timings.push(RuleTiming {
         rule: "parse",
-        wall_us: phase_us(t),
-        findings: 0,
-    });
-
-    let t = Instant::now();
-    let ws = Workspace::build(parsed);
-    timings.push(RuleTiming {
-        rule: "call-graph",
         wall_us: phase_us(t),
         findings: 0,
     });
@@ -109,42 +120,30 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
     // Allow markers (and their malformed cousins) per file.
     let mut findings: Vec<Finding> = Vec::new();
     let mut allows: Vec<(usize, rules::Allow)> = Vec::new();
-    for (fi, pf) in ws.files.iter().enumerate() {
-        let view = rules::File::from_parsed(pf);
-        let (file_allows, bad) = rules::collect_allows(&view);
+    for (fi, file) in files.iter().enumerate() {
+        let (file_allows, bad) = rules::collect_allows(file);
         findings.extend(bad);
         allows.extend(file_allows.into_iter().map(|a| (fi, a)));
     }
 
     // Per-file rules, rule-major so each rule's wall time is one row.
-    let mut run =
-        |rule: Rule, findings: &mut Vec<Finding>, pass: &mut dyn FnMut(&mut Vec<Finding>)| {
-            let before = findings.len();
-            let t = Instant::now();
-            pass(findings);
-            timings.push(RuleTiming {
-                rule: rule.name(),
-                wall_us: phase_us(t),
-                findings: findings.len() - before,
-            });
-        };
     type PerFilePass = fn(&rules::File, &mut Vec<Finding>);
     let per_file: &[(Rule, PerFilePass)] = &[
         (Rule::RelaxedOrderingAudit, rules::relaxed_ordering_audit),
         (Rule::ExactWrap, rules::exact_wrap),
     ];
-    for (rule, pass) in per_file {
-        run(*rule, &mut findings, &mut |out| {
-            for pf in &ws.files {
-                pass(&rules::File::from_parsed(pf), out);
-            }
+    for &(rule, pass) in per_file {
+        let before = findings.len();
+        let t = Instant::now();
+        for file in &files {
+            pass(file, &mut findings);
+        }
+        timings.push(RuleTiming {
+            rule: rule.name(),
+            wall_us: phase_us(t),
+            findings: findings.len() - before,
         });
     }
-
-    // The workspace rule over the call graph.
-    run(Rule::LockOrder, &mut findings, &mut |out| {
-        rules::lock_order(&ws, out);
-    });
 
     // Suppression: a marker eats its rule's findings at its effective
     // line; `bad-allow` and `marker-drift` are unsuppressible. Usage is
@@ -158,7 +157,7 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
         }
         let mut suppressed = false;
         for (i, (fi, a)) in allows.iter().enumerate() {
-            if a.rule == f.rule && a.effective_line == f.line && ws.files[*fi].path == f.file {
+            if a.rule == f.rule && a.effective_line == f.line && parsed[*fi].path == f.file {
                 used[i] = true;
                 suppressed = true;
             }
@@ -169,7 +168,7 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
     for (i, (fi, a)) in allows.iter().enumerate() {
         if !used[i] {
             findings.push(Finding {
-                file: ws.files[*fi].path.clone(),
+                file: parsed[*fi].path.clone(),
                 line: a.line,
                 rule: Rule::MarkerDrift,
                 message: format!(
@@ -191,7 +190,7 @@ pub fn lint_files(sources: Vec<(String, Vec<u8>)>) -> Report {
     Report {
         findings,
         timings,
-        files: ws.files.len(),
+        files: parsed.len(),
         wall_ms: u64::try_from(t0.elapsed().as_millis()).unwrap_or(u64::MAX),
     }
 }
@@ -214,8 +213,8 @@ fn phase_us(t: Instant) -> u64 {
 /// ```
 ///
 /// One object per run (v1 emitted one object per finding); `rules`
-/// rows follow pipeline order and include the `parse` / `call-graph`
-/// pseudo-phases; finding counts in `rules` are pre-suppression.
+/// rows follow pipeline order and include the `parse` pseudo-phase;
+/// finding counts in `rules` are pre-suppression.
 /// Hand-rolled — the workspace vendors no serde.
 #[must_use]
 pub fn report_json(report: &Report) -> String {

@@ -5,18 +5,17 @@
 //! bit-identity, resume ≡ cold rebuild — rests on a handful of code
 //! rules. Those the toolchain can state live in the root `clippy.toml`
 //! and in crate-root lint levels (no hash collections, every environment
-//! read through `pp_petri::gates`, no wildcard arms in `pp_petri`). This
-//! pass keeps the three it cannot: lock acquisition order stays acyclic
-//! across the call graph, every `Relaxed` atomic is justified in place,
-//! and every wrapping word-arithmetic use in `packed.rs` cites the
-//! width-bound invariant. The runtime test suites check the guarantees;
-//! `pp_lint` pins the *rules that preserve them*.
+//! read through `pp_petri::gates`, every lock through
+//! `pp_petri::parallel::Lock`, no wildcard arms in `pp_petri`). This
+//! pass keeps the two it cannot: every `Relaxed` atomic is justified in
+//! place, and every wrapping word-arithmetic use in `packed.rs` cites
+//! the width-bound invariant. The runtime test suites check the
+//! guarantees; `pp_lint` pins the *rules that preserve them*.
 //!
 //! The pass is a workspace-aware driver ([`driver::lint_workspace`])
-//! over a hand-rolled total lexer ([`lexer`]), a brace-matched item
-//! tree ([`syntax`]), a conservative workspace call graph ([`graph`]),
-//! and a catalog of rules ([`rules`]), with an inline justification
-//! marker (`// pp-lint: allow(<rule>) — <reason>`) as the only
+//! over a hand-rolled total lexer ([`lexer`]) and a catalog of rules
+//! ([`rules`]), with an inline justification marker
+//! (`// pp-lint: allow(<rule>) — <reason>`) as the only
 //! suppression. No third-party dependencies, per the workspace's
 //! offline-vendor rule. Run it as:
 //!
@@ -33,10 +32,8 @@
 #![warn(missing_docs)]
 
 pub mod driver;
-pub mod graph;
 pub mod lexer;
 pub mod rules;
-pub mod syntax;
 
 pub use driver::{count_files, lint_files, lint_workspace, report_json, Report, RuleTiming};
 pub use rules::{lint_source, Finding, Rule};

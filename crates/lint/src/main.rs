@@ -22,8 +22,8 @@
 //! }
 //! ```
 //!
-//! `rules` rows follow pipeline order (the `parse` and `call-graph`
-//! pseudo-phases first, then one row per rule; per-row `findings` are
+//! `rules` rows follow pipeline order (the `parse` pseudo-phase first,
+//! then one row per rule; per-row `findings` are
 //! pre-suppression); `wall_ms` is the whole run, which CI asserts stays
 //! under its latency budget. Schema changes bump `schema_version`; the
 //! golden-file test (`tests/golden_json.rs`) pins the current shape.
@@ -146,7 +146,6 @@ fn fixture_pair(rule: Rule) -> (&'static str, &'static str) {
         Rule::RelaxedOrderingAudit => pair!("relaxed-ordering-audit"),
         Rule::ExactWrap => pair!("exact-wrap"),
         Rule::BadAllow => pair!("markers"),
-        Rule::LockOrder => pair!("lock-order"),
         Rule::MarkerDrift => pair!("marker-drift"),
     }
 }

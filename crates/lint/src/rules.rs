@@ -4,8 +4,7 @@
 //!
 //! `relaxed-ordering-audit` and `exact-wrap` are pure functions over one
 //! file's token stream (plus its workspace-relative path, which scopes
-//! `exact-wrap` to `packed.rs`); `lock-order` runs over the workspace
-//! call graph. Rules are *lexical approximations* of semantic
+//! `exact-wrap` to `packed.rs`). Rules are *lexical approximations* of semantic
 //! invariants — they trade full type knowledge for zero dependencies
 //! and total determinism — and every approximation is documented on the
 //! rule. The escape hatch for a justified exception is an inline marker:
@@ -19,9 +18,8 @@
 //! code, otherwise on the next code line. See `DESIGN.md`, chapter
 //! "Static analysis", for the catalog rationale and how to add a rule.
 
-use crate::graph::{ParsedFile, Workspace};
+use crate::driver::ParsedFile;
 use crate::lexer::{Token, TokenKind};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// The rules `pp_lint` enforces; see each variant for the contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -35,10 +33,6 @@ pub enum Rule {
     /// A malformed `pp-lint: allow(...)` marker (unknown rule or
     /// missing reason).
     BadAllow,
-    /// The aggregated lock-acquisition-order graph (per-fn `Mutex` /
-    /// arena spin-lock sequences, propagated over the call graph) must
-    /// be acyclic — a cycle is a potential deadlock.
-    LockOrder,
     /// An allow marker whose rule no longer fires at its site —
     /// suppressions must not rot. This rule is itself unsuppressible.
     MarkerDrift,
@@ -51,7 +45,6 @@ impl Rule {
         Rule::RelaxedOrderingAudit,
         Rule::ExactWrap,
         Rule::BadAllow,
-        Rule::LockOrder,
         Rule::MarkerDrift,
     ];
 
@@ -62,7 +55,6 @@ impl Rule {
             Rule::RelaxedOrderingAudit => "relaxed-ordering-audit",
             Rule::ExactWrap => "exact-wrap",
             Rule::BadAllow => "bad-allow",
-            Rule::LockOrder => "lock-order",
             Rule::MarkerDrift => "marker-drift",
         }
     }
@@ -74,7 +66,6 @@ impl Rule {
         match name {
             "relaxed-ordering-audit" => Some(Rule::RelaxedOrderingAudit),
             "exact-wrap" => Some(Rule::ExactWrap),
-            "lock-order" => Some(Rule::LockOrder),
             _ => None,
         }
     }
@@ -102,16 +93,6 @@ impl Rule {
                  `// pp-lint: allow(<rule>) — <reason>`. A malformed marker is a \
                  finding, never a silent suppression."
             }
-            Rule::LockOrder => {
-                "Potential-deadlock detection: each function's lock-acquisition \
-                 sequence (Mutex .lock() receivers, identified by field name) is \
-                 propagated over the call graph; acquiring lock B while holding \
-                 lock A adds edge A -> B to the workspace lock-order graph. A \
-                 cycle means two threads can acquire \
-                 the same locks in opposite orders and deadlock; the finding prints \
-                 the witness cycle with one provenance site per edge. Fix the order, \
-                 don't suppress the cycle."
-            }
             Rule::MarkerDrift => {
                 "An allow marker whose rule no longer fires at its effective line is \
                  itself a finding: suppressions must describe the code as it is, not \
@@ -135,10 +116,9 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Lints one file as a one-file workspace: every rule runs (the
-/// interprocedural rules see a call graph of just this file), and
-/// findings suppressed by well-formed allow markers are subtracted —
-/// including the `marker-drift` check on the markers themselves.
+/// Lints one file: every rule runs, and findings suppressed by
+/// well-formed allow markers are subtracted — including the
+/// `marker-drift` check on the markers themselves.
 ///
 /// `path` is the workspace-relative path; it gates the module-scoped
 /// rule (`exact-wrap` applies to `packed.rs` only).
@@ -537,383 +517,4 @@ fn attr_context(f: &File, i: usize) -> bool {
         }
     }
     false
-}
-
-// ---------------------------------------------------------------------
-// Rule: lock-order (workspace-level)
-// ---------------------------------------------------------------------
-
-/// A borrowed view of one node's own tokens, with `File`-style helpers
-/// over the owned-raw-index list.
-struct NodeView<'a> {
-    file: &'a ParsedFile,
-    own: Vec<usize>,
-}
-
-impl<'a> NodeView<'a> {
-    fn new(ws: &'a Workspace, id: usize) -> Self {
-        NodeView {
-            file: &ws.files[ws.nodes[id].file],
-            own: ws.own_tokens(id),
-        }
-    }
-
-    /// Text of the `k`-th owned code token ("" past either end).
-    fn t(&self, k: usize) -> &str {
-        self.own.get(k).map_or("", |&i| self.file.text(i))
-    }
-
-    fn kind(&self, k: usize) -> Option<TokenKind> {
-        self.own.get(k).and_then(|&i| self.file.kind(i))
-    }
-
-    fn raw(&self, k: usize) -> usize {
-        self.own.get(k).copied().unwrap_or(usize::MAX)
-    }
-}
-
-/// One aggregated lock-order edge with its first-seen provenance.
-struct LockEdge {
-    file: String,
-    line: u32,
-    holder: String,
-    via_call: bool,
-}
-
-/// Detects potential deadlocks: a cycle in the aggregated
-/// lock-acquisition-order graph.
-///
-/// Locks are identified **by field name** (the receiver segment that
-/// owns `.lock()`) — same-named locks on different types merge, which over-approximates.
-/// Per function, a held-set simulation walks the statements: guards
-/// bound by `let` stay held to the end of their block, temporaries die
-/// at the statement end (a `let` binds the guard only when its
-/// initializer ends with the lock chain, see [`lock_chain_ends`]), and
-/// all acquisitions within one statement are
-/// unordered among themselves (argument evaluation order is not part
-/// of the contract). Calls propagate the callee's transitive lock set
-/// as `via_call` edges; a `via_call` self-loop is suppressed (the
-/// common re-entrant-helper shape resolves conservatively to itself and
-/// would self-loop every lock), while a *direct* self-loop in one
-/// function is kept — acquiring the same lock family twice while
-/// holding it is exactly the sharded-lock bug class.
-pub(crate) fn lock_order(ws: &Workspace, findings: &mut Vec<Finding>) {
-    // Phase A+B: per-node direct lock labels, then the transitive set
-    // over the call graph (fixpoint).
-    let n_nodes = ws.nodes.len();
-    let mut acquired: Vec<Vec<(String, usize, bool)>> = Vec::with_capacity(n_nodes);
-    let mut labels: Vec<BTreeSet<String>> = Vec::with_capacity(n_nodes);
-    for id in 0..n_nodes {
-        let acqs = node_acquisitions(ws, id);
-        labels.push(acqs.iter().map(|(l, _, _)| l.clone()).collect());
-        acquired.push(acqs);
-    }
-    loop {
-        let mut changed = false;
-        for id in 0..n_nodes {
-            for site in &ws.calls[id] {
-                for &t in &site.resolved {
-                    if t == id {
-                        continue;
-                    }
-                    let add: Vec<String> = labels[t].difference(&labels[id]).cloned().collect();
-                    if !add.is_empty() {
-                        labels[id].extend(add);
-                        changed = true;
-                    }
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
-
-    // Phase C: held-set simulation per node; aggregate label edges.
-    let mut edges: BTreeMap<(String, String), LockEdge> = BTreeMap::new();
-    for (id, acqs) in acquired.iter().enumerate() {
-        simulate_node(ws, id, acqs, &labels, &mut edges);
-    }
-
-    // Cycle detection on the label digraph.
-    report_lock_cycles(&edges, findings);
-}
-
-/// Lock acquisitions in one node's own tokens: `(label, raw_index,
-/// chain_ends)` in token order, where `chain_ends` is
-/// [`lock_chain_ends`] at the acquisition.
-fn node_acquisitions(ws: &Workspace, id: usize) -> Vec<(String, usize, bool)> {
-    let v = NodeView::new(ws, id);
-    let mut out = Vec::new();
-    for k in 0..v.own.len() {
-        // `recv.lock()` → the receiver segment owning the call, with
-        // index/call groups skipped: `self.shards[i].lock()` → `shards`.
-        if v.t(k) == "lock" && v.t(k + 1) == "(" && k >= 2 && v.t(k - 1) == "." {
-            if let Some(l) = receiver_label(&v, k - 2) {
-                out.push((l, v.raw(k), lock_chain_ends(&v, k)));
-            }
-        }
-    }
-    out
-}
-
-/// Whether the `.lock()` call whose `lock` token is at code index `lock`
-/// ends its expression: only `.expect(..)`, `.unwrap()` or `?` may
-/// follow it before a `;` or `else`. Only then does a `let` bind the
-/// guard itself; `let entry = m.lock().expect("m").take(&key);` binds
-/// what the guard returned, and the guard drops at the `;`.
-fn lock_chain_ends(v: &NodeView<'_>, lock: usize) -> bool {
-    let mut depth = 0usize;
-    let mut k = lock + 1;
-    loop {
-        match v.t(k) {
-            "" => return false,
-            "(" => depth += 1,
-            ")" if depth > 0 => depth -= 1,
-            _ if depth > 0 => {}
-            "?" => {}
-            "." if matches!(v.t(k + 1), "expect" | "unwrap") => k += 1,
-            t => return t == ";" || t == "else",
-        }
-        k += 1;
-    }
-}
-
-/// Walks a receiver chain backwards from code index `k` (the token just
-/// before the `.` of a method call) and names its owning segment.
-fn receiver_label(v: &NodeView<'_>, mut k: usize) -> Option<String> {
-    loop {
-        match v.t(k) {
-            "]" | ")" => {
-                // Skip the group backwards.
-                let close = v.t(k);
-                let open = if close == "]" { "[" } else { "(" };
-                let mut depth = 0i32;
-                loop {
-                    let t = v.t(k);
-                    if t == close {
-                        depth += 1;
-                    } else if t == open {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    k = k.checked_sub(1)?;
-                }
-                k = k.checked_sub(1)?;
-            }
-            _ if v.kind(k) == Some(TokenKind::Ident) && v.t(k) != "self" => {
-                return Some(v.t(k).to_string());
-            }
-            "self" | "." => {
-                k = k.checked_sub(1)?;
-            }
-            _ => return None,
-        }
-    }
-}
-
-/// Held-set statement walk for one node, emitting aggregated edges.
-fn simulate_node(
-    ws: &Workspace,
-    id: usize,
-    acqs: &[(String, usize, bool)],
-    labels: &[BTreeSet<String>],
-    edges: &mut BTreeMap<(String, String), LockEdge>,
-) {
-    let v = NodeView::new(ws, id);
-    let file = &ws.files[ws.nodes[id].file];
-    let holder = ws.node_label(id);
-    let acq_at: BTreeMap<usize, (&str, bool)> = acqs
-        .iter()
-        .map(|(l, raw, chain_ends)| (*raw, (l.as_str(), *chain_ends)))
-        .collect();
-    let call_at: BTreeMap<usize, &crate::graph::CallSite> =
-        ws.calls[id].iter().map(|s| (s.at, s)).collect();
-
-    let mut held: Vec<(String, i32)> = Vec::new(); // (label, block depth)
-    let mut depth = 0i32;
-    let mut group = 0i32; // paren/bracket depth — `;` inside `[0; 8]` is not a statement end
-    let mut stmt_let = false;
-    let mut stmt_acqs: Vec<(String, usize, bool)> = Vec::new();
-    let mut stmt_called: Vec<(String, usize)> = Vec::new();
-
-    let emit = |edges: &mut BTreeMap<(String, String), LockEdge>,
-                from: &str,
-                to: &str,
-                raw: usize,
-                via_call: bool| {
-        if via_call && from == to {
-            return;
-        }
-        edges
-            .entry((from.to_string(), to.to_string()))
-            .or_insert_with(|| LockEdge {
-                file: file.path.clone(),
-                line: file.line(raw),
-                holder: holder.clone(),
-                via_call,
-            });
-    };
-
-    macro_rules! flush_stmt {
-        () => {{
-            for (h, _) in &held {
-                for (a, raw, _) in &stmt_acqs {
-                    emit(edges, h, a, *raw, false);
-                }
-                for (l, raw) in &stmt_called {
-                    emit(edges, h, l, *raw, true);
-                }
-            }
-            // Same-statement acquisitions are held across the
-            // statement's own calls (`run_one(&mut m.lock())` runs with
-            // the guard live), but unordered among themselves.
-            for (a, _, _) in &stmt_acqs {
-                for (l, raw) in &stmt_called {
-                    emit(edges, a, l, *raw, true);
-                }
-            }
-            if stmt_let {
-                for (a, _, chain_ends) in stmt_acqs.drain(..) {
-                    if chain_ends {
-                        held.push((a, depth));
-                    }
-                }
-            } else {
-                stmt_acqs.clear();
-            }
-            stmt_called.clear();
-            stmt_let = false;
-        }};
-    }
-
-    for k in 0..v.own.len() {
-        let raw = v.raw(k);
-        match v.t(k) {
-            "let" if group == 0 => stmt_let = true,
-            "{" if group == 0 => {
-                flush_stmt!();
-                depth += 1;
-            }
-            "}" if group == 0 => {
-                flush_stmt!();
-                depth -= 1;
-                // A guard bound at depth D lives while its block's
-                // interior is open, i.e. while depth >= D.
-                held.retain(|(_, d)| *d <= depth);
-            }
-            ";" if group == 0 => flush_stmt!(),
-            "(" | "[" => group += 1,
-            ")" | "]" => group = (group - 1).max(0),
-            _ => {}
-        }
-        if let Some(&(l, chain_ends)) = acq_at.get(&raw) {
-            stmt_acqs.push((l.to_string(), raw, chain_ends));
-        }
-        if let Some(site) = call_at.get(&raw) {
-            let mut callee_labels: BTreeSet<&str> = BTreeSet::new();
-            for &t in &site.resolved {
-                callee_labels.extend(labels[t].iter().map(String::as_str));
-            }
-            for l in callee_labels {
-                stmt_called.push((l.to_string(), raw));
-            }
-        }
-    }
-    flush_stmt!();
-    // The macro's trailing `stmt_let = false` is dead after the final
-    // flush; read it once so `-D warnings` stays quiet.
-    let _ = stmt_let;
-}
-
-/// Finds cycles in the aggregated lock digraph and reports each once,
-/// with the witness path and one provenance site per edge.
-fn report_lock_cycles(edges: &BTreeMap<(String, String), LockEdge>, findings: &mut Vec<Finding>) {
-    // Self-loops first: a direct one is its own witness.
-    for ((from, to), e) in edges {
-        if from == to {
-            findings.push(Finding {
-                file: e.file.clone(),
-                line: e.line,
-                rule: Rule::LockOrder,
-                message: format!(
-                    "potential deadlock: lock `{from}` acquired while already held \
-                     (in {holder}) — a second holder of the same lock family blocks \
-                     forever if the indices collide",
-                    holder = e.holder,
-                ),
-            });
-        }
-    }
-    // Longer cycles: DFS from each label, smallest-first, reporting a
-    // cycle only from its lexicographically smallest member so each
-    // cycle appears once.
-    let mut adj: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
-    for (from, to) in edges.keys() {
-        if from != to {
-            adj.entry(from).or_default().push(to);
-        }
-    }
-    let labels: Vec<&str> = adj.keys().copied().collect();
-    for &start in &labels {
-        let mut stack: Vec<(&str, usize)> = vec![(start, 0)];
-        let mut path: Vec<&str> = vec![start];
-        let mut on_path: BTreeSet<&str> = [start].into();
-        'dfs: while let Some((node, next)) = stack.last_mut() {
-            let node = *node;
-            let succs = adj.get(node).map_or(&[][..], Vec::as_slice);
-            while *next < succs.len() {
-                let s = succs[*next];
-                *next += 1;
-                if s == start && path.len() > 1 {
-                    // Found a cycle through `start`; report it only if
-                    // start is its smallest label (dedup) and no node
-                    // repeats (simple cycle).
-                    if path.iter().all(|p| *p >= start) {
-                        let witness: Vec<String> = path
-                            .iter()
-                            .chain([&start])
-                            .zip(path.iter().skip(1).chain([&start, &start]))
-                            .take(path.len())
-                            .map(|(a, b)| {
-                                let e = &edges[&((*a).to_string(), (*b).to_string())];
-                                format!(
-                                    "`{a}` -> `{b}` ({}:{} in {}{})",
-                                    e.file,
-                                    e.line,
-                                    e.holder,
-                                    if e.via_call { ", via call" } else { "" }
-                                )
-                            })
-                            .collect();
-                        let e0 = &edges[&(
-                            start.to_string(),
-                            path.get(1).copied().unwrap_or(start).to_string(),
-                        )];
-                        findings.push(Finding {
-                            file: e0.file.clone(),
-                            line: e0.line,
-                            rule: Rule::LockOrder,
-                            message: format!(
-                                "potential deadlock: lock-order cycle {}",
-                                witness.join(", ")
-                            ),
-                        });
-                        break 'dfs; // one witness per start label
-                    }
-                } else if !on_path.contains(s) && s > start {
-                    on_path.insert(s);
-                    path.push(s);
-                    stack.push((s, 0));
-                    continue 'dfs;
-                }
-            }
-            stack.pop();
-            if let Some(p) = path.pop() {
-                on_path.remove(p);
-            }
-        }
-    }
 }

@@ -30,7 +30,6 @@ const CASES: &[(&str, &str, Rule)] = &[
     ),
     ("exact-wrap", "crates/petri/src/packed.rs", Rule::ExactWrap),
     ("markers", "crates/petri/src/counters.rs", Rule::BadAllow),
-    ("lock-order", "crates/petri/src/worker.rs", Rule::LockOrder),
     (
         "marker-drift",
         "crates/petri/src/packed.rs",

@@ -17,12 +17,11 @@ use std::path::{Path, PathBuf};
 
 /// Every trip fixture, mounted at a synthetic workspace path that
 /// satisfies its rule's module scoping, all linted as ONE workspace so
-/// the call graph and marker machinery run across the whole corpus.
+/// the marker machinery runs across the whole corpus.
 const CORPUS: &[(&str, &str)] = &[
     ("relaxed-ordering-audit", "crates/petri/src/counters.rs"),
     ("exact-wrap", "crates/petri/src/packed.rs"),
     ("markers", "crates/petri/src/session.rs"),
-    ("lock-order", "crates/petri/src/arena.rs"),
     ("marker-drift", "crates/petri/src/karp_miller.rs"),
 ];
 

@@ -21,8 +21,16 @@
 //! overrides the detected count: `0` forces `Sequential`, `n ≥ 1` forces
 //! `Parallel(n)`, and anything that does not parse as an integer (after
 //! trimming whitespace) falls back to hardware detection.
+//!
+//! The module also holds [`Lock`], the one wrapper over the standard
+//! library's lock types (the root `clippy.toml` bans them everywhere
+//! else). The workspace has three locks — `map`'s queue below and the
+//! analysis server's books and connection table — and none is ever
+//! taken while another is held. In debug builds [`Lock`] checks that
+//! rule on every acquisition, so a nested lock panics in the test suite
+//! instead of waiting for a deadlock.
 
-use std::sync::Mutex;
+pub use lock::{Lock, LockGuard};
 
 /// How many threads may work on independent jobs at once.
 ///
@@ -98,7 +106,7 @@ impl Parallelism {
         if workers <= 1 {
             return items.into_iter().map(f).collect();
         }
-        let queue = Mutex::new(items.into_iter().enumerate());
+        let queue = Lock::new(items.into_iter().enumerate());
         // Captures only shared references, so it is `Copy`: every worker
         // runs its own copy of the same claiming loop.
         let work = || {
@@ -129,6 +137,127 @@ impl Parallelism {
         });
         done.sort_unstable_by_key(|&(index, _)| index);
         done.into_iter().map(|(_, result)| result).collect()
+    }
+}
+
+#[expect(
+    clippy::disallowed_types,
+    reason = "the one wrapper over the std lock types: it checks that locks never nest"
+)]
+mod lock {
+    use std::ops::{Deref, DerefMut};
+    use std::sync::{Condvar, LockResult, Mutex, MutexGuard, PoisonError};
+
+    /// A mutex with a condition variable, for locks that are never
+    /// nested.
+    ///
+    /// In debug builds every acquisition checks a per-thread "a lock is
+    /// held" flag and panics if it is set: no thread ever takes a second
+    /// lock while holding one, so no two threads can wait on each other.
+    /// A [`wait_while`](Self::wait_while) keeps the flag set, since the
+    /// thread holds the lock again when the wait returns. In release
+    /// builds the wrapper is a plain pass-through.
+    pub struct Lock<T> {
+        mutex: Mutex<T>,
+        changed: Condvar,
+    }
+
+    /// The guard of a [`Lock`]; the lock is released when it drops.
+    pub struct LockGuard<'a, T> {
+        guard: MutexGuard<'a, T>,
+        _held: Held,
+    }
+
+    impl<T> Lock<T> {
+        /// A lock around `value`.
+        pub fn new(value: T) -> Self {
+            Lock {
+                mutex: Mutex::new(value),
+                changed: Condvar::new(),
+            }
+        }
+
+        /// Blocks until the lock is free and takes it. Like
+        /// [`Mutex::lock`], the result is an error if a thread panicked
+        /// while holding the lock.
+        ///
+        /// # Panics
+        /// In debug builds, if the calling thread already holds a lock.
+        pub fn lock(&self) -> LockResult<LockGuard<'_, T>> {
+            let held = Held::take();
+            wrap(self.mutex.lock(), held)
+        }
+
+        /// Releases the lock and sleeps until a
+        /// [`notify_all`](Self::notify_all) finds `condition` false, then
+        /// returns holding the lock again. Returns at once if `condition`
+        /// is already false.
+        pub fn wait_while<'a>(
+            &'a self,
+            guard: LockGuard<'a, T>,
+            condition: impl FnMut(&mut T) -> bool,
+        ) -> LockResult<LockGuard<'a, T>> {
+            let LockGuard { guard, _held: held } = guard;
+            wrap(self.changed.wait_while(guard, condition), held)
+        }
+
+        /// Wakes every thread parked in [`wait_while`](Self::wait_while).
+        pub fn notify_all(&self) {
+            self.changed.notify_all();
+        }
+    }
+
+    fn wrap<T>(result: LockResult<MutexGuard<'_, T>>, held: Held) -> LockResult<LockGuard<'_, T>> {
+        match result {
+            Ok(guard) => Ok(LockGuard { guard, _held: held }),
+            Err(poisoned) => Err(PoisonError::new(LockGuard {
+                guard: poisoned.into_inner(),
+                _held: held,
+            })),
+        }
+    }
+
+    impl<T> Deref for LockGuard<'_, T> {
+        type Target = T;
+        fn deref(&self) -> &T {
+            &self.guard
+        }
+    }
+
+    impl<T> DerefMut for LockGuard<'_, T> {
+        fn deref_mut(&mut self) -> &mut T {
+            &mut self.guard
+        }
+    }
+
+    /// The calling thread's claim on its one lock: set by
+    /// [`Held::take`], cleared on drop (after the guard beside it has
+    /// unlocked).
+    struct Held;
+
+    #[cfg(debug_assertions)]
+    thread_local! {
+        static HELD: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
+    impl Held {
+        fn take() -> Held {
+            #[cfg(debug_assertions)]
+            HELD.with(|held| {
+                assert!(
+                    !held.replace(true),
+                    "a lock was taken while this thread holds another: locks never nest"
+                );
+            });
+            Held
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    impl Drop for Held {
+        fn drop(&mut self) {
+            HELD.with(|held| held.set(false));
+        }
     }
 }
 
@@ -236,6 +365,28 @@ mod tests {
             assert!(i != 17, "item 17");
             i
         });
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "locks never nest")]
+    fn taking_a_lock_while_holding_another_panics() {
+        let (outer, inner) = (Lock::new(0), Lock::new(0));
+        let _outer = outer.lock().expect("fresh lock");
+        let _inner = inner.lock();
+    }
+
+    #[test]
+    fn locks_taken_one_at_a_time_do_not_panic() {
+        let (first, second) = (Lock::new(0), Lock::new(0));
+        *first.lock().expect("fresh lock") += 1;
+        *second.lock().expect("fresh lock") += 1;
+        let guard = first.lock().expect("fresh lock");
+        // A satisfied wait returns at once, still holding the lock.
+        let guard = first.wait_while(guard, |n| *n == 0).expect("fresh lock");
+        assert_eq!(*guard, 1);
+        drop(guard);
+        assert_eq!(*second.lock().expect("fresh lock"), 1);
     }
 
     #[test]

@@ -12,10 +12,13 @@
 //! ([`Entry::held`]); eviction — least-recently-used, used by the server
 //! when a capped pool runs dry — releases those tokens back.
 //!
-//! Concurrency model: the store itself is a plain map; the server wraps
-//! it in a `Mutex` and *takes* an entry out for the duration of a run
+//! Concurrency model: the store itself is a plain map. The server keeps
+//! both of its stores in its books, under the one lock that also guards
+//! the token pool, and *takes* an entry out for the duration of a run
 //! (ownership moves to the job, the lock is dropped), putting the updated
-//! entry back afterwards. Two concurrent requests for one key simply run
+//! entry back afterwards. The books count the jobs running on each key,
+//! so a `resume` of a key whose entry is out waits until it is put back
+//! and then runs warm. Two concurrent submissions for one key simply run
 //! both — deterministically equal — and the later insert wins, releasing
 //! the displaced entry's tokens.
 
@@ -151,12 +154,10 @@ impl<P: Clone + Ord> SessionStore<P> {
         self.entries.remove(&victim).map(|entry| entry.held)
     }
 
-    /// Clones the stored job identity under `key` without disturbing the
-    /// entry — the resume path uses this to rebuild the job at a new
-    /// budget before taking custody of the session itself.
+    /// Whether an entry is cached under `key`.
     #[must_use]
-    pub fn stored_job(&self, key: &str) -> Option<StoredJob<P>> {
-        self.entries.get(key).map(|entry| entry.job.clone())
+    pub fn contains(&self, key: &str) -> bool {
+        self.entries.contains_key(key)
     }
 
     /// Number of cached sessions.

@@ -7,12 +7,19 @@
 //! configurations the server holds in memory at once, cache included:
 //!
 //! ```text
-//! capacity = free + Σ (outstanding job draws) + Σ (cache-held tokens)
+//! capacity = free + outstanding + Σ (cache-held tokens)
 //! ```
 //!
-//! When a draw comes up short, the server evicts least-recently-used
-//! cache entries, from the job's own store first and then from the other,
-//! and draws again.
+//! where `outstanding` counts the tokens running jobs hold: what they
+//! drew plus what their cache entry held when they took it out. When a
+//! draw comes up short, the server evicts least-recently-used cache
+//! entries, from the job's own store first and then from the other, and
+//! draws again.
+//!
+//! The pool is plain counters with no lock of its own: it lives in the
+//! server's books, beside both session stores, under the books' one lock,
+//! so every critical section sees (and the debug builds check) the whole
+//! ledger at once.
 //!
 //! Fairness, not determinism, is the pool's job: how many tokens a
 //! particular request is granted depends on what else is in flight or
@@ -20,8 +27,6 @@
 //! as its `final_limits`, and the *result at that budget* is
 //! bit-identical to a solo run at those limits, which the pool cannot
 //! change. An uncapped pool (capacity `None`) grants every draw in full.
-
-use std::sync::Mutex;
 
 /// A snapshot of the pool, as reported by `ping` frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,17 +40,12 @@ pub struct PoolStats {
     pub active: usize,
 }
 
-struct PoolState {
-    free: usize,
-    active: usize,
-}
-
-/// The shared token pool. All methods are self-contained: the internal
-/// lock is never held across a call into any other module (so the
-/// server's lock order stays trivially acyclic).
+/// The token counters (see the [module docs](self)).
 pub struct TokenPool {
     capacity: Option<usize>,
-    state: Mutex<PoolState>,
+    free: usize,
+    active: usize,
+    outstanding: usize,
 }
 
 impl TokenPool {
@@ -54,68 +54,72 @@ impl TokenPool {
     pub fn new(capacity: Option<usize>) -> Self {
         TokenPool {
             capacity,
-            state: Mutex::new(PoolState {
-                free: capacity.unwrap_or(0),
-                active: 0,
-            }),
+            free: capacity.unwrap_or(0),
+            active: 0,
+            outstanding: 0,
         }
     }
 
-    /// Opens a draw for one job. Must be paired with exactly one
-    /// [`settle`](Self::settle).
-    pub fn begin(&self) {
+    /// Opens a draw for one job that took custody of `held` tokens from
+    /// the cache. Must be paired with exactly one [`settle`](Self::settle).
+    pub fn begin(&mut self, held: usize) {
         if self.capacity.is_none() {
             return;
         }
-        let mut state = self.state.lock().expect("pool state");
-        state.active += 1;
+        self.active += 1;
+        self.outstanding += held;
     }
 
     /// Draws up to `want` tokens for the calling job: its fair share of
     /// the free tokens (free divided by the number of open draws, rounded
     /// up), capped at `want`. Uncapped pools grant `want` in full.
     #[must_use]
-    pub fn draw(&self, want: usize) -> usize {
+    pub fn draw(&mut self, want: usize) -> usize {
         if self.capacity.is_none() {
             return want;
         }
-        let mut state = self.state.lock().expect("pool state");
-        let holders = state.active.max(1);
-        let share = state.free.div_ceil(holders);
+        let share = self.free.div_ceil(self.active.max(1));
         let grant = want.min(share);
-        state.free -= grant;
+        self.free -= grant;
+        self.outstanding += grant;
         grant
     }
 
-    /// Closes a job's draw, returning `released` tokens to the pool (the
-    /// part of its held-plus-drawn total that did not end up stored in a
-    /// cached result).
-    pub fn settle(&self, released: usize) {
+    /// Closes a job's draw. The job held `custody` tokens (its cache
+    /// entry's plus its draws); `kept` of them stay checked out by the
+    /// entry it parks in the cache, and the rest return to the pool.
+    pub fn settle(&mut self, custody: usize, kept: usize) {
         if self.capacity.is_none() {
             return;
         }
-        let mut state = self.state.lock().expect("pool state");
-        state.active = state.active.saturating_sub(1);
-        state.free += released;
+        self.active = self.active.saturating_sub(1);
+        self.outstanding = self.outstanding.saturating_sub(custody);
+        self.free += custody.saturating_sub(kept);
     }
 
     /// Returns tokens held by an evicted (or displaced) cache entry.
-    pub fn release(&self, tokens: usize) {
-        if self.capacity.is_none() || tokens == 0 {
+    pub fn release(&mut self, tokens: usize) {
+        if self.capacity.is_none() {
             return;
         }
-        let mut state = self.state.lock().expect("pool state");
-        state.free += tokens;
+        self.free += tokens;
     }
 
-    /// A consistent snapshot for status frames.
+    /// Whether the ledger balances with `held` tokens in the cache:
+    /// `capacity = free + outstanding + held`. Always true when uncapped.
+    #[must_use]
+    pub fn balances(&self, held: usize) -> bool {
+        self.capacity
+            .is_none_or(|capacity| self.free + self.outstanding + held == capacity)
+    }
+
+    /// The counters `ping` frames report.
     #[must_use]
     pub fn stats(&self) -> PoolStats {
-        let state = self.state.lock().expect("pool state");
         PoolStats {
             capacity: self.capacity,
-            free: state.free,
-            active: state.active,
+            free: self.free,
+            active: self.active,
         }
     }
 }
@@ -126,39 +130,49 @@ mod tests {
 
     #[test]
     fn uncapped_pools_grant_everything() {
-        let pool = TokenPool::new(None);
-        pool.begin();
+        let mut pool = TokenPool::new(None);
+        pool.begin(0);
         assert_eq!(pool.draw(1_000_000), 1_000_000);
-        pool.settle(1_000_000);
+        pool.settle(1_000_000, 0);
         assert_eq!(pool.stats().active, 0);
+        assert!(pool.balances(123));
     }
 
     #[test]
     fn draws_fair_share_and_settles_back() {
-        let pool = TokenPool::new(Some(100));
-        pool.begin();
-        pool.begin();
+        let mut pool = TokenPool::new(Some(100));
+        pool.begin(0);
+        pool.begin(0);
         // Two open draws: each is offered half the free tokens.
         let first = pool.draw(100);
         assert_eq!(first, 50);
         let second = pool.draw(10);
         assert_eq!(second, 10);
-        pool.settle(first); // nothing kept
-        pool.settle(second - 4); // 4 tokens stay in a cached result
+        assert!(pool.balances(0));
+        pool.settle(first, 0); // nothing kept
+        pool.settle(second, 4); // 4 tokens stay in a cached result
         let stats = pool.stats();
         assert_eq!(stats.active, 0);
         assert_eq!(stats.free, 96);
+        assert!(pool.balances(4));
+        // A job takes the cached entry out again: its 4 tokens are
+        // outstanding until it settles.
+        pool.begin(4);
+        assert!(pool.balances(0));
+        pool.settle(4, 4);
         pool.release(4); // the cache entry is evicted
         assert_eq!(pool.stats().free, 100);
+        assert!(pool.balances(0));
     }
 
     #[test]
     fn a_dry_pool_grants_zero_not_a_panic() {
-        let pool = TokenPool::new(Some(3));
-        pool.begin();
+        let mut pool = TokenPool::new(Some(3));
+        pool.begin(0);
         assert_eq!(pool.draw(10), 3);
         assert_eq!(pool.draw(10), 0);
-        pool.settle(3);
+        pool.settle(3, 0);
         assert_eq!(pool.stats().free, 3);
+        assert!(pool.balances(0));
     }
 }

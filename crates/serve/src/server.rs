@@ -43,10 +43,22 @@
 //! store and then from the other one, so graphs parked in one store never
 //! starve a job of the other.
 //!
-//! Lock discipline: `catalog_sessions`, `inline_sessions`, `conns` and
-//! the pool's internal lock are each taken strictly one-at-a-time —
-//! every helper returns before the next lock is touched, so no ordering
-//! cycle can exist.
+//! A running job has its entry out of the store. A `resume` of that key
+//! waits until the job puts the entry back, then runs warm; submissions
+//! never wait (two concurrent submissions of one key simply run both).
+//!
+//! # Lock discipline
+//!
+//! The server has two locks, both [`Lock`]s: the books (both session
+//! stores, the token pool and the per-key in-flight counts) and the
+//! connection table. Neither is ever taken while the other is held, and
+//! no analysis is built or run under either. Taking a session out,
+//! opening its draw, drawing and evicting is one critical section;
+//! settling, parking the session and releasing displaced tokens is
+//! another. So every critical section sees the whole ledger
+//! `capacity = free + outstanding + cache-held`, and debug builds assert
+//! it at the end of each one. An uncapped request takes the books lock
+//! twice: once to start, once to park.
 
 use crate::cache::{Entry, SessionStore, StoredJob};
 use crate::json::{parse, Json};
@@ -57,6 +69,7 @@ use crate::proto::{
 use pp_petri::batch::{BatchOutcome, BatchQuery, QueryRun};
 use pp_petri::cover::CoveringWordOutcome;
 use pp_petri::fingerprint::{hex, outcome_fingerprint, Fnv};
+use pp_petri::parallel::{Lock, LockGuard};
 use pp_petri::{gates, Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, Transition};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
@@ -66,7 +79,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -140,15 +153,133 @@ impl ServerConfig {
 struct Core {
     config: ServerConfig,
     addr: SocketAddr,
-    pool: TokenPool,
-    catalog_sessions: Mutex<SessionStore<StateId>>,
-    inline_sessions: Mutex<SessionStore<String>>,
-    conns: Mutex<BTreeMap<u64, TcpStream>>,
+    books: Lock<Books>,
+    conns: Lock<BTreeMap<u64, TcpStream>>,
     next_conn: AtomicU64,
     stopping: AtomicBool,
     live: AtomicUsize,
     jobs_done: AtomicUsize,
     started: Instant,
+}
+
+/// Everything that holds tokens, under one lock: the pool, both session
+/// stores, and the jobs running per key.
+struct Books {
+    pool: TokenPool,
+    catalog: SessionStore<StateId>,
+    inline: SessionStore<String>,
+    /// Jobs running per key; while one runs, its entry is out of the
+    /// store.
+    in_flight: BTreeMap<String, usize>,
+    /// Resumes parked until a running key's entry is put back.
+    waiting: usize,
+}
+
+/// Selects one of the books' two session stores.
+type Shelf<P> = fn(&mut Books) -> &mut SessionStore<P>;
+
+/// A started job: its identity, its cached session (if there was one),
+/// and its claim on the key — a token count inside the books, a
+/// [`Custody`] outside.
+type Started<P, C> = (StoredJob<P>, Option<Analysis<P>>, C);
+
+impl Books {
+    fn catalog(&mut self) -> &mut SessionStore<StateId> {
+        &mut self.catalog
+    }
+
+    fn inline(&mut self) -> &mut SessionStore<String> {
+        &mut self.inline
+    }
+
+    /// Takes `key`'s entry out of `shelf` for a job, marks the key in
+    /// flight, opens the job's draw and draws its first round's tokens. A
+    /// submission brings its own job; a resume runs the job of the entry
+    /// it finds. Returns the job, the cached session if there was one,
+    /// and the tokens the job now holds.
+    fn start<P: Clone + Ord>(
+        &mut self,
+        shelf: Shelf<P>,
+        key: &str,
+        submitted: Option<StoredJob<P>>,
+        requested: usize,
+    ) -> Result<Started<P, usize>, WireError> {
+        let entry = shelf(self).take(key);
+        let (job, held, session) = match (submitted, entry) {
+            (Some(job), Some(entry)) => (job, entry.held, Some(entry.session)),
+            (Some(job), None) => (job, 0, None),
+            (None, Some(entry)) => (entry.job, entry.held, Some(entry.session)),
+            (None, None) => {
+                return Err(WireError::new(
+                    "unknown-session",
+                    format!("no cached session {key:?} (expired or evicted)"),
+                ))
+            }
+        };
+        *self.in_flight.entry(key.to_string()).or_default() += 1;
+        self.pool.begin(held);
+        let demand = job.query.demand(requested);
+        let grant = self.acquire(shelf, key, demand.saturating_sub(held));
+        Ok((job, session, held + grant))
+    }
+
+    /// Draws up to `want` tokens for the job under `key`, evicting
+    /// least-recently-used sessions (never `key` itself) while the pool
+    /// cannot cover the draw: first from the job's own store, then from
+    /// the other, so tokens parked in one never starve a job of the other.
+    fn acquire<P: Clone + Ord>(&mut self, shelf: Shelf<P>, key: &str, want: usize) -> usize {
+        let mut grant = self.pool.draw(want);
+        while grant < want {
+            // Once the own store has nothing left to evict, trying both
+            // stores in turn reaches the other one.
+            let evicted = shelf(self)
+                .evict_lru(key)
+                .or_else(|| self.catalog.evict_lru(key))
+                .or_else(|| self.inline.evict_lru(key));
+            let Some(freed) = evicted else {
+                break;
+            };
+            self.pool.release(freed);
+            grant += self.pool.draw(want - grant);
+        }
+        grant
+    }
+
+    /// Closes the draw of a job on `key` that held `custody` tokens,
+    /// parks its `entry` (if it has one to park) and clears its in-flight
+    /// mark. The tokens of a displaced entry return to the pool.
+    fn check_in<P: Clone + Ord>(
+        &mut self,
+        shelf: Shelf<P>,
+        key: String,
+        entry: Option<Entry<P>>,
+        custody: usize,
+    ) {
+        self.pool
+            .settle(custody, entry.as_ref().map_or(0, |entry| entry.held));
+        match self.in_flight.get_mut(&key) {
+            Some(count) if *count > 1 => *count -= 1,
+            _ => {
+                self.in_flight.remove(&key);
+            }
+        }
+        if let Some(entry) = entry {
+            let displaced = shelf(self).put(key, entry);
+            self.pool.release(displaced);
+        }
+    }
+
+    /// Debug builds: the token ledger balances at the end of every
+    /// critical section.
+    fn check(&self) {
+        debug_assert!(
+            self.pool
+                .balances(self.catalog.held_total() + self.inline.held_total()),
+            "token ledger out of balance: {:?}, {} held by the cache",
+            self.pool.stats(),
+            self.catalog.held_total() + self.inline.held_total(),
+        );
+    }
 }
 
 impl Core {
@@ -163,54 +294,122 @@ impl Core {
         if self.stopping.swap(true, Ordering::SeqCst) {
             return;
         }
-        {
-            let conns = self.conns.lock().expect("conns");
-            for stream in conns.values() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
+        for stream in self.conns.lock().expect("conns").values() {
+            let _ = stream.shutdown(Shutdown::Read);
         }
         // A throwaway connection so the blocking accept wakes up and
         // observes the flag.
         let _ = TcpStream::connect(self.addr);
     }
 
-    /// Draws up to `want` tokens for the job under `key`, evicting
-    /// least-recently-used sessions (never `key` itself) while the pool
-    /// cannot cover the draw: first from the job's own `store`, then from
-    /// the other store, so tokens parked in one never starve a job of the
-    /// other. Locks are taken one at a time throughout.
-    fn acquire_tokens<P: Clone + Ord>(
+    /// Runs `f` on the books under their lock, checking the ledger before
+    /// the lock is released.
+    fn with_books<R>(&self, f: impl FnOnce(&mut Books) -> R) -> R {
+        let mut books = self.books.lock().expect("books");
+        let out = f(&mut books);
+        books.check();
+        out
+    }
+
+    /// Starts a job on `key` in one critical section (see
+    /// [`Books::start`]). A resume (`submitted` is `None`) of a key whose
+    /// job is running first waits until that job puts the entry back.
+    /// The returned [`Custody`] hands the tokens and the in-flight mark
+    /// back when the job parks, or when it unwinds.
+    fn start<P: Clone + Ord>(
         &self,
-        store: &Mutex<SessionStore<P>>,
-        key: &str,
-        want: usize,
-    ) -> usize {
-        let mut grant = self.pool.draw(want);
-        while grant < want {
-            let own = store.lock().expect("sessions").evict_lru(key);
-            let Some(freed) = own.or_else(|| self.evict_from_other_store(key)) else {
-                break;
+        shelf: Shelf<P>,
+        key: String,
+        submitted: Option<StoredJob<P>>,
+        requested: usize,
+    ) -> Result<Started<P, Custody<'_, P>>, WireError> {
+        let mut books = self.books.lock().expect("books");
+        if submitted.is_none() {
+            let pending = |books: &mut Books| {
+                books.in_flight.contains_key(&key) && !shelf(books).contains(&key)
             };
-            self.pool.release(freed);
-            grant += self.pool.draw(want - grant);
+            if pending(&mut books) {
+                books.waiting += 1;
+                books = self.books.wait_while(books, pending).expect("books");
+                books.waiting -= 1;
+            }
         }
+        let started = books.start(shelf, &key, submitted, requested);
+        books.check();
+        drop(books);
+        let (job, session, tokens) = started?;
+        let custody = Custody {
+            core: self,
+            shelf,
+            key,
+            tokens,
+            parked: false,
+        };
+        Ok((job, session, custody))
+    }
+}
+
+/// A running job's claim on its key: the tokens it holds and the key's
+/// in-flight mark. [`park`](Self::park) hands both back with the updated
+/// entry. A custody dropped unparked (the job panicked) refunds the
+/// tokens and clears the mark, so resumes waiting on the key wake up and
+/// answer `unknown-session` instead of waiting forever.
+struct Custody<'a, P: Clone + Ord> {
+    core: &'a Core,
+    shelf: Shelf<P>,
+    key: String,
+    tokens: usize,
+    parked: bool,
+}
+
+impl<P: Clone + Ord> Custody<'_, P> {
+    /// Draws up to `want` more tokens for the job.
+    fn draw(&mut self, want: usize) -> usize {
+        let grant = self
+            .core
+            .with_books(|books| books.acquire(self.shelf, &self.key, want));
+        self.tokens += grant;
         grant
     }
 
-    /// Evicts the least-recently-used session of the store that `key`
-    /// does not belong to (keys carry their store's `c:`/`i:` prefix),
-    /// returning the tokens it held.
-    fn evict_from_other_store(&self, key: &str) -> Option<usize> {
-        if key.starts_with("c:") {
-            self.inline_sessions
+    /// Parks `entry` under the key and closes the job's draw.
+    fn park(mut self, entry: Entry<P>) {
+        let books = self.core.books.lock().expect("books");
+        self.hand_back(books, Some(entry));
+    }
+
+    fn hand_back(&mut self, mut books: LockGuard<'_, Books>, entry: Option<Entry<P>>) {
+        self.parked = true;
+        books.check_in(
+            self.shelf,
+            std::mem::take(&mut self.key),
+            entry,
+            self.tokens,
+        );
+        let wake = books.waiting > 0;
+        // A failed check while unwinding would abort the process; the
+        // next critical section checks the same ledger.
+        if !std::thread::panicking() {
+            books.check();
+        }
+        drop(books);
+        if wake {
+            self.core.books.notify_all();
+        }
+    }
+}
+
+impl<P: Clone + Ord> Drop for Custody<'_, P> {
+    fn drop(&mut self) {
+        if !self.parked {
+            // The job is unwinding; whatever else panicked, its tokens
+            // and in-flight mark must go back.
+            let books = self
+                .core
+                .books
                 .lock()
-                .expect("sessions")
-                .evict_lru(key)
-        } else {
-            self.catalog_sessions
-                .lock()
-                .expect("sessions")
-                .evict_lru(key)
+                .unwrap_or_else(PoisonError::into_inner);
+            self.hand_back(books, None);
         }
     }
 }
@@ -227,12 +426,16 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         let core = Arc::new(Core {
-            pool: TokenPool::new(config.pool),
+            books: Lock::new(Books {
+                pool: TokenPool::new(config.pool),
+                catalog: SessionStore::new(),
+                inline: SessionStore::new(),
+                in_flight: BTreeMap::new(),
+                waiting: 0,
+            }),
             config,
             addr,
-            catalog_sessions: Mutex::new(SessionStore::new()),
-            inline_sessions: Mutex::new(SessionStore::new()),
-            conns: Mutex::new(BTreeMap::new()),
+            conns: Lock::new(BTreeMap::new()),
             next_conn: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
             live: AtomicUsize::new(0),
@@ -526,8 +729,8 @@ fn handle_event(
                 Source::Catalog { .. } => prepare_catalog(&sub).and_then(|(job, key)| {
                     run_prepared(
                         core,
-                        &core.catalog_sessions,
-                        job,
+                        Books::catalog,
+                        Some(job),
                         key,
                         budget,
                         disconnected,
@@ -539,8 +742,8 @@ fn handle_event(
                 Source::Inline { .. } => prepare_inline(&sub).and_then(|(job, key)| {
                     run_prepared(
                         core,
-                        &core.inline_sessions,
-                        job,
+                        Books::inline,
+                        Some(job),
                         key,
                         budget,
                         disconnected,
@@ -561,22 +764,24 @@ fn handle_event(
             id: resume_id,
         } => {
             let id = resume_id.or(id);
-            let outcome = if let Some(key) = session.strip_prefix("c:") {
-                resume_prepared(
+            let outcome = if session.starts_with("c:") {
+                run_prepared(
                     core,
-                    &core.catalog_sessions,
-                    format!("c:{key}"),
+                    Books::catalog,
+                    None,
+                    session,
                     budget,
                     disconnected,
                     writer,
                     id.as_deref(),
                     received,
                 )
-            } else if let Some(key) = session.strip_prefix("i:") {
-                resume_prepared(
+            } else if session.starts_with("i:") {
+                run_prepared(
                     core,
-                    &core.inline_sessions,
-                    format!("i:{key}"),
+                    Books::inline,
+                    None,
+                    session,
                     budget,
                     disconnected,
                     writer,
@@ -605,16 +810,14 @@ fn flow_of(result: std::io::Result<()>) -> Flow {
 }
 
 fn pong_frame(core: &Core) -> Json {
-    let pool = core.pool.stats();
-    let (catalog_entries, catalog_held) = {
-        let store = core.catalog_sessions.lock().expect("sessions");
-        (store.len(), store.held_total())
-    };
-    let (inline_entries, inline_held) = {
-        let store = core.inline_sessions.lock().expect("sessions");
-        (store.len(), store.held_total())
-    };
-    let store_frame = |entries: usize, held: usize| {
+    let (pool, catalog, inline) = core.with_books(|books| {
+        (
+            books.pool.stats(),
+            (books.catalog.len(), books.catalog.held_total()),
+            (books.inline.len(), books.inline.held_total()),
+        )
+    });
+    let store_frame = |(entries, held): (usize, usize)| {
         Json::object([
             ("entries".to_string(), Json::uint(entries as u64)),
             ("held".to_string(), Json::uint(held as u64)),
@@ -649,14 +852,8 @@ fn pong_frame(core: &Core) -> Json {
         (
             "sessions".to_string(),
             Json::object([
-                (
-                    "catalog".to_string(),
-                    store_frame(catalog_entries, catalog_held),
-                ),
-                (
-                    "inline".to_string(),
-                    store_frame(inline_entries, inline_held),
-                ),
+                ("catalog".to_string(), store_frame(catalog)),
+                ("inline".to_string(), store_frame(inline)),
             ]),
         ),
     ])
@@ -880,44 +1077,14 @@ fn base_limits(sub: &Submission) -> ExplorationLimits {
 // Execution: the generic engine path both stores share.
 // ---------------------------------------------------------------------------
 
-#[allow(clippy::too_many_arguments)]
-fn resume_prepared<P>(
-    core: &Core,
-    store: &Mutex<SessionStore<P>>,
-    key: String,
-    budget: usize,
-    disconnected: &AtomicBool,
-    writer: &mut impl Write,
-    id: Option<&str>,
-    received: Instant,
-) -> Result<Flow, WireError>
-where
-    P: Clone + Ord + Send + Sync + 'static,
-{
-    let Some(job) = store.lock().expect("sessions").stored_job(&key) else {
-        return Err(WireError::new(
-            "unknown-session",
-            format!("no cached session {key:?} (expired or evicted)"),
-        ));
-    };
-    run_prepared(
-        core,
-        store,
-        job,
-        key,
-        budget,
-        disconnected,
-        writer,
-        id,
-        received,
-    )
-}
-
+/// Runs one job on `key`'s cached session (or a fresh one) and answers
+/// it. A submission brings its own `submitted` job; a resume (`None`)
+/// runs the cached one, waiting for it if another job has it out.
 #[allow(clippy::too_many_arguments)]
 fn run_prepared<P>(
     core: &Core,
-    store: &Mutex<SessionStore<P>>,
-    stored: StoredJob<P>,
+    shelf: Shelf<P>,
+    submitted: Option<StoredJob<P>>,
     key: String,
     requested: usize,
     disconnected: &AtomicBool,
@@ -933,27 +1100,25 @@ where
     if disconnected.load(Ordering::SeqCst) && !core.is_stopping() {
         return Ok(Flow::Stop);
     }
-    // Take custody of the cached entry (session + its held tokens).
-    let entry = store.lock().expect("sessions").take(&key);
+    // Take custody of the cached entry (session + its held tokens) and
+    // of the first round's draw.
+    let (stored, cached, mut custody) = core.start(shelf, key, submitted, requested)?;
     let queue = received.elapsed();
     let wall_start = Instant::now();
-    let (mut session, held, seeded) = match entry {
-        Some(entry) => (entry.session, entry.held, true),
-        None => (Analysis::new(&stored.net), 0, false),
-    };
+    let seeded = cached.is_some();
+    let mut session = cached.unwrap_or_else(|| Analysis::new(&stored.net));
     let demand = stored.query.demand(requested);
-    core.pool.begin();
-    let mut drawn = 0usize;
-    let mut budget = held.min(demand);
+    // Cached tokens beyond the demand stay with the entry and add no
+    // budget.
+    let mut budget = custody.tokens.min(demand);
     let mut rounds = 0u32;
     let mut write_result: std::io::Result<()> = Ok(());
     let (run, limits) = loop {
         rounds += 1;
-        let want = demand.saturating_sub(budget);
-        if want > 0 {
-            let grant = core.acquire_tokens(store, &key, want);
-            drawn += grant;
-            budget += grant;
+        // `start` drew the first round's tokens; later rounds top up here.
+        let want = demand - budget;
+        if rounds > 1 && want > 0 {
+            budget += custody.draw(want);
         }
         let limits = ExplorationLimits {
             max_configurations: budget,
@@ -966,14 +1131,13 @@ where
         // Pool-truncated and more tokens available now: stream a progress
         // frame and extend.
         if run.completion == Completion::ConfigBudget && budget < demand {
-            let grant = core.acquire_tokens(store, &key, demand - budget);
+            let grant = custody.draw(demand - budget);
             if grant > 0 {
-                drawn += grant;
                 budget += grant;
                 let frame = job_frame(
                     "progress",
                     id,
-                    &key,
+                    &custody.key,
                     &stored,
                     &run,
                     &limits,
@@ -996,23 +1160,29 @@ where
         break (run, limits);
     };
     core.jobs_done.fetch_add(1, Ordering::SeqCst);
-    // Tokens that stay checked out: the state space the parked session
-    // caches.
-    let kept = session.cached_nodes();
-    core.pool.settle((held + drawn).saturating_sub(kept));
     let wall = wall_start.elapsed();
+    let resumable = run.completion == Completion::ConfigBudget;
+    let frame = job_frame(
+        "result",
+        id,
+        &custody.key,
+        &stored,
+        &run,
+        &limits,
+        resumable,
+        seeded,
+        rounds,
+        queue,
+        wall,
+    );
     // Park the session — even for an orphaned job, whose completed work
-    // stays warm for whoever asks next.
-    let entry = Entry::new(stored.clone(), session, kept, limits);
-    let displaced = store.lock().expect("sessions").put(key.clone(), entry);
-    core.pool.release(displaced);
+    // stays warm for whoever asks next. The state space it caches keeps
+    // its tokens checked out.
+    let kept = session.cached_nodes();
+    custody.park(Entry::new(stored, session, kept, limits));
     if disconnected.load(Ordering::SeqCst) || write_result.is_err() {
         return Ok(Flow::Stop);
     }
-    let resumable = run.completion == Completion::ConfigBudget;
-    let frame = job_frame(
-        "result", id, &key, &stored, &run, &limits, resumable, seeded, rounds, queue, wall,
-    );
     Ok(flow_of(write_frame(writer, &frame)))
 }
 
@@ -1144,15 +1314,9 @@ mod tests {
         // Another tenant's open draw halves every fair share: the job
         // below gets 50 of its 60 tokens, is truncated, draws the other
         // 10 and streams one `progress` frame before its result.
-        handle.core.pool.begin();
+        handle.core.with_books(|books| books.pool.begin(0));
         let mut client = Client::connect(handle.addr()).expect("connect");
-        // The chain `p -> p + q` never ends, so every run is truncated.
-        let submit = parse(
-            br#"{"cmd":"submit","budget":60,"initials":[{"p":1}],
-                "net":{"transitions":[{"pre":{"p":1},"post":{"p":1,"q":1}}]}}"#,
-        )
-        .expect("a valid frame");
-        let answer = client.submit(&submit).expect("submit");
+        let answer = client.submit(&chain_submit(60)).expect("submit");
         let budget = |frame: &Json| {
             frame
                 .get("final_limits")
@@ -1164,7 +1328,153 @@ mod tests {
         assert_eq!(budget(&answer.result), Some(60), "{}", answer.result);
         let pong = client.ping().expect("ping");
         assert_eq!(pong.get("jobs_done").and_then(Json::as_u64), Some(1));
-        handle.core.pool.settle(0);
+        handle.core.with_books(|books| books.pool.settle(0, 0));
+        handle.shutdown();
+    }
+
+    /// A server on a 100-token pool with one parked inline session: the
+    /// chain `p -> p + q`, which never ends, truncated at 20 nodes.
+    fn server_with_a_parked_chain() -> (ServerHandle, Client, String) {
+        let handle = Server::spawn(ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            pool: Some(100),
+            ..ServerConfig::default()
+        })
+        .expect("bind an ephemeral port");
+        let mut client = Client::connect(handle.addr()).expect("connect");
+        let answer = client.submit(&chain_submit(20)).expect("submit");
+        let session = answer
+            .result
+            .get("session")
+            .and_then(Json::as_str)
+            .expect("a session token")
+            .to_string();
+        (handle, client, session)
+    }
+
+    /// A submission of the chain `p -> p + q` at `budget`.
+    fn chain_submit(budget: u64) -> Json {
+        parse(
+            format!(
+                r#"{{"cmd":"submit","budget":{budget},"initials":[{{"p":1}}],
+                "net":{{"transitions":[{{"pre":{{"p":1}},"post":{{"p":1,"q":1}}}}]}}}}"#
+            )
+            .as_bytes(),
+        )
+        .expect("a valid frame")
+    }
+
+    /// Sends a `resume` of `session` at 40 from a client thread, and
+    /// returns once the server has parked it waiting for the session.
+    fn resume_that_waits(
+        handle: &ServerHandle,
+        session: String,
+    ) -> JoinHandle<crate::client::JobAnswer> {
+        let addr = handle.addr();
+        let resume = std::thread::spawn(move || {
+            let frame = Json::object([
+                ("cmd".to_string(), Json::str("resume")),
+                ("session".to_string(), Json::str(session)),
+                ("budget".to_string(), Json::uint(40)),
+            ]);
+            Client::connect(addr)
+                .expect("connect")
+                .submit(&frame)
+                .expect("resume")
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.core.with_books(|books| books.waiting) == 0 {
+            assert!(Instant::now() < deadline, "the resume never waited");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        resume
+    }
+
+    fn free_tokens(client: &mut Client) -> Option<u64> {
+        let pong = client.ping().expect("ping");
+        pong.get("pool")
+            .and_then(|pool| pool.get("free"))
+            .and_then(Json::as_u64)
+    }
+
+    #[test]
+    fn the_later_of_two_jobs_on_one_key_refunds_the_entry_it_displaces() {
+        let (handle, mut client, session) = server_with_a_parked_chain();
+        // Two jobs on one key: the first takes the cached entry and its
+        // 20 tokens, the second runs cold and draws 20 of its own.
+        let core = &handle.core;
+        let (job, cached, first) = core
+            .start(Books::inline, session.clone(), None, 20)
+            .expect("the entry is cached");
+        let (_, cold, second) = core
+            .start(Books::inline, session, Some(job.clone()), 20)
+            .expect("a submission always starts");
+        assert!(cold.is_none());
+        let fresh = Analysis::new(&job.net);
+        let limits = ExplorationLimits::default();
+        first.park(Entry::new(job.clone(), cached.expect("warm"), 20, limits));
+        // The later park displaces the earlier entry; its 20 tokens must
+        // return to the pool (debug builds also assert the ledger here).
+        second.park(Entry::new(job, fresh, 20, limits));
+        assert_eq!(free_tokens(&mut client), Some(80));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_resume_waits_for_the_job_that_has_its_session_out() {
+        let (handle, mut client, session) = server_with_a_parked_chain();
+        // 1. Take the entry out, as a running job on the key does.
+        let (job, cached, custody) = handle
+            .core
+            .start(Books::inline, session.clone(), None, 20)
+            .expect("the entry is cached");
+        let cached = cached.expect("a warm session");
+        let kept = cached.cached_nodes();
+        // 2. Resume from another client: it waits instead of answering
+        // `unknown-session`.
+        let resume = resume_that_waits(&handle, session);
+        // 3. Put the entry back.
+        custody.park(Entry::new(job, cached, kept, ExplorationLimits::default()));
+        // 4. The resume runs warm.
+        let answer = resume.join().expect("the client thread");
+        assert_eq!(
+            answer.result.get("event").and_then(Json::as_str),
+            Some("result"),
+            "{}",
+            answer.result
+        );
+        let seeded = answer
+            .result
+            .get("cache")
+            .and_then(|cache| cache.get("seeded"));
+        assert_eq!(seeded, Some(&Json::Bool(true)), "{}", answer.result);
+        assert_eq!(free_tokens(&mut client), Some(60), "40 stay with the graph");
+        handle.shutdown();
+    }
+
+    #[test]
+    fn a_job_that_panics_wakes_the_resume_waiting_on_its_session() {
+        let (handle, mut client, session) = server_with_a_parked_chain();
+        let (_, _, custody) = handle
+            .core
+            .start(Books::inline, session.clone(), None, 20)
+            .expect("the entry is cached");
+        let resume = resume_that_waits(&handle, session);
+        // The job unwinds without parking: its custody refunds the 20
+        // tokens and clears the key's in-flight mark.
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _custody = custody;
+            panic!("the job panics");
+        }));
+        assert!(unwound.is_err());
+        let answer = resume.join().expect("the client thread");
+        assert_eq!(
+            answer.result.get("error").and_then(Json::as_str),
+            Some("unknown-session"),
+            "{}",
+            answer.result
+        );
+        assert_eq!(free_tokens(&mut client), Some(100));
         handle.shutdown();
     }
 }
