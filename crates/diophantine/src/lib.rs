@@ -21,8 +21,8 @@
 //! * [`LinearSystem::lowest_minimal_solutions`] — the same completion,
 //!   seeded from chosen coordinates, kept inside a box and stopped at the
 //!   lowest norm that holds a minimal solution (the picks of Lemma 7.3);
-//! * [`pottier_bound`] and [`decompose`] — Pottier's norm bound and the
-//!   decomposition of an arbitrary solution into minimal ones.
+//! * [`pottier_bound`] — Pottier's bound on the norm of every minimal
+//!   solution.
 //!
 //! # Examples
 //!
@@ -38,12 +38,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod decompose;
 mod error;
 mod hilbert;
 mod system;
 
-pub use decompose::{decompose, recompose};
 pub use error::{HilbertError, SystemError};
 pub use hilbert::HilbertConfig;
 pub use system::{pottier_bound, LinearSystem};

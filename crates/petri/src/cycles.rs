@@ -530,6 +530,46 @@ mod tests {
         ));
     }
 
+    /// Whether `remaining` is a sum of elements of `basis` (repetitions
+    /// allowed), as Pottier's theorem promises for every solution of the
+    /// system whose Hilbert basis `basis` is. Depth-first over the basis in
+    /// order, largest multiplicities first; `failed` memoizes the
+    /// (basis elements left, remainder) pairs already refuted.
+    fn decomposes(
+        remaining: &[u64],
+        basis: &[Vec<u64>],
+        failed: &mut BTreeSet<(usize, Vec<u64>)>,
+    ) -> bool {
+        if remaining.iter().all(|&v| v == 0) {
+            return true;
+        }
+        let Some((b, rest)) = basis.split_first() else {
+            return false;
+        };
+        if failed.contains(&(rest.len(), remaining.to_vec())) {
+            return false;
+        }
+        let max_uses = remaining
+            .iter()
+            .zip(b)
+            .filter(|&(_, &bv)| bv > 0)
+            .map(|(&rv, &bv)| rv / bv)
+            .min()
+            .unwrap_or(0);
+        let found = (0..=max_uses).rev().any(|uses| {
+            let next: Vec<u64> = remaining
+                .iter()
+                .zip(b)
+                .map(|(&rv, &bv)| rv - bv * uses)
+                .collect();
+            decomposes(&next, rest, failed)
+        });
+        if !found {
+            failed.insert((rest.len(), remaining.to_vec()));
+        }
+        found
+    }
+
     /// The construction `shrink_multicycle` used before the targeted
     /// searches: compute the whole Hilbert basis of system (1), check that
     /// `(f, g)` decomposes over it, and pick for every target (none
@@ -547,7 +587,7 @@ mod tests {
             .system
             .hilbert_basis(hilbert)
             .map_err(ShrinkError::HilbertBudget)?;
-        assert!(pp_diophantine::decompose(&lemma.fg, &basis).is_some());
+        assert!(decomposes(&lemma.fg, &basis, &mut BTreeSet::new()));
         let bound = lemma.h0_box(zero_places);
         let h0: Vec<&Vec<u64>> = basis
             .iter()

@@ -13,12 +13,14 @@
 //! * [`Protocol`] and [`ProtocolBuilder`] — the protocol model, with leaders,
 //!   agent creation/destruction (non-conservative transitions) and the three
 //!   output values of the paper ([`Output`]);
-//! * [`stable::ProtocolStability`] — exact 0/1-output-stability checks built
-//!   on the coverability machinery of `pp-petri` (Lemma 5.1);
+//! * [`stable::ProtocolStability`] — exact 0/1-output-stability checks of
+//!   single configurations built on the coverability machinery of `pp-petri`
+//!   (Lemma 5.1), which the simulator uses to detect convergence;
 //! * [`Predicate`] — counting, threshold, modulo and Boolean-combination
 //!   predicates over input configurations;
 //! * [`verify`] — exhaustive stable-computation verification on bounded
-//!   inputs, producing explicit counterexample witnesses when a protocol does
+//!   inputs, deciding output stability on each input's reachability graph
+//!   and producing explicit counterexample witnesses when a protocol does
 //!   not compute the claimed predicate.
 //!
 //! # Examples
@@ -45,6 +47,8 @@ pub mod verify;
 
 mod builder;
 mod error;
+#[cfg(test)]
+mod fixtures;
 mod output;
 mod predicate;
 mod protocol;

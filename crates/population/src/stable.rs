@@ -46,14 +46,6 @@ impl ProtocolStability {
         }
     }
 
-    /// The analysis session the checker was built on: the compiled net is
-    /// shared, so consumers that explore the same protocol (the verifier)
-    /// clone this instead of recompiling.
-    #[must_use]
-    pub fn analysis(&self) -> &Analysis<StateId> {
-        &self.analysis
-    }
-
     /// Returns `true` if `config` is 0-output stable (an element of `S₀`).
     ///
     /// This is exact for every protocol (Lemma 5.1 + backward coverability).
@@ -72,20 +64,6 @@ impl ProtocolStability {
     #[must_use]
     pub fn is_one_output_stable(
         &self,
-        protocol: &Protocol,
-        config: &Multiset<StateId>,
-        limits: &ExplorationLimits,
-    ) -> Option<bool> {
-        let mut analysis = self.analysis.clone();
-        self.is_one_output_stable_in(&mut analysis, protocol, config, limits)
-    }
-
-    /// [`is_one_output_stable`](Self::is_one_output_stable) running its
-    /// bounded exploration (the non-conservative emptiness check) on the
-    /// caller's [`Analysis`] session.
-    pub(crate) fn is_one_output_stable_in(
-        &self,
-        analysis: &mut Analysis<StateId>,
         _protocol: &Protocol,
         config: &Multiset<StateId>,
         limits: &ExplorationLimits,
@@ -102,7 +80,9 @@ impl ProtocolStability {
             return Some(true);
         }
         // Non-conservative: check that the empty configuration is unreachable.
-        let graph = analysis
+        let graph = self
+            .analysis
+            .clone()
             .reachability([config.clone()])
             .limits(*limits)
             .run();
@@ -133,49 +113,12 @@ impl ProtocolStability {
             Some(self.is_zero_output_stable(config))
         }
     }
-
-    /// [`is_output_stable`](Self::is_output_stable) running any bounded
-    /// exploration on the caller's [`Analysis`] session.
-    pub(crate) fn is_output_stable_in(
-        &self,
-        analysis: &mut Analysis<StateId>,
-        protocol: &Protocol,
-        config: &Multiset<StateId>,
-        value: bool,
-        limits: &ExplorationLimits,
-    ) -> Option<bool> {
-        if value {
-            self.is_one_output_stable_in(analysis, protocol, config, limits)
-        } else {
-            Some(self.is_zero_output_stable(config))
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::ProtocolBuilder;
-
-    fn example_4_2(n: u64) -> Protocol {
-        let mut b = ProtocolBuilder::new("example-4.2");
-        let i = b.state("i", Output::One);
-        let i_bar = b.state("i_bar", Output::Zero);
-        let p = b.state("p", Output::One);
-        let p_bar = b.state("p_bar", Output::Zero);
-        let q = b.state("q", Output::One);
-        let q_bar = b.state("q_bar", Output::Zero);
-        b.initial(i);
-        b.leaders(i_bar, n);
-        b.pairwise(i, i_bar, p, q);
-        b.pairwise(p_bar, i, p, i);
-        b.pairwise(p, i_bar, p_bar, i_bar);
-        b.pairwise(q_bar, i, q, i);
-        b.pairwise(q, i_bar, q_bar, i_bar);
-        b.pairwise(p, q_bar, p, q);
-        b.pairwise(q, p_bar, q, p);
-        b.build().unwrap()
-    }
+    use crate::fixtures::{annihilate, example_4_2, starry};
 
     #[test]
     fn zero_and_one_stability_on_example_4_2() {
@@ -231,11 +174,8 @@ mod tests {
         // Agents in state a output 1 but can annihilate pairwise; a single a
         // is 1-stable, two a's are not (they can reach the empty configuration
         // whose output is 0).
-        let mut b = ProtocolBuilder::new("annihilate");
-        let a = b.state("a", Output::One);
-        b.initial(a);
-        b.transition(&[(a, 2)], &[]);
-        let protocol = b.build().unwrap();
+        let protocol = annihilate();
+        let a = protocol.state_id("a").unwrap();
         let stability = ProtocolStability::new(&protocol);
         let limits = ExplorationLimits::default();
         assert_eq!(
@@ -254,12 +194,9 @@ mod tests {
 
     #[test]
     fn star_states_block_both_stabilities() {
-        let mut b = ProtocolBuilder::new("starry");
-        let a = b.state("a", Output::One);
-        let s = b.state("s", Output::Star);
-        b.initial(a);
-        b.pairwise(a, a, a, s);
-        let protocol = b.build().unwrap();
+        let protocol = starry();
+        let a = protocol.state_id("a").unwrap();
+        let s = protocol.state_id("s").unwrap();
         let stability = ProtocolStability::new(&protocol);
         let limits = ExplorationLimits::default();
         // A single agent can never create the star state: stable.

@@ -6,20 +6,22 @@
 //! `α` (Section 2). For a fixed input this is checkable exactly whenever the
 //! reachability graph of the initial configuration is finite (conservative
 //! protocols, or non-conservative ones whose growth is bounded in practice):
-//! build the graph, mark the nodes that are `φ(ρ)`-output stable using the
-//! exact coverability-based oracles, and check that every node can reach a
-//! marked node.
+//! build the graph, mark the nodes that are `φ(ρ)`-output stable, and check
+//! that every node can reach a marked node. Because the graph is closed
+//! under firing, output stability is read off the graph itself: a node is
+//! stable exactly when it cannot reach a node whose outputs disagree with
+//! `φ(ρ)`, so the whole check is two backward passes over the graph.
 //!
 //! The well-specification problem in full generality is
 //! Ackermannian-complete \[9, 10\], so this module deliberately exposes a
 //! *bounded* verifier: exact for each checked input, explicit about inputs it
 //! could not decide.
 
+use crate::output::Output;
 use crate::predicate::Predicate;
 use crate::protocol::{Protocol, StateId};
-use crate::stable::ProtocolStability;
 use pp_multiset::Multiset;
-use pp_petri::{ExplorationLimits, Parallelism};
+use pp_petri::{Analysis, ExplorationLimits, Parallelism};
 
 /// Verdict categories for a single input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,15 +99,22 @@ impl VerificationReport {
 }
 
 /// Verifies a single input exactly (within `limits`): build the input's
-/// reachability graph, mark the expected-output-stable nodes with the exact
-/// oracles, and check that every node can reach one.
+/// reachability graph on a clone of `analysis` (an `Arc` bump, no
+/// recompile) and decide the verdict from that graph alone.
 ///
-/// The graph and every per-node stability exploration run on one clone of
-/// the stability checker's session (an `Arc` bump, no recompile).
+/// A complete graph is closed under firing, so a node is
+/// `φ(ρ)`-output stable exactly when no node reachable from it is *bad*:
+/// one with an agent on a state whose output is not `φ(ρ)` (`★` is wrong
+/// for both values), or, for `φ(ρ) = 1`, the empty configuration. Two
+/// backward passes over the graph then give the verdict: the nodes that
+/// can reach a bad node are the unstable ones, and every node must be able
+/// to reach a node that is not. The first node that cannot is the
+/// witness. This is the graph-level check of Esparza, Ganty, Leroux and
+/// Majumdar, *Verification of population protocols* (CONCUR 2015).
 #[must_use]
 pub fn verify_input(
     protocol: &Protocol,
-    stability: &ProtocolStability,
+    analysis: &Analysis<StateId>,
     predicate: &Predicate,
     input: &Multiset<String>,
     limits: &ExplorationLimits,
@@ -120,31 +129,33 @@ pub fn verify_input(
     let Ok(initial) = protocol.initial_config(input) else {
         return report(Verdict::Unknown, 0);
     };
-    let mut analysis = stability.analysis().clone();
-    let graph = analysis.reachability([initial]).limits(*limits).run();
+    let graph = analysis
+        .clone()
+        .reachability([initial])
+        .limits(*limits)
+        .run();
     if !graph.is_complete() {
         return report(Verdict::Unknown, graph.len());
     }
-    let mut stable = vec![false; graph.len()];
-    let mut undecided = false;
-    for id in graph.ids() {
-        match stability.is_output_stable_in(
-            &mut analysis,
-            protocol,
-            graph.node(id),
-            expected,
-            limits,
-        ) {
-            Some(true) => stable[id] = true,
-            Some(false) => {}
-            None => undecided = true,
-        }
-    }
-    let good = graph.nodes_that_can_reach(|id| stable[id]);
+    // The engine's place indices whose state votes other than `expected`
+    // (read off the engine, so a widened one is covered too).
+    let wanted = Output::from_bool(expected);
+    let wrong: Vec<usize> = graph
+        .engine()
+        .places()
+        .iter()
+        .enumerate()
+        .filter(|&(_, &state)| protocol.output(state) != wanted)
+        .map(|(index, _)| index)
+        .collect();
+    let layout = graph.row_layout();
+    let unstable = graph.nodes_that_can_reach(|id| {
+        let row = graph.packed_node(id);
+        (expected && graph.total(id) == 0) || wrong.iter().any(|&i| layout.get(row, i) > 0)
+    });
+    let good = graph.nodes_that_can_reach(|id| !unstable[id]);
     let verdict = match good.iter().position(|&can_reach| !can_reach) {
         None => Verdict::Correct,
-        // A node might actually be stable but we could not prove it.
-        Some(_) if undecided => Verdict::Unknown,
         Some(witness_id) => Verdict::Incorrect {
             witness: graph.node(witness_id).clone(),
         },
@@ -154,13 +165,13 @@ pub fn verify_input(
 
 /// Verifies a family of explicit inputs.
 ///
-/// The protocol's net is compiled exactly once (inside the
-/// [`ProtocolStability`] checker), and each input is one
-/// [`verify_input`] call on a clone of that session. Inputs are
-/// independent, so they fan out through [`Parallelism::map`] at
-/// [`Parallelism::auto`], each input on one thread; each input's graph is
-/// dropped as soon as its verdict is known. The verdicts and the order of
-/// the returned reports do not depend on the thread count.
+/// The protocol's net is compiled exactly once, into one [`Analysis`]
+/// session, and each input is one [`verify_input`] call on a clone of that
+/// session. Inputs are independent, so they fan out through
+/// [`Parallelism::map`] at [`Parallelism::auto`], each input on one
+/// thread; each input's graph is dropped as soon as its verdict is known.
+/// The verdicts and the order of the returned reports do not depend on the
+/// thread count.
 #[must_use]
 pub fn verify_inputs<I>(
     protocol: &Protocol,
@@ -171,10 +182,10 @@ pub fn verify_inputs<I>(
 where
     I: IntoIterator<Item = Multiset<String>>,
 {
-    let stability = ProtocolStability::new(protocol);
+    let analysis = Analysis::new(protocol.net());
     let inputs: Vec<Multiset<String>> = inputs.into_iter().collect();
     let reports = Parallelism::auto().map(inputs, |input| {
-        verify_input(protocol, &stability, predicate, &input, limits)
+        verify_input(protocol, &analysis, predicate, &input, limits)
     });
     VerificationReport {
         protocol_name: protocol.name().to_owned(),
@@ -216,27 +227,248 @@ pub fn verify_counting_inputs(
 mod tests {
     use super::*;
     use crate::builder::ProtocolBuilder;
-    use crate::output::Output;
+    use crate::fixtures::{annihilate, broken, example_4_2, grower, starry};
+    use crate::stable::ProtocolStability;
 
-    /// Example 4.2 of the paper: 6 states, width 2, n leaders, decides (i ≥ n).
-    fn example_4_2(n: u64) -> Protocol {
-        let mut b = ProtocolBuilder::new(format!("example-4.2(n={n})"));
-        let i = b.state("i", Output::One);
-        let i_bar = b.state("i_bar", Output::Zero);
-        let p = b.state("p", Output::One);
-        let p_bar = b.state("p_bar", Output::Zero);
-        let q = b.state("q", Output::One);
-        let q_bar = b.state("q_bar", Output::Zero);
+    /// The former verifier, kept as the reference the graph-level one must
+    /// reproduce: after building the input's graph it asks the
+    /// coverability-based [`ProtocolStability`] oracles about every node,
+    /// which for a non-conservative protocol runs one more bounded
+    /// exploration per 1-stabilized node.
+    fn reference_verify_input(
+        protocol: &Protocol,
+        stability: &ProtocolStability,
+        predicate: &Predicate,
+        input: &Multiset<String>,
+        limits: &ExplorationLimits,
+    ) -> InputReport {
+        let expected = predicate.eval(input);
+        let report = |verdict, explored_configurations| InputReport {
+            input: input.clone(),
+            expected,
+            verdict,
+            explored_configurations,
+        };
+        let Ok(initial) = protocol.initial_config(input) else {
+            return report(Verdict::Unknown, 0);
+        };
+        let graph = Analysis::new(protocol.net())
+            .reachability([initial])
+            .limits(*limits)
+            .run();
+        if !graph.is_complete() {
+            return report(Verdict::Unknown, graph.len());
+        }
+        let mut stable = vec![false; graph.len()];
+        let mut undecided = false;
+        for id in graph.ids() {
+            match stability.is_output_stable(protocol, graph.node(id), expected, limits) {
+                Some(true) => stable[id] = true,
+                Some(false) => {}
+                None => undecided = true,
+            }
+        }
+        let good = graph.nodes_that_can_reach(|id| stable[id]);
+        let verdict = match good.iter().position(|&can_reach| !can_reach) {
+            None => Verdict::Correct,
+            // A node might actually be stable but we could not prove it.
+            Some(_) if undecided => Verdict::Unknown,
+            Some(witness_id) => Verdict::Incorrect {
+                witness: graph.node(witness_id).clone(),
+            },
+        };
+        report(verdict, graph.len())
+    }
+
+    /// Runs both verifiers on every input and requires the same verdict,
+    /// witness and explored-configuration count; counts the inputs decided
+    /// correct, incorrect and unknown into `tally`.
+    fn assert_matches_reference(
+        protocol: &Protocol,
+        predicate: &Predicate,
+        inputs: impl IntoIterator<Item = Multiset<String>>,
+        limits: &ExplorationLimits,
+        tally: &mut [usize; 3],
+    ) {
+        let analysis = Analysis::new(protocol.net());
+        let stability = ProtocolStability::new(protocol);
+        for input in inputs {
+            let graph = verify_input(protocol, &analysis, predicate, &input, limits);
+            let oracle = reference_verify_input(protocol, &stability, predicate, &input, limits);
+            assert_eq!(
+                (&graph.verdict, graph.explored_configurations),
+                (&oracle.verdict, oracle.explored_configurations),
+                "{} on {input:?}",
+                protocol.name()
+            );
+            tally[match graph.verdict {
+                Verdict::Correct => 0,
+                Verdict::Incorrect { .. } => 1,
+                Verdict::Unknown => 2,
+            }] += 1;
+        }
+    }
+
+    fn counts(state: &str, range: std::ops::RangeInclusive<u64>) -> Vec<Multiset<String>> {
+        range
+            .map(|count| Multiset::from_pairs([(state.to_owned(), count)]))
+            .collect()
+    }
+
+    /// `pp_protocols` links its own build of this crate, so a catalog
+    /// protocol is copied into this build's types: state table, outputs,
+    /// leaders, initial states and the net with its place and transition
+    /// order.
+    macro_rules! copy_protocol {
+        ($source:expr) => {{
+            let source = $source;
+            Protocol {
+                name: source.name().to_owned(),
+                state_names: source
+                    .states()
+                    .map(|s| source.state_name(s).to_owned())
+                    .collect(),
+                net: source.net().map_places(|s| StateId(s.0)),
+                leaders: source.leaders().map_places(|s| StateId(s.0)),
+                initial_states: source
+                    .initial_states()
+                    .iter()
+                    .map(|s| StateId(s.0))
+                    .collect(),
+                outputs: source
+                    .states()
+                    .map(|s| match source.output(s) {
+                        o if o.is_zero() => Output::Zero,
+                        o if o.is_one() => Output::One,
+                        _ => Output::Star,
+                    })
+                    .collect(),
+            }
+        }};
+    }
+
+    #[test]
+    fn graph_verdicts_match_the_per_node_oracles_on_the_catalog() {
+        use pp_protocols::catalog;
+        let limits = ExplorationLimits::default();
+        let mut tally = [0; 3];
+        let ranges = (1..=4u64).map(|n| (n, n + 3)).chain([(6, 18), (8, 24)]);
+        for (n, max) in ranges {
+            for entry in catalog::counting_entries(n) {
+                let protocol = copy_protocol!(&entry.protocol);
+                let state = *protocol.initial_states().iter().next().unwrap();
+                let name = protocol.state_name(state).to_owned();
+                let predicate = Predicate::counting(name.clone(), entry.threshold.unwrap());
+                assert_eq!(predicate.to_string(), entry.predicate.to_string());
+                let inputs = counts(&name, 0..=max);
+                assert_matches_reference(&protocol, &predicate, inputs, &limits, &mut tally);
+            }
+        }
+        for entry in catalog::other_entries() {
+            let protocol = copy_protocol!(&entry.protocol);
+            let (predicate, inputs) = match entry.family {
+                "majority" => (
+                    Predicate::at_least_as_many("A", "B"),
+                    (0..=8u64)
+                        .flat_map(|a| (0..=8u64).map(move |b| (a, b)))
+                        .filter(|&(a, b)| a + b > 0)
+                        .map(|(a, b)| {
+                            Multiset::from_pairs([("A".to_owned(), a), ("B".to_owned(), b)])
+                        })
+                        .collect(),
+                ),
+                _ => (Predicate::modulo("x", 3, 1), counts("x", 0..=20)),
+            };
+            assert_eq!(predicate.to_string(), entry.predicate.to_string());
+            assert_matches_reference(&protocol, &predicate, inputs, &limits, &mut tally);
+        }
+        assert_eq!(tally[1..], [0, 0], "the catalog is correct on these inputs");
+        assert!(tally[0] > 400, "{tally:?}");
+    }
+
+    #[test]
+    fn graph_verdicts_match_the_per_node_oracles_on_small_protocols() {
+        let limits = ExplorationLimits::default();
+        let mut tally = [0; 3];
+        let mut check = |protocol: &Protocol, predicate: &Predicate, inputs, limits| {
+            assert_matches_reference(protocol, predicate, inputs, limits, &mut tally);
+        };
+        // Example 4.2 built for n = 2 against the right and a wrong threshold.
+        for threshold in [2, 3] {
+            let predicate = Predicate::counting("i", threshold);
+            check(&example_4_2(2), &predicate, counts("i", 0..=5), &limits);
+        }
+        check(
+            &broken(),
+            &Predicate::counting("a", 1),
+            counts("a", 0..=3),
+            &limits,
+        );
+        let tight = ExplorationLimits::with_max_configurations(5);
+        check(
+            &grower(),
+            &Predicate::counting("a", 1),
+            counts("a", 0..=2),
+            &tight,
+        );
+        // Non-conservative (annihilate) and `★` outputs (starry), against
+        // predicates expecting either value.
+        for threshold in 0..=4 {
+            let predicate = Predicate::counting("a", threshold);
+            check(&annihilate(), &predicate, counts("a", 0..=6), &limits);
+            check(&starry(), &predicate, counts("a", 0..=4), &limits);
+        }
+        let [correct, incorrect, unknown] = tally;
+        assert!(correct > 0 && incorrect > 0 && unknown > 0, "{tally:?}");
+    }
+
+    #[test]
+    fn a_stable_node_whose_own_exploration_hits_max_depth_is_decided() {
+        // One agent starts in `i`, moves in one step to any of `a`, `b`,
+        // `c` or the rejecting sink `d`, and `a → b → c → a` cycles. Under
+        // `max_depth = 2` the input's graph is complete (every node sits at
+        // depth ≤ 1), but a nested exploration from `a` reaches `c` only at
+        // depth 2 and stops there. The per-node oracle needs that nested
+        // exploration, because the unused `z + z → ∅` makes the protocol
+        // non-conservative, so it cannot prove `a` 1-output stable and
+        // answers `Unknown`. The graph decides exactly: `{d}` cannot reach
+        // a 1-output stable node.
+        let mut b = ProtocolBuilder::new("late-cycle");
+        let [i, a, bb, c, z] = ["i", "a", "b", "c", "z"].map(|name| b.state(name, Output::One));
+        let d = b.state("d", Output::Zero);
         b.initial(i);
-        b.leaders(i_bar, n);
-        b.pairwise(i, i_bar, p, q);
-        b.pairwise(p_bar, i, p, i);
-        b.pairwise(p, i_bar, p_bar, i_bar);
-        b.pairwise(q_bar, i, q, i);
-        b.pairwise(q, i_bar, q_bar, i_bar);
-        b.pairwise(p, q_bar, p, q);
-        b.pairwise(q, p_bar, q, p);
-        b.build().unwrap()
+        for to in [a, bb, c, d] {
+            b.transition(&[(i, 1)], &[(to, 1)]);
+        }
+        for (from, to) in [(a, bb), (bb, c), (c, a)] {
+            b.transition(&[(from, 1)], &[(to, 1)]);
+        }
+        b.transition(&[(z, 2)], &[]);
+        let protocol = b.build().unwrap();
+        let limits = ExplorationLimits {
+            max_depth: Some(2),
+            ..ExplorationLimits::default()
+        };
+        let input = Multiset::unit("i".to_owned());
+        let predicate = Predicate::counting("i", 1);
+        let report = verify_input(
+            &protocol,
+            &Analysis::new(protocol.net()),
+            &predicate,
+            &input,
+            &limits,
+        );
+        assert_eq!(report.explored_configurations, 5);
+        assert_eq!(
+            report.verdict,
+            Verdict::Incorrect {
+                witness: Multiset::unit(d)
+            }
+        );
+        let stability = ProtocolStability::new(&protocol);
+        let oracle = reference_verify_input(&protocol, &stability, &predicate, &input, &limits);
+        assert_eq!(oracle.verdict, Verdict::Unknown);
+        assert_eq!(oracle.explored_configurations, 5);
     }
 
     #[test]
@@ -272,15 +504,7 @@ mod tests {
 
     #[test]
     fn broken_protocol_yields_a_witness() {
-        // A protocol that gets stuck in a mixed-output configuration: a and b
-        // can swap forever and never reach consensus.
-        let mut b = ProtocolBuilder::new("broken");
-        let a = b.state("a", Output::One);
-        let bb = b.state("b", Output::Zero);
-        b.initial(a);
-        b.leaders(bb, 1);
-        b.pairwise(a, bb, bb, a);
-        let protocol = b.build().unwrap();
+        let protocol = broken();
         let predicate = Predicate::counting("a", 1);
         let report =
             verify_counting_inputs(&protocol, &predicate, 2, &ExplorationLimits::default());
@@ -299,12 +523,7 @@ mod tests {
 
     #[test]
     fn truncated_exploration_reports_unknown() {
-        // A non-conservative protocol that grows without bound.
-        let mut b = ProtocolBuilder::new("grower");
-        let a = b.state("a", Output::One);
-        b.initial(a);
-        b.transition(&[(a, 1)], &[(a, 2)]);
-        let protocol = b.build().unwrap();
+        let protocol = grower();
         let predicate = Predicate::counting("a", 1);
         let limits = ExplorationLimits::with_max_configurations(5);
         let report = verify_counting_inputs(&protocol, &predicate, 1, &limits);
@@ -315,11 +534,10 @@ mod tests {
     #[test]
     fn inputs_on_unknown_states_are_undecided_not_panicking() {
         let protocol = example_4_2(1);
-        let stability = ProtocolStability::new(&protocol);
         let input = Multiset::from_pairs([("p".to_string(), 1u64)]);
         let report = verify_input(
             &protocol,
-            &stability,
+            &Analysis::new(protocol.net()),
             &Predicate::counting("i", 1),
             &input,
             &ExplorationLimits::default(),

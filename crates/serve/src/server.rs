@@ -649,6 +649,11 @@ fn serve_connection(core: &Arc<Core>, stream: TcpStream) {
         }
         Err(_) => None,
     };
+    let hangup = Hangup {
+        stream: &stream,
+        conns: &core.conns,
+        conn_id,
+    };
     if reader.is_some() {
         let mut writer = std::io::BufWriter::new(&stream);
         while let Ok(event) = events_rx.recv() {
@@ -660,13 +665,33 @@ fn serve_connection(core: &Arc<Core>, stream: TcpStream) {
     }
     // Unblock the reader (it may still be parked in read) and join it,
     // re-raising its panics on this thread.
-    let _ = stream.shutdown(Shutdown::Both);
+    drop(hangup);
     if let Some(reader) = reader {
         reader
             .join()
             .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
     }
-    core.conns.lock().expect("conns").remove(&conn_id);
+}
+
+/// Ends a connection however its executor ends, a panic included: shuts
+/// the socket down both ways, so the client reads EOF even though the
+/// reader thread's clone keeps the socket open, and forgets the
+/// connection in `conns`.
+struct Hangup<'a> {
+    stream: &'a TcpStream,
+    conns: &'a Lock<BTreeMap<u64, TcpStream>>,
+    conn_id: u64,
+}
+
+impl Drop for Hangup<'_> {
+    fn drop(&mut self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+        // Never panic here: this may run while the executor unwinds.
+        self.conns
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&self.conn_id);
+    }
 }
 
 enum Flow {
@@ -1302,6 +1327,31 @@ fn query_wire_name<P: Ord>(query: &BatchQuery<P>) -> &'static str {
 mod tests {
     use super::*;
     use crate::Client;
+
+    #[test]
+    fn a_connection_whose_executor_panics_hangs_up_on_its_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        // The reader thread's clone, which alone would keep the socket open.
+        let _read_half = stream.try_clone().expect("clone");
+        let conns = Lock::new(BTreeMap::from([(7, stream.try_clone().expect("clone"))]));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _hangup = Hangup {
+                stream: &stream,
+                conns: &conns,
+                conn_id: 7,
+            };
+            panic!("the executor fails mid-request");
+        }));
+        assert!(unwound.is_err());
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        let mut byte = [0u8; 1];
+        assert_eq!(client.read(&mut byte).expect("EOF, not a timeout"), 0);
+        assert!(conns.lock().expect("conns").is_empty());
+    }
 
     #[test]
     fn a_job_that_streams_progress_counts_once_in_jobs_done() {

@@ -71,14 +71,12 @@ proptest! {
 
     #[test]
     fn verification_and_predicate_agree_on_example_4_2(n in 1u64..4, input in 0u64..6) {
-        use pp_population::stable::ProtocolStability;
         use pp_population::verify::verify_input;
         use pp_population::Predicate;
         let protocol = example_4_2(n);
-        let stability = ProtocolStability::new(&protocol);
         let report = verify_input(
             &protocol,
-            &stability,
+            &Analysis::new(protocol.net()),
             &Predicate::counting("i", n),
             &Multiset::from_pairs([("i".to_string(), input)]),
             &ExplorationLimits::default(),

@@ -2,8 +2,7 @@
 //! predicate it claims, as checked by the exact verifier.
 
 use pp_multiset::Multiset;
-use pp_petri::ExplorationLimits;
-use pp_population::stable::ProtocolStability;
+use pp_petri::{Analysis, ExplorationLimits};
 use pp_population::verify::{verify_counting_inputs, verify_input, verify_inputs};
 use pp_protocols::{catalog::other_entries, counting_entries};
 
@@ -44,10 +43,10 @@ fn single_input_verdicts_match_the_batched_verifier() {
             .into_iter()
             .map(|count| Multiset::from_pairs([(name.clone(), count)]))
             .collect();
-        let stability = ProtocolStability::new(protocol);
+        let analysis = Analysis::new(protocol.net());
         let batched = verify_inputs(protocol, &entry.predicate, inputs.clone(), &limits);
         for (input, report) in inputs.iter().zip(&batched.inputs) {
-            let single = verify_input(protocol, &stability, &entry.predicate, input, &limits);
+            let single = verify_input(protocol, &analysis, &entry.predicate, input, &limits);
             assert!(single.is_correct(), "{}: {input:?}", entry.family);
             assert_eq!(
                 single.verdict, report.verdict,
