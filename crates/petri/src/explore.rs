@@ -905,13 +905,21 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
     /// reachable: `marks[id]` is `true` exactly for those ids. `goal` is
     /// asked once per node, in ascending id order.
     ///
-    /// The predecessors of every node are counting-sorted into one flat
-    /// array, then a walk from the goal nodes follows them backwards, so
-    /// the query is O(nodes + edges) and allocates nothing per node.
+    /// Builds the graph's [`predecessors`](Self::predecessors) and walks
+    /// them once, O(nodes + edges). A caller with several goals on one
+    /// graph builds the predecessors once and walks them per goal.
     #[must_use]
     pub fn nodes_that_can_reach<F: FnMut(usize) -> bool>(&self, goal: F) -> Vec<bool> {
+        self.predecessors().nodes_that_can_reach(goal)
+    }
+
+    /// The predecessors of every node, counting-sorted into one flat
+    /// array: the reverse graph that
+    /// [`Predecessors::nodes_that_can_reach`] walks. O(nodes + edges) to
+    /// build, with no allocation per node.
+    #[must_use]
+    pub fn predecessors(&self) -> Predecessors {
         let n = self.len();
-        let mut marks: Vec<bool> = (0..n).map(goal).collect();
         // `starts[v]` first counts the in-edges of every node up to `v`;
         // each predecessor is then placed by decrementing its target's
         // counter, which leaves `v`'s predecessors at
@@ -934,15 +942,7 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
                 preds[*slot] = id as u32;
             }
         }
-        let mut stack: Vec<usize> = (0..n).filter(|&id| marks[id]).collect();
-        while let Some(id) = stack.pop() {
-            for &p in &preds[starts[id]..starts[id + 1]] {
-                if !std::mem::replace(&mut marks[p as usize], true) {
-                    stack.push(p as usize);
-                }
-            }
-        }
-        marks
+        Predecessors { starts, preds }
     }
 
     /// A shortest transition word from node `from` to some node satisfying
@@ -1084,6 +1084,38 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             .into_iter()
             .find(|c| c.contains(&id))
             .expect("every node belongs to a component")
+    }
+}
+
+/// The reverse graph of a [`ReachabilityGraph`], built by
+/// [`ReachabilityGraph::predecessors`]: node `v`'s predecessors are
+/// `preds[starts[v]..starts[v + 1]]`, one flat array for all nodes.
+/// Any number of backward walks can share one build.
+#[derive(Debug)]
+pub struct Predecessors {
+    starts: Vec<usize>,
+    preds: Vec<u32>,
+}
+
+impl Predecessors {
+    /// Marks the nodes from which some node satisfying `goal` is
+    /// reachable: `marks[id]` is `true` exactly for those ids. `goal` is
+    /// asked once per node, in ascending id order, and a walk from the
+    /// goal nodes then follows the predecessors backwards, O(nodes +
+    /// edges).
+    #[must_use]
+    pub fn nodes_that_can_reach<F: FnMut(usize) -> bool>(&self, goal: F) -> Vec<bool> {
+        let n = self.starts.len() - 1;
+        let mut marks: Vec<bool> = (0..n).map(goal).collect();
+        let mut stack: Vec<usize> = (0..n).filter(|&id| marks[id]).collect();
+        while let Some(id) = stack.pop() {
+            for &p in &self.preds[self.starts[id]..self.starts[id + 1]] {
+                if !std::mem::replace(&mut marks[p as usize], true) {
+                    stack.push(p as usize);
+                }
+            }
+        }
+        marks
     }
 }
 
@@ -1712,9 +1744,14 @@ mod tests {
             assert_eq!(marks.len(), n, "one mark per node");
             graph.ids().filter(|&id| marks[id]).collect()
         };
+        // Every goal walks the one shared `Predecessors` build, and the
+        // graph's one-shot query must agree with both.
+        let predecessors = graph.predecessors();
         for goal in goals {
-            let flat = graph.nodes_that_can_reach(goal);
             let expected: Vec<usize> = reference.nodes_that_can_reach(goal).into_iter().collect();
+            let shared = predecessors.nodes_that_can_reach(goal);
+            assert_eq!(marked(&shared), expected, "shared predecessors");
+            let flat = graph.nodes_that_can_reach(goal);
             assert_eq!(marked(&flat), expected, "nodes_that_can_reach");
         }
         for from in graph.ids().step_by((n / 64).max(1)) {

@@ -81,7 +81,7 @@ mod transition;
 pub use arena::{ConfigArena, ConfigId};
 pub use batch::{Batch, BatchJob, BatchOutcome, BatchQuery, BatchReport, JobReport, QueryRun};
 pub use engine::{CompiledNet, CompiledTransition, DenseConfig};
-pub use explore::{ExplorationLimits, ReachabilityGraph};
+pub use explore::{ExplorationLimits, Predecessors, ReachabilityGraph};
 pub use net::PetriNet;
 pub use packed::{CellWidth, RowLayout};
 pub use parallel::Parallelism;

@@ -170,7 +170,7 @@ struct KarpMillerCache<P: Ord> {
 /// runs on the shared engine, with results cached per query shape and
 /// truncated reachability graphs resumed in place when budgets are raised.
 pub struct Analysis<P: Ord> {
-    net: PetriNet<P>,
+    net: Arc<PetriNet<P>>,
     engine: Arc<CompiledNet<P>>,
     reach: Option<ReachCache<P>>,
     oracles: BTreeMap<Multiset<P>, Arc<CoverabilityOracle<P>>>,
@@ -178,7 +178,8 @@ pub struct Analysis<P: Ord> {
 }
 
 impl<P: Clone + Ord> Clone for Analysis<P> {
-    /// Cheap: the compiled engine and all cached results are shared.
+    /// Cheap: the net, the compiled engine and all cached results are
+    /// shared.
     fn clone(&self) -> Self {
         Analysis {
             net: self.net.clone(),
@@ -222,7 +223,7 @@ impl<P: Clone + Ord> Analysis<P> {
     #[must_use]
     pub fn with_places<I: IntoIterator<Item = P>>(net: &PetriNet<P>, extra_places: I) -> Self {
         Analysis {
-            net: net.clone(),
+            net: Arc::new(net.clone()),
             engine: Arc::new(CompiledNet::compile_with_places(net, extra_places)),
             reach: None,
             oracles: BTreeMap::new(),

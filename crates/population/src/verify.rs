@@ -10,7 +10,16 @@
 //! that every node can reach a marked node. Because the graph is closed
 //! under firing, output stability is read off the graph itself: a node is
 //! stable exactly when it cannot reach a node whose outputs disagree with
-//! `φ(ρ)`, so the whole check is two backward passes over the graph.
+//! `φ(ρ)`, so the whole check is two backward passes over the graph, both
+//! walking the one predecessor array built for the input.
+//!
+//! Inputs are independent and fan out across threads. The reachable set
+//! grows steeply with the agent count, so a family of inputs is handed out
+//! largest first (Graham's largest-first rule, *Bounds on multiprocessing
+//! timing anomalies*, 1969): the biggest graphs start together instead of
+//! last, where one thread would finish them while the others have nothing
+//! left to claim. The reports come back in input order whatever the claim
+//! order, and no verdict depends on it.
 //!
 //! The well-specification problem in full generality is
 //! Ackermannian-complete \[9, 10\], so this module deliberately exposes a
@@ -22,6 +31,7 @@ use crate::predicate::Predicate;
 use crate::protocol::{Protocol, StateId};
 use pp_multiset::Multiset;
 use pp_petri::{Analysis, ExplorationLimits, Parallelism};
+use std::cmp::Reverse;
 
 /// Verdict categories for a single input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,8 +119,10 @@ impl VerificationReport {
 /// backward passes over the graph then give the verdict: the nodes that
 /// can reach a bad node are the unstable ones, and every node must be able
 /// to reach a node that is not. The first node that cannot is the
-/// witness. This is the graph-level check of Esparza, Ganty, Leroux and
-/// Majumdar, *Verification of population protocols* (CONCUR 2015).
+/// witness. Both passes walk one [`Predecessors`](pp_petri::Predecessors)
+/// array, built once per input. This is the graph-level check of Esparza,
+/// Ganty, Leroux and Majumdar, *Verification of population protocols*
+/// (CONCUR 2015).
 #[must_use]
 pub fn verify_input(
     protocol: &Protocol,
@@ -149,11 +161,12 @@ pub fn verify_input(
         .map(|(index, _)| index)
         .collect();
     let layout = graph.row_layout();
-    let unstable = graph.nodes_that_can_reach(|id| {
+    let predecessors = graph.predecessors();
+    let unstable = predecessors.nodes_that_can_reach(|id| {
         let row = graph.packed_node(id);
         (expected && graph.total(id) == 0) || wrong.iter().any(|&i| layout.get(row, i) > 0)
     });
-    let good = graph.nodes_that_can_reach(|id| !unstable[id]);
+    let good = predecessors.nodes_that_can_reach(|id| !unstable[id]);
     let verdict = match good.iter().position(|&can_reach| !can_reach) {
         None => Verdict::Correct,
         Some(witness_id) => Verdict::Incorrect {
@@ -170,8 +183,14 @@ pub fn verify_input(
 /// session. Inputs are independent, so they fan out through
 /// [`Parallelism::map`] at [`Parallelism::auto`], each input on one
 /// thread; each input's graph is dropped as soon as its verdict is known.
-/// The verdicts and the order of the returned reports do not depend on the
-/// thread count.
+///
+/// `map` claims its items in list order, so the inputs are handed to it
+/// sorted by descending agent total (ties in input order): graph size
+/// grows with the agent count, and the largest graphs then start first
+/// rather than last, where they would leave one thread finishing alone.
+/// The reports are put back in input order. The verdicts and the order of
+/// the returned reports depend neither on the thread count nor on the
+/// claim order.
 #[must_use]
 pub fn verify_inputs<I>(
     protocol: &Protocol,
@@ -183,14 +202,21 @@ where
     I: IntoIterator<Item = Multiset<String>>,
 {
     let analysis = Analysis::new(protocol.net());
-    let inputs: Vec<Multiset<String>> = inputs.into_iter().collect();
-    let reports = Parallelism::auto().map(inputs, |input| {
-        verify_input(protocol, &analysis, predicate, &input, limits)
+    // Largest first: a stable sort on descending agent total, so equal
+    // totals keep their input order.
+    let mut claims: Vec<(usize, Multiset<String>)> = inputs.into_iter().enumerate().collect();
+    claims.sort_by_key(|(_, input)| Reverse(input.total()));
+    let mut reports = Parallelism::auto().map(claims, |(index, input)| {
+        (
+            index,
+            verify_input(protocol, &analysis, predicate, &input, limits),
+        )
     });
+    reports.sort_unstable_by_key(|&(index, _)| index);
     VerificationReport {
         protocol_name: protocol.name().to_owned(),
         predicate: predicate.to_string(),
-        inputs: reports,
+        inputs: reports.into_iter().map(|(_, report)| report).collect(),
     }
 }
 
@@ -418,6 +444,98 @@ mod tests {
             check(&annihilate(), &predicate, counts("a", 0..=6), &limits);
             check(&starry(), &predicate, counts("a", 0..=4), &limits);
         }
+        let [correct, incorrect, unknown] = tally;
+        assert!(correct > 0 && incorrect > 0 && unknown > 0, "{tally:?}");
+    }
+
+    /// Runs `verify_inputs` on `inputs` and requires, report for report,
+    /// what a sequential loop of `verify_input` over the same list gives:
+    /// input, expected value, verdict with its witness, and explored
+    /// configurations. Counts the verdicts into `tally`.
+    fn assert_claim_order_is_invisible(
+        protocol: &Protocol,
+        predicate: &Predicate,
+        inputs: &[Multiset<String>],
+        limits: &ExplorationLimits,
+        tally: &mut [usize; 3],
+    ) {
+        let key = |r: &InputReport| {
+            (
+                r.input.clone(),
+                r.expected,
+                r.verdict.clone(),
+                r.explored_configurations,
+            )
+        };
+        let analysis = Analysis::new(protocol.net());
+        let sequential: Vec<_> = inputs
+            .iter()
+            .map(|input| key(&verify_input(protocol, &analysis, predicate, input, limits)))
+            .collect();
+        let fanned = verify_inputs(protocol, predicate, inputs.to_vec(), limits);
+        let fanned: Vec<_> = fanned.inputs.iter().map(key).collect();
+        assert_eq!(fanned, sequential, "{}", protocol.name());
+        for (_, _, verdict, _) in &sequential {
+            tally[match verdict {
+                Verdict::Correct => 0,
+                Verdict::Incorrect { .. } => 1,
+                Verdict::Unknown => 2,
+            }] += 1;
+        }
+    }
+
+    #[test]
+    fn claim_order_never_changes_an_answer() {
+        let mut tally = [0; 3];
+        // Majority on a shuffled list with equal totals (3 and 4 agents)
+        // and duplicates.
+        let entry = pp_protocols::catalog::other_entries()
+            .into_iter()
+            .find(|entry| entry.family == "majority")
+            .expect("the catalog has majority");
+        let majority = copy_protocol!(&entry.protocol);
+        let grid: Vec<Multiset<String>> = [
+            (1, 2),
+            (3, 1),
+            (2, 1),
+            (0, 3),
+            (1, 2),
+            (2, 2),
+            (4, 0),
+            (1, 3),
+            (3, 1),
+            (0, 1),
+        ]
+        .into_iter()
+        .map(|(a, b)| Multiset::from_pairs([("A".to_owned(), a), ("B".to_owned(), b)]))
+        .collect();
+        assert_claim_order_is_invisible(
+            &majority,
+            &Predicate::at_least_as_many("A", "B"),
+            &grid,
+            &ExplorationLimits::default(),
+            &mut tally,
+        );
+        let of_counts = |counts: &[u64]| -> Vec<Multiset<String>> {
+            counts
+                .iter()
+                .map(|&count| Multiset::from_pairs([("a".to_owned(), count)]))
+                .collect()
+        };
+        assert_claim_order_is_invisible(
+            &broken(),
+            &Predicate::counting("a", 1),
+            &of_counts(&[2, 0, 3, 1, 2, 3, 1, 0]),
+            &ExplorationLimits::default(),
+            &mut tally,
+        );
+        assert_claim_order_is_invisible(
+            &grower(),
+            &Predicate::counting("a", 1),
+            &of_counts(&[2, 1, 0, 2, 1]),
+            &ExplorationLimits::with_max_configurations(5),
+            &mut tally,
+        );
         let [correct, incorrect, unknown] = tally;
         assert!(correct > 0 && incorrect > 0 && unknown > 0, "{tally:?}");
     }

@@ -1,19 +1,21 @@
 //! Multi-trial convergence-time experiments.
 
 use crate::scheduler::SchedulerKind;
-use crate::simulation::{RunOutcome, Simulation};
+use crate::simulation::{Compiled, RunOutcome, Simulation};
 use crate::stats::Summary;
 use pp_multiset::Multiset;
 use pp_petri::Parallelism;
 use pp_population::{Output, Protocol, StateId};
+use std::sync::Arc;
 
 /// A convergence-time experiment: repeated simulations of one protocol from
 /// one initial configuration, with statistics over the step counts.
 ///
-/// Trials fan out through [`Parallelism::map`], up to
-/// [`threads`](Self::threads) at a time; each trial uses an independent seed
-/// derived from the experiment seed and its index, so the statistics do not
-/// depend on the thread count.
+/// The protocol is compiled, and its stability oracles built, once per
+/// experiment; every trial shares them. Trials fan out through
+/// [`Parallelism::map`], up to [`threads`](Self::threads) at a time; each
+/// trial uses an independent seed derived from the experiment seed and its
+/// index, so the statistics do not depend on the thread count.
 ///
 /// # Examples
 ///
@@ -32,6 +34,7 @@ use pp_population::{Output, Protocol, StateId};
 #[derive(Debug, Clone)]
 pub struct ConvergenceExperiment<'p> {
     protocol: &'p Protocol,
+    compiled: Arc<Compiled>,
     initial: Multiset<StateId>,
     trials: usize,
     max_steps: u64,
@@ -69,11 +72,13 @@ impl ConvergenceStats {
 
 impl<'p> ConvergenceExperiment<'p> {
     /// Creates an experiment with default settings (16 trials, 10⁷ steps,
-    /// seed 0, uniform scheduler, up to 8 threads).
+    /// seed 0, uniform scheduler, up to 8 threads), compiling the protocol
+    /// and building its stability oracles for all trials.
     #[must_use]
     pub fn new(protocol: &'p Protocol, initial: &Multiset<StateId>) -> Self {
         ConvergenceExperiment {
             protocol,
+            compiled: Compiled::of(protocol),
             initial: initial.clone(),
             trials: 16,
             max_steps: 10_000_000,
@@ -160,8 +165,13 @@ impl<'p> ConvergenceExperiment<'p> {
                 .seed
                 .wrapping_add(trial)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut sim =
-                Simulation::new(self.protocol, &self.initial, seed).with_scheduler(self.scheduler);
+            let mut sim = Simulation::on(
+                self.protocol,
+                self.compiled.clone(),
+                &self.initial,
+                seed,
+                self.scheduler,
+            );
             sim.run(self.max_steps)
         })
     }

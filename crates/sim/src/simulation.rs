@@ -8,14 +8,38 @@ use pp_population::stable::ProtocolStability;
 use pp_population::{Output, Protocol, StateId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
-/// Stability answers per configuration; `None` when undecided. Only
-/// point lookups touch it, so its storage order never reaches a result.
+/// Stability answers per configuration, keyed by its dense counts (one
+/// per protocol state, so equal counts are equal configurations); `None`
+/// when undecided. Only point lookups touch it, so its storage order never
+/// reaches a result.
 #[expect(
     clippy::disallowed_types,
     reason = "lookup-only memo: never iterated outside a one-entry test"
 )]
-type StabilityCache = std::collections::HashMap<Multiset<StateId>, Option<bool>>;
+type StabilityCache = std::collections::HashMap<Box<[u64]>, Option<bool>>;
+
+/// What every simulation of one protocol shares and never changes: the
+/// protocol compiled onto the dense engine and its stability oracles.
+/// [`Simulation::new`] builds its own; a
+/// [`ConvergenceExperiment`](crate::ConvergenceExperiment) builds one for
+/// all its trials.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    net: DenseNet,
+    stability: ProtocolStability,
+}
+
+impl Compiled {
+    /// Compiles `protocol` and builds its stability oracles.
+    pub(crate) fn of(protocol: &Protocol) -> Arc<Self> {
+        Arc::new(Compiled {
+            net: compile_protocol(protocol),
+            stability: ProtocolStability::new(protocol),
+        })
+    }
+}
 
 /// The result of one simulation step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,8 +119,7 @@ impl RunOutcome {
 #[derive(Debug)]
 pub struct Simulation<'p> {
     protocol: &'p Protocol,
-    net: DenseNet,
-    stability: ProtocolStability,
+    compiled: Arc<Compiled>,
     scheduler: SchedulerState,
     config: DenseConfig,
     rng: StdRng,
@@ -109,13 +132,29 @@ impl<'p> Simulation<'p> {
     /// with the given random seed.
     #[must_use]
     pub fn new(protocol: &'p Protocol, initial: &Multiset<StateId>, seed: u64) -> Self {
-        let net = compile_protocol(protocol);
-        let config = net.dense_config(initial);
+        Self::on(
+            protocol,
+            Compiled::of(protocol),
+            initial,
+            seed,
+            SchedulerKind::default(),
+        )
+    }
+
+    /// A simulation of `protocol` on its already `compiled` form (which
+    /// must be `Compiled::of(protocol)`), under `scheduler`.
+    pub(crate) fn on(
+        protocol: &'p Protocol,
+        compiled: Arc<Compiled>,
+        initial: &Multiset<StateId>,
+        seed: u64,
+        scheduler: SchedulerKind,
+    ) -> Self {
+        let config = compiled.net.dense_config(initial);
         Simulation {
-            scheduler: SchedulerState::new(SchedulerKind::default(), &net, &config),
+            scheduler: SchedulerState::new(scheduler, &compiled.net, &config),
             config,
-            net,
-            stability: ProtocolStability::new(protocol),
+            compiled,
             rng: StdRng::seed_from_u64(seed),
             steps: 0,
             stability_cache: StabilityCache::new(),
@@ -125,14 +164,14 @@ impl<'p> Simulation<'p> {
 
     /// Selects the scheduler (default: uniform over enabled transitions).
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = SchedulerState::new(scheduler, &self.net, &self.config);
+        self.scheduler = SchedulerState::new(scheduler, &self.compiled.net, &self.config);
         self
     }
 
     /// The current configuration (sparse view).
     #[must_use]
     pub fn config(&self) -> Multiset<StateId> {
-        self.net.to_multiset(&self.config)
+        self.compiled.net.to_multiset(&self.config)
     }
 
     /// Number of steps taken so far.
@@ -145,7 +184,7 @@ impl<'p> Simulation<'p> {
     pub fn step(&mut self) -> StepOutcome {
         match self.scheduler.choose(&mut self.rng) {
             Some(t) => {
-                self.net.transitions()[t].fire(&mut self.config);
+                self.compiled.net.transitions()[t].fire(&mut self.config);
                 self.scheduler.fired(t, &self.config);
                 self.steps += 1;
                 StepOutcome::Fired(t)
@@ -193,17 +232,17 @@ impl<'p> Simulation<'p> {
             Output::One => true,
             Output::Star => return None,
         };
-        let sparse = self.net.to_multiset(&self.config);
-        let stable = match self.stability_cache.get(&sparse) {
+        let stable = match self.stability_cache.get(self.config.counts()) {
             Some(&cached) => cached,
             None => {
-                let result = self.stability.is_output_stable(
+                let result = self.compiled.stability.is_output_stable(
                     self.protocol,
-                    &sparse,
+                    &self.compiled.net.to_multiset(&self.config),
                     value,
                     &ExplorationLimits::default(),
                 );
-                self.stability_cache.insert(sparse, result);
+                self.stability_cache
+                    .insert(self.config.counts().into(), result);
                 result
             }
         };
