@@ -5,7 +5,6 @@
 //! formatting helpers of this crate. Timings are not taken here: the suite
 //! benchmark (`suitebench/`) times every engine layer end to end.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// A minimal plain-text table printer (fixed-width columns, Markdown-style).

@@ -28,7 +28,6 @@
 //! assert!(bound > Nat::from(u128::MAX));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod convert;

@@ -20,7 +20,6 @@
 //!   cycle (Lemma 7.2) and multicycle shrinking (Lemma 7.3), reported as an
 //!   inspectable structure.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ackermann;

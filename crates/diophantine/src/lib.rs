@@ -35,7 +35,6 @@
 //! assert_eq!(basis.len(), 3); // (2,0,1), (1,1,1), (0,2,1)
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod error;

@@ -30,7 +30,6 @@
 //! assert_eq!(config.sup_norm(), 3);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod multiset;

@@ -383,7 +383,10 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::erasing_op)] // scaling by zero is the property under test
+    #[expect(
+        clippy::erasing_op,
+        reason = "scaling by zero is the property under test"
+    )]
     fn arithmetic_operators() {
         let a = sv(&[("p", 2), ("q", -1)]);
         let b = sv(&[("p", -2), ("r", 3)]);

@@ -47,7 +47,6 @@
 //! assert_eq!(pp_netdsl::parse::parse_str(&def.print()).unwrap(), def);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -269,7 +269,10 @@ struct ExpandScratch {
 /// This single body is the semantic definition of "expanding a node"; the
 /// cold sequential build, the resume replay and the resume continuation all
 /// share it, which is what makes resumed graphs bit-identical to cold ones.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the graph's buffers are borrowed one by one so the resume replay can lend them too"
+)]
 fn expand_one(
     transitions: &[PackedTransition],
     arena: &mut ConfigArena,
@@ -319,7 +322,10 @@ fn expand_one(
 /// queue: every node interned during the scan is reached by the scan. Used
 /// by the cold build (`start = 0`) and by the continuation phase of
 /// [`ReachabilityGraph::resume`] (`start` = first fresh id).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the graph's buffers are borrowed one by one so the resume continuation can lend them too"
+)]
 fn scan_expand(
     transitions: &[PackedTransition],
     arena: &mut ConfigArena,
@@ -1808,7 +1814,6 @@ mod tests {
     /// Small random nets, agent-creating ones included, with one or two
     /// initial configurations, under a budget, an optional agent cap and an
     /// optional depth cap (0 draws no cap), raised twice.
-    #[allow(clippy::type_complexity)]
     fn arb_chain() -> impl proptest::prelude::Strategy<
         Value = (PetriNet<u8>, Vec<Multiset<u8>>, [ExplorationLimits; 3]),
     > {

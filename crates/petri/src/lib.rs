@@ -49,7 +49,6 @@
 //! assert_eq!(net.sup_norm(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // A new enum variant (a completion reason, a query kind) must break the
 // build at every `match` that refunds, resumes or reports on it, not fall

@@ -478,8 +478,9 @@ mod tests {
         // Deterministic pseudo-random word pairs via a splitmix step.
         let mut state = 0x9e37_79b9_97f4_a7c5u64;
         let mut next = || {
-            // pp-lint: allow(exact-wrap) — splitmix mixer: wrap-around
-            // over the full u64 is the intended mixing arithmetic.
+            // Splitmix mixer: wrap-around over the full u64 is the
+            // intended mixing arithmetic. The exact-wrap test below reads
+            // only the code above this module.
             state = state.wrapping_add(0x9e37_79b9_97f4_a7c5);
             let mut z = state;
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
@@ -610,5 +611,118 @@ mod tests {
             assert!(!row_le_words(&b, &a, width));
             assert!(row_le_words(&a, &a, width));
         }
+    }
+
+    /// `src` with every `//` comment and the contents of every `"…"`
+    /// literal blanked to spaces, newlines kept, so that braces and words
+    /// inside them never count. The SWAR layer has no block comments, raw
+    /// strings or char literals, so nothing else can hide code.
+    fn blank_comments_and_strings(src: &str) -> String {
+        let (mut in_comment, mut in_str, mut escaped) = (false, false, false);
+        let mut chars = src.chars().peekable();
+        let mut out = String::with_capacity(src.len());
+        while let Some(c) = chars.next() {
+            let blank = if c == '\n' {
+                in_comment = false;
+                false
+            } else if in_comment {
+                true
+            } else if in_str {
+                if escaped {
+                    escaped = false;
+                } else if c == '\\' {
+                    escaped = true;
+                } else if c == '"' {
+                    in_str = false;
+                }
+                in_str
+            } else if c == '/' && chars.peek() == Some(&'/') {
+                in_comment = true;
+                true
+            } else {
+                in_str = c == '"';
+                false
+            };
+            out.push(if blank { ' ' } else { c });
+        }
+        out
+    }
+
+    /// The exact-wrap gate. Every `wrapping_add(` / `wrapping_sub(` on a
+    /// code line of the SWAR layer (this file above its tests module)
+    /// must sit in a function whose `///` doc block cites the width-bound
+    /// invariant with `EXACT:`: word-level wrapping arithmetic on packed
+    /// rows is exact only while no borrow or carry crosses a lane, and a
+    /// function that does not spell out why is a lane-overflow bug
+    /// waiting to happen. The enclosing function is found by brace
+    /// depth, so closures count as part of their function.
+    #[test]
+    fn wrapping_word_ops_sit_in_exact_documented_functions() {
+        let src = include_str!("packed.rs");
+        let swar = &src[..src
+            .find("#[cfg(test)]\nmod tests")
+            .expect("packed.rs has a tests module")];
+        let code = blank_comments_and_strings(swar);
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        // Open function bodies, innermost last: (brace depth of the body,
+        // whether the function's doc block cites `EXACT:`).
+        let mut fns: Vec<(usize, bool)> = Vec::new();
+        // A `fn` whose body has not opened yet, with its doc verdict.
+        let mut pending = None;
+        let (mut depth, mut nest, mut doc_exact) = (0usize, 0usize, false);
+        let (mut checked, mut offenders) = (0, Vec::new());
+        for (n, (raw, line)) in swar.lines().zip(code.lines()).enumerate() {
+            let raw = raw.trim();
+            if raw.starts_with("///") {
+                doc_exact |= raw.contains("EXACT:");
+                continue;
+            }
+            if line.trim().is_empty() {
+                continue;
+            }
+            for (i, c) in line.char_indices() {
+                let rest = &line[i..];
+                if rest.starts_with("fn ")
+                    && !line[..i].ends_with(is_ident)
+                    && rest[3..].starts_with(is_ident)
+                {
+                    pending = Some(doc_exact);
+                }
+                match c {
+                    '(' | '[' => nest += 1,
+                    ')' | ']' => nest -= 1,
+                    // A bodiless `fn` (a trait method) ends at its `;`.
+                    ';' if nest == 0 => pending = None,
+                    '{' => {
+                        depth += 1;
+                        if let Some(exact) = pending.take() {
+                            fns.push((depth, exact));
+                        }
+                    }
+                    '}' => {
+                        if fns.last().is_some_and(|&(d, _)| d == depth) {
+                            fns.pop();
+                        }
+                        depth -= 1;
+                    }
+                    _ => {}
+                }
+                if rest.starts_with("wrapping_add(") || rest.starts_with("wrapping_sub(") {
+                    checked += 1;
+                    if !fns.last().is_some_and(|&(_, exact)| exact) {
+                        offenders.push(format!("packed.rs:{}: {raw}", n + 1));
+                    }
+                }
+            }
+            // Attributes sit between a doc block and its item.
+            doc_exact &= raw.starts_with("#[");
+        }
+        assert!(checked > 0, "the scan found no wrapping ops at all");
+        assert!(
+            offenders.is_empty(),
+            "wrapping word arithmetic outside an `EXACT:`-documented function; \
+             cite the width-bound invariant (`/// EXACT: …`) on the enclosing \
+             function: {offenders:#?}"
+        );
     }
 }

@@ -39,7 +39,6 @@
 //! assert!(predicate.eval(&pp_multiset::Multiset::unit("a".to_string())));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod stable;

@@ -27,7 +27,6 @@
 //! a batch workload: one reachability job per entry, for the batch layer
 //! of `pp-petri`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;

@@ -7,7 +7,7 @@
 //! proportionally to anything but the input length. The writer is the
 //! exact inverse on the values the parser can produce:
 //! `parse(write(v)) == v` for every finite value (proptested in
-//! `tests/json_props.rs`, to the same bar as the `pp_lint` lexer).
+//! `tests/json_props.rs`).
 //!
 //! Design choices, all in service of determinism on the wire:
 //!

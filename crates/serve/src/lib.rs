@@ -30,7 +30,6 @@
 //! The wire protocol is documented in the README ("The analysis server");
 //! the design rationale lives in `DESIGN.md`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

@@ -368,7 +368,6 @@ fn multiset_to_config(config: &pp_multiset::Multiset<String>) -> WireConfig {
 /// Returns the source plus the definition's `cap` (folded into
 /// `max_agents` unless the frame sets one) and `target` stanza (the
 /// default coverability target).
-#[allow(clippy::type_complexity)]
 fn parse_net_dsl(
     frame: &Json,
     text: &Json,

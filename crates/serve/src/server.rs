@@ -1105,7 +1105,10 @@ fn base_limits(sub: &Submission) -> ExplorationLimits {
 /// Runs one job on `key`'s cached session (or a fresh one) and answers
 /// it. A submission brings its own `submitted` job; a resume (`None`)
 /// runs the cached one, waiting for it if another job has it out.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one call site, which holds each of these already unpacked from the frame"
+)]
 fn run_prepared<P>(
     core: &Core,
     shelf: Shelf<P>,
@@ -1211,7 +1214,10 @@ where
     Ok(flow_of(write_frame(writer, &frame)))
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one field of the response frame"
+)]
 fn job_frame<P: Clone + Ord>(
     event: &str,
     id: Option<&str>,

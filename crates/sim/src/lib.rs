@@ -16,7 +16,6 @@
 //! with the coverability oracles of `pp-population`) and repeated trials
 //! run on multiple threads ([`convergence`]).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod convergence;
