@@ -6,7 +6,7 @@
 //! of the `T|_Q`-component of a bottom configuration, and an edge `(s, t, s')`
 //! exists when `s --t|_Q--> s'`.
 
-use crate::{ExplorationLimits, PetriNet, ReachabilityGraph};
+use crate::{ExplorationLimits, PetriNet};
 use pp_multiset::{Multiset, SignedVec};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -288,12 +288,6 @@ impl<P: Clone + Ord> ControlNet<P> {
         total
     }
 
-    /// The transition-index word labelling a sequence of edges.
-    #[must_use]
-    pub fn transition_word(&self, path: &[usize]) -> Vec<usize> {
-        path.iter().map(|&e| self.edges[e].transition).collect()
-    }
-
     /// Lemma 7.2: a *total* cycle (passing through every edge at least once)
     /// of length at most `|E|·|S|`, anchored at control-state `anchor`.
     ///
@@ -319,27 +313,6 @@ impl<P: Clone + Ord> ControlNet<P> {
         debug_assert!(self.is_cycle(&cycle) || cycle.is_empty());
         Some(cycle)
     }
-}
-
-/// Convenience: builds the reachability graph of the restricted net from a
-/// configuration (used by tests and experiments to sanity-check components).
-#[must_use]
-pub fn restricted_reachability<P: Clone + Ord>(
-    net: &PetriNet<P>,
-    q_places: &BTreeSet<P>,
-    base: &Multiset<P>,
-    limits: &ExplorationLimits,
-) -> ReachabilityGraph<P> {
-    let restricted = net.restrict(q_places);
-    let mut analysis = crate::session::Analysis::new(&restricted);
-    let graph = analysis
-        .reachability([base.restrict(q_places)])
-        .limits(*limits)
-        .run();
-    // The ephemeral session held the only other reference; dropping it
-    // makes the unwrap free.
-    drop(analysis);
-    std::sync::Arc::try_unwrap(graph).unwrap_or_else(|shared| (*shared).clone())
 }
 
 #[cfg(test)]
@@ -441,7 +414,6 @@ mod tests {
         assert_eq!(control.displacement(&cycle).get(&"b"), 1);
         assert_eq!(control.displacement(&cycle).get(&"a"), 0);
         assert_eq!(control.displacement_of_parikh(&[3]).get(&"b"), 3);
-        assert_eq!(control.transition_word(&cycle), vec![0]);
     }
 
     #[test]
@@ -463,23 +435,5 @@ mod tests {
         // Self-loop edges may exist only if some restricted transition maps
         // 2·ī to itself; none does.
         assert_eq!(control.num_edges(), 0);
-    }
-
-    #[test]
-    fn restricted_reachability_helper() {
-        let net = PetriNet::from_transitions([
-            Transition::new(ms(&[("a", 1)]), ms(&[("b", 1)])),
-            Transition::new(ms(&[("b", 1)]), ms(&[("a", 1)])),
-        ]);
-        let q: BTreeSet<&str> = ["a", "b"].into_iter().collect();
-        let graph = restricted_reachability(
-            &net,
-            &q,
-            &ms(&[("a", 1), ("z", 3)]),
-            &ExplorationLimits::default(),
-        );
-        assert!(graph.is_complete());
-        assert!(graph.id_of(&ms(&[("b", 1)])).is_some());
-        assert!(graph.id_of(&ms(&[("a", 1), ("z", 3)])).is_none());
     }
 }

@@ -131,15 +131,6 @@ impl CompiledTransition {
             .map(|(p, c)| binomial(config.counts[p], c))
             .product()
     }
-
-    /// The backward coverability image: writes into `dst` the smallest row
-    /// `α` with `α --t--> β ≥ target`, i.e. `(target ∸ β_t) + α_t`.
-    pub fn backward_cover_row(&self, target: &[u64], dst: &mut Vec<u64>) {
-        dst.clear();
-        dst.extend_from_slice(target);
-        entries(&self.post).for_each(|(p, c)| dst[p] = dst[p].saturating_sub(c));
-        entries(&self.pre).for_each(|(p, c)| dst[p] += c);
-    }
 }
 
 /// A configuration stored as one counter per place, with a cached total.
@@ -584,23 +575,6 @@ mod tests {
         engine.transitions()[2].fire(&mut config);
         assert_eq!(config.total(), 4); // b -> 2c creates an agent
         assert_eq!(config.get(2), 2);
-    }
-
-    #[test]
-    fn backward_cover_matches_sparse() {
-        let net = sample_net();
-        let engine = CompiledNet::compile(&net);
-        let target = ms(&[("b", 3), ("c", 1)]);
-        let dense_target = engine.to_dense(&target).unwrap();
-        let mut out = Vec::new();
-        for (index, t) in net.transitions().iter().enumerate() {
-            engine.transitions()[index].backward_cover_row(&dense_target, &mut out);
-            assert_eq!(
-                engine.to_sparse(&out),
-                t.fire_backward_cover(&target),
-                "backward image differs at {index}"
-            );
-        }
     }
 
     #[test]

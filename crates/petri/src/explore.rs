@@ -316,6 +316,36 @@ fn expand_one(
     blocked
 }
 
+/// Interns the unpacked initial configuration `row` at depth 0 and adds
+/// its id to `initial` unless it is there already. Returns `false` when the
+/// configuration budget `cap` refuses a new node; the caller then keeps
+/// the row pending. The cold build and the resume's first phase share this
+/// body, so both number their initial configurations alike.
+fn intern_initial(
+    arena: &mut ConfigArena,
+    edges: &mut Edges,
+    depths: &mut Vec<u32>,
+    initial: &mut Vec<usize>,
+    row: &[u64],
+    cap: usize,
+) -> bool {
+    let packed = arena.layout().pack(row);
+    let id = match arena.entry(&packed) {
+        Entry::Occupied(id) => id.index(),
+        Entry::Vacant(vacant) if vacant.next_id() >= cap => return false,
+        Entry::Vacant(vacant) => {
+            let id = vacant.insert();
+            edges.push_node();
+            depths.push(0);
+            id.index()
+        }
+    };
+    if !initial.contains(&id) {
+        initial.push(id);
+    }
+    true
+}
+
 /// The breadth-first expansion of every node from `start` on, in id order.
 ///
 /// Node ids are assigned in discovery order, so scanning ids *is* the BFS
@@ -423,37 +453,16 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
         let mut depths: Vec<u32> = Vec::new();
         let mut pending_initials: Vec<Vec<u64>> = Vec::new();
         let mut trunc = Truncation::default();
+        let cap = limits.effective_max_configurations();
         for row in dense_rows {
             // The width bound covers every initial total, so the pack
             // cannot overflow a cell.
-            let packed = arena.layout().pack(&row);
-            let id = match arena.entry(&packed) {
-                Entry::Occupied(id) => Some(id.index()),
-                Entry::Vacant(vacant)
-                    if vacant.next_id() >= limits.effective_max_configurations() =>
-                {
-                    None
-                }
-                Entry::Vacant(vacant) => {
-                    let id = vacant.insert();
-                    edges.push_node();
-                    depths.push(0);
-                    Some(id.index())
-                }
-            };
-            match id {
-                Some(id) => {
-                    if !initial.contains(&id) {
-                        initial.push(id);
-                    }
-                }
-                None => {
-                    trunc.config = true;
-                    // Pending initials are kept *unpacked*: they outlive
-                    // the build and must survive a layout change on the
-                    // resume path.
-                    pending_initials.push(row);
-                }
+            if !intern_initial(&mut arena, &mut edges, &mut depths, &mut initial, &row, cap) {
+                trunc.config = true;
+                // Pending initials are kept *unpacked*: they outlive
+                // the build and must survive a layout change on the
+                // resume path.
+                pending_initials.push(row);
             }
         }
         let packed = engine.packed_transitions(arena.layout());
@@ -682,27 +691,17 @@ impl<P: Clone + Ord> ReachabilityGraph<P> {
             // Pending initials are kept unpacked (they must survive layout
             // changes across reopens); the layout-stability check above
             // guarantees they fit the current cells.
-            let packed_row = self.arena.layout().pack(&row);
-            let id = match self.arena.entry(&packed_row) {
-                Entry::Occupied(id) => Some(id.index()),
-                Entry::Vacant(vacant) if vacant.next_id() >= cap => None,
-                Entry::Vacant(vacant) => {
-                    let id = vacant.insert();
-                    self.edges.push_node();
-                    self.depths.push(0);
-                    Some(id.index())
-                }
-            };
-            match id {
-                Some(id) => {
-                    if !self.initial.contains(&id) {
-                        self.initial.push(id);
-                    }
-                }
-                None => {
-                    trunc.config = true;
-                    self.pending_initials.push(row);
-                }
+            let interned = intern_initial(
+                &mut self.arena,
+                &mut self.edges,
+                &mut self.depths,
+                &mut self.initial,
+                &row,
+                cap,
+            );
+            if !interned {
+                trunc.config = true;
+                self.pending_initials.push(row);
             }
         }
 

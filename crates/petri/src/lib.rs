@@ -66,7 +66,6 @@ pub mod engine;
 pub mod euler;
 pub mod explore;
 pub mod fingerprint;
-pub mod gates;
 pub mod karp_miller;
 pub mod packed;
 pub mod parallel;

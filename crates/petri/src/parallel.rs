@@ -17,10 +17,9 @@
 //!
 //! Results never depend on the choice. [`Parallelism::auto`] picks
 //! `Parallel(available_parallelism)` on multi-core hosts and `Sequential`
-//! on single-core ones; the `PP_PETRI_THREADS` environment variable
-//! overrides the detected count: `0` forces `Sequential`, `n ≥ 1` forces
-//! `Parallel(n)`, and anything that does not parse as an integer (after
-//! trimming whitespace) falls back to hardware detection.
+//! on single-core ones; a caller that wants another count passes the
+//! [`Parallelism`] value itself, since the count is a parameter and no
+//! environment variable overrides it.
 //!
 //! The module also holds [`Lock`], the one wrapper over the standard
 //! library's lock types (the root `clippy.toml` bans them everywhere
@@ -49,17 +48,10 @@ impl Parallelism {
     /// Auto-detected parallelism: `Parallel(n)` for `n` available hardware
     /// threads (at least 2), [`Sequential`](Self::Sequential) otherwise.
     ///
-    /// The `PP_PETRI_THREADS` environment variable overrides detection:
-    /// `0` forces `Sequential`, a positive integer `n` forces
-    /// `Parallel(n)`, and a value that does not parse as an integer falls
-    /// back to hardware detection.
+    /// The count is [`std::thread::available_parallelism`], which honours
+    /// the process's CPU affinity and cgroup quota on Linux.
     #[must_use]
     pub fn auto() -> Self {
-        if let Some(parallelism) = crate::gates::read(crate::gates::PP_PETRI_THREADS)
-            .and_then(|value| Self::from_env_value(&value))
-        {
-            return parallelism;
-        }
         let n = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
@@ -67,20 +59,6 @@ impl Parallelism {
             Parallelism::Sequential
         } else {
             Parallelism::Parallel(n)
-        }
-    }
-
-    /// Parses a `PP_PETRI_THREADS` value: `Some(Sequential)` for `0`,
-    /// `Some(Parallel(n))` for a positive integer (surrounding whitespace
-    /// tolerated), `None` for anything else — including the empty string —
-    /// so [`auto`](Self::auto) falls back to hardware detection instead of
-    /// silently ignoring the knob's intent.
-    #[must_use]
-    pub fn from_env_value(value: &str) -> Option<Self> {
-        match value.trim().parse::<usize>() {
-            Ok(0) => Some(Parallelism::Sequential),
-            Ok(n) => Some(Parallelism::Parallel(n)),
-            Err(_) => None,
         }
     }
 
@@ -273,34 +251,6 @@ mod tests {
         assert!(Parallelism::auto().workers() >= 1);
     }
 
-    #[test]
-    fn env_value_zero_means_sequential() {
-        assert_eq!(
-            Parallelism::from_env_value("0"),
-            Some(Parallelism::Sequential)
-        );
-        assert_eq!(
-            Parallelism::from_env_value(" 0\t"),
-            Some(Parallelism::Sequential)
-        );
-    }
-
-    #[test]
-    fn env_value_positive_means_parallel() {
-        assert_eq!(
-            Parallelism::from_env_value("1"),
-            Some(Parallelism::Parallel(1))
-        );
-        assert_eq!(
-            Parallelism::from_env_value("  3 "),
-            Some(Parallelism::Parallel(3))
-        );
-        assert_eq!(
-            Parallelism::from_env_value("16"),
-            Some(Parallelism::Parallel(16))
-        );
-    }
-
     const MODES: [Parallelism; 4] = [
         Parallelism::Sequential,
         Parallelism::Parallel(1),
@@ -387,12 +337,5 @@ mod tests {
         assert_eq!(*guard, 1);
         drop(guard);
         assert_eq!(*second.lock().expect("fresh lock"), 1);
-    }
-
-    #[test]
-    fn env_value_garbage_falls_back_to_detection() {
-        for garbage in ["", "   ", "two", "-1", "3.5", "0x4", "1 2"] {
-            assert_eq!(Parallelism::from_env_value(garbage), None, "{garbage:?}");
-        }
     }
 }

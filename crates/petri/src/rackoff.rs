@@ -39,17 +39,12 @@ pub fn stabilization_threshold<P: Clone + Ord>(net: &PetriNet<P>) -> Nat {
     Nat::from(norm) * Nat::from(1 + norm).pow_nat(&Nat::from(d).pow(d))
 }
 
-/// A `u64`-saturating version of [`stabilization_threshold`] for use inside
-/// concrete explorations (where counts are machine integers anyway).
-#[must_use]
-pub fn stabilization_threshold_saturating<P: Clone + Ord>(net: &PetriNet<P>) -> u64 {
-    stabilization_threshold(net).saturating_u64()
-}
-
 /// The per-place "small values" region of Lemma 5.4: `R = {p : ρ(p) < h}`.
 ///
-/// `h` is passed as a saturating `u64`; places whose count is at least `h`
-/// are the "large" places that can be pumped without affecting stability.
+/// `h` is passed as a `u64` (saturate [`stabilization_threshold`] with
+/// [`Nat::saturating_u64`] for a concrete exploration); places whose count
+/// is at least `h` are the "large" places that can be pumped without
+/// affecting stability.
 #[must_use]
 pub fn small_value_places<P: Clone + Ord>(
     net: &PetriNet<P>,
@@ -104,7 +99,6 @@ mod tests {
         let net = PetriNet::from_transitions([Transition::pairwise("a", "b", "c", "d")]);
         // ‖T‖∞ = 1, |P| = 4: h = 1 · 2^(4^4) = 2^256.
         assert_eq!(stabilization_threshold(&net), Nat::from(2u64).pow(256));
-        assert_eq!(stabilization_threshold_saturating(&net), u64::MAX);
     }
 
     #[test]

@@ -201,12 +201,27 @@ pub fn verify_inputs<I>(
 where
     I: IntoIterator<Item = Multiset<String>>,
 {
+    verify_inputs_on(Parallelism::auto(), protocol, predicate, inputs, limits)
+}
+
+/// [`verify_inputs`] on `parallelism` threads; the tests pin that every
+/// thread count gives the same reports.
+fn verify_inputs_on<I>(
+    parallelism: Parallelism,
+    protocol: &Protocol,
+    predicate: &Predicate,
+    inputs: I,
+    limits: &ExplorationLimits,
+) -> VerificationReport
+where
+    I: IntoIterator<Item = Multiset<String>>,
+{
     let analysis = Analysis::new(protocol.net());
     // Largest first: a stable sort on descending agent total, so equal
     // totals keep their input order.
     let mut claims: Vec<(usize, Multiset<String>)> = inputs.into_iter().enumerate().collect();
     claims.sort_by_key(|(_, input)| Reverse(input.total()));
-    let mut reports = Parallelism::auto().map(claims, |(index, input)| {
+    let mut reports = parallelism.map(claims, |(index, input)| {
         (
             index,
             verify_input(protocol, &analysis, predicate, &input, limits),
@@ -448,10 +463,11 @@ mod tests {
         assert!(correct > 0 && incorrect > 0 && unknown > 0, "{tally:?}");
     }
 
-    /// Runs `verify_inputs` on `inputs` and requires, report for report,
-    /// what a sequential loop of `verify_input` over the same list gives:
-    /// input, expected value, verdict with its witness, and explored
-    /// configurations. Counts the verdicts into `tally`.
+    /// Runs `verify_inputs_on` on `inputs` at one, two and three threads
+    /// and requires of each, report for report, what a sequential loop of
+    /// `verify_input` over the same list gives: input, expected value,
+    /// verdict with its witness, and explored configurations. Counts the
+    /// verdicts into `tally`.
     fn assert_claim_order_is_invisible(
         protocol: &Protocol,
         predicate: &Predicate,
@@ -472,9 +488,16 @@ mod tests {
             .iter()
             .map(|input| key(&verify_input(protocol, &analysis, predicate, input, limits)))
             .collect();
-        let fanned = verify_inputs(protocol, predicate, inputs.to_vec(), limits);
-        let fanned: Vec<_> = fanned.inputs.iter().map(key).collect();
-        assert_eq!(fanned, sequential, "{}", protocol.name());
+        for parallelism in [
+            Parallelism::Sequential,
+            Parallelism::Parallel(2),
+            Parallelism::Parallel(3),
+        ] {
+            let fanned =
+                verify_inputs_on(parallelism, protocol, predicate, inputs.to_vec(), limits);
+            let fanned: Vec<_> = fanned.inputs.iter().map(key).collect();
+            assert_eq!(fanned, sequential, "{} at {parallelism:?}", protocol.name());
+        }
         for (_, _, verdict, _) in &sequential {
             tally[match verdict {
                 Verdict::Correct => 0,

@@ -11,14 +11,15 @@
 //! ```
 //!
 //! `QUERY` is one of `reachability` (default), `coverability`,
-//! `karp-miller`, `covering-word`. The default address honors the
-//! `PP_SERVE_ADDR` gate; `serve` also honors `PP_SERVE_THREADS` for its
-//! connection cap. A flag the command does not take is an error, as is a
+//! `karp-miller`, `covering-word`. Without `--addr` every command uses
+//! `127.0.0.1:7929`, and without `--max-conns` `serve` admits 64 clients at
+//! once; the flags are the only settings, and no environment variable is
+//! read. A flag the command does not take is an error, as is a
 //! `--max-conns` below 1. Every server frame is printed as one JSON line, so
 //! the output composes with line-oriented tooling exactly like the wire.
 
 use pp_serve::json::Json;
-use pp_serve::server::{addr_from_gates, Server, ServerConfig};
+use pp_serve::server::{Server, ServerConfig, DEFAULT_ADDR};
 use pp_serve::Client;
 use std::process::ExitCode;
 
@@ -93,12 +94,12 @@ fn parse_number<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, Stri
 }
 
 fn addr_of(flags: &[(&str, &str)]) -> String {
-    lookup(flags, "addr").map_or_else(addr_from_gates, ToString::to_string)
+    lookup(flags, "addr").unwrap_or(DEFAULT_ADDR).to_string()
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let flags = parse_flags(args, &["addr", "pool", "max-conns"])?;
-    let mut config = ServerConfig::from_gates();
+    let mut config = ServerConfig::default();
     if let Some(addr) = lookup(&flags, "addr") {
         config.addr = addr.to_string();
     }

@@ -70,7 +70,7 @@ use pp_petri::batch::{BatchOutcome, BatchQuery, QueryRun};
 use pp_petri::cover::CoveringWordOutcome;
 use pp_petri::fingerprint::{hex, outcome_fingerprint, Fnv};
 use pp_petri::parallel::{Lock, LockGuard};
-use pp_petri::{gates, Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, Transition};
+use pp_petri::{Analysis, Completion, ExplorationLimits, Parallelism, PetriNet, Transition};
 use pp_population::StateId;
 use pp_protocols::batch::spread_input;
 use pp_protocols::catalog;
@@ -85,32 +85,14 @@ use std::time::{Duration, Instant};
 
 pub use crate::pool::{PoolStats, TokenPool};
 
-/// The fallback listen/connect address when [`gates::PP_SERVE_ADDR`] is
-/// unset.
+/// The listen/connect address when no `--addr` flag names one.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7929";
 
-/// The fallback connection cap when [`gates::PP_SERVE_THREADS`] is unset
-/// or unparsable.
+/// The connection cap when no `--max-conns` flag names one.
 pub const DEFAULT_MAX_CONNECTIONS: usize = 64;
 
-/// The default address, honoring the `PP_SERVE_ADDR` gate.
-#[must_use]
-pub fn addr_from_gates() -> String {
-    gates::read(gates::PP_SERVE_ADDR).unwrap_or_else(|| DEFAULT_ADDR.to_string())
-}
-
-/// The connection cap, honoring the `PP_SERVE_THREADS` gate.
-#[must_use]
-pub fn max_connections_from_gates() -> usize {
-    gates::read(gates::PP_SERVE_THREADS)
-        .and_then(|value| value.trim().parse::<usize>().ok())
-        .filter(|&cap| cap >= 1)
-        .unwrap_or(DEFAULT_MAX_CONNECTIONS)
-}
-
 /// Server tunables. All of them are deployment knobs: none can change
-/// the result of any analysis (the README gates table says the same of
-/// the two environment-derived ones).
+/// the result of any analysis.
 #[derive(Clone)]
 pub struct ServerConfig {
     /// Address to bind (`host:port`; port 0 picks an ephemeral port).
@@ -132,19 +114,6 @@ impl Default for ServerConfig {
             max_connections: DEFAULT_MAX_CONNECTIONS,
             pool: None,
             default_budget: ExplorationLimits::default().max_configurations,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The default configuration with `addr` and `max_connections` read
-    /// from the registered environment gates.
-    #[must_use]
-    pub fn from_gates() -> Self {
-        ServerConfig {
-            addr: addr_from_gates(),
-            max_connections: max_connections_from_gates(),
-            ..ServerConfig::default()
         }
     }
 }

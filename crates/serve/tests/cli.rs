@@ -10,8 +10,6 @@ use std::time::{Duration, Instant};
 fn run(args: &[&str]) -> (bool, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pp_serve"))
         .args(args)
-        .env_remove("PP_SERVE_ADDR")
-        .env_remove("PP_SERVE_THREADS")
         .stdin(Stdio::null())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
